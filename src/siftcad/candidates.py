@@ -273,6 +273,7 @@ def generate_candidates(
     t_count: int = 16,
     v_min: float = DEFAULT_V_MIN,
     v_max: float = DEFAULT_V_MAX,
+    responses: dict[int, Volume3D] | None = None,
 ) -> list[RegionCandidate]:
     """Deterministic candidate generation over all pyramid scales.
 
@@ -281,6 +282,10 @@ def generate_candidates(
     take 26-connected components per threshold and sieve them by the
     scale's volume window. Candidates with identical voxel sets at the
     same scale are merged, keeping the lowest threshold index.
+
+    If ``responses`` is given, it receives each sifted scale's
+    normalised response keyed by scale index; a scale whose breast
+    mask is empty is skipped and has no entry.
     """
     d, _, big_d = case.spacing
     plan = lse_magnitudes(v_min, v_max, d, big_d, m_scales)
@@ -293,6 +298,8 @@ def generate_candidates(
             continue
         response = ms3d(scaled.volume, plan, n_orient)
         f16 = normalize16(response, mask_m)
+        if responses is not None:
+            responses[m] = f16
         try:
             bank = multilevel_otsu(f16, mask_m, t_count)
         except VolumeError:

@@ -13,6 +13,17 @@ does not: with an oblique line element, clamping an offset at the
 border can move it off the element, which breaks the adjunction and
 lets the opening overshoot near corners) and it damps rather than
 inflates top-hat responses at the volume border.
+
+Evaluation: each line element is rasterised and split into maximal
+collinear runs once per call, for erosion and for the reflected
+dilation (the SE plan); ``ms3d`` builds one plan per view and reuses it
+for every slice. The filters take the slice plane on the first two
+axes and treat trailing axes as a stack, so ``ms3d`` sifts C-contiguous
+blocks of consecutive slices (about 256 KB each) in one pass and
+``ms2d`` is the single-slice case of the same path. Every voxel sees
+the same min/max, subtraction and sum sequence as a slice-by-slice
+evaluation (orientations in ascending order, views axial + sagittal +
+coronal, all in float64), so the result is bit-equal to it.
 """
 
 from __future__ import annotations
@@ -124,8 +135,37 @@ def _runs(offsets: np.ndarray, major: int):
 _VH_MIN_WINDOW = 6  # below this a run is cheaper as direct shifted extremes
 
 
-def _line_filter(f: np.ndarray, offsets: np.ndarray, op, sentinel: float) -> np.ndarray:
+@dataclass(frozen=True)
+class _LinePlan:
+    """Run decomposition of one offset set: the padding it needs and
+    its maximal collinear runs along the axis that has fewer of them."""
+
+    kx: int
+    ky: int
+    along_x: bool
+    runs: tuple[tuple[int, int, int], ...]
+
+
+def _line_plan(offsets) -> _LinePlan:
+    offs = np.asarray(offsets, dtype=np.int64)
+    if offs.ndim != 2 or offs.shape[0] == 0 or offs.shape[1] != 2:
+        raise SiftError("structuring element must be a non-empty (n, 2) offset set")
+    runs_x = _runs(offs, major=0)
+    runs_y = _runs(offs, major=1)
+    along_x = len(runs_x) <= len(runs_y)
+    return _LinePlan(
+        kx=int(np.abs(offs[:, 0]).max()),
+        ky=int(np.abs(offs[:, 1]).max()),
+        along_x=along_x,
+        runs=tuple(runs_x if along_x else runs_y),
+    )
+
+
+def _line_filter(f: np.ndarray, plan: _LinePlan, op, sentinel: float) -> np.ndarray:
     """Exact min/max over a point set of offsets, run-decomposed.
+
+    The first two axes of ``f`` are the slice plane; any trailing axes
+    index a stack of slices that are filtered independently.
 
     Equivalent to the direct per-offset evaluation: the offset set is
     split into maximal collinear runs; long runs are collapsed with a
@@ -133,18 +173,10 @@ def _line_filter(f: np.ndarray, offsets: np.ndarray, op, sentinel: float) -> np.
     Both regroup the same min/max terms, so the result is bit-equal to
     the naive evaluation.
     """
-    offs = np.asarray(offsets, dtype=np.int64)
-    if offs.ndim != 2 or offs.shape[0] == 0 or offs.shape[1] != 2:
-        raise SiftError("structuring element must be a non-empty (n, 2) offset set")
-    nx, ny = f.shape
-    kx = int(np.abs(offs[:, 0]).max())
-    ky = int(np.abs(offs[:, 1]).max())
-    padded = np.full((nx + 2 * kx, ny + 2 * ky), sentinel, dtype=np.float64)
+    nx, ny = f.shape[:2]
+    kx, ky, along_x = plan.kx, plan.ky, plan.along_x
+    padded = np.full((nx + 2 * kx, ny + 2 * ky) + f.shape[2:], sentinel, dtype=np.float64)
     padded[kx:kx + nx, ky:ky + ny] = f
-
-    runs_x = _runs(offs, major=0)
-    runs_y = _runs(offs, major=1)
-    along_x = len(runs_x) <= len(runs_y)
     out = None
 
     def accumulate(contrib, out):
@@ -152,7 +184,7 @@ def _line_filter(f: np.ndarray, offsets: np.ndarray, op, sentinel: float) -> np.
             return contrib.astype(np.float64, copy=True)
         return op(out, contrib, out=out)
 
-    for minor, a, b in (runs_x if along_x else runs_y):
+    for minor, a, b in plan.runs:
         w = b - a + 1
         if along_x:
             block = padded[kx + a:kx + b + nx, ky + minor:ky + minor + ny]
@@ -170,6 +202,18 @@ def _line_filter(f: np.ndarray, offsets: np.ndarray, op, sentinel: float) -> np.
     return out
 
 
+def _open_plan(se) -> tuple[_LinePlan, _LinePlan]:
+    """Plans of an opening: erosion by the offsets, dilation by their
+    reflection."""
+    offs = np.asarray(se, dtype=np.int64)
+    return _line_plan(offs), _line_plan(-offs)
+
+
+def _open(f: np.ndarray, plan: tuple[_LinePlan, _LinePlan]) -> np.ndarray:
+    erode, dilate = plan
+    return _line_filter(_line_filter(f, erode, np.minimum, np.inf), dilate, np.maximum, -np.inf)
+
+
 def _check_slice(f: np.ndarray) -> np.ndarray:
     arr = np.asarray(f, dtype=np.float64)
     if arr.ndim != 2:
@@ -179,23 +223,48 @@ def _check_slice(f: np.ndarray) -> np.ndarray:
 
 def gray_erode(f: np.ndarray, se: np.ndarray) -> np.ndarray:
     """Flat erosion of a 2D slice by a point-set structuring element."""
-    return _line_filter(_check_slice(f), se, np.minimum, np.inf)
+    return _line_filter(_check_slice(f), _line_plan(se), np.minimum, np.inf)
 
 
 def gray_dilate(f: np.ndarray, se: np.ndarray) -> np.ndarray:
     """Flat dilation (max over the reflected offsets)."""
     offs = -np.asarray(se, dtype=np.int64)
-    return _line_filter(_check_slice(f), offs, np.maximum, -np.inf)
+    return _line_filter(_check_slice(f), _line_plan(offs), np.maximum, -np.inf)
 
 
 def gray_open(f: np.ndarray, se: np.ndarray) -> np.ndarray:
     """Opening: erosion then dilation with the same element."""
-    return gray_dilate(gray_erode(f, se), se)
+    return _open(_check_slice(f), _open_plan(se))
 
 
 # ---------------------------------------------------------------------------
 # sifting
 # ---------------------------------------------------------------------------
+
+def _sift_plan(ml1: float, ml2: float, n_orient: int):
+    """Opening plans of the (long, short) line pair for each
+    orientation theta = n*pi/N, in ascending n."""
+    if not (1.0 <= ml1 < ml2):
+        raise SiftError(f"need 1 <= ml1 < ml2, got ({ml1}, {ml2})")
+    if n_orient < 1:
+        raise SiftError(f"need at least one orientation, got {n_orient}")
+    plan = []
+    for n in range(n_orient):
+        theta = n * math.pi / n_orient
+        plan.append((_open_plan(rasterize_lse(ml2, theta)),
+                     _open_plan(rasterize_lse(ml1, theta))))
+    return tuple(plan)
+
+
+def _sift(f: np.ndarray, plan) -> np.ndarray:
+    """Sifting response of ``f`` (slice plane on the first two axes,
+    trailing axes a stack), accumulated in plan order."""
+    out = np.zeros_like(f)
+    for long_line, short_line in plan:
+        tophat = f - _open(f, long_line)
+        out += _open(tophat, short_line)
+    return out
+
 
 def ms2d(f: np.ndarray, ml1: float, ml2: float, n_orient: int = 10) -> np.ndarray:
     """2D sifting response between line magnitudes ``ml1`` and ``ml2``.
@@ -203,19 +272,7 @@ def ms2d(f: np.ndarray, ml1: float, ml2: float, n_orient: int = 10) -> np.ndarra
     Sum over n = 0..N-1, theta = n*pi/N, of the short-line opening of
     the long-line top-hat. Accumulation is in ascending n.
     """
-    f = _check_slice(f)
-    if not (1.0 <= ml1 < ml2):
-        raise SiftError(f"need 1 <= ml1 < ml2, got ({ml1}, {ml2})")
-    if n_orient < 1:
-        raise SiftError(f"need at least one orientation, got {n_orient}")
-    out = np.zeros_like(f)
-    for n in range(n_orient):
-        theta = n * math.pi / n_orient
-        se_long = rasterize_lse(ml2, theta)
-        se_short = rasterize_lse(ml1, theta)
-        tophat = f - gray_open(f, se_long)
-        out += gray_open(tophat, se_short)
-    return out
+    return _sift(_check_slice(f), _sift_plan(ml1, ml2, n_orient))
 
 
 @dataclass(frozen=True)
@@ -255,10 +312,19 @@ def lse_magnitudes(v_min: float, v_max: float, d: float, big_d: float, m_scales:
     return MagnitudePlan(axial=axial, sagittal=cross, coronal=cross, ml1_mm=ml1_mm, ml2_mm=ml2_mm)
 
 
-def _ms_stack(vol: np.ndarray, pair: tuple[float, float], n_orient: int) -> np.ndarray:
-    out = np.empty_like(vol)
-    for k in range(vol.shape[2]):
-        out[:, :, k] = ms2d(np.ascontiguousarray(vol[:, :, k]), pair[0], pair[1], n_orient)
+# voxels per block of slices (256 KB of float64): blocks of 1 MB and
+# 4 MB measured slower on full-resolution volumes
+_BLOCK_VOXELS = 32768
+
+
+def _sift_stack(vol: np.ndarray, plan) -> np.ndarray:
+    """Sifting response of every slice ``vol[:, :, k]``, filtered in
+    C-contiguous blocks of consecutive slices."""
+    nx, ny, nz = vol.shape
+    step = max(1, _BLOCK_VOXELS // max(1, nx * ny))
+    out = np.empty(vol.shape)
+    for k in range(0, nz, step):
+        out[:, :, k:k + step] = _sift(np.ascontiguousarray(vol[:, :, k:k + step]), plan)
     return out
 
 
@@ -266,11 +332,11 @@ def ms3d(volume: Volume3D, plan: MagnitudePlan, n_orient: int = 10) -> Volume3D:
     """3D sifting: per-slice 2D responses of the axial, sagittal and
     coronal stacks, summed in that order."""
     data = volume.data
-    out = _ms_stack(data, plan.axial, n_orient)
+    out = _sift_stack(data, _sift_plan(*plan.axial, n_orient))
     sag = np.transpose(data, (0, 2, 1))
-    out += np.transpose(_ms_stack(sag, plan.sagittal, n_orient), (0, 2, 1))
+    out += np.transpose(_sift_stack(sag, _sift_plan(*plan.sagittal, n_orient)), (0, 2, 1))
     cor = np.transpose(data, (2, 1, 0))
-    out += np.transpose(_ms_stack(cor, plan.coronal, n_orient), (2, 1, 0))
+    out += np.transpose(_sift_stack(cor, _sift_plan(*plan.coronal, n_orient)), (2, 1, 0))
     return Volume3D(out, volume.spacing)
 
 

@@ -57,7 +57,7 @@ def shift_erode(f: np.ndarray, offsets) -> np.ndarray:
     pad[kx:kx + nx, ky:ky + ny] = f
     out = np.full_like(f, np.inf, dtype=np.float64)
     for dx, dy in offs:
-        np.minimum(out, pad[kx + dx:kx + dx + nx, ky + dy:ky + dy + ny], out)
+        np.minimum(out, pad[kx + dx:kx + dx + nx, ky + dy:ky + dy + ny], out=out)
     return out
 
 
@@ -70,7 +70,7 @@ def shift_dilate(f: np.ndarray, offsets) -> np.ndarray:
     pad[kx:kx + nx, ky:ky + ny] = f
     out = np.full_like(f, -np.inf, dtype=np.float64)
     for dx, dy in offs:
-        np.maximum(out, pad[kx + dx:kx + dx + nx, ky + dy:ky + dy + ny], out)
+        np.maximum(out, pad[kx + dx:kx + dx + nx, ky + dy:ky + dy + ny], out=out)
     return out
 
 

@@ -1,8 +1,10 @@
 """Tests for the command-line interface."""
 
 import json
+import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from siftcad.cli import (
@@ -13,7 +15,9 @@ from siftcad.cli import (
     load_config,
     main,
 )
-from siftcad.volume import VolumeError
+from siftcad.morphosift import lse_magnitudes, ms3d, normalize16
+from siftcad.nrrd_io import load_case, load_manifest, load_mask, save_mask, save_volume
+from siftcad.volume import BinaryMask, VolumeError, subtract
 
 
 @pytest.fixture(scope="module")
@@ -140,6 +144,33 @@ class TestPipelineCommands:
         assert doc["format"] == "siftcad-candidates"
         assert len(doc["candidates"]) > 0
         assert list(out.glob("*_ms3d.nrrd"))
+
+    def test_sift_debug_volume_is_full_resolution_response(self, workspace, tmp_path):
+        manifest = workspace / "data/manifest.json"
+        assert main(["sift", "--manifest", str(manifest),
+                     "--out", str(tmp_path)]) == EXIT_OK
+        record = load_manifest(manifest)[0]
+        case = load_case(record)
+        cfg = RunConfig()
+        d, _, big_d = case.spacing
+        plan = lse_magnitudes(cfg.v_min, cfg.v_max, d, big_d, cfg.m_scales)
+        response = ms3d(subtract(case.dce[1], case.dce[0]), plan, cfg.n_orient)
+        save_volume(tmp_path / "want.nrrd", normalize16(response, case.breast_mask))
+        assert (tmp_path / f"{record.case_id}_ms3d.nrrd").read_bytes() == \
+            (tmp_path / "want.nrrd").read_bytes()
+
+    def test_sift_empty_breast_mask_is_runtime(self, workspace, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(workspace / "data", data)
+        record = load_manifest(data / "manifest.json")[0]
+        mask_path = data / record.breast_mask
+        mask = load_mask(mask_path)
+        save_mask(mask_path, BinaryMask(np.zeros_like(mask.data), mask.spacing))
+        rc = main(["sift", "--manifest", str(data / "manifest.json"),
+                   "--out", str(tmp_path / "out")])
+        assert rc == EXIT_RUNTIME
+        assert "normalisation mask is empty" in capsys.readouterr().err
+        assert not list((tmp_path / "out").glob("*_ms3d.nrrd"))
 
     def test_train_writes_models_and_summary(self, workspace):
         models = workspace / "models"

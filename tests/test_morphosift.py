@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from siftcad.morphosift import (
+    _BLOCK_VOXELS,
     LinearSE,
     MagnitudePlan,
     SiftError,
@@ -214,6 +215,25 @@ class TestMs3d:
         got = ms3d(v, plan, 4)
         want = direct_ms3d(v.data, plan, 4, rasterize_lse)
         assert np.array_equal(got.data, want)
+
+    # a block holds _BLOCK_VOXELS // (slice-plane voxels) slices, at least one
+    @pytest.mark.parametrize("dims", [
+        (64, 64, 11),   # every view's stack spans several blocks plus a remainder
+        (9, 7, 1),      # single-slice axial stack
+        (200, 180, 3),  # axial slice plane larger than one block
+    ], ids=["blocks_with_remainder", "single_slice", "plane_over_budget"])
+    def test_block_boundaries_match_direct_evaluation(self, dims):
+        assert _BLOCK_VOXELS == 32768  # the shapes above are chosen for this size
+        rng = np.random.default_rng(11)
+        plan = MagnitudePlan(
+            axial=(2.0, 6.0), sagittal=(2.0, 5.0), coronal=(3.0, 5.0),
+            ml1_mm=2.0, ml2_mm=6.0,
+        )
+        v = Volume3D(rng.standard_normal(dims) * 20, (0.7, 0.7, 1.3))
+        got = ms3d(v, plan, 4)
+        want = direct_ms3d(v.data, plan, 4, rasterize_lse)
+        assert np.array_equal(got.data, want)
+        assert got.data.tobytes() == want.tobytes()
 
     def test_ball_response_peaks_in_band(self):
         dims = (48, 48, 24)
