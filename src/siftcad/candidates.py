@@ -200,16 +200,19 @@ class RegionCandidate:
         return BinaryMask(m, self.spacing)
 
     def original_mask(self) -> BinaryMask:
-        if self.scale_index == 1:
-            return BinaryMask(self.mask().data, self.original_spacing)
-        up = upscale_mask(self.mask(), self.scale_index, self.original_dims,
-                          self.original_spacing)
-        return up
+        m = np.zeros(self.original_dims, dtype=bool)
+        m.ravel()[self.original_indices()] = True
+        return BinaryMask(m, self.original_spacing)
 
     def original_indices(self) -> np.ndarray:
         """Sorted flat indices on the original grid (cached)."""
         if self._original_indices is None:
-            self._original_indices = np.flatnonzero(self.original_mask().data.ravel())
+            if self.scale_index == 1:
+                self._original_indices = self.flat_indices
+            else:
+                up = upscale_mask(self.mask(), self.scale_index,
+                                  self.original_dims, self.original_spacing)
+                self._original_indices = np.flatnonzero(up.data.ravel())
         return self._original_indices
 
 

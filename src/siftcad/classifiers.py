@@ -534,6 +534,13 @@ def train_rf(samples_or_x, y=None, *, seed=None, n_tree_grid=None,
 # prediction and cross-validation
 # ---------------------------------------------------------------------------
 
+def _check_schema(model, vector: FeatureVector) -> None:
+    if model.schema_id is not None and vector.schema_id != model.schema_id:
+        raise ValueError(
+            f"schema mismatch: model {model.schema_id}, "
+            f"vector {vector.schema_id}")
+
+
 def predict(model, features):
     """Positive-class probability for one vector or a batch.
 
@@ -542,14 +549,13 @@ def predict(model, features):
     a vector for batches.
     """
     if isinstance(features, FeatureVector):
-        if model.schema_id is not None and features.schema_id != model.schema_id:
-            raise ValueError(
-                f"schema mismatch: model {model.schema_id}, "
-                f"vector {features.schema_id}")
+        _check_schema(model, features)
         return float(model.predict_proba(features.values[None, :])[0])
     if isinstance(features, (list, tuple)) and features and \
             isinstance(features[0], FeatureVector):
-        return np.array([predict(model, f) for f in features])
+        for f in features:
+            _check_schema(model, f)
+        return model.predict_proba(np.stack([f.values for f in features]))
     arr = np.asarray(features, dtype=np.float64)
     if arr.ndim == 1:
         return float(model.predict_proba(arr[None, :])[0])

@@ -137,12 +137,11 @@ def run_pipeline(case, lesion_model, malignancy_model=None,
         case, m_scales=params.m_scales, n_orient=params.n_orient,
         t_count=params.t_count, v_min=v_min, v_max=v_max)
     extractor = FeatureExtractor(case)
-    kept = []
-    for cand in candidates:
-        vec = extractor.extract(cand)
-        score = float(predict(lesion_model, vec))
-        if score >= params.theta_lesion:
-            kept.append((cand, vec, score))
+    vectors = [extractor.extract(cand) for cand in candidates]
+    scores = predict(lesion_model, vectors) if vectors else []
+    kept = [(cand, vec, float(score))
+            for cand, vec, score in zip(candidates, vectors, scores)
+            if score >= params.theta_lesion]
     detections = [
         Detection(mask=cand.original_mask(), lesion_score=score,
                   scale_index=cand.scale_index,
@@ -151,11 +150,11 @@ def run_pipeline(case, lesion_model, malignancy_model=None,
     ]
     vec_of = {id(d): vec for d, (_, vec, _) in zip(detections, kept)}
     fused = fuse_labels(detections)
-    if malignancy_model is not None:
-        for det in fused:
-            m = float(predict(malignancy_model, vec_of[id(det)]))
-            det.malignancy_score = m
-            det.malignant = m >= params.theta_malig
+    if malignancy_model is not None and fused:
+        malig = predict(malignancy_model, [vec_of[id(det)] for det in fused])
+        for det, m in zip(fused, malig):
+            det.malignancy_score = float(m)
+            det.malignant = det.malignancy_score >= params.theta_malig
     return fused
 
 

@@ -10,6 +10,13 @@ renormalised to unit DC gain so intensities stay comparable across
 scales. Kinetics always use the original grid through the upscaled
 candidate mask (largest voxel sample for the time curves).
 
+Shells and cores: each candidate gets one smoothed signed-distance
+field per grid, wide enough for the widest shell there (the 20 mm
+edema shell on its scale grid, the 2 mm margin rim on the original
+grid). The edema shells, the margin shell, the kinetic core and the
+kinetic rim are thresholds of that field; see :class:`_SurfaceField`
+for why this equals computing a field per shell.
+
 Every degenerate path (empty shell, single-voxel texture, guarded
 denominator, fit fallback, empty core) sets a 0/1 flag feature; no NaN
 or infinity ever leaves the extractor.
@@ -47,6 +54,7 @@ HARALICK_NAMES = (
 
 # (outer shell width mm, percentile) markers for peritumoral fluid
 EDEMA_SHELLS = ((2.0, 92.0), (10.0, 98.0), (20.0, 98.0))
+_EDEMA_OUTER_MM = max(width for width, _ in EDEMA_SHELLS)
 
 MARGIN_SEQUENCES = ("t2", "dce1", "dcesub")
 
@@ -147,18 +155,73 @@ _SURFACE_BIAS_PITCH = 1.0 / 3.0
 _SURFACE_SMOOTH_VOX = 0.8
 
 
-def _signed_surface_distance(crop: np.ndarray, spacing) -> np.ndarray:
-    """Signed distance (mm) from voxel centres to the region surface,
-    negative inside the region."""
-    bias = _SURFACE_BIAS_PITCH * (sum(spacing) / 3.0)
-    inside = ndimage.distance_transform_edt(crop, sampling=spacing)
-    outside = ndimage.distance_transform_edt(~crop, sampling=spacing)
-    sd = np.where(
-        crop,
-        -np.maximum(inside - bias, 0.0),
-        np.maximum(outside - bias, 0.0),
-    )
-    return ndimage.gaussian_filter(sd, sigma=_SURFACE_SMOOTH_VOX)
+class _SurfaceField:
+    """Smoothed signed distance (mm) from voxel centres to one region's
+    surface, negative inside, on a crop that holds every shell reaching
+    up to ``outer_mm`` outside the region.
+
+    One field serves all shells and cores of a region on its grid: each
+    is a threshold of the same values, and that is exact, not an
+    approximation of a field cropped per shell. The region lies wholly
+    inside the crop (``ceil(outer_mm / s) + 4`` voxels past its bounding
+    box), so neither distance transform depends on how far the crop
+    reaches; inside distances are taken on the bounding box plus one
+    voxel, because an inside voxel's nearest background voxel always
+    lies there. Any crop also reaches 4 voxels past the outer edge of
+    each shell it serves, beyond the 3-voxel radius of the Gaussian, so
+    every voxel a threshold can select smooths the same values on a
+    wide crop as on a narrow one.
+    """
+
+    def __init__(self, region: BinaryMask, outer_mm: float):
+        if region.count == 0:
+            raise VolumeError("cannot build a shell around an empty region")
+        spacing = region.spacing
+        self.region = region
+        self.outer_mm = outer_mm
+        pad = tuple(int(math.ceil(outer_mm / s)) + 4 for s in spacing)
+        self.slices = _bbox_slices(region.data, pad)
+        self.crop = crop = region.data[self.slices]
+        tight = _bbox_slices(region.data, (1, 1, 1))
+        tight_in_crop = tuple(slice(t.start - c.start, t.stop - c.start)
+                              for t, c in zip(tight, self.slices))
+        inside = np.zeros(crop.shape)
+        inside[tight_in_crop] = ndimage.distance_transform_edt(
+            region.data[tight], sampling=spacing)
+        outside = ndimage.distance_transform_edt(~crop, sampling=spacing)
+        bias = _SURFACE_BIAS_PITCH * (sum(spacing) / 3.0)
+        sd = np.where(
+            crop,
+            -np.maximum(inside - bias, 0.0),
+            np.maximum(outside - bias, 0.0),
+        )
+        self.distance = ndimage.gaussian_filter(sd, sigma=_SURFACE_SMOOTH_VOX)
+
+    def shell(self, inner_mm: float, outer_mm: float) -> BinaryMask:
+        """Voxels with signed distance in [-inner_mm, +outer_mm]."""
+        if inner_mm < 0 or outer_mm < 0:
+            raise VolumeError("shell offsets must be non-negative")
+        if inner_mm == 0 and outer_mm == 0:
+            raise VolumeError("shell needs a positive inner or outer offset")
+        if outer_mm > self.outer_mm:
+            raise VolumeError(
+                f"a {outer_mm} mm shell needs a field built for it, "
+                f"this one reaches {self.outer_mm} mm")
+        band = np.zeros_like(self.crop)
+        if inner_mm > 0:
+            band |= self.crop & (self.distance >= -inner_mm)
+        if outer_mm > 0:
+            band |= ~self.crop & (self.distance <= outer_mm)
+        return self._full(band)
+
+    def core(self, depth_mm: float) -> BinaryMask:
+        """Region voxels deeper than ``depth_mm`` below the surface."""
+        return self._full(self.crop & (self.distance < -depth_mm))
+
+    def _full(self, crop_mask: np.ndarray) -> BinaryMask:
+        full = np.zeros_like(self.region.data)
+        full[self.slices] = crop_mask
+        return BinaryMask(full, self.region.spacing)
 
 
 def shell_mask(region: BinaryMask, inner_mm: float, outer_mm: float) -> Shell:
@@ -167,25 +230,8 @@ def shell_mask(region: BinaryMask, inner_mm: float, outer_mm: float) -> Shell:
 
     The result may be empty on coarse grids (callers flag that case).
     """
-    if inner_mm < 0 or outer_mm < 0:
-        raise VolumeError("shell offsets must be non-negative")
-    if inner_mm == 0 and outer_mm == 0:
-        raise VolumeError("shell needs a positive inner or outer offset")
-    if region.count == 0:
-        raise VolumeError("cannot build a shell around an empty region")
-    spacing = region.spacing
-    pad = tuple(int(math.ceil(outer_mm / s)) + 4 for s in spacing)
-    sl = _bbox_slices(region.data, pad)
-    crop = region.data[sl]
-    sd = _signed_surface_distance(crop, spacing)
-    shell = np.zeros_like(crop)
-    if inner_mm > 0:
-        shell |= crop & (sd >= -inner_mm)
-    if outer_mm > 0:
-        shell |= ~crop & (sd <= outer_mm)
-    full = np.zeros_like(region.data)
-    full[sl] = shell
-    return Shell(inner_mm, outer_mm, BinaryMask(full, spacing))
+    field = _SurfaceField(region, outer_mm)
+    return Shell(inner_mm, outer_mm, field.shell(inner_mm, outer_mm))
 
 
 def erode_mm(region: BinaryMask, depth_mm: float) -> BinaryMask:
@@ -193,12 +239,7 @@ def erode_mm(region: BinaryMask, depth_mm: float) -> BinaryMask:
     the same signed distance field as :func:`shell_mask`."""
     if region.count == 0:
         return region
-    sl = _bbox_slices(region.data, (4, 4, 4))
-    crop = region.data[sl]
-    sd = _signed_surface_distance(crop, region.spacing)
-    out = np.zeros_like(region.data)
-    out[sl] = crop & (sd < -depth_mm)
-    return BinaryMask(out, region.spacing)
+    return _SurfaceField(region, 0.0).core(depth_mm)
 
 
 # ---------------------------------------------------------------------------
@@ -365,33 +406,6 @@ def _shell_gradient_stats(shell: BinaryMask, data: np.ndarray,
     else:
         cos_mean = 0.0
     return float(gmag.mean()), cos_mean
-
-
-def margin_sharpness(region: BinaryMask, data: np.ndarray,
-                     centroid_mm=None) -> tuple[float, bool]:
-    """Mean mm-scaled gradient magnitude over the 1 mm-in/2 mm-out
-    margin shell; empty shell returns (0, True)."""
-    shell = shell_mask(region, 1.0, 2.0)
-    if shell.mask.count == 0:
-        return 0.0, True
-    if centroid_mm is None:
-        centroid_mm = _region_centroid_mm(region)
-    sharp, _ = _shell_gradient_stats(shell.mask, data, centroid_mm)
-    return sharp, False
-
-
-def radial_gradient_index(region: BinaryMask, data: np.ndarray,
-                          centroid_mm=None) -> tuple[float, bool]:
-    """Mean cosine between the image gradient and the outward radial
-    direction over the margin shell, in [-1, 1]; a sharp bright ball
-    scores near -1 (gradients point inward, toward the bright core)."""
-    shell = shell_mask(region, 1.0, 2.0)
-    if shell.mask.count == 0:
-        return 0.0, True
-    if centroid_mm is None:
-        centroid_mm = _region_centroid_mm(region)
-    _, rgi = _shell_gradient_stats(shell.mask, data, centroid_mm)
-    return rgi, False
 
 
 def _region_centroid_mm(region: BinaryMask) -> tuple[float, float, float]:
@@ -563,11 +577,13 @@ def kinetic_features(rc: RegionCandidate, case: BreastCase) -> tuple[dict[str, f
     amp, alpha, beta, rmse, fit_fallback = _fit_enhancement(times, enh, peak)
 
     original = rc.original_mask()
-    core = erode_mm(original, 2.0)
+    # the 2 mm core and the 1 mm-in/2 mm-out rim share one 2 mm field
+    field = _SurfaceField(original, 2.0)
+    core = field.core(2.0)
     core_empty = core.count == 0
     if core_empty:
         core = original
-    shell = shell_mask(original, 1.0, 2.0).mask
+    shell = field.shell(1.0, 2.0)
     guard_shell = False
     if shell.count == 0:
         shell = original
@@ -679,14 +695,15 @@ class FeatureExtractor:
         out["t2_p20"] = float(np.percentile(t2_vals, 20))
         out["t2_p90"] = float(np.percentile(t2_vals, 90))
 
+        field = _SurfaceField(region, _EDEMA_OUTER_MM)
         for width, q in EDEMA_SHELLS:
             name = f"edema_t2_p{int(q)}_{int(width)}mm"
-            shell = shell_mask(region, 0.0, width)
-            if shell.mask.count == 0:
+            shell = field.shell(0.0, width)
+            if shell.count == 0:
                 out[name] = float(np.percentile(t2_vals, q))
                 flags["flag_edema_shell_empty"] = 1.0
             else:
-                out[name] = float(np.percentile(view.t2[shell.mask.data], q))
+                out[name] = float(np.percentile(view.t2[shell.data], q))
 
         degenerate = False
         for seq in MARGIN_SEQUENCES:
@@ -696,8 +713,8 @@ class FeatureExtractor:
                 out[f"{seq}_glcm_{stat_name}"] = float(value)
         flags["flag_texture_degenerate"] = 1.0 if degenerate else 0.0
 
-        margin_shell = shell_mask(region, 1.0, 2.0)
-        if margin_shell.mask.count == 0:
+        margin_shell = field.shell(1.0, 2.0)
+        if margin_shell.count == 0:
             flags["flag_margin_shell_empty"] = 1.0
             for seq in MARGIN_SEQUENCES:
                 out[f"{seq}_margin_sharpness"] = 0.0
@@ -706,7 +723,7 @@ class FeatureExtractor:
             centroid = _region_centroid_mm(region)
             for seq in MARGIN_SEQUENCES:
                 sharp, rgi = _shell_gradient_stats(
-                    margin_shell.mask, getattr(view, seq), centroid)
+                    margin_shell, getattr(view, seq), centroid)
                 out[f"{seq}_margin_sharpness"] = sharp
                 out[f"{seq}_rgi"] = rgi
 

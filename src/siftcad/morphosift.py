@@ -181,7 +181,9 @@ def _line_filter(f: np.ndarray, plan: _LinePlan, op, sentinel: float) -> np.ndar
 
     def accumulate(contrib, out):
         if out is None:
-            return contrib.astype(np.float64, copy=True)
+            # windowed extremes come back fresh; only views of ``padded``
+            # must be copied before they are accumulated into
+            return contrib.copy() if contrib.base is padded else contrib
         return op(out, contrib, out=out)
 
     for minor, a, b in plan.runs:

@@ -11,6 +11,7 @@ import itertools
 import math
 
 import numpy as np
+from scipy import ndimage
 
 
 # ---------------------------------------------------------------------------
@@ -206,3 +207,61 @@ def glcm_contrast_paircount(quant: np.ndarray, region: np.ndarray, offsets) -> f
     for i, j in pairs:
         acc += (int(i) - int(j)) ** 2
     return acc / total
+
+
+# ---------------------------------------------------------------------------
+# surface shells, one distance field per shell
+# ---------------------------------------------------------------------------
+# The shell and erosion as first written: every call crops the region's
+# bounding box with its own pad, runs both distance transforms on that
+# crop and smooths it. Same conventions as the package: bias of a third
+# of the mean pitch, Gaussian sigma 0.8 voxel, pad ceil(outer / s) + 4.
+
+_SURFACE_BIAS_PITCH = 1.0 / 3.0
+_SURFACE_SMOOTH_VOX = 0.8
+
+
+def _padded_bbox(data: np.ndarray, pad) -> tuple:
+    out = []
+    for axis, p in enumerate(pad):
+        hit = np.flatnonzero(data.any(axis=tuple(a for a in range(3) if a != axis)))
+        out.append(slice(max(0, hit[0] - p), min(data.shape[axis], hit[-1] + 1 + p)))
+    return tuple(out)
+
+
+def _per_shell_distance(crop: np.ndarray, spacing) -> np.ndarray:
+    bias = _SURFACE_BIAS_PITCH * (sum(spacing) / 3.0)
+    inside = ndimage.distance_transform_edt(crop, sampling=spacing)
+    outside = ndimage.distance_transform_edt(~crop, sampling=spacing)
+    sd = np.where(crop, -np.maximum(inside - bias, 0.0),
+                  np.maximum(outside - bias, 0.0))
+    return ndimage.gaussian_filter(sd, sigma=_SURFACE_SMOOTH_VOX)
+
+
+def per_shell_band(region: np.ndarray, spacing, inner_mm: float,
+                   outer_mm: float) -> np.ndarray:
+    """Voxels with smoothed signed surface distance in
+    [-inner_mm, +outer_mm], from a field cropped for this shell alone."""
+    pad = tuple(int(math.ceil(outer_mm / s)) + 4 for s in spacing)
+    sl = _padded_bbox(region, pad)
+    crop = region[sl]
+    sd = _per_shell_distance(crop, spacing)
+    band = np.zeros_like(crop)
+    if inner_mm > 0:
+        band |= crop & (sd >= -inner_mm)
+    if outer_mm > 0:
+        band |= ~crop & (sd <= outer_mm)
+    full = np.zeros_like(region)
+    full[sl] = band
+    return full
+
+
+def per_shell_core(region: np.ndarray, spacing, depth_mm: float) -> np.ndarray:
+    """Region voxels with smoothed signed distance below -depth_mm, from
+    a field cropped 4 voxels past the bounding box."""
+    sl = _padded_bbox(region, (4, 4, 4))
+    crop = region[sl]
+    sd = _per_shell_distance(crop, spacing)
+    full = np.zeros_like(region)
+    full[sl] = crop & (sd < -depth_mm)
+    return full

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from siftcad import candidates as cmod
 from siftcad.candidates import (
     DEFAULT_V_MAX,
     DEFAULT_V_MIN,
@@ -11,6 +12,7 @@ from siftcad.candidates import (
     _rle_encode,
     binarize,
     candidate_from_dict,
+    candidate_from_mask,
     candidate_to_dict,
     connected_components,
     diameter_to_volume,
@@ -22,6 +24,7 @@ from siftcad.candidates import (
     volume_window,
 )
 from siftcad.volume import BinaryMask, Volume3D, VolumeError, otsu_threshold
+from siftcad.wavelet import dims_ladder, upscale_mask
 
 from helpers import make_mini_case
 from oracles import dice, multilevel_otsu_exhaustive
@@ -250,3 +253,27 @@ def test_candidate_json_roundtrip(tmp_path):
 def test_roundtrip_preserves_dict_form():
     c = _cand_with_volume(8.0)
     assert candidate_to_dict(candidate_from_dict(candidate_to_dict(c))) == candidate_to_dict(c)
+
+
+@pytest.mark.parametrize("scale", [1, 2, 3])
+def test_original_mask_is_the_upscaled_mask_built_once(scale, monkeypatch):
+    original_dims, original_spacing = (40, 36, 20), (0.8, 0.8, 1.3)
+    dims = dims_ladder(original_dims, scale)[scale - 1]
+    spacing = tuple(s * 2 ** (scale - 1) for s in original_spacing)
+    region = np.zeros(dims, dtype=bool)
+    region[2:7, 3:6, 1:4] = True
+    region[6, 6, 3] = True
+    rc = candidate_from_mask(BinaryMask(region, spacing), scale_index=scale,
+                             original_dims=original_dims,
+                             original_spacing=original_spacing)
+    expected = upscale_mask(rc.mask(), scale, original_dims, original_spacing)
+    calls = []
+    monkeypatch.setattr(cmod, "upscale_mask",
+                        lambda *a: calls.append(a) or upscale_mask(*a))
+    for _ in range(3):
+        got = rc.original_mask()
+        assert got.spacing == original_spacing
+        assert np.array_equal(got.data, expected.data)
+    assert np.array_equal(rc.original_indices(),
+                          np.flatnonzero(expected.data.ravel()))
+    assert len(calls) == (0 if scale == 1 else 1)

@@ -346,6 +346,20 @@ def test_predict_rejects_schema_mismatch():
     bad = FeatureVector(np.zeros(len(FEATURE_SCHEMA)), schema_id="other-schema")
     with pytest.raises(ValueError):
         predict(model, bad)
+    # a batch is checked vector by vector, not only by its first entry
+    with pytest.raises(ValueError):
+        predict(model, [samples[0].features, bad])
+
+
+def test_batch_scores_equal_one_at_a_time_scores():
+    samples = [LabeledSample(_fake_vector(i), 1 if i % 3 else -1, f"c{i % 4}")
+               for i in range(24)]
+    vectors = [s.features for s in samples]
+    for model in (train_rusboost(samples, n_trees=8, seed=1),
+                  train_rf(samples, seed=1, n_tree_grid=(15,), m_try_grid=(4,))):
+        batch = predict(model, vectors)
+        single = np.array([predict(model, v) for v in vectors])
+        assert batch.tobytes() == single.tobytes()
 
 
 def test_labeled_sample_validation():

@@ -329,6 +329,26 @@ def test_pipeline_malignancy_stage_flags_survivors():
     assert all(d.malignant is False for d in low)
 
 
+class _CountingModel(_ConstModel):
+    def __init__(self, p):
+        super().__init__(p)
+        self.batch_sizes = []
+
+    def predict_proba(self, x):
+        self.batch_sizes.append(len(x))
+        return super().predict_proba(x)
+
+
+def test_pipeline_scores_each_stage_in_one_batch():
+    case = make_mini_case(seed=3)
+    lesion, malignancy = _CountingModel(0.8), _CountingModel(0.7)
+    out = run_pipeline(case, lesion, malignancy,
+                       params=PipelineParams(theta_lesion=0.5, theta_malig=0.6))
+    assert len(out) >= 1
+    assert len(lesion.batch_sizes) == 1 and lesion.batch_sizes[0] >= len(out)
+    assert malignancy.batch_sizes == [len(out)]
+
+
 def test_pipeline_deterministic():
     case = make_mini_case(seed=5, noise=0.3)
     a = run_pipeline(case, _ConstModel(0.9), params=PipelineParams(theta_lesion=0.5))

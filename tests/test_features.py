@@ -1,34 +1,43 @@
 import csv
+import hashlib
 
 import numpy as np
 import pytest
 
 from siftcad.candidates import candidate_from_mask, generate_candidates
 from siftcad.features import (
+    EDEMA_SHELLS,
     FEATURE_SCHEMA,
     FeatureExtractor,
     FeatureVector,
     GLCM_DIRECTIONS,
     HARALICK_NAMES,
+    _shell_gradient_stats,
+    _SurfaceField,
     enhancement_model,
     erode_mm,
     extract_features,
     feature_index,
     haralick_features,
     kinetic_features,
-    margin_sharpness,
     pearson_kurtosis,
-    radial_gradient_index,
     shape_features,
     shell_mask,
     skewness,
     write_features_csv,
 )
+from siftcad.phantom import generate_case, suite_specs
 from siftcad.volume import BinaryMask, BreastCase, Volume3D, VolumeError
 from siftcad.wavelet import dims_ladder
 
 from helpers import make_mini_case
-from oracles import ball_mask, dice, glcm_contrast_paircount
+from oracles import (
+    ball_mask,
+    dice,
+    glcm_contrast_paircount,
+    per_shell_band,
+    per_shell_core,
+)
 
 
 def _ball_region(radius=10.0, dims=(40, 40, 40), spacing=(1.0, 1.0, 1.0)):
@@ -66,6 +75,52 @@ def test_erode_mm_shrinks_ball():
     analytic = ball_mask(region.dims, region.spacing, centre, 6.0)
     assert dice(core.data, analytic) >= 0.85
     assert core.count < region.count
+
+
+def _oracle_regions():
+    ball = ball_mask((40, 40, 24), (0.7, 0.7, 1.3), (14.0, 14.0, 15.6), 5.0)
+    face = np.zeros((30, 30, 20), dtype=bool)
+    face[0:6, 10:18, 5:12] = True
+    face[0:3, 8:20, 9:15] = True
+    single = np.zeros((25, 25, 25), dtype=bool)
+    single[12, 12, 12] = True
+    lobes = ball_mask((36, 30, 24), (1.0, 1.0, 1.0), (11.0, 15.0, 12.0), 5.0)
+    lobes |= ball_mask((36, 30, 24), (1.0, 1.0, 1.0), (23.0, 15.0, 12.0), 5.0)
+    lobes[14:21, 13:18, 10:15] = True
+    coarse = ball_mask((20, 20, 12), (1.6, 1.6, 2.6), (16.0, 16.0, 15.6), 6.0)
+    return {
+        "ball_anisotropic": BinaryMask(ball, (0.7, 0.7, 1.3)),
+        "touching_face": BinaryMask(face, (0.8, 0.8, 1.3)),
+        "single_voxel": BinaryMask(single, (1.0, 1.0, 1.0)),
+        "two_lobes": BinaryMask(lobes, (1.0, 1.0, 1.0)),
+        "scale2_ball": BinaryMask(coarse, (1.6, 1.6, 2.6)),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_oracle_regions()))
+def test_field_thresholds_equal_per_shell_fields(name):
+    region = _oracle_regions()[name]
+    spacing = region.spacing
+    widest = _SurfaceField(region, max(w for w, _ in EDEMA_SHELLS))
+    rim = _SurfaceField(region, 2.0)
+    for inner, outer in ((0.0, 2.0), (0.0, 10.0), (0.0, 20.0), (1.0, 2.0)):
+        expected = per_shell_band(region.data, spacing, inner, outer)
+        assert np.array_equal(widest.shell(inner, outer).data, expected), (inner, outer)
+        assert np.array_equal(shell_mask(region, inner, outer).mask.data, expected)
+    expected = per_shell_band(region.data, spacing, 1.0, 2.0)
+    assert np.array_equal(rim.shell(1.0, 2.0).data, expected)
+    core = per_shell_core(region.data, spacing, 2.0)
+    for field in (widest, rim):
+        assert np.array_equal(field.core(2.0).data, core)
+    assert np.array_equal(erode_mm(region, 2.0).data, core)
+
+
+def test_field_refuses_shells_past_its_crop():
+    region, _ = _ball_region(5.0)
+    with pytest.raises(VolumeError):
+        _SurfaceField(region, 2.0).shell(0.0, 10.0)
+    with pytest.raises(VolumeError):
+        _SurfaceField(BinaryMask(np.zeros((4, 4, 4), bool), (1, 1, 1)), 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -150,11 +205,17 @@ def test_degenerate_regions_flagged():
 # margins
 # ---------------------------------------------------------------------------
 
+def _margin_stats(region: BinaryMask, data: np.ndarray, centre):
+    """(sharpness, rgi) over the extractor's 1 mm-in/2 mm-out margin shell."""
+    shell = _SurfaceField(region, 2.0).shell(1.0, 2.0)
+    assert shell.count > 0
+    return _shell_gradient_stats(shell, data, centre)
+
+
 def test_bright_ball_rgi_is_strongly_negative():
     region, centre = _ball_region(8.0)
     data = 50.0 + 150.0 * region.data
-    rgi, flag = radial_gradient_index(region, data, centre)
-    assert not flag
+    _, rgi = _margin_stats(region, data, centre)
     assert rgi <= -0.9
 
 
@@ -163,16 +224,15 @@ def test_blurring_reduces_margin_sharpness():
 
     region, centre = _ball_region(8.0)
     data = 50.0 + 150.0 * region.data
-    sharp, flag = margin_sharpness(region, data, centre)
-    assert not flag and sharp > 0
-    blurred, _ = margin_sharpness(region, ndimage.uniform_filter(data, 3), centre)
+    sharp, _ = _margin_stats(region, data, centre)
+    assert sharp > 0
+    blurred, _ = _margin_stats(region, ndimage.uniform_filter(data, 3), centre)
     assert blurred < sharp
 
 
 def test_constant_volume_margins_are_zero():
     region, centre = _ball_region(6.0)
-    sharp, _ = margin_sharpness(region, np.full(region.dims, 9.0), centre)
-    rgi, _ = radial_gradient_index(region, np.full(region.dims, 9.0), centre)
+    sharp, rgi = _margin_stats(region, np.full(region.dims, 9.0), centre)
     assert sharp == 0.0
     assert rgi == 0.0
 
@@ -395,6 +455,24 @@ def test_coarse_candidate_margin_fallback():
     assert vec["flag_margin_shell_empty"] == 1.0
     assert vec["t2_margin_sharpness"] == 0.0
     assert np.isfinite(vec.values).all()
+
+
+# SHA-256 over the feature-vector bytes of every candidate of one phantom
+# case, in candidate order, frozen from the implementation that computed a
+# distance field per shell (numpy 2.4, scipy 1.17, x86-64)
+_GOLDEN_CASE_CANDIDATES = 27
+_GOLDEN_CASE_SHA256 = "42ace1b827e8cf56afff69076d42e0b542597a4ea284bcb02c215e9d9c044b97"
+
+
+def test_phantom_case_features_match_frozen_golden():
+    spec = suite_specs(1, 5, dims=(64, 64, 32), diameter_range_mm=(5.0, 12.0))[0]
+    case, _, _ = generate_case(spec)
+    cands = generate_candidates(case)
+    assert len(cands) == _GOLDEN_CASE_CANDIDATES
+    digest = hashlib.sha256()
+    for vec in extract_features(case, cands):
+        digest.update(vec.values.tobytes())
+    assert digest.hexdigest() == _GOLDEN_CASE_SHA256
 
 
 def test_csv_export_roundtrip(tmp_path):
