@@ -10,10 +10,8 @@ to the original grid through the wavelet ladder.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from typing import Protocol
 
 import numpy as np
 from scipy import ndimage
@@ -125,31 +123,11 @@ def multilevel_otsu(volume: Volume3D, mask: BinaryMask, t_count: int) -> Thresho
     return ThresholdSet(thresholds=thresholds, indices=idx, histogram=spec)
 
 
-def binarize(volume: Volume3D, threshold: float) -> BinaryMask:
-    """Voxels at or above the threshold."""
-    return BinaryMask(volume.data >= threshold, volume.spacing)
-
-
 # ---------------------------------------------------------------------------
 # connected components and candidates
 # ---------------------------------------------------------------------------
 
 _CONNECTIVITY_26 = np.ones((3, 3, 3), dtype=bool)
-
-
-def connected_components(mask: BinaryMask) -> list[BinaryMask]:
-    """26-connected components, ordered by their first voxel in raster
-    (C) order."""
-    labels, n = ndimage.label(mask.data, structure=_CONNECTIVITY_26)
-    flat = labels.ravel()
-    firsts = []
-    for label_id in range(1, n + 1):
-        firsts.append((int(np.argmax(flat == label_id)), label_id))
-    firsts.sort()
-    out = []
-    for _, label_id in firsts:
-        out.append(BinaryMask(labels == label_id, mask.spacing))
-    return out
 
 
 def _label_index_lists(binary: np.ndarray) -> list[np.ndarray]:
@@ -185,9 +163,6 @@ class RegionCandidate:
     original_spacing: tuple[float, float, float]
     physical_volume_mm3: float
     centroid_mm: tuple[float, float, float]
-    lesion_score: float | None = None
-    malignancy_score: float | None = None
-    malignant: bool | None = None
     _original_indices: np.ndarray | None = field(default=None, repr=False)
 
     @property
@@ -262,12 +237,6 @@ def volume_window(m: int, m_scales: int, v_min: float, v_max: float) -> tuple[fl
     return v_max / 2 ** (3 * (m_scales - m + 1)), v_max
 
 
-def size_sieve(cands: list[RegionCandidate], v_min: float, v_max: float,
-               m: int, m_scales: int) -> list[RegionCandidate]:
-    lo, hi = volume_window(m, m_scales, v_min, v_max)
-    return [c for c in cands if lo <= c.physical_volume_mm3 <= hi]
-
-
 def generate_candidates(
     case: BreastCase,
     *,
@@ -328,151 +297,3 @@ def generate_candidates(
                 ordered.append(cand)
         out.extend(ordered)
     return out
-
-
-# ---------------------------------------------------------------------------
-# pluggable generators
-# ---------------------------------------------------------------------------
-
-class CandidateGenerator(Protocol):
-    def generate(self, case: BreastCase) -> list[RegionCandidate]: ...
-
-
-@dataclass
-class SiftingGenerator:
-    """Default generator: multiscale morphological sifting."""
-
-    m_scales: int = 3
-    n_orient: int = 10
-    t_count: int = 16
-    v_min: float = DEFAULT_V_MIN
-    v_max: float = DEFAULT_V_MAX
-
-    def generate(self, case: BreastCase) -> list[RegionCandidate]:
-        return generate_candidates(
-            case, m_scales=self.m_scales, n_orient=self.n_orient,
-            t_count=self.t_count, v_min=self.v_min, v_max=self.v_max,
-        )
-
-
-@dataclass
-class KMeansVoxelGenerator:
-    """Reference baseline: 1D k-means clustering of subtraction
-    intensities inside the breast, components of the brighter clusters
-    sieved by the global volume window.
-
-    Centres start uniformly spaced over the value range, so the result
-    is deterministic.
-    """
-
-    n_clusters: int = 8
-    n_iter: int = 30
-    v_min: float = DEFAULT_V_MIN
-    v_max: float = DEFAULT_V_MAX
-
-    def generate(self, case: BreastCase) -> list[RegionCandidate]:
-        sub = subtract(case.dce[1], case.dce[0])
-        sel = case.breast_mask.data
-        vals = sub.data[sel]
-        lo, hi = float(vals.min()), float(vals.max())
-        if hi <= lo:
-            return []
-        k = np.arange(self.n_clusters)
-        centres = lo + (k + 0.5) / self.n_clusters * (hi - lo)
-        for _ in range(self.n_iter):
-            assign = np.argmin(np.abs(vals[:, None] - centres[None, :]), axis=1)
-            new = centres.copy()
-            for k in range(self.n_clusters):
-                hit = assign == k
-                if hit.any():
-                    new[k] = vals[hit].mean()
-            if np.allclose(new, centres):
-                break
-            centres = new
-        assign = np.argmin(np.abs(vals[:, None] - centres[None, :]), axis=1)
-        label_vol = np.full(sub.dims, -1, dtype=np.int64)
-        label_vol[sel] = assign
-        order = np.argsort(centres)
-        out: list[RegionCandidate] = []
-        voxvol = sub.voxel_volume_mm3
-        for rank, k in enumerate(order):
-            if rank == 0:
-                continue  # the darkest cluster is background uptake
-            for flat_idx in _label_index_lists(label_vol == k):
-                if not self.v_min <= flat_idx.size * voxvol <= self.v_max:
-                    continue
-                out.append(_make_candidate(
-                    flat_idx, 1, int(k), sub.dims, sub.spacing,
-                    case.dims, case.spacing,
-                ))
-        return out
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def _rle_encode(flat_idx: np.ndarray) -> list[list[int]]:
-    if flat_idx.size == 0:
-        return []
-    breaks = np.flatnonzero(np.diff(flat_idx) != 1)
-    starts = np.concatenate(([0], breaks + 1))
-    ends = np.concatenate((breaks, [flat_idx.size - 1]))
-    return [[int(flat_idx[a]), int(e - a + 1)] for a, e in zip(starts, ends)]
-
-
-def _rle_decode(runs: list[list[int]]) -> np.ndarray:
-    if not runs:
-        return np.empty(0, dtype=np.int64)
-    return np.concatenate([np.arange(s, s + n, dtype=np.int64) for s, n in runs])
-
-
-def candidate_to_dict(c: RegionCandidate) -> dict:
-    doc = {
-        "scale": c.scale_index,
-        "threshold_index": c.threshold_index,
-        "dims": list(c.dims),
-        "spacing": list(c.spacing),
-        "original_dims": list(c.original_dims),
-        "original_spacing": list(c.original_spacing),
-        "volume_mm3": c.physical_volume_mm3,
-        "centroid_mm": list(c.centroid_mm),
-        "voxels_rle": _rle_encode(c.flat_indices),
-    }
-    if c.lesion_score is not None:
-        doc["lesion_score"] = c.lesion_score
-    if c.malignancy_score is not None:
-        doc["malignancy_score"] = c.malignancy_score
-    if c.malignant is not None:
-        doc["malignant"] = c.malignant
-    return doc
-
-
-def candidate_from_dict(doc: dict) -> RegionCandidate:
-    return RegionCandidate(
-        scale_index=int(doc["scale"]),
-        threshold_index=int(doc["threshold_index"]),
-        flat_indices=_rle_decode(doc["voxels_rle"]),
-        dims=tuple(doc["dims"]),
-        spacing=tuple(doc["spacing"]),
-        original_dims=tuple(doc["original_dims"]),
-        original_spacing=tuple(doc["original_spacing"]),
-        physical_volume_mm3=float(doc["volume_mm3"]),
-        centroid_mm=tuple(doc["centroid_mm"]),
-        lesion_score=doc.get("lesion_score"),
-        malignancy_score=doc.get("malignancy_score"),
-        malignant=doc.get("malignant"),
-    )
-
-
-def save_candidates(path, case_id: str, cands: list[RegionCandidate]) -> None:
-    doc = {"case_id": case_id, "candidates": [candidate_to_dict(c) for c in cands]}
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True)
-        fh.write("\n")
-
-
-def load_candidates(path) -> tuple[str, list[RegionCandidate]]:
-    with open(path) as fh:
-        doc = json.load(fh)
-    return doc["case_id"], [candidate_from_dict(d) for d in doc["candidates"]]

@@ -17,17 +17,15 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
-from .candidates import DEFAULT_V_MAX, DEFAULT_V_MIN, generate_candidates
+from .candidates import generate_candidates
 from .classifiers import (
-    DEFAULT_N_TREES,
     LabeledSample,
     assign_training_labels,
     load_model,
@@ -37,7 +35,7 @@ from .classifiers import (
 )
 from .evaluation import (
     Detection,
-    PipelineParams,
+    RunConfig,
     arcg,
     detection_metrics,
     malignancy_metrics,
@@ -60,45 +58,6 @@ EXIT_USAGE = 1
 EXIT_RUNTIME = 2
 
 DETECTIONS_FORMAT = "siftcad-detections"
-
-
-def _volume_to_diameter(volume_mm3: float) -> float:
-    return (6.0 * volume_mm3 / math.pi) ** (1.0 / 3.0)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Pipeline knobs shared by every subcommand."""
-
-    m_scales: int = 3
-    n_orient: int = 10
-    t_count: int = 16
-    v_min: float = DEFAULT_V_MIN
-    v_max: float = DEFAULT_V_MAX
-    theta_lesion: float = 0.5
-    theta_malig: float = 0.5
-    seed: int = 0
-    threads: int = 1
-    n_trees: int = DEFAULT_N_TREES
-
-    def __post_init__(self):
-        if self.m_scales < 1 or self.n_orient < 1 or self.t_count < 1:
-            raise VolumeError("m_scales, n_orient and t_count must be >= 1")
-        if not 0.0 < self.v_min < self.v_max:
-            raise VolumeError("need 0 < v_min < v_max")
-        if self.threads < 1 or self.n_trees < 1:
-            raise VolumeError("threads and n_trees must be >= 1")
-
-    def pipeline_params(self) -> PipelineParams:
-        return PipelineParams(
-            m_scales=self.m_scales,
-            n_orient=self.n_orient,
-            t_count=self.t_count,
-            min_diameter_mm=_volume_to_diameter(self.v_min),
-            max_diameter_mm=_volume_to_diameter(self.v_max),
-            theta_lesion=self.theta_lesion,
-            theta_malig=self.theta_malig,
-        )
 
 
 _CONFIG_KEYS = {f.name for f in fields(RunConfig)}
@@ -274,14 +233,13 @@ def cmd_detect(args) -> int:
     malignancy_path = models_dir / "malignancy_model.json"
     malignancy_model = (load_model(malignancy_path)
                         if malignancy_path.exists() else None)
-    params = config.pipeline_params()
 
     out = Path(args.out)
     masks_dir = out / "masks"
 
     def detect_one(record):
         case = load_case(record)
-        return run_pipeline(case, lesion_model, malignancy_model, params)
+        return run_pipeline(case, lesion_model, malignancy_model, config)
 
     per_case = _map_cases(detect_one, records, config.threads)
     cases_doc = []

@@ -13,15 +13,20 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
-from .candidates import RegionCandidate, diameter_to_volume, generate_candidates
-from .candidates import DEFAULT_MIN_DIAMETER_MM, DEFAULT_MAX_DIAMETER_MM
-from .classifiers import predict
+from .candidates import (
+    DEFAULT_V_MAX,
+    DEFAULT_V_MIN,
+    RegionCandidate,
+    generate_candidates,
+)
+from .classifiers import DEFAULT_N_TREES, predict
 from .features import FeatureExtractor
 from .nrrd_io import save_mask
 from .volume import BinaryMask, VolumeError, dsi
@@ -106,42 +111,63 @@ def fuse_labels(detections) -> list[Detection]:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class PipelineParams:
-    """Knobs for candidate generation and the two decision thresholds."""
+class RunConfig:
+    """Pipeline knobs shared by every subcommand and :func:`run_pipeline`.
+
+    Integer knobs must be ``int`` (not ``bool``) and float knobs finite
+    real numbers; anything else raises :class:`VolumeError`.
+    """
 
     m_scales: int = 3
     n_orient: int = 10
     t_count: int = 16
-    min_diameter_mm: float = DEFAULT_MIN_DIAMETER_MM
-    max_diameter_mm: float = DEFAULT_MAX_DIAMETER_MM
+    v_min: float = DEFAULT_V_MIN
+    v_max: float = DEFAULT_V_MAX
     theta_lesion: float = 0.5
     theta_malig: float = 0.5
+    seed: int = 0
+    threads: int = 1
+    n_trees: int = DEFAULT_N_TREES
 
-    def volume_window(self) -> tuple[float, float]:
-        return (diameter_to_volume(self.min_diameter_mm),
-                diameter_to_volume(self.max_diameter_mm))
+    def __post_init__(self):
+        # annotations are strings here (``from __future__ import annotations``)
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int" and (isinstance(value, bool)
+                                    or not isinstance(value, int)):
+                raise VolumeError(f"{f.name} must be an integer, got {value!r}")
+            if f.type == "float" and (isinstance(value, bool)
+                                      or not isinstance(value, numbers.Real)
+                                      or not math.isfinite(value)):
+                raise VolumeError(
+                    f"{f.name} must be a finite number, got {value!r}")
+        if self.m_scales < 1 or self.n_orient < 1 or self.t_count < 1:
+            raise VolumeError("m_scales, n_orient and t_count must be >= 1")
+        if not 0.0 < self.v_min < self.v_max:
+            raise VolumeError("need 0 < v_min < v_max")
+        if self.threads < 1 or self.n_trees < 1:
+            raise VolumeError("threads and n_trees must be >= 1")
 
 
 def run_pipeline(case, lesion_model, malignancy_model=None,
-                 params: PipelineParams | None = None) -> list[Detection]:
+                 config: RunConfig = RunConfig()) -> list[Detection]:
     """Candidates -> features -> lesion scoring -> fusion -> malignancy.
 
-    Candidates scoring at least ``theta_lesion`` are upscaled to the
+    Candidates are sieved by exactly ``config.v_min``/``config.v_max``.
+    Those scoring at least ``theta_lesion`` are upscaled to the
     original grid and fused; survivors get a malignancy score when a
     malignancy model is supplied, flagged at ``theta_malig``. With the
     inputs and models fixed the output is deterministic.
     """
-    params = params or PipelineParams()
-    v_min, v_max = params.volume_window()
     candidates = generate_candidates(
-        case, m_scales=params.m_scales, n_orient=params.n_orient,
-        t_count=params.t_count, v_min=v_min, v_max=v_max)
+        case, m_scales=config.m_scales, n_orient=config.n_orient,
+        t_count=config.t_count, v_min=config.v_min, v_max=config.v_max)
     extractor = FeatureExtractor(case)
     vectors = [extractor.extract(cand) for cand in candidates]
     scores = predict(lesion_model, vectors) if vectors else []
     kept = [(cand, vec, float(score))
             for cand, vec, score in zip(candidates, vectors, scores)
-            if score >= params.theta_lesion]
+            if score >= config.theta_lesion]
     detections = [
         Detection(mask=cand.original_mask(), lesion_score=score,
                   scale_index=cand.scale_index,
@@ -154,7 +180,7 @@ def run_pipeline(case, lesion_model, malignancy_model=None,
         malig = predict(malignancy_model, [vec_of[id(det)] for det in fused])
         for det, m in zip(fused, malig):
             det.malignancy_score = float(m)
-            det.malignant = det.malignancy_score >= params.theta_malig
+            det.malignant = det.malignancy_score >= config.theta_malig
     return fused
 
 

@@ -24,7 +24,6 @@ or infinity ever leaves the extractor.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -98,10 +97,6 @@ FEATURE_SCHEMA_ID = "siftcad-features-1"
 _INDEX = {name: k for k, name in enumerate(FEATURE_SCHEMA)}
 
 
-def feature_index(name: str) -> int:
-    return _INDEX[name]
-
-
 @dataclass(frozen=True, eq=False)
 class FeatureVector:
     """Values aligned with :data:`FEATURE_SCHEMA`."""
@@ -127,16 +122,6 @@ class FeatureVector:
 # ---------------------------------------------------------------------------
 # shells
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class Shell:
-    """Voxels within signed distance [-inner_mm, +outer_mm] of the
-    region surface (negative = inside)."""
-
-    inner_mm: float
-    outer_mm: float
-    mask: BinaryMask
-
 
 def _bbox_slices(data: np.ndarray, pad: tuple[int, int, int]):
     out = []
@@ -222,24 +207,6 @@ class _SurfaceField:
         full = np.zeros_like(self.region.data)
         full[self.slices] = crop_mask
         return BinaryMask(full, self.region.spacing)
-
-
-def shell_mask(region: BinaryMask, inner_mm: float, outer_mm: float) -> Shell:
-    """Band of voxels whose signed distance to the region surface lies
-    in [-inner_mm, +outer_mm].
-
-    The result may be empty on coarse grids (callers flag that case).
-    """
-    field = _SurfaceField(region, outer_mm)
-    return Shell(inner_mm, outer_mm, field.shell(inner_mm, outer_mm))
-
-
-def erode_mm(region: BinaryMask, depth_mm: float) -> BinaryMask:
-    """Region voxels deeper than ``depth_mm`` from the surface, using
-    the same signed distance field as :func:`shell_mask`."""
-    if region.count == 0:
-        return region
-    return _SurfaceField(region, 0.0).core(depth_mm)
 
 
 # ---------------------------------------------------------------------------
@@ -741,31 +708,3 @@ class FeatureExtractor:
             bad = [FEATURE_SCHEMA[k] for k in np.flatnonzero(~np.isfinite(values))]
             raise VolumeError(f"non-finite features: {bad}")
         return FeatureVector(values)
-
-
-def extract_all(rc: RegionCandidate, case: BreastCase) -> FeatureVector:
-    """One-shot extraction; batch callers should reuse a
-    :class:`FeatureExtractor` for the scale caches."""
-    return FeatureExtractor(case).extract(rc)
-
-
-def extract_features(case: BreastCase, candidates: list[RegionCandidate]) -> list[FeatureVector]:
-    extractor = FeatureExtractor(case)
-    return [extractor.extract(rc) for rc in candidates]
-
-
-# ---------------------------------------------------------------------------
-# CSV export
-# ---------------------------------------------------------------------------
-
-def write_features_csv(path, entries) -> None:
-    """Write rows of (case_id, candidate_index, label, FeatureVector);
-    label may be None."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["case_id", "candidate", "label", *FEATURE_SCHEMA])
-        for case_id, cand_idx, label, vec in entries:
-            writer.writerow([
-                case_id, cand_idx, "" if label is None else label,
-                *(repr(float(v)) for v in vec.values),
-            ])

@@ -1,0 +1,78 @@
+"""Public API guard: every top-level public name in ``src/siftcad`` is
+used somewhere in the package other than its own definition.
+
+Names only tests call are dead weight unless a test uses them as a
+reference or an oracle for code the pipeline runs; those are listed
+here, each with the reason it stays.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "siftcad"
+
+TEST_ONLY = {
+    "candidate_from_mask": "wraps a hand-made mask as a candidate for feature and upscaling tests",
+    "gray_erode": "erosion through the line filter sifting runs, checked against two oracles",
+    "gray_dilate": "line dilation, checked against the same oracles",
+    "gray_open": "single-line opening for the opening-law criterion",
+    "LinearSE": "the line element those three take",
+    "ms2d": "single-slice sifting, checked against the oracle's direct evaluation",
+    "dwt3_db2": "forward transform of the wavelet round-trip and LLL-gain criterion",
+    "idwt3_db2": "inverse transform of the same round trip",
+    "train_tree": "one CART tree, the unit the ensemble tests build on",
+    "mse_loss": "the loss the cross-validation tests report",
+    "cross_validate": "grouped k-fold driver of the cross-validation tests",
+    "rusboost_cv_curve": "CV loss per boosting round, checked by a criterion",
+    "tpr_at_fpp": "reads a FROC operating point in the end-to-end criterion and the benchmark",
+    "analytic_lesion_volume_mm3": "analytic reference for the phantom's voxel volumes",
+    "permute": "axis permutation the volume tests round-trip",
+    "split_breasts": "left/right split the volume tests check",
+    "normalize_to_fat": "fat normalisation the volume tests check",
+}
+
+
+def _definitions_and_references():
+    definitions: dict[str, list[tuple[str, int, int]]] = {}
+    references: list[tuple[str, str, int]] = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names = [node.target.id]
+            else:
+                names = []
+            for name in names:
+                if not name.startswith("_"):
+                    definitions.setdefault(name, []).append(
+                        (path.name, node.lineno, node.end_lineno))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                references.append((node.id, path.name, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                references.append((node.attr, path.name, node.lineno))
+            elif isinstance(node, ast.alias):
+                references.append((node.name, path.name, node.lineno))
+    return definitions, references
+
+
+def _unreferenced() -> set[str]:
+    definitions, references = _definitions_and_references()
+    used = set()
+    for name, module, line in references:
+        spans = definitions.get(name, ())
+        if not any(module == m and first <= line <= last for m, first, last in spans):
+            used.add(name)
+    return set(definitions) - used
+
+
+def test_every_public_name_is_used_in_the_package_or_listed():
+    unreferenced = _unreferenced()
+    assert unreferenced - set(TEST_ONLY) == set(), \
+        "public names nothing in src/siftcad uses: delete them or list why tests need them"
+    assert set(TEST_ONLY) - unreferenced == set(), \
+        "listed names that are gone or now used by the package: drop them from the list"

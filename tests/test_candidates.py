@@ -5,22 +5,12 @@ from siftcad import candidates as cmod
 from siftcad.candidates import (
     DEFAULT_V_MAX,
     DEFAULT_V_MIN,
-    KMeansVoxelGenerator,
-    RegionCandidate,
-    SiftingGenerator,
-    _rle_decode,
-    _rle_encode,
-    binarize,
-    candidate_from_dict,
+    _label_index_lists,
     candidate_from_mask,
-    candidate_to_dict,
-    connected_components,
     diameter_to_volume,
     generate_candidates,
-    load_candidates,
     multilevel_otsu,
     otsu_multilevel_indices,
-    save_candidates,
     volume_window,
 )
 from siftcad.volume import BinaryMask, Volume3D, VolumeError, otsu_threshold
@@ -97,24 +87,25 @@ def test_too_few_distinct_values_rejected():
 
 
 # ---------------------------------------------------------------------------
-# binarisation and components
+# components
 # ---------------------------------------------------------------------------
-
-def test_binarize_is_at_or_above():
-    vol = Volume3D(np.arange(8.0).reshape(2, 2, 2), (1, 1, 1))
-    mask = binarize(vol, 3.0)
-    assert mask.data.ravel().tolist() == [False, False, False, True, True, True, True, True]
-
 
 def test_components_use_26_connectivity_and_raster_order():
     data = np.zeros((6, 6, 6), dtype=bool)
-    data[4, 4, 4] = True            # raster-late blob
-    data[0, 0, 0] = True            # diagonal pair: one component under 26-conn
-    data[1, 1, 1] = True
-    comps = connected_components(BinaryMask(data, (1, 1, 1)))
-    assert len(comps) == 2
-    assert comps[0].count == 2 and comps[0].data[0, 0, 0] and comps[0].data[1, 1, 1]
-    assert comps[1].count == 1 and comps[1].data[4, 4, 4]
+    data[4, 4, 4] = True            # raster-late single voxel
+    data[0, 0, 5] = True            # corner-touching pair: one component under 26-conn
+    data[1, 1, 4] = True
+    data[0, 3, 0] = True            # edge-touching bar, sorted voxel by voxel
+    data[0, 4, 0] = True
+    data[1, 5, 0] = True
+    comps = _label_index_lists(data)
+    flat = lambda *ijk: np.ravel_multi_index(ijk, data.shape)
+    assert [c.tolist() for c in comps] == [
+        [flat(0, 0, 5), flat(1, 1, 4)],
+        [flat(0, 3, 0), flat(0, 4, 0), flat(1, 5, 0)],
+        [flat(4, 4, 4)],
+    ]
+    assert _label_index_lists(np.zeros((3, 3, 3), dtype=bool)) == []
 
 
 # ---------------------------------------------------------------------------
@@ -131,24 +122,31 @@ def test_volume_window_reference_numbers():
     assert volume_window(3, 3, v_min, v_max) == pytest.approx((16365.5379, 130924.3030), abs=1e-3)
 
 
-def _cand_with_volume(vol_mm3: float) -> RegionCandidate:
-    return RegionCandidate(
-        scale_index=1, threshold_index=0,
-        flat_indices=np.array([0], dtype=np.int64),
-        dims=(2, 2, 2), spacing=(1, 1, 1),
-        original_dims=(2, 2, 2), original_spacing=(1, 1, 1),
-        physical_volume_mm3=vol_mm3, centroid_mm=(0.0, 0.0, 0.0),
-    )
+def test_size_sieve_bounds_are_inclusive(monkeypatch):
+    # the sifting plan stays at the default window, so v_min and v_max
+    # move the sieve only and every component stays what it was
+    plan = cmod.lse_magnitudes
+    monkeypatch.setattr(cmod, "lse_magnitudes", lambda v_min, v_max, *rest:
+                        plan(DEFAULT_V_MIN, DEFAULT_V_MAX, *rest))
+    case = make_mini_case(noise=0.5, clutter=2.0, seed=9)
+    base = generate_candidates(case)
 
+    def fine(cands, lo=0.0, hi=np.inf):
+        return [(c.threshold_index, c.flat_indices.tolist()) for c in cands
+                if c.scale_index == 1 and lo <= c.physical_volume_mm3 <= hi]
 
-def test_size_sieve_bounds_are_inclusive():
-    from siftcad.candidates import size_sieve
-
-    lo, hi = volume_window(1, 3, DEFAULT_V_MIN, DEFAULT_V_MAX)
-    cands = [_cand_with_volume(v) for v in
-             (lo - 1e-6, lo, (lo + hi) / 2, hi, hi + 1e-6)]
-    kept = size_sieve(cands, DEFAULT_V_MIN, DEFAULT_V_MAX, 1, 3)
-    assert [c.physical_volume_mm3 for c in kept] == [lo, (lo + hi) / 2, hi]
+    volumes = sorted({c.physical_volume_mm3 for c in base if c.scale_index == 1})
+    assert len(volumes) >= 3
+    exact = volumes[len(volumes) // 2]
+    up, down = np.nextafter(exact, np.inf), np.nextafter(exact, 0.0)
+    # scale 1 keeps [v_min, v_max / 8**2]; scaling by 64 is exact
+    for window, lo, hi in (
+        (dict(v_min=exact), exact, np.inf),
+        (dict(v_min=up), up, np.inf),
+        (dict(v_max=64 * exact), 0.0, exact),
+        (dict(v_max=64 * down), 0.0, down),
+    ):
+        assert fine(generate_candidates(case, **window)) == fine(base, lo, hi), window
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +170,7 @@ def test_generated_candidate_covers_the_lesion():
 def test_generation_is_deterministic():
     case = make_mini_case(noise=0.5, clutter=2.0, seed=9)
     a = generate_candidates(case)
-    b = SiftingGenerator().generate(case)
+    b = generate_candidates(case)
     assert len(a) == len(b) > 0
     for ca, cb in zip(a, b):
         assert (ca.scale_index, ca.threshold_index) == (cb.scale_index, cb.threshold_index)
@@ -199,60 +197,6 @@ def test_coarse_scales_pick_up_a_large_lesion():
     truth = case.ground_truth[0].data
     best = max(dice(c.original_mask().data, truth) for c in coarse)
     assert best >= 0.5
-
-
-def test_kmeans_baseline_finds_the_lesion():
-    case = make_mini_case(noise=0.5, seed=3)
-    gen = KMeansVoxelGenerator()
-    cands = gen.generate(case)
-    assert cands
-    truth = case.ground_truth[0].data
-    best = max(dice(c.original_mask().data, truth) for c in cands)
-    assert best >= 0.5
-    again = gen.generate(case)
-    assert len(again) == len(cands)
-    for ca, cb in zip(cands, again):
-        assert np.array_equal(ca.flat_indices, cb.flat_indices)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def test_rle_roundtrip():
-    rng = np.random.default_rng(2)
-    idx = np.unique(rng.integers(0, 5000, 800)).astype(np.int64)
-    assert np.array_equal(_rle_decode(_rle_encode(idx)), idx)
-    assert _rle_encode(np.empty(0, dtype=np.int64)) == []
-    assert np.array_equal(
-        _rle_decode([[4, 3], [10, 1]]), np.array([4, 5, 6, 10])
-    )
-
-
-def test_candidate_json_roundtrip(tmp_path):
-    case = make_mini_case(noise=0.5, seed=3)
-    cands = generate_candidates(case)
-    cands[0].lesion_score = 0.75
-    cands[0].malignant = True
-    path = tmp_path / "cands.json"
-    save_candidates(path, case.case_id, cands)
-    case_id, back = load_candidates(path)
-    assert case_id == case.case_id
-    assert len(back) == len(cands)
-    for ca, cb in zip(cands, back):
-        assert np.array_equal(ca.flat_indices, cb.flat_indices)
-        assert ca.dims == cb.dims
-        assert ca.spacing == pytest.approx(cb.spacing)
-        assert ca.physical_volume_mm3 == pytest.approx(cb.physical_volume_mm3)
-        assert ca.centroid_mm == pytest.approx(cb.centroid_mm)
-    assert back[0].lesion_score == 0.75
-    assert back[0].malignant is True
-    assert back[1].lesion_score is None
-
-
-def test_roundtrip_preserves_dict_form():
-    c = _cand_with_volume(8.0)
-    assert candidate_to_dict(candidate_from_dict(candidate_to_dict(c))) == candidate_to_dict(c)
 
 
 @pytest.mark.parametrize("scale", [1, 2, 3])

@@ -7,6 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from siftcad import cli, evaluation
+from siftcad.candidates import DEFAULT_V_MAX, DEFAULT_V_MIN, diameter_to_volume
 from siftcad.cli import (
     EXIT_OK,
     EXIT_RUNTIME,
@@ -42,9 +44,8 @@ class TestConfig:
     def test_defaults(self):
         cfg = RunConfig()
         assert (cfg.m_scales, cfg.n_orient, cfg.t_count) == (3, 10, 16)
-        p = cfg.pipeline_params()
-        assert p.min_diameter_mm == pytest.approx(4.0)
-        assert p.max_diameter_mm == pytest.approx(63.0)
+        assert cfg.v_min == diameter_to_volume(4.0)
+        assert cfg.v_max == diameter_to_volume(63.0)
 
     def test_file_then_flag_override(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -67,6 +68,27 @@ class TestConfig:
             RunConfig(v_min=10.0, v_max=5.0)
         with pytest.raises(VolumeError):
             RunConfig(threads=0)
+
+    @pytest.mark.parametrize("doc", [
+        '{"m_scales": 2.5}',
+        '{"theta_lesion": NaN}',
+        '{"m_scales": true}',
+        '{"seed": "abc"}',
+    ])
+    def test_mistyped_config_values_rejected(self, tmp_path, doc):
+        path = tmp_path / "cfg.json"
+        path.write_text(doc)
+        with pytest.raises(VolumeError, match=next(iter(json.loads(doc)))):
+            load_config(path, {})
+
+    def test_mistyped_config_value_exits_runtime(self, workspace, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"m_scales": 2.5}))
+        rc = main(["sift", "--manifest", str(workspace / "data/manifest.json"),
+                   "--out", str(tmp_path / "out"), "--config", str(bad)])
+        assert rc == EXIT_RUNTIME
+        assert "m_scales must be an integer" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_config_flag_reaches_commands(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -171,6 +193,29 @@ class TestPipelineCommands:
         assert rc == EXIT_RUNTIME
         assert "normalisation mask is empty" in capsys.readouterr().err
         assert not list((tmp_path / "out").glob("*_ms3d.nrrd"))
+
+    @pytest.mark.parametrize("flags,window", [
+        ([], (DEFAULT_V_MIN, DEFAULT_V_MAX)),
+        (["--v-min", "40.5", "--v-max", "99999.25"], (40.5, 99999.25)),
+    ], ids=["defaults", "flags"])
+    def test_volume_window_reaches_every_command_unchanged(
+            self, workspace, tmp_path, monkeypatch, flags, window):
+        class Sieved(Exception):
+            pass
+
+        def record(case, **kw):
+            raise Sieved(kw["v_min"], kw["v_max"])
+
+        monkeypatch.setattr(cli, "generate_candidates", record)
+        monkeypatch.setattr(evaluation, "generate_candidates", record)
+        manifest = str(workspace / "data/manifest.json")
+        for argv in (["sift", "--manifest", manifest],
+                     ["train", "--manifest", manifest],
+                     ["detect", "--manifest", manifest,
+                      "--models", str(workspace / "models")]):
+            with pytest.raises(Sieved) as exc:
+                main(argv + ["--out", str(tmp_path / argv[0])] + flags)
+            assert exc.value.args == window, argv[0]
 
     def test_train_writes_models_and_summary(self, workspace):
         models = workspace / "models"

@@ -5,11 +5,12 @@ import json
 import numpy as np
 import pytest
 
+from siftcad import evaluation
 from siftcad.evaluation import (
     Detection,
     DetectionMetrics,
     FrocCurve,
-    PipelineParams,
+    RunConfig,
     arcg,
     detection_metrics,
     fuse_labels,
@@ -301,14 +302,14 @@ class _ConstModel:
 def test_pipeline_threshold_above_range_empty():
     case = make_mini_case(seed=3)
     out = run_pipeline(case, _ConstModel(1.0),
-                       params=PipelineParams(theta_lesion=1.01))
+                       config=RunConfig(theta_lesion=1.01))
     assert out == []
 
 
 def test_pipeline_zero_threshold_returns_fused_set():
     case = make_mini_case(seed=3)
     out = run_pipeline(case, _ConstModel(0.5),
-                       params=PipelineParams(theta_lesion=0.0))
+                       config=RunConfig(theta_lesion=0.0))
     assert len(out) >= 1
     for i in range(len(out)):
         for j in range(i + 1, len(out)):
@@ -320,12 +321,12 @@ def test_pipeline_zero_threshold_returns_fused_set():
 def test_pipeline_malignancy_stage_flags_survivors():
     case = make_mini_case(seed=3)
     out = run_pipeline(case, _ConstModel(0.8), _ConstModel(0.7),
-                       params=PipelineParams(theta_lesion=0.5, theta_malig=0.6))
+                       config=RunConfig(theta_lesion=0.5, theta_malig=0.6))
     assert len(out) >= 1
     assert all(d.malignancy_score == 0.7 for d in out)
     assert all(d.malignant is True for d in out)
     low = run_pipeline(case, _ConstModel(0.8), _ConstModel(0.3),
-                       params=PipelineParams(theta_lesion=0.5, theta_malig=0.6))
+                       config=RunConfig(theta_lesion=0.5, theta_malig=0.6))
     assert all(d.malignant is False for d in low)
 
 
@@ -343,16 +344,31 @@ def test_pipeline_scores_each_stage_in_one_batch():
     case = make_mini_case(seed=3)
     lesion, malignancy = _CountingModel(0.8), _CountingModel(0.7)
     out = run_pipeline(case, lesion, malignancy,
-                       params=PipelineParams(theta_lesion=0.5, theta_malig=0.6))
+                       config=RunConfig(theta_lesion=0.5, theta_malig=0.6))
     assert len(out) >= 1
     assert len(lesion.batch_sizes) == 1 and lesion.batch_sizes[0] >= len(out)
     assert malignancy.batch_sizes == [len(out)]
 
 
+@pytest.mark.parametrize("config", [
+    RunConfig(),
+    RunConfig(m_scales=2, n_orient=6, t_count=9, v_min=40.5, v_max=99999.25),
+], ids=["defaults", "custom"])
+def test_pipeline_sieves_with_the_configured_window_exactly(config, monkeypatch):
+    seen = []
+    monkeypatch.setattr(evaluation, "generate_candidates",
+                        lambda case, **kw: seen.append(kw) or [])
+    assert run_pipeline(make_mini_case(seed=3), _ConstModel(0.9),
+                        config=config) == []
+    assert seen == [dict(m_scales=config.m_scales, n_orient=config.n_orient,
+                         t_count=config.t_count, v_min=config.v_min,
+                         v_max=config.v_max)]
+
+
 def test_pipeline_deterministic():
     case = make_mini_case(seed=5, noise=0.3)
-    a = run_pipeline(case, _ConstModel(0.9), params=PipelineParams(theta_lesion=0.5))
-    b = run_pipeline(case, _ConstModel(0.9), params=PipelineParams(theta_lesion=0.5))
+    a = run_pipeline(case, _ConstModel(0.9), config=RunConfig(theta_lesion=0.5))
+    b = run_pipeline(case, _ConstModel(0.9), config=RunConfig(theta_lesion=0.5))
     assert len(a) == len(b)
     for da, db in zip(a, b):
         assert np.array_equal(da.mask.data, db.mask.data)
@@ -363,7 +379,7 @@ def test_pipeline_reaches_lesion_area_with_stub_models():
     # constant scores make fusion keep the largest region of each
     # overlap group, so only overlap (not a DSI level) is guaranteed
     case = make_mini_case(seed=3)
-    out = run_pipeline(case, _ConstModel(0.9), params=PipelineParams(theta_lesion=0.5))
+    out = run_pipeline(case, _ConstModel(0.9), config=RunConfig(theta_lesion=0.5))
     truth = case.ground_truth[0]
     assert any((d.mask.data & truth.data).any() for d in out)
 

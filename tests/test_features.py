@@ -1,4 +1,3 @@
-import csv
 import hashlib
 
 import numpy as np
@@ -15,16 +14,11 @@ from siftcad.features import (
     _shell_gradient_stats,
     _SurfaceField,
     enhancement_model,
-    erode_mm,
-    extract_features,
-    feature_index,
     haralick_features,
     kinetic_features,
     pearson_kurtosis,
     shape_features,
-    shell_mask,
     skewness,
-    write_features_csv,
 )
 from siftcad.phantom import generate_case, suite_specs
 from siftcad.volume import BinaryMask, BreastCase, Volume3D, VolumeError
@@ -51,27 +45,28 @@ def _ball_region(radius=10.0, dims=(40, 40, 40), spacing=(1.0, 1.0, 1.0)):
 
 def test_shell_matches_analytic_band():
     region, centre = _ball_region(10.0)
-    shell = shell_mask(region, 1.0, 2.0)
+    shell = _SurfaceField(region, 2.0).shell(1.0, 2.0)
     analytic = ball_mask(region.dims, region.spacing, centre, 12.0) & ~ball_mask(
         region.dims, region.spacing, centre, 9.0 - 1e-6)
-    assert dice(shell.mask.data, analytic) >= 0.95
+    assert dice(shell.data, analytic) >= 0.95
     deep = ball_mask(region.dims, region.spacing, centre, 7.0)
-    assert not (shell.mask.data & deep).any()
+    assert not (shell.data & deep).any()
 
 
 def test_shell_offset_validation():
     region, _ = _ball_region(5.0)
+    field = _SurfaceField(region, 3.0)
     with pytest.raises(VolumeError):
-        shell_mask(region, 0.0, 0.0)
+        field.shell(0.0, 0.0)
     with pytest.raises(VolumeError):
-        shell_mask(region, -1.0, 2.0)
-    outer_only = shell_mask(region, 0.0, 3.0)
-    assert not (outer_only.mask.data & region.data).any()
+        field.shell(-1.0, 2.0)
+    outer_only = field.shell(0.0, 3.0)
+    assert not (outer_only.data & region.data).any()
 
 
 def test_erode_mm_shrinks_ball():
     region, centre = _ball_region(8.0)
-    core = erode_mm(region, 2.0)
+    core = _SurfaceField(region, 2.0).core(2.0)
     analytic = ball_mask(region.dims, region.spacing, centre, 6.0)
     assert dice(core.data, analytic) >= 0.85
     assert core.count < region.count
@@ -106,13 +101,11 @@ def test_field_thresholds_equal_per_shell_fields(name):
     for inner, outer in ((0.0, 2.0), (0.0, 10.0), (0.0, 20.0), (1.0, 2.0)):
         expected = per_shell_band(region.data, spacing, inner, outer)
         assert np.array_equal(widest.shell(inner, outer).data, expected), (inner, outer)
-        assert np.array_equal(shell_mask(region, inner, outer).mask.data, expected)
-    expected = per_shell_band(region.data, spacing, 1.0, 2.0)
-    assert np.array_equal(rim.shell(1.0, 2.0).data, expected)
+        just_wide_enough = _SurfaceField(region, outer)
+        assert np.array_equal(just_wide_enough.shell(inner, outer).data, expected)
     core = per_shell_core(region.data, spacing, 2.0)
-    for field in (widest, rim):
+    for field in (widest, rim, _SurfaceField(region, 0.0)):
         assert np.array_equal(field.core(2.0).data, core)
-    assert np.array_equal(erode_mm(region, 2.0).data, core)
 
 
 def test_field_refuses_shells_past_its_crop():
@@ -391,11 +384,11 @@ def test_extract_full_schema_and_determinism():
     case = make_mini_case(noise=0.5, clutter=2.0, seed=11)
     cands = generate_candidates(case)
     assert cands
-    vectors = extract_features(case, cands)
+    extractor = FeatureExtractor(case)
+    vectors = [extractor.extract(rc) for rc in cands]
     assert all(v.values.shape == (len(FEATURE_SCHEMA),) for v in vectors)
     assert all(np.isfinite(v.values).all() for v in vectors)
-    extractor = FeatureExtractor(case)
-    again = extractor.extract(cands[0])
+    again = FeatureExtractor(case).extract(cands[0])
     assert np.array_equal(again.values, vectors[0].values)
 
 
@@ -470,27 +463,15 @@ def test_phantom_case_features_match_frozen_golden():
     cands = generate_candidates(case)
     assert len(cands) == _GOLDEN_CASE_CANDIDATES
     digest = hashlib.sha256()
-    for vec in extract_features(case, cands):
-        digest.update(vec.values.tobytes())
+    extractor = FeatureExtractor(case)
+    for rc in cands:
+        digest.update(extractor.extract(rc).values.tobytes())
     assert digest.hexdigest() == _GOLDEN_CASE_SHA256
-
-
-def test_csv_export_roundtrip(tmp_path):
-    case = make_mini_case(noise=0.5, seed=11)
-    rc = _lesion_candidate(case)
-    vec = FeatureExtractor(case).extract(rc)
-    path = tmp_path / "features.csv"
-    write_features_csv(path, [(case.case_id, 0, 1, vec)])
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["case_id", "candidate", "label", *FEATURE_SCHEMA]
-    assert rows[1][0] == case.case_id
-    assert rows[1][2] == "1"
-    back = np.array([float(v) for v in rows[1][3:]])
-    assert np.array_equal(back, vec.values)
 
 
 def test_feature_vector_validation():
     with pytest.raises(VolumeError):
         FeatureVector(np.zeros(3))
-    assert feature_index("esd_mm") == FEATURE_SCHEMA.index("esd_mm")
+    vec = FeatureVector(np.arange(len(FEATURE_SCHEMA), dtype=np.float64))
+    assert vec["esd_mm"] == FEATURE_SCHEMA.index("esd_mm")
+    assert list(vec.as_dict()) == list(FEATURE_SCHEMA)
