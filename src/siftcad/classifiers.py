@@ -183,15 +183,34 @@ class DecisionTree:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "DecisionTree":
-        return cls(
-            feature=np.asarray(d["feature"], dtype=np.int64),
-            threshold=np.asarray(d["threshold"], dtype=np.float64),
-            left=np.asarray(d["left"], dtype=np.int64),
-            right=np.asarray(d["right"], dtype=np.int64),
-            value=np.asarray(d["value"], dtype=np.float64),
-            n_features=int(d["n_features"]),
-        )
+    def from_dict(cls, d, where: str) -> "DecisionTree":
+        """Rebuild a tree, checking every field; ValueError names the
+        first missing or malformed one."""
+        if not isinstance(d, dict):
+            raise ValueError(f"{where} must be a JSON object")
+        n_features = _int_field(d, "n_features", where)
+        arrays = {k: _number_list(d, k, where, integer=k in ("feature", "left", "right"))
+                  for k in ("feature", "threshold", "left", "right", "value")}
+        feature = arrays["feature"]
+        n_nodes = len(feature)
+        if n_nodes == 0:
+            raise ValueError(f"{where}: field 'feature' must not be empty")
+        for name, arr in arrays.items():
+            if len(arr) != n_nodes:
+                raise ValueError(f"{where}: field {name!r} has {len(arr)} "
+                                 f"entries, 'feature' has {n_nodes}")
+        if ((feature < -1) | (feature >= n_features)).any():
+            raise ValueError(
+                f"{where}: field 'feature' must hold -1 or a feature index "
+                f"below n_features={n_features}")
+        # children come after their parent, so prediction always ends
+        node = np.flatnonzero(feature >= 0)
+        for name in ("left", "right"):
+            child = arrays[name][node]
+            if ((child <= node) | (child >= n_nodes)).any():
+                raise ValueError(f"{where}: field {name!r} must point every "
+                                 f"split node to a later node")
+        return cls(n_features=n_features, **arrays)
 
 
 def _node_value(w: np.ndarray, wp: np.ndarray) -> float:
@@ -206,38 +225,35 @@ def _weighted_gini(wt, wpt):
     return np.where(wt > 0, g, 0.0)
 
 
-def _best_split(x, y, w, wp, idx, feat_ids):
+def _best_split(x, w, wp, idx, feat_ids):
     """Lowest-impurity (feature, threshold, gain) for one node.
 
-    Thresholds are midpoints between consecutive distinct values and
-    samples with x < threshold go left. Ties resolve to the lowest
-    feature index, then the lowest threshold.
+    Every (feature, cut) pair of the node is scored in one pass over the
+    node's sorted ``(n, k)`` block. Thresholds are midpoints between
+    consecutive distinct values and samples with x < threshold go left.
+    Ties resolve to the lowest feature index, then the lowest threshold.
     """
     wn = w[idx]
     wpn = wp[idx]
     wt = wn.sum()
     wpt = wpn.sum()
     parent = float(_weighted_gini(np.array(wt), np.array(wpt)))
-    best = None
-    for f in feat_ids:
-        xs = x[idx, f]
-        order = np.argsort(xs, kind="stable")
-        xs = xs[order]
-        cw = np.cumsum(wn[order])
-        cwp = np.cumsum(wpn[order])
-        cut = np.flatnonzero(xs[:-1] < xs[1:])
-        if cut.size == 0:
-            continue
-        wl = cw[cut]
-        wpl = cwp[cut]
-        total = _weighted_gini(wl, wpl) + _weighted_gini(wt - wl, wpt - wpl)
-        k = int(np.argmin(total))
-        if best is None or total[k] < best[0]:
-            thr = 0.5 * (xs[cut[k]] + xs[cut[k] + 1])
-            best = (float(total[k]), f, float(thr))
-    if best is None:
+    xs = x[np.ix_(idx, feat_ids)]
+    order = np.argsort(xs, axis=0, kind="stable")
+    xs = np.take_along_axis(xs, order, axis=0)
+    valid = xs[:-1] < xs[1:]
+    if not valid.any():
         return None
-    return best[1], best[2], parent - best[0]
+    # column cumsums accumulate in row order, bit-equal to 1-D cumsums
+    wl = np.cumsum(wn[order], axis=0)[:-1]
+    wpl = np.cumsum(wpn[order], axis=0)[:-1]
+    total = _weighted_gini(wl, wpl) + _weighted_gini(wt - wl, wpt - wpl)
+    total[~valid] = np.inf
+    # feature-major flattening: the first minimum is the lowest feature,
+    # then the lowest cut
+    f, c = divmod(int(np.argmin(total.T)), len(total))
+    thr = 0.5 * (xs[c, f] + xs[c + 1, f])
+    return feat_ids[f], float(thr), parent - float(total[c, f])
 
 
 def _grow_tree(x, y, w, max_splits, m_try, rng) -> DecisionTree:
@@ -264,7 +280,7 @@ def _grow_tree(x, y, w, max_splits, m_try, rng) -> DecisionTree:
             return None
         ids = np.arange(nf) if m_try is None else np.sort(
             rng.choice(nf, size=m_try, replace=False))
-        found = _best_split(x, y, w, wp, idx, ids)
+        found = _best_split(x, w, wp, idx, ids)
         if found is None:
             return None
         f, thr, gain = found
@@ -511,7 +527,7 @@ def train_rf(samples_or_x, y=None, *, seed=None, n_tree_grid=None,
             rng = np.random.default_rng(seeds[t])
             boot = np.sort(rng.integers(0, n, size=n))
             tree = _grow_tree(x[boot], yy[boot], uniform, n, m, rng)
-            oob = np.setdiff1d(np.arange(n), boot, assume_unique=False)
+            oob = np.flatnonzero(np.bincount(boot, minlength=n) == 0)
             if oob.size:
                 vote_sum[oob] += tree.predict_proba(x[oob]) >= 0.5
                 vote_cnt[oob] += 1
@@ -660,19 +676,89 @@ def model_to_dict(model) -> dict:
     return base
 
 
-def model_from_dict(d: dict):
+def _field(doc: dict, name: str, where: str):
+    if name not in doc:
+        raise ValueError(f"{where}: missing field {name!r}")
+    return doc[name]
+
+
+def _int_field(doc: dict, name: str, where: str) -> int:
+    v = _field(doc, name, where)
+    if not isinstance(v, int) or isinstance(v, bool) or v < 1:
+        raise ValueError(f"{where}: field {name!r} must be a positive integer")
+    return v
+
+
+def _real_field(doc: dict, name: str, where: str, finite: bool = True) -> float:
+    v = _field(doc, name, where)
+    if not isinstance(v, (int, float)) or isinstance(v, bool) or \
+            (finite and not math.isfinite(v)):
+        raise ValueError(f"{where}: field {name!r} must be a "
+                         f"{'finite ' if finite else ''}number")
+    return float(v)
+
+
+def _number_list(doc: dict, name: str, where: str, integer: bool) -> np.ndarray:
+    """A flat JSON list of integers, or of finite numbers, as an array."""
+    v = _field(doc, name, where)
+    try:
+        arr = np.asarray(v) if isinstance(v, list) else None
+    except (ValueError, TypeError, OverflowError):
+        arr = None
+    ok = arr is not None and arr.ndim == 1 and \
+        arr.dtype.kind in ("i" if integer else "if")
+    if ok and not integer:
+        arr = arr.astype(np.float64)
+        ok = bool(np.isfinite(arr).all())
+    if not ok:
+        what = "integers" if integer else "finite numbers"
+        raise ValueError(f"{where}: field {name!r} must be a list of {what}")
+    return arr.astype(np.int64) if integer else arr
+
+
+def model_from_dict(d):
+    """Rebuild a model document, checking it field by field.
+
+    Raises ValueError naming the first missing or malformed field.
+    """
+    if not isinstance(d, dict):
+        raise ValueError(
+            f"model document must be a JSON object, not {type(d).__name__}")
     if d.get("format") != MODEL_FORMAT:
         raise ValueError("not a recognized model file")
     if d.get("version") != MODEL_VERSION:
         raise ValueError(f"unsupported model version {d.get('version')}")
-    trees = tuple(DecisionTree.from_dict(t) for t in d["trees"])
-    if d["kind"] == "rusboost":
-        return RusBoostModel(trees, np.asarray(d["alphas"], dtype=np.float64),
-                             float(d["learning_rate"]), d["schema_id"])
-    if d["kind"] == "random_forest":
-        return RandomForestModel(trees, int(d["n_tree"]), int(d["m_try"]),
-                                 d["schema_id"], float(d["oob_error"]))
-    raise ValueError(f"unknown model kind {d['kind']!r}")
+    kind = _field(d, "kind", "model")
+    if kind not in ("rusboost", "random_forest"):
+        raise ValueError(f"model: unknown model kind {kind!r}")
+    schema_id = _field(d, "schema_id", "model")
+    if schema_id is not None and not isinstance(schema_id, str):
+        raise ValueError("model: field 'schema_id' must be a string or null")
+    docs = _field(d, "trees", "model")
+    if not isinstance(docs, list):
+        raise ValueError("model: field 'trees' must be a list")
+    trees = tuple(DecisionTree.from_dict(t, f"model: trees[{i}]")
+                  for i, t in enumerate(docs))
+    if any(t.n_features != trees[0].n_features for t in trees):
+        raise ValueError("model: field 'trees' mixes feature counts")
+    if kind == "rusboost":
+        alphas = _number_list(d, "alphas", "model", integer=False)
+        if len(alphas) != len(trees):
+            raise ValueError(
+                f"model: field 'alphas' must hold one weight per tree "
+                f"({len(trees)})")
+        return RusBoostModel(trees, alphas,
+                             _real_field(d, "learning_rate", "model"), schema_id)
+    n_tree = _int_field(d, "n_tree", "model")
+    if n_tree != len(trees):
+        raise ValueError(f"model: field 'n_tree' is {n_tree} but "
+                         f"'trees' holds {len(trees)}")
+    m_try = _int_field(d, "m_try", "model")
+    if m_try > trees[0].n_features:
+        raise ValueError(f"model: field 'm_try' exceeds the "
+                         f"{trees[0].n_features} features")
+    return RandomForestModel(trees, n_tree, m_try, schema_id,
+                             _real_field(d, "oob_error", "model", finite=False))
 
 
 def save_model(path, model) -> None:
@@ -681,5 +767,10 @@ def save_model(path, model) -> None:
 
 
 def load_model(path):
+    """Read a model file; malformed content raises ValueError naming the
+    file and the field."""
     with open(path, encoding="utf-8") as fh:
-        return model_from_dict(json.load(fh))
+        try:
+            return model_from_dict(json.load(fh))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc

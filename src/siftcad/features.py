@@ -123,12 +123,19 @@ class FeatureVector:
 # shells
 # ---------------------------------------------------------------------------
 
-def _bbox_slices(data: np.ndarray, pad: tuple[int, int, int]):
-    out = []
-    for axis, p in enumerate(pad):
-        hit = np.flatnonzero(data.any(axis=tuple(a for a in range(3) if a != axis)))
-        out.append(slice(max(0, hit[0] - p), min(data.shape[axis], hit[-1] + 1 + p)))
-    return tuple(out)
+def _index_box(flat_idx: np.ndarray, dims) -> tuple[tuple[int, int], ...]:
+    """Inclusive (first, last) voxel per axis of the non-empty region with
+    these C-order flat indices, found without scanning the grid."""
+    if flat_idx.size == 0:
+        raise VolumeError("region is empty")
+    return tuple((int(c.min()), int(c.max()))
+                 for c in np.unravel_index(flat_idx, dims))
+
+
+def _box_slices(box, pad, dims) -> tuple[slice, slice, slice]:
+    """The box grown by ``pad`` voxels per axis, clipped to the grid."""
+    return tuple(slice(max(0, lo - p), min(n, hi + 1 + p))
+                 for (lo, hi), p, n in zip(box, pad, dims))
 
 
 # Centre-to-centre distance transforms overshoot the true surface distance
@@ -143,7 +150,8 @@ _SURFACE_SMOOTH_VOX = 0.8
 class _SurfaceField:
     """Smoothed signed distance (mm) from voxel centres to one region's
     surface, negative inside, on a crop that holds every shell reaching
-    up to ``outer_mm`` outside the region.
+    up to ``outer_mm`` outside the region. ``box`` is the region's
+    :func:`_index_box`.
 
     One field serves all shells and cores of a region on its grid: each
     is a threshold of the same values, and that is exact, not an
@@ -158,16 +166,14 @@ class _SurfaceField:
     wide crop as on a narrow one.
     """
 
-    def __init__(self, region: BinaryMask, outer_mm: float):
-        if region.count == 0:
-            raise VolumeError("cannot build a shell around an empty region")
+    def __init__(self, region: BinaryMask, outer_mm: float, box):
         spacing = region.spacing
         self.region = region
         self.outer_mm = outer_mm
         pad = tuple(int(math.ceil(outer_mm / s)) + 4 for s in spacing)
-        self.slices = _bbox_slices(region.data, pad)
+        self.slices = _box_slices(box, pad, region.dims)
         self.crop = crop = region.data[self.slices]
-        tight = _bbox_slices(region.data, (1, 1, 1))
+        tight = _box_slices(box, (1, 1, 1), region.dims)
         tight_in_crop = tuple(slice(t.start - c.start, t.stop - c.start)
                               for t, c in zip(tight, self.slices))
         inside = np.zeros(crop.shape)
@@ -202,6 +208,13 @@ class _SurfaceField:
     def core(self, depth_mm: float) -> BinaryMask:
         """Region voxels deeper than ``depth_mm`` below the surface."""
         return self._full(self.crop & (self.distance < -depth_mm))
+
+    def box(self, mask: BinaryMask):
+        """:func:`_index_box` of a non-empty shell or core of this field,
+        found on the crop."""
+        local = _index_box(np.flatnonzero(mask.data[self.slices]), self.crop.shape)
+        return tuple((lo + s.start, hi + s.start)
+                     for (lo, hi), s in zip(local, self.slices))
 
     def _full(self, crop_mask: np.ndarray) -> BinaryMask:
         full = np.zeros_like(self.region.data)
@@ -326,15 +339,17 @@ def _haralick_stats(p: np.ndarray) -> np.ndarray:
     ])
 
 
-def haralick_features(region: BinaryMask, data: np.ndarray) -> tuple[np.ndarray, bool]:
-    """13 pooled-GLCM statistics of the region; degenerate regions
-    (single voxel or no adjacent pairs) return zeros with the flag."""
+def haralick_features(region: BinaryMask, data: np.ndarray,
+                      box) -> tuple[np.ndarray, bool]:
+    """13 pooled-GLCM statistics of the region, whose :func:`_index_box`
+    is ``box``; degenerate regions (single voxel or no adjacent pairs)
+    return zeros with the flag."""
     if region.data.shape != data.shape:
         raise VolumeError("region grid does not match volume")
-    if region.count < 2:
-        return np.zeros(len(HARALICK_NAMES)), True
-    sl = _bbox_slices(region.data, (0, 0, 0))
+    sl = _box_slices(box, (0, 0, 0), data.shape)
     crop_region = region.data[sl]
+    if crop_region.sum() < 2:
+        return np.zeros(len(HARALICK_NAMES)), True
     crop_data = data[sl]
     quant = np.zeros(crop_data.shape, dtype=np.int64)
     quant[crop_region] = _quantize(crop_data[crop_region], GLCM_LEVELS)
@@ -348,11 +363,12 @@ def haralick_features(region: BinaryMask, data: np.ndarray) -> tuple[np.ndarray,
 # margin features
 # ---------------------------------------------------------------------------
 
-def _shell_gradient_stats(shell: BinaryMask, data: np.ndarray,
-                          centroid_mm) -> tuple[float, float]:
-    """(mean gradient magnitude, mean radial cosine) over shell voxels."""
+def _shell_gradient_stats(shell: BinaryMask, data: np.ndarray, centroid_mm,
+                          box) -> tuple[float, float]:
+    """(mean gradient magnitude, mean radial cosine) over the voxels of
+    the shell, whose :func:`_index_box` is ``box``."""
     spacing = shell.spacing
-    sl = _bbox_slices(shell.data, (1, 1, 1))
+    sl = _box_slices(box, (1, 1, 1), data.shape)
     crop = data[sl]
     grads = np.gradient(crop, *spacing) if min(crop.shape) > 1 else [
         np.zeros_like(crop)] * 3
@@ -545,7 +561,7 @@ def kinetic_features(rc: RegionCandidate, case: BreastCase) -> tuple[dict[str, f
 
     original = rc.original_mask()
     # the 2 mm core and the 1 mm-in/2 mm-out rim share one 2 mm field
-    field = _SurfaceField(original, 2.0)
+    field = _SurfaceField(original, 2.0, _index_box(region_idx, original.dims))
     core = field.core(2.0)
     core_empty = core.count == 0
     if core_empty:
@@ -662,7 +678,8 @@ class FeatureExtractor:
         out["t2_p20"] = float(np.percentile(t2_vals, 20))
         out["t2_p90"] = float(np.percentile(t2_vals, 90))
 
-        field = _SurfaceField(region, _EDEMA_OUTER_MM)
+        box = _index_box(idx, region.dims)
+        field = _SurfaceField(region, _EDEMA_OUTER_MM, box)
         for width, q in EDEMA_SHELLS:
             name = f"edema_t2_p{int(q)}_{int(width)}mm"
             shell = field.shell(0.0, width)
@@ -674,7 +691,7 @@ class FeatureExtractor:
 
         degenerate = False
         for seq in MARGIN_SEQUENCES:
-            stats, flag = haralick_features(region, getattr(view, seq))
+            stats, flag = haralick_features(region, getattr(view, seq), box)
             degenerate = degenerate or flag
             for stat_name, value in zip(HARALICK_NAMES, stats):
                 out[f"{seq}_glcm_{stat_name}"] = float(value)
@@ -688,9 +705,10 @@ class FeatureExtractor:
                 out[f"{seq}_rgi"] = 0.0
         else:
             centroid = _region_centroid_mm(region)
+            shell_box = field.box(margin_shell)
             for seq in MARGIN_SEQUENCES:
                 sharp, rgi = _shell_gradient_stats(
-                    margin_shell, getattr(view, seq), centroid)
+                    margin_shell, getattr(view, seq), centroid, shell_box)
                 out[f"{seq}_margin_sharpness"] = sharp
                 out[f"{seq}_rgi"] = rgi
 

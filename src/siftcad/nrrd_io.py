@@ -120,6 +120,8 @@ def _read_nrrd(path) -> tuple[np.ndarray, tuple[float, ...]]:
     spacings = tuple(float(s) for s in fields["spacings"].split())
     if len(sizes) != 3 or len(spacings) != 3:
         raise NrrdError(f"{path}: expected 3 sizes and 3 spacings")
+    if min(sizes) <= 0:
+        raise NrrdError(f"{path}: sizes must be positive, got {fields['sizes']!r}")
 
     if "data file" in fields:
         raw = (path.parent / fields["data file"]).read_bytes()

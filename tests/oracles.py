@@ -265,3 +265,46 @@ def per_shell_core(region: np.ndarray, spacing, depth_mm: float) -> np.ndarray:
     full = np.zeros_like(region)
     full[sl] = crop & (sd < -depth_mm)
     return full
+
+
+# ---------------------------------------------------------------------------
+# tree split search, one feature at a time
+# ---------------------------------------------------------------------------
+# The per-feature loop the package used before it scored all features of
+# a node in one pass: stable sort, cumulative weights, total-weight-scaled
+# Gini on both sides of every cut between distinct values, and a strict
+# `<` across features so ties keep the lowest feature, then threshold.
+
+def _scaled_gini(wt, wpt):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g = wt - (wpt ** 2 + (wt - wpt) ** 2) / wt
+    return np.where(wt > 0, g, 0.0)
+
+
+def per_feature_best_split(x, w, wp, idx, feat_ids):
+    """(feature, threshold, gain) of the best split of node ``idx``, or None."""
+    wn = w[idx]
+    wpn = wp[idx]
+    wt = wn.sum()
+    wpt = wpn.sum()
+    parent = float(_scaled_gini(np.array(wt), np.array(wpt)))
+    best = None
+    for f in feat_ids:
+        xs = x[idx, f]
+        order = np.argsort(xs, kind="stable")
+        xs = xs[order]
+        cw = np.cumsum(wn[order])
+        cwp = np.cumsum(wpn[order])
+        cut = np.flatnonzero(xs[:-1] < xs[1:])
+        if cut.size == 0:
+            continue
+        wl = cw[cut]
+        wpl = cwp[cut]
+        total = _scaled_gini(wl, wpl) + _scaled_gini(wt - wl, wpt - wpl)
+        k = int(np.argmin(total))
+        if best is None or total[k] < best[0]:
+            thr = 0.5 * (xs[cut[k]] + xs[cut[k] + 1])
+            best = (float(total[k]), f, float(thr))
+    if best is None:
+        return None
+    return best[1], best[2], parent - best[0]

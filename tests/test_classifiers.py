@@ -1,10 +1,14 @@
 """Tree, RUSBoost, random-forest, labeling, and CV behavior."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
 from siftcad.candidates import candidate_from_mask
 from siftcad.classifiers import (
+    _best_split,
     CandidateLabel,
     DecisionTree,
     LabeledSample,
@@ -27,7 +31,7 @@ from siftcad.classifiers import (
 from siftcad.features import FEATURE_SCHEMA, FeatureVector
 from siftcad.volume import BinaryMask
 
-from oracles import ball_mask
+from oracles import ball_mask, per_feature_best_split
 
 
 def _separable_1d(n_neg=6, n_pos=6):
@@ -107,6 +111,65 @@ def test_tree_split_budget_is_respected():
     y = np.where(rng.random(40) < 0.5, 1.0, -1.0)
     tree = train_tree(x, y, max_splits=2)
     assert tree.n_splits <= 2
+
+
+def _split_key(split):
+    if split is None:
+        return None
+    f, thr, gain = split
+    return int(f), float(thr).hex(), float(gain).hex()
+
+
+def _random_node(rng):
+    """A node as the growers see it: bootstrap-style duplicate rows,
+    rounded (tied), constant and copied columns, zero-weight samples."""
+    n = int(rng.integers(2, 40))
+    nf = int(rng.integers(1, 12))
+    x = rng.normal(size=(n, nf))
+    for j in range(nf):
+        mode = rng.integers(4)
+        if mode == 1:
+            x[:, j] = np.round(x[:, j] * rng.integers(1, 3))
+        elif mode == 2:
+            x[:, j] = float(rng.integers(-2, 3))
+        elif mode == 3 and j > 0:
+            x[:, j] = x[:, rng.integers(j)]
+    if rng.random() < 0.3:
+        x = x[np.sort(rng.integers(0, n, size=n))]
+    y = np.where(rng.random(n) < 0.4, 1.0, -1.0)
+    w = rng.random(n)
+    w[rng.random(n) < 0.2] = 0.0
+    w = w / w.sum() if w.sum() > 0 else np.full(n, 1.0 / n)
+    wp = np.where(y > 0, w, 0.0)
+    size = 2 if rng.random() < 0.2 else int(rng.integers(2, n + 1))
+    idx = np.sort(rng.choice(n, size=size, replace=False))
+    m = int(rng.integers(1, nf + 1))
+    feat_ids = rng.choice(nf, size=m, replace=False)
+    if rng.random() < 0.5:
+        feat_ids = np.sort(feat_ids)  # as m_try draws them
+    return x, w, wp, idx, feat_ids
+
+
+def test_best_split_equals_per_feature_oracle():
+    rng = np.random.default_rng(20240611)
+    seen_none = seen_pair = 0
+    for _ in range(600):
+        x, w, wp, idx, feat_ids = _random_node(rng)
+        want = per_feature_best_split(x, w, wp, idx, feat_ids)
+        got = _best_split(x, w, wp, idx, feat_ids)
+        assert _split_key(got) == _split_key(want)
+        seen_none += want is None
+        seen_pair += idx.size == 2
+    assert seen_none > 10 and seen_pair > 50
+
+    # no valid cut: every drawn feature is constant on the node
+    x = np.array([[1.0, 3.0, 0.0], [1.0, 3.0, 5.0], [1.0, 3.0, 9.0]])
+    w = np.full(3, 1.0 / 3)
+    wp = np.array([w[0], 0.0, w[2]])
+    assert _best_split(x, w, wp, np.arange(3), np.array([0, 1])) is None
+    assert _split_key(_best_split(x, w, wp, np.arange(3), np.array([0, 2]))) \
+        == _split_key(per_feature_best_split(x, w, wp, np.arange(3),
+                                             np.array([0, 2])))
 
 
 # ---------------------------------------------------------------------------
@@ -400,6 +463,19 @@ def test_model_dict_rejects_foreign_payload():
         model_to_dict(tree)  # bare trees are not a persisted model kind
 
 
+def test_model_dict_rejects_a_child_that_points_back():
+    # a split node whose child is itself or an earlier node would send
+    # prediction round a cycle forever
+    x, y = _separable_1d()
+    doc = model_to_dict(train_rusboost(x, y, n_trees=1, seed=0))
+    assert doc["trees"][0]["feature"][0] >= 0
+    for target in (0, -1):
+        bad = json.loads(json.dumps(doc))
+        bad["trees"][0]["right"][0] = target
+        with pytest.raises(ValueError, match="trees\\[0\\]: field 'right'"):
+            model_from_dict(bad)
+
+
 def test_duplicated_tree_moves_rf_probability_monotonically():
     x, y = _two_gaussians(n=20, seed=31)
     model = train_rf(x, y, seed=7, n_tree_grid=(10,), m_try_grid=(2,))
@@ -417,3 +493,42 @@ def test_duplicated_tree_moves_rf_probability_monotonically():
         assert moved < base
     else:
         assert moved == base
+
+
+# ---------------------------------------------------------------------------
+# frozen model bytes
+# ---------------------------------------------------------------------------
+
+def _golden_matrix(n_neg, n_pos, n_features, seed):
+    """Shifted positives with a rounded (tied) column, a constant column
+    and a copy of column 0 (an exact tie between two features)."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n_neg + n_pos, n_features))
+    x[n_neg:, :4] += 1.5
+    x[:, 3] = np.round(x[:, 3])
+    x[:, 4] = 2.5
+    x[:, 5] = x[:, 0]
+    y = np.concatenate([-np.ones(n_neg), np.ones(n_pos)])
+    return x, y
+
+
+def _model_sha256(model):
+    text = json.dumps(model_to_dict(model), sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_models_match_frozen_golden():
+    # frozen before the split search was vectorised; any change to the
+    # model bytes is a behaviour change and has to be declared
+    x, y = _golden_matrix(300, 20, 16, seed=0)
+    rus = train_rusboost(x, y, n_trees=60, seed=3)
+    assert len(rus.trees) == 60
+    assert _model_sha256(rus) == (
+        "88911d4a59444e9b28d32983bb6be3b6d4a0978eb264f717efc231cd29309c07")
+
+    # bootstraps of 64 samples repeat samples; the grid runs m_try 2-8
+    x, y = _golden_matrix(40, 24, 16, seed=1)
+    rf = train_rf(x, y, seed=5, n_tree_grid=(10, 30))
+    assert (rf.n_tree, rf.m_try) == (30, 6)
+    assert _model_sha256(rf) == (
+        "b0bbf426919560c7a7bd2523a48c8c0866e5634fa9e14f335ced7d871d2e285f")

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from siftcad import cli, evaluation
+from siftcad.classifiers import model_to_dict, train_rf
 from siftcad.candidates import DEFAULT_V_MAX, DEFAULT_V_MIN, diameter_to_volume
+from siftcad.features import FEATURE_SCHEMA
 from siftcad.cli import (
     EXIT_OK,
     EXIT_RUNTIME,
@@ -131,6 +133,120 @@ class TestExitCodes:
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == EXIT_OK
+
+    def test_empty_nrrd_volume_is_runtime(self, workspace, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(workspace / "data", data)
+        record = load_manifest(data / "manifest.json")[0]
+        (data / record.t1).write_bytes(
+            b"NRRD0004\ntype: unsigned short\ndimension: 3\nsizes: 0 80 40\n"
+            b"spacings: 1.0 1.0 1.0\nencoding: raw\nendian: little\n\n")
+        rc = main(["sift", "--manifest", str(data / "manifest.json"),
+                   "--case", record.case_id, "--out", str(tmp_path / "out")])
+        assert rc == EXIT_RUNTIME
+        assert "sizes must be positive" in capsys.readouterr().err
+
+
+def _drop(key):
+    return lambda d: {k: v for k, v in d.items() if k != key}
+
+
+def _set(key, value):
+    return lambda d: {**d, key: value}
+
+
+def _set_tree0(key, edit):
+    def apply(d):
+        tree = dict(d["trees"][0])
+        tree[key] = edit(tree)
+        return {**d, "trees": [tree] + d["trees"][1:]}
+    return apply
+
+
+def _without_tree0(key):
+    def apply(d):
+        tree = {k: v for k, v in d["trees"][0].items() if k != key}
+        return {**d, "trees": [tree] + d["trees"][1:]}
+    return apply
+
+
+_LESION, _MALIGNANCY = "lesion_model.json", "malignancy_model.json"
+
+
+class TestBadModelFiles:
+    """`detect` exits 2 on a malformed model and names the field."""
+
+    @pytest.fixture(scope="class")
+    def docs(self, workspace):
+        lesion = json.loads((workspace / "models" / _LESION).read_text())
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(12, len(FEATURE_SCHEMA)))
+        y = np.array([1.0, -1.0] * 6)
+        forest = train_rf(x, y, seed=0, n_tree_grid=(3,), m_try_grid=(2,),
+                          schema_id=lesion["schema_id"])
+        return {_LESION: lesion, _MALIGNANCY: model_to_dict(forest)}
+
+    @pytest.mark.parametrize("name,edit,field", [
+        (_LESION, lambda d: [d], "JSON object"),
+        (_LESION, _drop("kind"), "'kind'"),
+        (_LESION, _set("kind", "boosted"), "'boosted'"),
+        (_LESION, _drop("schema_id"), "'schema_id'"),
+        (_LESION, _drop("trees"), "'trees'"),
+        (_LESION, _set("trees", {"0": {}}), "'trees'"),
+        (_LESION, _set("trees", [[]]), "trees[0]"),
+        (_LESION, _without_tree0("threshold"), "'threshold'"),
+        (_LESION, _without_tree0("n_features"), "'n_features'"),
+        (_LESION, _set_tree0("left", lambda t: ["a"] * len(t["left"])), "'left'"),
+        (_LESION, _set_tree0("value", lambda t: t["value"][:-1]), "'value'"),
+        (_LESION, _set_tree0("feature", lambda t: [t["n_features"]] * len(t["feature"])),
+         "'feature'"),
+        (_LESION, _drop("alphas"), "'alphas'"),
+        (_LESION, lambda d: {**d, "alphas": d["alphas"][:-1]}, "'alphas'"),
+        (_LESION, _set("learning_rate", "fast"), "'learning_rate'"),
+        (_MALIGNANCY, _drop("n_tree"), "'n_tree'"),
+        (_MALIGNANCY, _set("n_tree", "3"), "'n_tree'"),
+        (_MALIGNANCY, _set("n_tree", 4), "'n_tree'"),
+        (_MALIGNANCY, _drop("m_try"), "'m_try'"),
+        (_MALIGNANCY, _set("m_try", 1.5), "'m_try'"),
+        (_MALIGNANCY, _drop("oob_error"), "'oob_error'"),
+        (_MALIGNANCY, _set("oob_error", "low"), "'oob_error'"),
+    ], ids=[
+        "list-document",
+        "no-kind",
+        "unknown-kind",
+        "no-schema-id",
+        "no-trees",
+        "trees-not-list",
+        "tree-not-object",
+        "no-threshold",
+        "no-n-features",
+        "left-not-integers",
+        "short-value",
+        "feature-out-of-range",
+        "no-alphas",
+        "short-alphas",
+        "learning-rate-text",
+        "no-n-tree",
+        "n-tree-text",
+        "n-tree-mismatch",
+        "no-m-try",
+        "m-try-float",
+        "no-oob-error",
+        "oob-error-text",
+    ])
+    def test_detect_names_the_bad_field(self, workspace, docs, tmp_path, capsys,
+                                        name, edit, field):
+        models = tmp_path / "models"
+        models.mkdir()
+        for fname, doc in docs.items():
+            (models / fname).write_text(json.dumps(doc))
+        (models / name).write_text(json.dumps(edit(docs[name])))
+        rc = main(["detect", "--manifest", str(workspace / "data/manifest.json"),
+                   "--models", str(models), "--out", str(tmp_path / "det")])
+        assert rc == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert name in err and field in err
+        assert not (tmp_path / "det").exists()
 
 
 class TestPhantomCommand:

@@ -11,6 +11,8 @@ from siftcad.features import (
     FeatureVector,
     GLCM_DIRECTIONS,
     HARALICK_NAMES,
+    _box_slices,
+    _index_box,
     _shell_gradient_stats,
     _SurfaceField,
     enhancement_model,
@@ -34,6 +36,18 @@ from oracles import (
 )
 
 
+def _box(mask: BinaryMask):
+    return _index_box(np.flatnonzero(mask.data), mask.dims)
+
+
+def _field(region: BinaryMask, outer_mm: float) -> _SurfaceField:
+    return _SurfaceField(region, outer_mm, _box(region))
+
+
+def _texture(region: BinaryMask, data: np.ndarray):
+    return haralick_features(region, data, _box(region))
+
+
 def _ball_region(radius=10.0, dims=(40, 40, 40), spacing=(1.0, 1.0, 1.0)):
     centre = tuple(n * s / 2 for n, s in zip(dims, spacing))
     return BinaryMask(ball_mask(dims, spacing, centre, radius), spacing), centre
@@ -45,7 +59,7 @@ def _ball_region(radius=10.0, dims=(40, 40, 40), spacing=(1.0, 1.0, 1.0)):
 
 def test_shell_matches_analytic_band():
     region, centre = _ball_region(10.0)
-    shell = _SurfaceField(region, 2.0).shell(1.0, 2.0)
+    shell = _field(region, 2.0).shell(1.0, 2.0)
     analytic = ball_mask(region.dims, region.spacing, centre, 12.0) & ~ball_mask(
         region.dims, region.spacing, centre, 9.0 - 1e-6)
     assert dice(shell.data, analytic) >= 0.95
@@ -55,7 +69,7 @@ def test_shell_matches_analytic_band():
 
 def test_shell_offset_validation():
     region, _ = _ball_region(5.0)
-    field = _SurfaceField(region, 3.0)
+    field = _field(region, 3.0)
     with pytest.raises(VolumeError):
         field.shell(0.0, 0.0)
     with pytest.raises(VolumeError):
@@ -66,7 +80,7 @@ def test_shell_offset_validation():
 
 def test_erode_mm_shrinks_ball():
     region, centre = _ball_region(8.0)
-    core = _SurfaceField(region, 2.0).core(2.0)
+    core = _field(region, 2.0).core(2.0)
     analytic = ball_mask(region.dims, region.spacing, centre, 6.0)
     assert dice(core.data, analytic) >= 0.85
     assert core.count < region.count
@@ -96,24 +110,52 @@ def _oracle_regions():
 def test_field_thresholds_equal_per_shell_fields(name):
     region = _oracle_regions()[name]
     spacing = region.spacing
-    widest = _SurfaceField(region, max(w for w, _ in EDEMA_SHELLS))
-    rim = _SurfaceField(region, 2.0)
+    widest = _field(region, max(w for w, _ in EDEMA_SHELLS))
+    rim = _field(region, 2.0)
     for inner, outer in ((0.0, 2.0), (0.0, 10.0), (0.0, 20.0), (1.0, 2.0)):
         expected = per_shell_band(region.data, spacing, inner, outer)
         assert np.array_equal(widest.shell(inner, outer).data, expected), (inner, outer)
-        just_wide_enough = _SurfaceField(region, outer)
+        just_wide_enough = _field(region, outer)
         assert np.array_equal(just_wide_enough.shell(inner, outer).data, expected)
     core = per_shell_core(region.data, spacing, 2.0)
-    for field in (widest, rim, _SurfaceField(region, 0.0)):
+    for field in (widest, rim, _field(region, 0.0)):
         assert np.array_equal(field.core(2.0).data, core)
 
 
 def test_field_refuses_shells_past_its_crop():
     region, _ = _ball_region(5.0)
     with pytest.raises(VolumeError):
-        _SurfaceField(region, 2.0).shell(0.0, 10.0)
+        _field(region, 2.0).shell(0.0, 10.0)
     with pytest.raises(VolumeError):
-        _SurfaceField(BinaryMask(np.zeros((4, 4, 4), bool), (1, 1, 1)), 2.0)
+        _field(BinaryMask(np.zeros((4, 4, 4), bool), (1, 1, 1)), 2.0)
+
+
+def _scanned_slices(data: np.ndarray, pad):
+    """Padded bounding box from per-axis `any` scans of the whole grid."""
+    out = []
+    for axis, p in enumerate(pad):
+        hit = np.flatnonzero(data.any(axis=tuple(a for a in range(3) if a != axis)))
+        out.append(slice(max(0, hit[0] - p), min(data.shape[axis], hit[-1] + 1 + p)))
+    return tuple(out)
+
+
+def test_index_box_equals_grid_scan():
+    rng = np.random.default_rng(8)
+    regions = list(_oracle_regions().values())
+    for _ in range(20):
+        dims = tuple(int(n) for n in rng.integers(1, 12, size=3))
+        regions.append(BinaryMask(rng.random(dims) < rng.uniform(0.01, 0.3), (1, 1, 1)))
+    for region in regions:
+        if not region.data.any():
+            continue
+        box = _box(region)
+        for pad in ((0, 0, 0), (1, 1, 1), (3, 0, 7)):
+            assert _box_slices(box, pad, region.dims) == _scanned_slices(region.data, pad)
+    # the field finds a shell's box on its crop
+    region = _oracle_regions()["touching_face"]
+    field = _field(region, 2.0)
+    shell = field.shell(1.0, 2.0)
+    assert field.box(shell) == _box(shell)
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +190,7 @@ def test_direction_set_is_13_unique_up_to_sign():
 
 def test_constant_region_texture():
     region, _ = _ball_region(5.0, dims=(16, 16, 16))
-    stats, flag = haralick_features(region, np.full(region.dims, 7.0))
+    stats, flag = _texture(region, np.full(region.dims, 7.0))
     assert not flag
     by_name = dict(zip(HARALICK_NAMES, stats))
     assert by_name["asm"] == 1.0
@@ -163,7 +205,7 @@ def test_checkerboard_contrast_matches_pair_counting():
     data = grid.astype(np.float64) * 10.0 + 3.0
     region = np.zeros(dims, dtype=bool)
     region[2:7, 2:6, 1:6] = True
-    stats, flag = haralick_features(BinaryMask(region, (1, 1, 1)), data)
+    stats, flag = _texture(BinaryMask(region, (1, 1, 1)), data)
     assert not flag
     contrast = stats[list(HARALICK_NAMES).index("contrast")]
     # two-level data quantizes to levels {0, 31}
@@ -176,8 +218,8 @@ def test_texture_invariant_to_affine_rescaling():
     data = rng.normal(50.0, 12.0, (12, 12, 12))
     region = ball_mask((12, 12, 12), (1, 1, 1), (6, 6, 6), 4.5)
     mask = BinaryMask(region, (1, 1, 1))
-    a, _ = haralick_features(mask, data)
-    b, _ = haralick_features(mask, 3.0 * data + 11.0)
+    a, _ = _texture(mask, data)
+    b, _ = _texture(mask, 3.0 * data + 11.0)
     assert np.allclose(a, b, rtol=1e-12, atol=1e-12)
 
 
@@ -185,12 +227,12 @@ def test_degenerate_regions_flagged():
     data = np.arange(27.0).reshape(3, 3, 3)
     single = np.zeros((3, 3, 3), dtype=bool)
     single[1, 1, 1] = True
-    stats, flag = haralick_features(BinaryMask(single, (1, 1, 1)), data)
+    stats, flag = _texture(BinaryMask(single, (1, 1, 1)), data)
     assert flag and np.all(stats == 0.0)
     scattered = np.zeros((7, 7, 7), dtype=bool)
     scattered[0, 0, 0] = True
     scattered[5, 5, 5] = True
-    stats, flag = haralick_features(BinaryMask(scattered, (1, 1, 1)), np.zeros((7, 7, 7)))
+    stats, flag = _texture(BinaryMask(scattered, (1, 1, 1)), np.zeros((7, 7, 7)))
     assert flag and np.all(stats == 0.0)
 
 
@@ -200,9 +242,9 @@ def test_degenerate_regions_flagged():
 
 def _margin_stats(region: BinaryMask, data: np.ndarray, centre):
     """(sharpness, rgi) over the extractor's 1 mm-in/2 mm-out margin shell."""
-    shell = _SurfaceField(region, 2.0).shell(1.0, 2.0)
+    shell = _field(region, 2.0).shell(1.0, 2.0)
     assert shell.count > 0
-    return _shell_gradient_stats(shell, data, centre)
+    return _shell_gradient_stats(shell, data, centre, _box(shell))
 
 
 def test_bright_ball_rgi_is_strongly_negative():

@@ -57,6 +57,16 @@ def test_missing_field_names_field(tmp_path):
         load_volume(path)
 
 
+@pytest.mark.parametrize("sizes", ["0 80 40", "4 -1 4"])
+def test_nonpositive_sizes_rejected(tmp_path, sizes):
+    path = tmp_path / "v.nrrd"
+    header = (f"NRRD0004\ntype: unsigned short\ndimension: 3\nsizes: {sizes}\n"
+              "spacings: 1.0 1.0 1.0\nencoding: raw\nendian: little\n\n")
+    path.write_bytes(header.encode() + b"\x00" * 64)
+    with pytest.raises(NrrdError, match="sizes must be positive"):
+        load_volume(path)
+
+
 def test_truncated_payload(tmp_path):
     rng = np.random.default_rng(3)
     v = random_u16_volume(rng, dims=(4, 4, 4))
