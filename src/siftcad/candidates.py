@@ -88,13 +88,17 @@ def otsu_multilevel_indices(hist: np.ndarray, t_count: int) -> np.ndarray:
         cw, cs, np.arange(start, n_bins), n_bins - 1
     )
     tables = {n_classes: g_next}
+    # term[i, t]: class [i..t], the same element-wise value ``row``
+    # computes; -inf where t < i, and tables[c + 1] is -inf past the last
+    # feasible end of class c, so a row's max sees only feasible t
+    bins = np.arange(n_bins)
+    term = class_variance_term(cw, cs, bins[:, None], bins[None, :])
+    term[bins[None, :] < bins[:, None]] = -np.inf
     for c in range(n_classes - 1, 0, -1):
+        stop = n_bins - (n_classes - c)
         g = np.full(n_bins + 1, -np.inf)
-        for i in range(c - 1, n_bins - (n_classes - c)):
-            _, vals = row(i, c, tables[c + 1])
-            g[i] = vals.max()
+        g[c - 1:stop] = (term[c - 1:stop] + tables[c + 1][1:]).max(axis=1)
         tables[c] = g
-        g_next = g
 
     indices = np.empty(t_count, dtype=np.int64)
     i = 0

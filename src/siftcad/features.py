@@ -13,9 +13,10 @@ candidate mask (largest voxel sample for the time curves).
 Shells and cores: each candidate gets one smoothed signed-distance
 field per grid, wide enough for the widest shell there (the 20 mm
 edema shell on its scale grid, the 2 mm margin rim on the original
-grid). The edema shells, the margin shell, the kinetic core and the
-kinetic rim are thresholds of that field; see :class:`_SurfaceField`
-for why this equals computing a field per shell.
+grid); at scale 1 the two grids are one, and so is the field. The
+edema shells, the margin shell, the kinetic core and the kinetic rim
+are thresholds of that field; see :class:`_SurfaceField` for why this
+equals computing a field per shell.
 
 Every degenerate path (empty shell, single-voxel texture, guarded
 denominator, fit fallback, empty core) sets a 0/1 flag feature; no NaN
@@ -535,8 +536,13 @@ def _relative_series(samples: list[np.ndarray], reducer) -> tuple[np.ndarray, bo
     return (raw - raw[0]) / base, guarded
 
 
-def kinetic_features(rc: RegionCandidate, case: BreastCase) -> tuple[dict[str, float], dict[str, bool]]:
+def kinetic_features(rc: RegionCandidate, case: BreastCase,
+                     field: _SurfaceField | None = None) -> tuple[dict[str, float], dict[str, bool]]:
     """Kinetic feature group at original resolution.
+
+    ``field`` is the candidate's surface field on the original grid,
+    reaching at least 2 mm (a scale-1 candidate's scale grid is the
+    original grid); a 2 mm field is built when it is None.
 
     Returns (features, flags) with flags ``kinetic_guarded``,
     ``fit_fallback`` and ``core_empty``.
@@ -560,8 +566,9 @@ def kinetic_features(rc: RegionCandidate, case: BreastCase) -> tuple[dict[str, f
     amp, alpha, beta, rmse, fit_fallback = _fit_enhancement(times, enh, peak)
 
     original = rc.original_mask()
-    # the 2 mm core and the 1 mm-in/2 mm-out rim share one 2 mm field
-    field = _SurfaceField(original, 2.0, _index_box(region_idx, original.dims))
+    # the 2 mm core and the 1 mm-in/2 mm-out rim share one field
+    if field is None:
+        field = _SurfaceField(original, 2.0, _index_box(region_idx, original.dims))
     core = field.core(2.0)
     core_empty = core.count == 0
     if core_empty:
@@ -714,7 +721,7 @@ class FeatureExtractor:
 
         out.update(shape_features(rc, view.fat))
 
-        kin, kin_flags = kinetic_features(rc, self.case)
+        kin, kin_flags = kinetic_features(rc, self.case, field if rc.scale_index == 1 else None)
         out.update(kin)
         flags["flag_kinetic_guarded"] = 1.0 if kin_flags["kinetic_guarded"] else 0.0
         flags["flag_fit_fallback"] = 1.0 if kin_flags["fit_fallback"] else 0.0

@@ -14,16 +14,26 @@ border can move it off the element, which breaks the adjunction and
 lets the opening overshoot near corners) and it damps rather than
 inflates top-hat responses at the volume border.
 
-Evaluation: each line element is rasterised and split into maximal
-collinear runs once per call, for erosion and for the reflected
-dilation (the SE plan); ``ms3d`` builds one plan per view and reuses it
-for every slice. The filters take the slice plane on the first two
-axes and treat trailing axes as a stack, so ``ms3d`` sifts C-contiguous
-blocks of consecutive slices (about 256 KB each) in one pass and
-``ms2d`` is the single-slice case of the same path. Every voxel sees
-the same min/max, subtraction and sum sequence as a slice-by-slice
-evaluation (orientations in ascending order, views axial + sagittal +
-coronal, all in float64), so the result is bit-equal to it.
+Evaluation: a rasterised line is a union of translated *periodic lines*
+(Jones & Soille 1996): runs p, p+v, ..., p+(w-1)v of one primitive step
+v. Once per call, for erosion and for the reflected dilation, the SE
+plan picks the step from a short list (axis, diagonal and knight-like
+steps up to (3, 1)) that needs the fewest table levels plus views;
+``ms3d`` builds one plan per view and reuses it for every slice. The
+filter builds a power-of-two table over the padded slice, level j
+holding the min (max) over 2**j points q, q+v, ... as in van Herk/
+Gil-Werman, and reads each run of width w as one level-k view at p and,
+when k < w, a second at p+(w-k)v, k the largest power of two <= w. The
+two halves overlap, and min and max are idempotent, so the views'
+extreme is exactly the run's: terms are regrouped, never approximated.
+The filters take the slice plane on the first two axes and treat
+trailing axes as a stack, so ``ms3d`` sifts C-contiguous blocks of
+consecutive slices (about 256 KB each) in one pass and ``ms2d`` is the
+single-slice case of the same path; work arrays are reused from block
+to block. Every voxel sees the same min/max set, subtraction and sum
+sequence as a slice-by-slice evaluation (orientations in ascending
+order, views axial + sagittal + coronal, all in float64), so the result
+is bit-equal to it.
 """
 
 from __future__ import annotations
@@ -95,113 +105,144 @@ class LinearSE:
 # flat grayscale morphology
 # ---------------------------------------------------------------------------
 
-def _sliding_extreme(arr: np.ndarray, w: int, axis: int, op, sentinel: float) -> np.ndarray:
-    """Windowed min/max (van Herk/Gil-Werman): out[i] = op over arr[i:i+w]."""
-    a = np.moveaxis(arr, axis, 0)
-    n = a.shape[0]
-    out_n = n - w + 1
-    nblocks = -(-n // w)
-    pad = nblocks * w - n
-    if pad:
-        a = np.concatenate([a, np.full((pad,) + a.shape[1:], sentinel)], axis=0)
-    blocks = a.reshape(nblocks, w, *a.shape[1:])
-    fwd = op.accumulate(blocks, axis=1).reshape(nblocks * w, *a.shape[1:])
-    bwd = op.accumulate(blocks[:, ::-1], axis=1)[:, ::-1].reshape(nblocks * w, *a.shape[1:])
-    out = op(bwd[:out_n], fwd[w - 1:w - 1 + out_n])
-    return np.moveaxis(out, 0, axis)
-
-
-def _runs(offsets: np.ndarray, major: int):
-    """Maximal runs of consecutive major-coordinates at fixed minor value.
-
-    Yields (minor_value, major_start, major_stop_inclusive).
-    """
-    minor = 1 - major
-    order = np.lexsort((offsets[:, major], offsets[:, minor]))
-    pts = offsets[order]
-    runs = []
-    start = 0
-    for i in range(1, len(pts) + 1):
-        if (
-            i == len(pts)
-            or pts[i, minor] != pts[start, minor]
-            or pts[i, major] != pts[i - 1, major] + 1
-        ):
-            runs.append((int(pts[start, minor]), int(pts[start, major]), int(pts[i - 1, major])))
-            start = i
-    return runs
-
-
-_VH_MIN_WINDOW = 6  # below this a run is cheaper as direct shifted extremes
+# primitive steps of the periodic lines a plan may use, in tie-break order
+_STEPS = ((1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (2, -1), (1, 2), (1, -2),
+          (3, 1), (3, -1), (1, 3), (1, -3))
 
 
 @dataclass(frozen=True)
 class _LinePlan:
-    """Run decomposition of one offset set: the padding it needs and
-    its maximal collinear runs along the axis that has fewer of them."""
+    """Periodic-line decomposition of one offset set.
+
+    ``step`` is the primitive step v of the runs, ``levels`` the number
+    of doublings of the extreme table (level j holds the extreme over
+    2**j points q, q+v, ...), and each view ``(j, dx, dy)`` reads level
+    j at offset (dx, dy); the union of the views' points is the offset
+    set. ``kx``/``ky`` is the padding the offsets need.
+    """
 
     kx: int
     ky: int
-    along_x: bool
-    runs: tuple[tuple[int, int, int], ...]
+    step: tuple[int, int]
+    levels: int
+    views: tuple[tuple[int, int, int], ...]
+
+
+def _periodic_views(points: set, v: tuple[int, int]) -> tuple[int, list]:
+    """Split ``points`` into maximal runs p, p+v, ..., p+(w-1)v and cover
+    each run by at most two overlapping power-of-two table views."""
+    vx, vy = v
+    levels = 0
+    views = []
+    for px, py in sorted(points):
+        if (px - vx, py - vy) in points:
+            continue  # not the first point of its run
+        w = 1
+        while (px + w * vx, py + w * vy) in points:
+            w += 1
+        j = w.bit_length() - 1
+        levels = max(levels, j)
+        views.append((j, px, py))
+        if w > 1 << j:
+            shift = w - (1 << j)
+            views.append((j, px + shift * vx, py + shift * vy))
+    return levels, views
 
 
 def _line_plan(offsets) -> _LinePlan:
+    """Decomposition with the fewest table levels plus views over
+    ``_STEPS``; ties go to the earlier step."""
     offs = np.asarray(offsets, dtype=np.int64)
     if offs.ndim != 2 or offs.shape[0] == 0 or offs.shape[1] != 2:
         raise SiftError("structuring element must be a non-empty (n, 2) offset set")
-    runs_x = _runs(offs, major=0)
-    runs_y = _runs(offs, major=1)
-    along_x = len(runs_x) <= len(runs_y)
+    points = set(map(tuple, offs.tolist()))
+    # min keeps the first of equal costs
+    step, levels, views = min(((v, *_periodic_views(points, v)) for v in _STEPS),
+                              key=lambda plan: plan[1] + len(plan[2]))
     return _LinePlan(
         kx=int(np.abs(offs[:, 0]).max()),
         ky=int(np.abs(offs[:, 1]).max()),
-        along_x=along_x,
-        runs=tuple(runs_x if along_x else runs_y),
+        step=step,
+        levels=levels,
+        views=tuple(views),
     )
 
 
-def _line_filter(f: np.ndarray, plan: _LinePlan, op, sentinel: float) -> np.ndarray:
-    """Exact min/max over a point set of offsets, run-decomposed.
+class _Scratch:
+    """Work arrays reused from call to call, one flat float64 buffer per
+    role. The C allocator hands block-sized arrays back to the system
+    when they are freed, so allocating them afresh for every filter
+    page-faults their memory back in, which costs more than the min/max
+    passes over them."""
+
+    def __init__(self):
+        self._flat = {}
+
+    def take(self, role, shape) -> np.ndarray:
+        """C-contiguous array of ``shape`` over the role's buffer; its
+        previous contents are overwritten by the next ``take``."""
+        n = math.prod(shape)
+        flat = self._flat.get(role)
+        if flat is None or flat.size < n:
+            flat = self._flat[role] = np.empty(n)
+        return flat[:n].reshape(shape)
+
+
+def _line_filter(f: np.ndarray, plan: _LinePlan, op, sentinel: float,
+                 scratch: _Scratch, role: str) -> np.ndarray:
+    """Exact min/max over a point set of offsets, as periodic runs.
 
     The first two axes of ``f`` are the slice plane; any trailing axes
-    index a stack of slices that are filtered independently.
+    index a stack of slices that are filtered independently. The result
+    is a view of ``scratch``'s ``role`` buffer.
 
-    Equivalent to the direct per-offset evaluation: the offset set is
-    split into maximal collinear runs; long runs are collapsed with a
-    windowed extreme, short ones accumulate their offsets in place.
-    Both regroup the same min/max terms, so the result is bit-equal to
-    the naive evaluation.
+    The padded slice is read as one flat array, so that an offset (or a
+    step of the run) is a shift of the flat index and every pass is a
+    contiguous 1D min/max. Level j of the table holds ``op`` over the
+    2**j points q, q+v, ... (level j+1 pairs two level-j entries 2**j
+    steps apart), and each view reads one level at a run point, so the
+    views' union is the offset set. The output rows are filtered at full
+    padded width; a flat shift wraps to the next row only beyond ``ky``
+    columns of padding, i.e. only in the padding columns, which are
+    dropped. One extra padding row at each end keeps every flat shift
+    inside the array. The min/max terms are regrouped, not changed, so
+    the result is bit-equal to the naive evaluation.
     """
     nx, ny = f.shape[:2]
-    kx, ky, along_x = plan.kx, plan.ky, plan.along_x
-    padded = np.full((nx + 2 * kx, ny + 2 * ky) + f.shape[2:], sentinel, dtype=np.float64)
-    padded[kx:kx + nx, ky:ky + ny] = f
-    out = None
+    kx, ky = plan.kx, plan.ky
+    stack = f.shape[2:]
+    col = math.prod(stack)           # flat length of one pixel's stack
+    row = (ny + 2 * ky) * col        # flat length of one padded row
+    padded = scratch.take("padded", (nx + 2 * kx + 2, ny + 2 * ky) + stack)
+    x0, x1 = kx + 1, kx + 1 + nx
+    padded[:x0] = sentinel
+    padded[x1:] = sentinel
+    padded[x0:x1, :ky] = sentinel
+    padded[x0:x1, ky + ny:] = sentinel
+    padded[x0:x1, ky:ky + ny] = f
 
-    def accumulate(contrib, out):
-        if out is None:
-            # windowed extremes come back fresh; only views of ``padded``
-            # must be copied before they are accumulated into
-            return contrib.copy() if contrib.base is padded else contrib
-        return op(out, contrib, out=out)
+    step = plan.step[0] * row + plan.step[1] * col
+    tables = [padded.reshape(-1)]
+    for j in range(plan.levels):
+        t = tables[-1]
+        shift = step << j
+        level = scratch.take(("level", j), (t.size - shift,))
+        op(t[:-shift], t[shift:], out=level)
+        tables.append(level)
 
-    for minor, a, b in plan.runs:
-        w = b - a + 1
-        if along_x:
-            block = padded[kx + a:kx + b + nx, ky + minor:ky + minor + ny]
-        else:
-            block = padded[kx + minor:kx + minor + nx, ky + a:ky + b + ny]
-        if w >= _VH_MIN_WINDOW:
-            out = accumulate(_sliding_extreme(block, w, 0 if along_x else 1, op, sentinel), out)
-        else:
-            for step in range(w):
-                if along_x:
-                    view = padded[kx + a + step:kx + a + step + nx, ky + minor:ky + minor + ny]
-                else:
-                    view = padded[kx + minor:kx + minor + nx, ky + a + step:ky + a + step + ny]
-                out = accumulate(view, out)
-    return out
+    n = nx * row
+    views = []
+    for j, dx, dy in plan.views:
+        start = (x0 + dx) * row + dy * col
+        views.append(tables[j][start:start + n])
+    out = scratch.take(role, (n,))
+    if len(views) == 1:
+        out[...] = views[0]
+    else:
+        op(views[0], views[1], out=out)
+        for view in views[2:]:
+            op(out, view, out=out)
+    return out.reshape((nx, ny + 2 * ky) + stack)[:, ky:ky + ny]
 
 
 def _open_plan(se) -> tuple[_LinePlan, _LinePlan]:
@@ -211,9 +252,11 @@ def _open_plan(se) -> tuple[_LinePlan, _LinePlan]:
     return _line_plan(offs), _line_plan(-offs)
 
 
-def _open(f: np.ndarray, plan: tuple[_LinePlan, _LinePlan]) -> np.ndarray:
+def _open(f: np.ndarray, plan: tuple[_LinePlan, _LinePlan], scratch: _Scratch) -> np.ndarray:
+    """Opening into ``scratch``'s "opened" buffer."""
     erode, dilate = plan
-    return _line_filter(_line_filter(f, erode, np.minimum, np.inf), dilate, np.maximum, -np.inf)
+    eroded = _line_filter(f, erode, np.minimum, np.inf, scratch, "eroded")
+    return _line_filter(eroded, dilate, np.maximum, -np.inf, scratch, "opened")
 
 
 def _check_slice(f: np.ndarray) -> np.ndarray:
@@ -225,18 +268,18 @@ def _check_slice(f: np.ndarray) -> np.ndarray:
 
 def gray_erode(f: np.ndarray, se: np.ndarray) -> np.ndarray:
     """Flat erosion of a 2D slice by a point-set structuring element."""
-    return _line_filter(_check_slice(f), _line_plan(se), np.minimum, np.inf)
+    return _line_filter(_check_slice(f), _line_plan(se), np.minimum, np.inf, _Scratch(), "out")
 
 
 def gray_dilate(f: np.ndarray, se: np.ndarray) -> np.ndarray:
     """Flat dilation (max over the reflected offsets)."""
     offs = -np.asarray(se, dtype=np.int64)
-    return _line_filter(_check_slice(f), _line_plan(offs), np.maximum, -np.inf)
+    return _line_filter(_check_slice(f), _line_plan(offs), np.maximum, -np.inf, _Scratch(), "out")
 
 
 def gray_open(f: np.ndarray, se: np.ndarray) -> np.ndarray:
     """Opening: erosion then dilation with the same element."""
-    return _open(_check_slice(f), _open_plan(se))
+    return _open(_check_slice(f), _open_plan(se), _Scratch())
 
 
 # ---------------------------------------------------------------------------
@@ -258,13 +301,14 @@ def _sift_plan(ml1: float, ml2: float, n_orient: int):
     return tuple(plan)
 
 
-def _sift(f: np.ndarray, plan) -> np.ndarray:
+def _sift(f: np.ndarray, plan, scratch: _Scratch) -> np.ndarray:
     """Sifting response of ``f`` (slice plane on the first two axes,
     trailing axes a stack), accumulated in plan order."""
     out = np.zeros_like(f)
+    tophat = scratch.take("tophat", f.shape)
     for long_line, short_line in plan:
-        tophat = f - _open(f, long_line)
-        out += _open(tophat, short_line)
+        np.subtract(f, _open(f, long_line, scratch), out=tophat)
+        out += _open(tophat, short_line, scratch)
     return out
 
 
@@ -274,7 +318,7 @@ def ms2d(f: np.ndarray, ml1: float, ml2: float, n_orient: int = 10) -> np.ndarra
     Sum over n = 0..N-1, theta = n*pi/N, of the short-line opening of
     the long-line top-hat. Accumulation is in ascending n.
     """
-    return _sift(_check_slice(f), _sift_plan(ml1, ml2, n_orient))
+    return _sift(_check_slice(f), _sift_plan(ml1, ml2, n_orient), _Scratch())
 
 
 @dataclass(frozen=True)
@@ -325,8 +369,9 @@ def _sift_stack(vol: np.ndarray, plan) -> np.ndarray:
     nx, ny, nz = vol.shape
     step = max(1, _BLOCK_VOXELS // max(1, nx * ny))
     out = np.empty(vol.shape)
+    scratch = _Scratch()
     for k in range(0, nz, step):
-        out[:, :, k:k + step] = _sift(np.ascontiguousarray(vol[:, :, k:k + step]), plan)
+        out[:, :, k:k + step] = _sift(np.ascontiguousarray(vol[:, :, k:k + step]), plan, scratch)
     return out
 
 

@@ -116,12 +116,21 @@ def _read_nrrd(path) -> tuple[np.ndarray, tuple[float, ...]]:
     if dtype.itemsize > 1 and fields.get("endian", "little").lower() != "little":
         raise NrrdError(f"{path}: only little-endian data is supported")
 
-    sizes = tuple(int(s) for s in fields["sizes"].split())
-    spacings = tuple(float(s) for s in fields["spacings"].split())
+    try:
+        sizes = tuple(int(s) for s in fields["sizes"].split())
+    except ValueError:
+        raise NrrdError(f"{path}: sizes must be integers, got {fields['sizes']!r}") from None
+    try:
+        spacings = tuple(float(s) for s in fields["spacings"].split())
+    except ValueError:
+        raise NrrdError(f"{path}: spacings must be numbers, got {fields['spacings']!r}") from None
     if len(sizes) != 3 or len(spacings) != 3:
         raise NrrdError(f"{path}: expected 3 sizes and 3 spacings")
     if min(sizes) <= 0:
         raise NrrdError(f"{path}: sizes must be positive, got {fields['sizes']!r}")
+    if not all(np.isfinite(s) and s > 0 for s in spacings):
+        raise NrrdError(
+            f"{path}: spacings must be finite and positive, got {fields['spacings']!r}")
 
     if "data file" in fields:
         raw = (path.parent / fields["data file"]).read_bytes()

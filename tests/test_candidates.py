@@ -42,6 +42,19 @@ def test_zero_mass_plateaus_tie_to_smallest_indices():
         assert got == multilevel_otsu_exhaustive(hist, t_count)
 
 
+def test_sixteen_thresholds_match_frozen_indices():
+    # the production bank size on 256 bins, beyond the exhaustive oracle's
+    # reach; indices frozen from the row-by-row dynamic programme
+    x = np.arange(256)
+    scrambled = ((x * 7919) % 1009).astype(np.float64)
+    skewed = np.floor(2000.0 * (x / 40.0) * np.exp(-x / 40.0))
+    skewed[(x % 5 == 0) & (x > 60)] = 0.0  # empty bins in the tail
+    assert otsu_multilevel_indices(scrambled, 16).tolist() == [
+        13, 28, 43, 58, 71, 84, 97, 111, 127, 144, 160, 177, 193, 210, 226, 241]
+    assert otsu_multilevel_indices(skewed, 16).tolist() == [
+        15, 25, 35, 44, 54, 64, 74, 87, 99, 114, 129, 144, 161, 179, 199, 224]
+
+
 def test_single_threshold_equals_scalar_otsu():
     rng = np.random.default_rng(5)
     data = np.concatenate([

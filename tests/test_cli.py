@@ -146,6 +146,25 @@ class TestExitCodes:
         assert rc == EXIT_RUNTIME
         assert "sizes must be positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line, message", [
+        (b"sizes: abc 80 40\nspacings: 1.0 1.0 1.0", "sizes must be integers"),
+        (b"sizes: 80 80 40\nspacings: nan 1.0 1.0", "spacings must be finite and positive"),
+        (b"sizes: 80 80 40\nspacings: 1.0 -1.0 1.0", "spacings must be finite and positive"),
+    ], ids=["non_integer_size", "nan_spacing", "negative_spacing"])
+    def test_malformed_nrrd_header_names_file(self, workspace, tmp_path, capsys, line, message):
+        data = tmp_path / "data"
+        shutil.copytree(workspace / "data", data)
+        record = load_manifest(data / "manifest.json")[0]
+        (data / record.t1).write_bytes(
+            b"NRRD0004\ntype: unsigned short\ndimension: 3\n" + line +
+            b"\nencoding: raw\nendian: little\n\n")
+        rc = main(["sift", "--manifest", str(data / "manifest.json"),
+                   "--case", record.case_id, "--out", str(tmp_path / "out")])
+        assert rc == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert message in err
+        assert str(data / record.t1) in err
+
 
 def _drop(key):
     return lambda d: {k: v for k, v in d.items() if k != key}

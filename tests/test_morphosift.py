@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from siftcad.candidates import DEFAULT_V_MAX, DEFAULT_V_MIN
 from siftcad.morphosift import (
     _BLOCK_VOXELS,
+    _line_plan,
     LinearSE,
     MagnitudePlan,
     SiftError,
@@ -127,9 +129,60 @@ class TestGrayOps:
             assert np.all(opened <= f)
             assert np.array_equal(gray_open(opened, se), opened)
 
+    def test_arbitrary_point_sets_match_double_loop(self):
+        # gappy sets, isolated points and single points, so runs of every
+        # length and step and both single- and two-view runs occur
+        rng = np.random.default_rng(12)
+        sets = [np.array([[0, 0]]), np.array([[3, -2]]), np.array([[0, 0], [5, 5]])]
+        for _ in range(40):
+            size = int(rng.integers(1, 30))
+            reach = int(rng.integers(1, 8))
+            sets.append(rng.integers(-reach, reach + 1, size=(size, 2)))
+        for k, se in enumerate(sets):
+            f = rng.standard_normal((int(rng.integers(5, 15)), int(rng.integers(5, 15))))
+            assert np.array_equal(gray_erode(f, se), naive_erode(f, se)), k
+            assert np.array_equal(gray_dilate(f, se), naive_dilate(f, se)), k
+
     def test_empty_se_rejected(self):
         with pytest.raises(SiftError):
             gray_erode(np.zeros((4, 4)), np.empty((0, 2), dtype=int))
+
+
+class TestLinePlan:
+    @staticmethod
+    def check(offsets):
+        plan = _line_plan(offsets)
+        points = set(map(tuple, np.asarray(offsets).tolist()))
+        vx, vy = plan.step
+        covered = set()
+        for j, dx, dy in plan.views:
+            assert 0 <= j <= plan.levels
+            run = {(dx + i * vx, dy + i * vy) for i in range(1 << j)}
+            # a view reads only points of the set, so nothing past the padding
+            assert run <= points
+            assert all(abs(x) <= plan.kx and abs(y) <= plan.ky for x, y in run)
+            covered |= run
+        assert covered == points
+        assert plan.levels == max(j for j, _, _ in plan.views)
+
+    def test_views_cover_line_elements_exactly(self):
+        for mag in (1.0, 3.08, 5.71, 9.0, 22.5, 31.0):
+            for n in range(10):
+                self.check(rasterize_lse(mag, n * math.pi / 10))
+                self.check(-rasterize_lse(mag, n * math.pi / 10))
+
+    def test_views_cover_arbitrary_point_sets_exactly(self):
+        rng = np.random.default_rng(13)
+        for _ in range(200):
+            reach = int(rng.integers(1, 12))
+            self.check(rng.integers(-reach, reach + 1, size=(int(rng.integers(1, 40)), 2)))
+
+    def test_long_lines_use_periodic_steps(self):
+        # an oblique 23-point line is three runs of step (3, 1), not a
+        # staircase of axis runs
+        plan = _line_plan(rasterize_lse(22.5, math.pi / 10))
+        assert plan.step == (3, 1)
+        assert len(plan.views) == 4 and plan.levels == 3
 
 
 class TestMs2d:
@@ -233,6 +286,18 @@ class TestMs3d:
         got = ms3d(v, plan, 4)
         want = direct_ms3d(v.data, plan, 4, rasterize_lse)
         assert np.array_equal(got.data, want)
+        assert got.data.tobytes() == want.tobytes()
+
+    def test_production_magnitudes_match_direct_evaluation(self):
+        # the default lesion window at clinical spacing: 23-point long
+        # lines (runs past 8 points, (3, 1) and (1, 3) steps) longer than
+        # the 8-voxel sagittal and coronal slices
+        plan = lse_magnitudes(DEFAULT_V_MIN, DEFAULT_V_MAX, 0.7, 1.3, 3)
+        assert math.ceil(plan.axial[1]) == 23
+        rng = np.random.default_rng(14)
+        v = Volume3D(rng.standard_normal((40, 40, 8)) * 20, (0.7, 0.7, 1.3))
+        got = ms3d(v, plan, 10)
+        want = direct_ms3d(v.data, plan, 10, rasterize_lse)
         assert got.data.tobytes() == want.tobytes()
 
     def test_ball_response_peaks_in_band(self):

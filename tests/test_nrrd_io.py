@@ -67,6 +67,26 @@ def test_nonpositive_sizes_rejected(tmp_path, sizes):
         load_volume(path)
 
 
+@pytest.mark.parametrize("field, line, message", [
+    ("sizes", "sizes: abc 2 2", "sizes must be integers"),
+    ("sizes", "sizes: 2.5 2 2", "sizes must be integers"),
+    ("spacings", "spacings: 1.0 x 1.0", "spacings must be numbers"),
+    ("spacings", "spacings: nan 1 1", "spacings must be finite and positive"),
+    ("spacings", "spacings: 1 inf 1", "spacings must be finite and positive"),
+    ("spacings", "spacings: 1 1 -0.5", "spacings must be finite and positive"),
+    ("spacings", "spacings: 1 0 1", "spacings must be finite and positive"),
+])
+def test_malformed_sizes_and_spacings_name_file_and_field(tmp_path, field, line, message):
+    path = tmp_path / "v.nrrd"
+    fields = {"sizes": "sizes: 2 2 2", "spacings": "spacings: 1.0 1.0 1.0", field: line}
+    header = (f"NRRD0004\ntype: unsigned short\ndimension: 3\n{fields['sizes']}\n"
+              f"{fields['spacings']}\nencoding: raw\nendian: little\n\n")
+    path.write_bytes(header.encode() + b"\x00" * 16)
+    with pytest.raises(NrrdError, match=message) as err:
+        load_volume(path)
+    assert str(path) in str(err.value)
+
+
 def test_truncated_payload(tmp_path):
     rng = np.random.default_rng(3)
     v = random_u16_volume(rng, dims=(4, 4, 4))
