@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import FeatureVector
+from .features import FEATURE_SCHEMA, FeatureVector
 
 DEFAULT_N_TREES = 2000
 DEFAULT_LEARNING_RATE = 0.1
@@ -550,6 +550,28 @@ def train_rf(samples_or_x, y=None, *, seed=None, n_tree_grid=None,
 # prediction and cross-validation
 # ---------------------------------------------------------------------------
 
+def split_features(model) -> np.ndarray:
+    """Sorted indices of the features some tree of ``model`` (or the tree
+    itself) splits on: the only columns its scores depend on."""
+    trees = (model,) if isinstance(model, DecisionTree) else model.trees
+    split = [t.feature[t.feature >= 0] for t in trees]
+    return np.unique(np.concatenate(split)) if split else np.zeros(0, dtype=np.int64)
+
+
+def _check_read_features(model, x: np.ndarray) -> None:
+    """A non-finite value in a column the model splits on would route the
+    sample silently (NaN compares false), so it is refused; columns no
+    tree reads may hold anything."""
+    read = split_features(model)
+    if x.ndim != 2 or not read.size or read[-1] >= x.shape[1]:
+        return  # predict_proba rejects the shape
+    bad = read[~np.isfinite(x[:, read]).all(axis=0)]
+    if bad.size:
+        k = int(bad[0])
+        name = FEATURE_SCHEMA[k] if x.shape[1] == len(FEATURE_SCHEMA) else f"#{k}"
+        raise ValueError(f"feature {name} is not finite, and the model splits on it")
+
+
 def _check_schema(model, vector: FeatureVector) -> None:
     if model.schema_id is not None and vector.schema_id != model.schema_id:
         raise ValueError(
@@ -561,21 +583,25 @@ def predict(model, features):
     """Positive-class probability for one vector or a batch.
 
     FeatureVector inputs are checked against the model's schema id;
-    plain arrays are taken as-is. Scalars come back for single vectors,
-    a vector for batches.
+    plain arrays are taken as-is. Every input must be finite in the
+    features the model splits on (ValueError naming the first that is
+    not); other columns are never read. Scalars come back for single
+    vectors, a vector for batches.
     """
     if isinstance(features, FeatureVector):
         _check_schema(model, features)
-        return float(model.predict_proba(features.values[None, :])[0])
-    if isinstance(features, (list, tuple)) and features and \
+        arr = features.values
+    elif isinstance(features, (list, tuple)) and features and \
             isinstance(features[0], FeatureVector):
         for f in features:
             _check_schema(model, f)
-        return model.predict_proba(np.stack([f.values for f in features]))
-    arr = np.asarray(features, dtype=np.float64)
-    if arr.ndim == 1:
-        return float(model.predict_proba(arr[None, :])[0])
-    return model.predict_proba(arr)
+        arr = np.stack([f.values for f in features])
+    else:
+        arr = np.asarray(features, dtype=np.float64)
+    x = arr[None, :] if arr.ndim == 1 else arr
+    _check_read_features(model, x)
+    p = model.predict_proba(x)
+    return float(p[0]) if arr.ndim == 1 else p
 
 
 def group_folds(groups, k: int) -> np.ndarray:

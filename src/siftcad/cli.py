@@ -45,7 +45,7 @@ from .evaluation import (
     write_report_json,
     write_roc_csv,
 )
-from .features import FeatureExtractor
+from .features import FEATURE_SCHEMA, FEATURE_SCHEMA_ID, FeatureExtractor
 # not called here: perfbench/bench.py cuts its reference-kernel clock at
 # ``cli.ms3d``, so the name stays importable from this module
 from .morphosift import ms3d  # noqa: F401
@@ -225,13 +225,28 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
+def _load_schema_model(path):
+    """A model file whose trees take this feature schema, checked before
+    any case is read."""
+    model = load_model(path)
+    n = len(FEATURE_SCHEMA)
+    for tree in model.trees:
+        if tree.n_features != n:
+            raise ValueError(f"{path}: field 'n_features' is {tree.n_features}, "
+                             f"but the feature schema has {n} features")
+    if model.schema_id not in (None, FEATURE_SCHEMA_ID):
+        raise ValueError(f"{path}: field 'schema_id' is {model.schema_id!r}, "
+                         f"but the features are {FEATURE_SCHEMA_ID!r}")
+    return model
+
+
 def cmd_detect(args) -> int:
     config = _config_from_args(args)
     records = _records_for_split(args.manifest, args.split)
     models_dir = Path(args.models)
-    lesion_model = load_model(models_dir / "lesion_model.json")
+    lesion_model = _load_schema_model(models_dir / "lesion_model.json")
     malignancy_path = models_dir / "malignancy_model.json"
-    malignancy_model = (load_model(malignancy_path)
+    malignancy_model = (_load_schema_model(malignancy_path)
                         if malignancy_path.exists() else None)
 
     out = Path(args.out)

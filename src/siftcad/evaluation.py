@@ -26,7 +26,7 @@ from .candidates import (
     RegionCandidate,
     generate_candidates,
 )
-from .classifiers import DEFAULT_N_TREES, predict
+from .classifiers import DEFAULT_N_TREES, predict, split_features
 from .features import FeatureExtractor
 from .nrrd_io import save_mask
 from .volume import BinaryMask, VolumeError, dsi
@@ -158,26 +158,33 @@ def run_pipeline(case, lesion_model, malignancy_model=None,
     original grid and fused; survivors get a malignancy score when a
     malignancy model is supplied, flagged at ``theta_malig``. With the
     inputs and models fixed the output is deterministic.
+
+    Each stage extracts only the features its model splits on: every
+    candidate for the lesion model, then the fused survivors again for
+    the malignancy model. A tree reads no other column, so the scores
+    equal those of full feature vectors.
     """
     candidates = generate_candidates(
         case, m_scales=config.m_scales, n_orient=config.n_orient,
         t_count=config.t_count, v_min=config.v_min, v_max=config.v_max)
     extractor = FeatureExtractor(case)
-    vectors = [extractor.extract(cand) for cand in candidates]
+    need = split_features(lesion_model)
+    vectors = [extractor.extract(cand, need) for cand in candidates]
     scores = predict(lesion_model, vectors) if vectors else []
-    kept = [(cand, vec, float(score))
-            for cand, vec, score in zip(candidates, vectors, scores)
+    kept = [(cand, float(score)) for cand, score in zip(candidates, scores)
             if score >= config.theta_lesion]
     detections = [
         Detection(mask=cand.original_mask(), lesion_score=score,
                   scale_index=cand.scale_index,
                   threshold_index=cand.threshold_index)
-        for cand, _, score in kept
+        for cand, score in kept
     ]
-    vec_of = {id(d): vec for d, (_, vec, _) in zip(detections, kept)}
+    cand_of = {id(d): cand for d, (cand, _) in zip(detections, kept)}
     fused = fuse_labels(detections)
     if malignancy_model is not None and fused:
-        malig = predict(malignancy_model, [vec_of[id(det)] for det in fused])
+        need = split_features(malignancy_model)
+        malig = predict(malignancy_model,
+                        [extractor.extract(cand_of[id(det)], need) for det in fused])
         for det, m in zip(fused, malig):
             det.malignancy_score = float(m)
             det.malignant = det.malignancy_score >= config.theta_malig

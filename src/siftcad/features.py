@@ -20,7 +20,14 @@ equals computing a field per shell.
 
 Every degenerate path (empty shell, single-voxel texture, guarded
 denominator, fit fallback, empty core) sets a 0/1 flag feature; no NaN
-or infinity ever leaves the extractor.
+or infinity ever leaves the extractor for a column it computed.
+
+Demand: a caller that reads only some columns names them, and the
+extractor skips each costly group (kinetic fit, kinetic core/rim, the
+GLCM of each sequence, margin, edema, shape) none of whose outputs it
+reads; skipped columns are NaN. Every group is a function of the
+candidate and the case alone, so a computed column never depends on
+what else was asked for.
 """
 
 from __future__ import annotations
@@ -67,6 +74,8 @@ FLAG_NAMES = (
     "flag_core_empty",
 )
 
+SHAPE_NAMES = ("esd_mm", "extent", "solidity", "irregularity", "fat_fraction")
+
 KINETIC_NAMES = (
     "enh_peak", "enh_time_to_peak_s", "enh_uptake_rate", "enh_washout_rate",
     "var_peak", "var_time_to_peak_s", "var_uptake_rate", "var_washout_rate",
@@ -87,7 +96,7 @@ def _build_schema() -> tuple[str, ...]:
         names += [f"{seq}_glcm_{s}" for s in HARALICK_NAMES]
     for seq in MARGIN_SEQUENCES:
         names += [f"{seq}_margin_sharpness", f"{seq}_rgi"]
-    names += ["esd_mm", "extent", "solidity", "irregularity", "fat_fraction"]
+    names += list(SHAPE_NAMES)
     names += list(KINETIC_NAMES)
     names += list(FLAG_NAMES)
     return tuple(names)
@@ -96,6 +105,30 @@ def _build_schema() -> tuple[str, ...]:
 FEATURE_SCHEMA: tuple[str, ...] = _build_schema()
 FEATURE_SCHEMA_ID = "siftcad-features-1"
 _INDEX = {name: k for k, name in enumerate(FEATURE_SCHEMA)}
+ALL_FEATURES = frozenset(range(len(FEATURE_SCHEMA)))
+
+# the costly groups and their outputs; intensity and the enhancement and
+# variance curve summaries are always computed. The texture flag is an
+# output of each GLCM group, so reading it computes all three.
+_GROUPS = {
+    "fit": ("fit_amplitude", "fit_alpha", "fit_beta", "fit_rmse", "flag_fit_fallback"),
+    "core_rim": ("blooming", "peripheral_uptake", "flag_core_empty", "flag_kinetic_guarded"),
+    **{f"glcm_{seq}": (*(f"{seq}_glcm_{s}" for s in HARALICK_NAMES),
+                       "flag_texture_degenerate")
+       for seq in MARGIN_SEQUENCES},
+    "margin": (*(f"{seq}_{stat}" for seq in MARGIN_SEQUENCES
+                 for stat in ("margin_sharpness", "rgi")),
+               "flag_margin_shell_empty"),
+    "edema": (*(f"edema_t2_p{int(q)}_{int(w)}mm" for w, q in EDEMA_SHELLS),
+              "flag_edema_shell_empty"),
+    "shape": SHAPE_NAMES,
+}
+_GROUP_INDICES = {g: frozenset(_INDEX[n] for n in names) for g, names in _GROUPS.items()}
+
+
+def _groups_for(need: frozenset) -> frozenset:
+    """The costly groups with an output in ``need``."""
+    return frozenset(g for g, idx in _GROUP_INDICES.items() if not idx.isdisjoint(need))
 
 
 @dataclass(frozen=True, eq=False)
@@ -537,16 +570,23 @@ def _relative_series(samples: list[np.ndarray], reducer) -> tuple[np.ndarray, bo
 
 
 def kinetic_features(rc: RegionCandidate, case: BreastCase,
-                     field: _SurfaceField | None = None) -> tuple[dict[str, float], dict[str, bool]]:
+                     field: _SurfaceField | None = None,
+                     need: frozenset = ALL_FEATURES) -> tuple[dict[str, float], dict[str, bool]]:
     """Kinetic feature group at original resolution.
+
+    The enhancement and variance curve summaries are always computed;
+    the parametric fit and the core/rim features only when ``need``
+    holds one of their outputs (see ``_GROUPS``).
 
     ``field`` is the candidate's surface field on the original grid,
     reaching at least 2 mm (a scale-1 candidate's scale grid is the
-    original grid); a 2 mm field is built when it is None.
+    original grid); a 2 mm field is built when it is None and the
+    core/rim features are needed.
 
-    Returns (features, flags) with flags ``kinetic_guarded``,
-    ``fit_fallback`` and ``core_empty``.
+    Returns (features, flags) with flags ``fit_fallback`` (with the fit)
+    and ``kinetic_guarded`` and ``core_empty`` (with the core/rim).
     """
+    groups = _groups_for(need)
     times = np.asarray(case.acquisition_times, dtype=np.float64)
     region_idx = rc.original_indices()
     frames = [case.dce[i].data.ravel()[region_idx] for i in range(len(case.dce))]
@@ -563,50 +603,50 @@ def kinetic_features(rc: RegionCandidate, case: BreastCase,
         var_series = np.array([(float(f.var()) - base_var) / base_var for f in frames])
     vpeak, vttp, vuptake, vwashout = _curve_summary(var_series, times)
 
-    amp, alpha, beta, rmse, fit_fallback = _fit_enhancement(times, enh, peak)
-
-    original = rc.original_mask()
-    # the 2 mm core and the 1 mm-in/2 mm-out rim share one field
-    if field is None:
-        field = _SurfaceField(original, 2.0, _index_box(region_idx, original.dims))
-    core = field.core(2.0)
-    core_empty = core.count == 0
-    if core_empty:
-        core = original
-    shell = field.shell(1.0, 2.0)
-    guard_shell = False
-    if shell.count == 0:
-        shell = original
-        guard_shell = True
-    core_idx = np.flatnonzero(core.data.ravel())
-    shell_idx = np.flatnonzero(shell.data.ravel())
-    core_frames = [case.dce[i].data.ravel()[core_idx] for i in (0, 1, len(case.dce) - 1)]
-    shell_frames = [case.dce[i].data.ravel()[shell_idx] for i in (0, 1, len(case.dce) - 1)]
-    core_enh, g1 = _relative_series(core_frames, np.mean)
-    shell_enh, g2 = _relative_series(shell_frames, np.mean)
-    blooming = float((shell_enh[-1] - shell_enh[1]) - (core_enh[-1] - core_enh[1]))
-    if abs(core_enh[-1]) <= _EPS_BASELINE:
-        peripheral = 0.0
-        guard_peri = shell_enh[-1] != 0.0
-    else:
-        peripheral = float(shell_enh[-1] / core_enh[-1])
-        guard_peri = False
-
     features = {
         "enh_peak": peak, "enh_time_to_peak_s": ttp,
         "enh_uptake_rate": uptake, "enh_washout_rate": washout,
         "var_peak": vpeak, "var_time_to_peak_s": vttp,
         "var_uptake_rate": vuptake, "var_washout_rate": vwashout,
-        "fit_amplitude": amp, "fit_alpha": alpha, "fit_beta": beta,
-        "fit_rmse": rmse,
-        "blooming": blooming, "peripheral_uptake": peripheral,
     }
-    flags = {
-        "kinetic_guarded": bool(guard_mean or guard_var or g1 or g2
-                                or guard_peri or guard_shell),
-        "fit_fallback": bool(fit_fallback),
-        "core_empty": bool(core_empty),
-    }
+    flags = {}
+
+    if "fit" in groups:
+        amp, alpha, beta, rmse, fit_fallback = _fit_enhancement(times, enh, peak)
+        features.update(fit_amplitude=amp, fit_alpha=alpha, fit_beta=beta, fit_rmse=rmse)
+        flags["fit_fallback"] = bool(fit_fallback)
+
+    if "core_rim" in groups:
+        original = rc.original_mask()
+        # the 2 mm core and the 1 mm-in/2 mm-out rim share one field
+        if field is None:
+            field = _SurfaceField(original, 2.0, _index_box(region_idx, original.dims))
+        core = field.core(2.0)
+        core_empty = core.count == 0
+        if core_empty:
+            core = original
+        shell = field.shell(1.0, 2.0)
+        guard_shell = False
+        if shell.count == 0:
+            shell = original
+            guard_shell = True
+        core_idx = np.flatnonzero(core.data.ravel())
+        shell_idx = np.flatnonzero(shell.data.ravel())
+        core_frames = [case.dce[i].data.ravel()[core_idx] for i in (0, 1, len(case.dce) - 1)]
+        shell_frames = [case.dce[i].data.ravel()[shell_idx] for i in (0, 1, len(case.dce) - 1)]
+        core_enh, g1 = _relative_series(core_frames, np.mean)
+        shell_enh, g2 = _relative_series(shell_frames, np.mean)
+        blooming = float((shell_enh[-1] - shell_enh[1]) - (core_enh[-1] - core_enh[1]))
+        if abs(core_enh[-1]) <= _EPS_BASELINE:
+            peripheral = 0.0
+            guard_peri = shell_enh[-1] != 0.0
+        else:
+            peripheral = float(shell_enh[-1] / core_enh[-1])
+            guard_peri = False
+        features.update(blooming=blooming, peripheral_uptake=peripheral)
+        flags["kinetic_guarded"] = bool(guard_mean or guard_var or g1 or g2
+                                        or guard_peri or guard_shell)
+        flags["core_empty"] = bool(core_empty)
     return features, flags
 
 
@@ -666,12 +706,19 @@ class FeatureExtractor:
             )
         return self._views[m]
 
-    def extract(self, rc: RegionCandidate) -> FeatureVector:
+    def extract(self, rc: RegionCandidate, need=ALL_FEATURES) -> FeatureVector:
+        """Feature vector of one candidate.
+
+        ``need`` holds the schema indices the caller reads; each costly
+        group with no output in it is skipped and its columns are NaN.
+        Computed columns equal those of the full extraction bit for bit.
+        """
+        need = frozenset(int(k) for k in need)
+        groups = _groups_for(need)
         view = self._view(rc.scale_index)
         region = rc.mask()
         idx = rc.flat_indices
         out: dict[str, float] = {}
-        flags = dict.fromkeys(FLAG_NAMES, 0.0)
 
         for seq in ("t1", "t2", "dce0"):
             vals = getattr(view, seq).ravel()[idx]
@@ -686,50 +733,64 @@ class FeatureExtractor:
         out["t2_p90"] = float(np.percentile(t2_vals, 90))
 
         box = _index_box(idx, region.dims)
-        field = _SurfaceField(region, _EDEMA_OUTER_MM, box)
-        for width, q in EDEMA_SHELLS:
-            name = f"edema_t2_p{int(q)}_{int(width)}mm"
-            shell = field.shell(0.0, width)
-            if shell.count == 0:
-                out[name] = float(np.percentile(t2_vals, q))
-                flags["flag_edema_shell_empty"] = 1.0
-            else:
-                out[name] = float(np.percentile(view.t2[shell.data], q))
+        # the 20 mm field serves the edema shells, the margin shell and,
+        # on the original grid, the kinetic core and rim
+        field = None
+        if {"edema", "margin"} & groups or ("core_rim" in groups and rc.scale_index == 1):
+            field = _SurfaceField(region, _EDEMA_OUTER_MM, box)
 
-        degenerate = False
+        if "edema" in groups:
+            out["flag_edema_shell_empty"] = 0.0
+            for width, q in EDEMA_SHELLS:
+                name = f"edema_t2_p{int(q)}_{int(width)}mm"
+                shell = field.shell(0.0, width)
+                if shell.count == 0:
+                    out[name] = float(np.percentile(t2_vals, q))
+                    out["flag_edema_shell_empty"] = 1.0
+                else:
+                    out[name] = float(np.percentile(view.t2[shell.data], q))
+
+        degenerate = []
         for seq in MARGIN_SEQUENCES:
+            if f"glcm_{seq}" not in groups:
+                continue
             stats, flag = haralick_features(region, getattr(view, seq), box)
-            degenerate = degenerate or flag
+            degenerate.append(flag)
             for stat_name, value in zip(HARALICK_NAMES, stats):
                 out[f"{seq}_glcm_{stat_name}"] = float(value)
-        flags["flag_texture_degenerate"] = 1.0 if degenerate else 0.0
+        if len(degenerate) == len(MARGIN_SEQUENCES):
+            out["flag_texture_degenerate"] = 1.0 if any(degenerate) else 0.0
 
-        margin_shell = field.shell(1.0, 2.0)
-        if margin_shell.count == 0:
-            flags["flag_margin_shell_empty"] = 1.0
-            for seq in MARGIN_SEQUENCES:
-                out[f"{seq}_margin_sharpness"] = 0.0
-                out[f"{seq}_rgi"] = 0.0
-        else:
-            centroid = _region_centroid_mm(region)
-            shell_box = field.box(margin_shell)
-            for seq in MARGIN_SEQUENCES:
-                sharp, rgi = _shell_gradient_stats(
-                    margin_shell, getattr(view, seq), centroid, shell_box)
-                out[f"{seq}_margin_sharpness"] = sharp
-                out[f"{seq}_rgi"] = rgi
+        if "margin" in groups:
+            margin_shell = field.shell(1.0, 2.0)
+            if margin_shell.count == 0:
+                out["flag_margin_shell_empty"] = 1.0
+                for seq in MARGIN_SEQUENCES:
+                    out[f"{seq}_margin_sharpness"] = 0.0
+                    out[f"{seq}_rgi"] = 0.0
+            else:
+                out["flag_margin_shell_empty"] = 0.0
+                centroid = _region_centroid_mm(region)
+                shell_box = field.box(margin_shell)
+                for seq in MARGIN_SEQUENCES:
+                    sharp, rgi = _shell_gradient_stats(
+                        margin_shell, getattr(view, seq), centroid, shell_box)
+                    out[f"{seq}_margin_sharpness"] = sharp
+                    out[f"{seq}_rgi"] = rgi
 
-        out.update(shape_features(rc, view.fat))
+        if "shape" in groups:
+            out.update(shape_features(rc, view.fat))
 
-        kin, kin_flags = kinetic_features(rc, self.case, field if rc.scale_index == 1 else None)
+        kin, kin_flags = kinetic_features(
+            rc, self.case, field if rc.scale_index == 1 else None, need)
         out.update(kin)
-        flags["flag_kinetic_guarded"] = 1.0 if kin_flags["kinetic_guarded"] else 0.0
-        flags["flag_fit_fallback"] = 1.0 if kin_flags["fit_fallback"] else 0.0
-        flags["flag_core_empty"] = 1.0 if kin_flags["core_empty"] else 0.0
-        out.update(flags)
+        out.update({f"flag_{name}": 1.0 if fired else 0.0
+                    for name, fired in kin_flags.items()})
 
-        values = np.array([out[name] for name in FEATURE_SCHEMA])
-        if not np.isfinite(values).all():
-            bad = [FEATURE_SCHEMA[k] for k in np.flatnonzero(~np.isfinite(values))]
-            raise VolumeError(f"non-finite features: {bad}")
+        bad = [name for name, value in out.items() if not math.isfinite(value)]
+        if bad:
+            raise VolumeError(f"non-finite features: {sorted(bad, key=_INDEX.get)}")
+        values = np.full(len(FEATURE_SCHEMA), np.nan)
+        for name, value in out.items():
+            values[_INDEX[name]] = value
         return FeatureVector(values)

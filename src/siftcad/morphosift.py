@@ -16,10 +16,11 @@ inflates top-hat responses at the volume border.
 
 Evaluation: a rasterised line is a union of translated *periodic lines*
 (Jones & Soille 1996): runs p, p+v, ..., p+(w-1)v of one primitive step
-v. Once per call, for erosion and for the reflected dilation, the SE
-plan picks the step from a short list (axis, diagonal and knight-like
-steps up to (3, 1)) that needs the fewest table levels plus views;
-``ms3d`` builds one plan per view and reuses it for every slice. The
+v. For erosion and for the reflected dilation (one plan for a line,
+which is its own reflection), the SE plan picks the step from a short
+list (axis, diagonal and knight-like steps up to (3, 1)) that needs the
+fewest table levels plus views; a sift plan is built once per magnitude
+pair and orientation count, and ``ms3d`` reuses it for every slice. The
 filter builds a power-of-two table over the padded slice, level j
 holding the min (max) over 2**j points q, q+v, ... as in van Herk/
 Gil-Werman, and reads each run of width w as one level-k view at p and,
@@ -38,6 +39,7 @@ is bit-equal to it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -247,9 +249,13 @@ def _line_filter(f: np.ndarray, plan: _LinePlan, op, sentinel: float,
 
 def _open_plan(se) -> tuple[_LinePlan, _LinePlan]:
     """Plans of an opening: erosion by the offsets, dilation by their
-    reflection."""
+    reflection. A plan depends only on the offset set, so a symmetric
+    element (every line element is) shares one plan between the two."""
     offs = np.asarray(se, dtype=np.int64)
-    return _line_plan(offs), _line_plan(-offs)
+    erode = _line_plan(offs)
+    if set(map(tuple, offs.tolist())) == set(map(tuple, (-offs).tolist())):
+        return erode, erode
+    return erode, _line_plan(-offs)
 
 
 def _open(f: np.ndarray, plan: tuple[_LinePlan, _LinePlan], scratch: _Scratch) -> np.ndarray:
@@ -286,9 +292,12 @@ def gray_open(f: np.ndarray, se: np.ndarray) -> np.ndarray:
 # sifting
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=64)
 def _sift_plan(ml1: float, ml2: float, n_orient: int):
     """Opening plans of the (long, short) line pair for each
-    orientation theta = n*pi/N, in ascending n."""
+    orientation theta = n*pi/N, in ascending n. Plans are immutable and
+    a run sifts with a few magnitude pairs only, so they are built once
+    per pair."""
     if not (1.0 <= ml1 < ml2):
         raise SiftError(f"need 1 <= ml1 < ml2, got ({ml1}, {ml2})")
     if n_orient < 1:

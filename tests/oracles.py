@@ -308,3 +308,43 @@ def per_feature_best_split(x, w, wp, idx, feat_ids):
     if best is None:
         return None
     return best[1], best[2], parent - best[0]
+
+
+# ---------------------------------------------------------------------------
+# the detection pipeline on full feature vectors
+# ---------------------------------------------------------------------------
+# Composes the package's own stages as ``run_pipeline`` did before it
+# extracted only the features each model splits on: every feature of
+# every candidate, and the survivors' malignancy scores from those same
+# vectors.
+
+def full_vector_pipeline(case, lesion_model, malignancy_model, config):
+    """Detections of ``run_pipeline`` computed from full feature vectors."""
+    from siftcad.candidates import generate_candidates
+    from siftcad.classifiers import predict
+    from siftcad.evaluation import Detection, fuse_labels
+    from siftcad.features import FeatureExtractor
+
+    candidates = generate_candidates(
+        case, m_scales=config.m_scales, n_orient=config.n_orient,
+        t_count=config.t_count, v_min=config.v_min, v_max=config.v_max)
+    extractor = FeatureExtractor(case)
+    vectors = [extractor.extract(cand) for cand in candidates]
+    scores = predict(lesion_model, vectors) if vectors else []
+    kept = [(cand, vec, float(score))
+            for cand, vec, score in zip(candidates, vectors, scores)
+            if score >= config.theta_lesion]
+    detections = [
+        Detection(mask=cand.original_mask(), lesion_score=score,
+                  scale_index=cand.scale_index,
+                  threshold_index=cand.threshold_index)
+        for cand, _, score in kept
+    ]
+    vec_of = {id(d): vec for d, (_, vec, _) in zip(detections, kept)}
+    fused = fuse_labels(detections)
+    if malignancy_model is not None and fused:
+        malig = predict(malignancy_model, [vec_of[id(det)] for det in fused])
+        for det, m in zip(fused, malig):
+            det.malignancy_score = float(m)
+            det.malignant = det.malignancy_score >= config.theta_malig
+    return fused

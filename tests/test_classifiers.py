@@ -24,6 +24,7 @@ from siftcad.classifiers import (
     rf_mtry_grid,
     rusboost_cv_curve,
     save_model,
+    split_features,
     train_rf,
     train_rusboost,
     train_tree,
@@ -423,6 +424,45 @@ def test_batch_scores_equal_one_at_a_time_scores():
         batch = predict(model, vectors)
         single = np.array([predict(model, v) for v in vectors])
         assert batch.tobytes() == single.tobytes()
+
+
+def test_split_features_are_the_union_of_the_trees_splits():
+    samples = [LabeledSample(_fake_vector(i), 1 if i % 3 else -1, f"c{i % 4}")
+               for i in range(24)]
+    for model in (train_rusboost(samples, n_trees=8, seed=1),
+                  train_rf(samples, seed=1, n_tree_grid=(15,), m_try_grid=(4,))):
+        want = sorted({int(f) for t in model.trees for f in t.feature if f >= 0})
+        assert split_features(model).tolist() == want
+        assert split_features(model.trees[0]).tolist() == \
+            sorted({int(f) for f in model.trees[0].feature if f >= 0})
+    assert split_features(RusBoostModel((), np.zeros(0), 0.1)).size == 0
+
+
+def test_predict_refuses_non_finite_read_features_only():
+    samples = [LabeledSample(_fake_vector(i), 1 if i % 3 else -1, f"c{i % 4}")
+               for i in range(24)]
+    vectors = [s.features for s in samples]
+    for model in (train_rusboost(samples, n_trees=8, seed=1),
+                  train_rf(samples, seed=1, n_tree_grid=(15,), m_try_grid=(4,))):
+        read = split_features(model)
+        unread = np.setdiff1d(np.arange(len(FEATURE_SCHEMA)), read)
+        assert read.size and unread.size
+        want = predict(model, vectors)
+        holed = []
+        for v in vectors:
+            values = v.values.copy()
+            values[unread] = np.nan
+            holed.append(FeatureVector(values))
+        assert predict(model, holed).tobytes() == want.tobytes()
+        assert predict(model, holed[0]) == want[0]
+        for k, value in ((read[0], np.nan), (read[-1], np.inf)):
+            values = vectors[1].values.copy()
+            values[k] = value
+            bad = FeatureVector(values)
+            with pytest.raises(ValueError, match=f"feature {FEATURE_SCHEMA[k]} "):
+                predict(model, [vectors[0], bad])
+            with pytest.raises(ValueError, match=FEATURE_SCHEMA[k]):
+                predict(model, bad)
 
 
 def test_labeled_sample_validation():

@@ -1,14 +1,16 @@
 """Tests for the command-line interface."""
 
+import hashlib
 import json
 import shutil
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from siftcad import cli, evaluation
-from siftcad.classifiers import model_to_dict, train_rf
+from siftcad.classifiers import model_to_dict, train_rf, train_rusboost
 from siftcad.candidates import DEFAULT_V_MAX, DEFAULT_V_MIN, diameter_to_volume
 from siftcad.features import FEATURE_SCHEMA
 from siftcad.cli import (
@@ -20,7 +22,15 @@ from siftcad.cli import (
     main,
 )
 from siftcad.morphosift import lse_magnitudes, ms3d, normalize16
-from siftcad.nrrd_io import load_case, load_manifest, load_mask, save_mask, save_volume
+from siftcad.nrrd_io import (
+    load_case,
+    load_manifest,
+    load_mask,
+    save_manifest,
+    save_mask,
+    save_volume,
+)
+from siftcad.phantom import generate_suite
 from siftcad.volume import BinaryMask, VolumeError, subtract
 
 
@@ -210,6 +220,7 @@ class TestBadModelFiles:
         (_LESION, _drop("kind"), "'kind'"),
         (_LESION, _set("kind", "boosted"), "'boosted'"),
         (_LESION, _drop("schema_id"), "'schema_id'"),
+        (_LESION, _set("schema_id", "siftcad-features-0"), "'schema_id'"),
         (_LESION, _drop("trees"), "'trees'"),
         (_LESION, _set("trees", {"0": {}}), "'trees'"),
         (_LESION, _set("trees", [[]]), "trees[0]"),
@@ -234,6 +245,7 @@ class TestBadModelFiles:
         "no-kind",
         "unknown-kind",
         "no-schema-id",
+        "foreign-schema-id",
         "no-trees",
         "trees-not-list",
         "tree-not-object",
@@ -265,6 +277,30 @@ class TestBadModelFiles:
         assert rc == EXIT_RUNTIME
         err = capsys.readouterr().err
         assert name in err and field in err
+        assert not (tmp_path / "det").exists()
+
+    @pytest.mark.parametrize("name", [_LESION, _MALIGNANCY])
+    def test_detect_rejects_another_feature_count_before_reading_cases(
+            self, workspace, docs, tmp_path, capsys, monkeypatch, name):
+        rng = np.random.default_rng(1)
+        x = rng.normal(size=(12, len(FEATURE_SCHEMA) - 1))
+        y = np.array([1.0, -1.0] * 6)
+        narrow = (train_rusboost(x, y, n_trees=3, seed=0) if name == _LESION else
+                  train_rf(x, y, seed=0, n_tree_grid=(3,), m_try_grid=(2,)))
+        models = tmp_path / "models"
+        models.mkdir()
+        for fname, doc in {**docs, name: model_to_dict(narrow)}.items():
+            (models / fname).write_text(json.dumps(doc))
+
+        def no_case(record):
+            raise AssertionError("a case was read before the models were checked")
+
+        monkeypatch.setattr(cli, "load_case", no_case)
+        rc = main(["detect", "--manifest", str(workspace / "data/manifest.json"),
+                   "--models", str(models), "--out", str(tmp_path / "det")])
+        assert rc == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert name in err and "'n_features'" in err and str(len(FEATURE_SCHEMA)) in err
         assert not (tmp_path / "det").exists()
 
 
@@ -418,3 +454,56 @@ class TestPipelineCommands:
         assert rc == EXIT_OK
         assert (out / "detections.json").read_bytes() == \
             (workspace / "det/detections.json").read_bytes()
+
+
+# SHA-256 of what phantom -> train -> detect writes for a 4-case suite, and
+# each case's candidate count, frozen from the implementation that extracted
+# every feature of every candidate (numpy 2.4, scipy 1.17, x86-64)
+_GOLDEN_MODELS = {
+    "lesion_model.json": "f62a36a0fc39c21d250a34fa16d9259c0caa2672e33c0f1ce125e3b76f426126",
+    "malignancy_model.json": "cfed84dd5e6a5666c9083afb61d2188536403c038495826839bb7a006a3769f0",
+}
+_GOLDEN_DETECTIONS = "81011744344b00bb3f3a1a5388462025a133d9708bdc47830dd3e78e4a6b1ed4"
+_GOLDEN_MASKS = {
+    "phantom_000_detection_000.nrrd": "59139be5616d00c902c2ef343d79d9513239a44c5599e03aed5f765289033f25",
+    "phantom_001_detection_000.nrrd": "de438c275dc1a8c8caa2100a0caea450c21542761f6b3012ab7378d37a5656ad",
+    "phantom_002_detection_000.nrrd": "ac3b52fbcb03e135fff98b19f846741dc0858cb51c4875fa6ff4136a41ab4945",
+    "phantom_003_detection_000.nrrd": "b71cd33cad2ad8c2591730b42f38cd81e0ff8411eefd81b1fdd3d9df0611a018",
+}
+_GOLDEN_CANDIDATES = {"phantom_000": 28, "phantom_001": 24, "phantom_002": 24,
+                      "phantom_003": 27}
+
+
+def test_end_to_end_outputs_match_frozen_golden(tmp_path, monkeypatch):
+    # three train cases: the kinetic classes cycle M, M, B, so the third
+    # holds the benign lesion the malignancy model needs
+    records = generate_suite(4, 3, tmp_path / "data", dims=(64, 64, 32),
+                             diameter_range_mm=(5.0, 12.0))
+    records = [replace(r, split="train" if i < 3 else "test")
+               for i, r in enumerate(records)]
+    manifest = tmp_path / "data" / "manifest.json"
+    save_manifest(manifest, records)
+    assert main(["train", "--manifest", str(manifest), "--out", str(tmp_path / "models"),
+                 "--n-trees", "20", "--seed", "3"]) == EXIT_OK
+
+    counts = {}
+    generate = evaluation.generate_candidates
+
+    def counted(case, **kw):
+        cands = generate(case, **kw)
+        counts[case.case_id] = len(cands)
+        return cands
+
+    monkeypatch.setattr(evaluation, "generate_candidates", counted)
+    det = tmp_path / "det"
+    assert main(["detect", "--manifest", str(manifest), "--models", str(tmp_path / "models"),
+                 "--out", str(det), "--split", "all"]) == EXIT_OK
+
+    def sha(path):
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    assert {p.name: sha(p) for p in (tmp_path / "models").glob("*_model.json")} == \
+        _GOLDEN_MODELS
+    assert counts == _GOLDEN_CANDIDATES
+    assert sha(det / "detections.json") == _GOLDEN_DETECTIONS
+    assert {p.name: sha(p) for p in (det / "masks").iterdir()} == _GOLDEN_MASKS

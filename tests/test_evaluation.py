@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from siftcad import evaluation
+from siftcad.candidates import generate_candidates
+from siftcad.classifiers import DecisionTree, RandomForestModel, RusBoostModel
 from siftcad.evaluation import (
     Detection,
     DetectionMetrics,
@@ -23,11 +25,12 @@ from siftcad.evaluation import (
     write_report_json,
     write_roc_csv,
 )
+from siftcad.features import FEATURE_SCHEMA, FeatureExtractor
 from siftcad.nrrd_io import load_mask
 from siftcad.volume import BinaryMask, VolumeError, dsi
 
 from helpers import make_mini_case
-from oracles import ball_mask
+from oracles import ball_mask, full_vector_pipeline
 
 DIMS = (16, 16, 8)
 SP = (1.0, 1.0, 1.0)
@@ -291,6 +294,7 @@ def test_malignancy_unscored_detections_ignored():
 
 class _ConstModel:
     schema_id = None
+    trees = ()
 
     def __init__(self, p):
         self.p = p
@@ -348,6 +352,61 @@ def test_pipeline_scores_each_stage_in_one_batch():
     assert len(out) >= 1
     assert len(lesion.batch_sizes) == 1 and lesion.batch_sizes[0] >= len(out)
     assert malignancy.batch_sizes == [len(out)]
+
+
+# two features of each costly feature group
+_GROUP_FEATURES = {
+    "fit": ("fit_rmse", "fit_beta"),
+    "core_rim": ("blooming", "flag_kinetic_guarded"),
+    "glcm_t2": ("t2_glcm_contrast", "t2_glcm_entropy"),
+    "glcm_dce1": ("dce1_glcm_idm", "dce1_glcm_asm"),
+    "glcm_dcesub": ("dcesub_glcm_correlation", "flag_texture_degenerate"),
+    "margin": ("t2_rgi", "dcesub_margin_sharpness"),
+    "edema": ("edema_t2_p98_20mm", "edema_t2_p92_2mm"),
+    "shape": ("solidity", "esd_mm"),
+}
+
+
+@pytest.fixture(scope="module")
+def stump_case():
+    """A case and a stump maker cutting a feature at its median over the
+    case's candidates, so that every stump splits them."""
+    case = make_mini_case(seed=5, noise=0.3, clutter=2.0)
+    extractor = FeatureExtractor(case)
+    x = np.stack([extractor.extract(rc).values for rc in generate_candidates(case)])
+
+    def stump(name, low, high):
+        k = FEATURE_SCHEMA.index(name)
+        return DecisionTree(
+            feature=np.array([k, -1, -1]), threshold=np.array([np.median(x[:, k]), 0.0, 0.0]),
+            left=np.array([1, -1, -1]), right=np.array([2, -1, -1]),
+            value=np.array([0.5, low, high]), n_features=len(FEATURE_SCHEMA))
+
+    return case, stump
+
+
+@pytest.mark.parametrize("group", list(_GROUP_FEATURES))
+def test_pipeline_equals_full_vector_oracle(stump_case, group):
+    # the lesion model splits on an intensity feature and on the group;
+    # the malignancy model on the group and on the next group
+    case, stump = stump_case
+    names = list(_GROUP_FEATURES)
+    first, second = _GROUP_FEATURES[group]
+    other = _GROUP_FEATURES[names[(names.index(group) + 1) % len(names)]][0]
+    lesion = RusBoostModel((stump("t2_mean", 0.0, 1.0), stump(first, 0.0, 1.0),
+                            stump(second, 1.0, 0.0)),
+                           np.array([1.0, 2.5, 0.5]), 0.1)
+    malignancy = RandomForestModel((stump(second, 0.0, 1.0), stump(first, 1.0, 0.0),
+                                    stump(other, 0.0, 1.0)), 3, 1)
+    config = RunConfig(theta_lesion=0.5, theta_malig=0.5)
+    got = run_pipeline(case, lesion, malignancy, config)
+    want = full_vector_pipeline(case, lesion, malignancy, config)
+    assert len(got) == len(want) >= 1
+    for a, b in zip(got, want):
+        assert np.array_equal(a.mask.data, b.mask.data)
+        assert (a.lesion_score, a.malignancy_score, a.malignant, a.scale_index,
+                a.threshold_index) == (b.lesion_score, b.malignancy_score, b.malignant,
+                                       b.scale_index, b.threshold_index)
 
 
 @pytest.mark.parametrize("config", [

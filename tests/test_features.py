@@ -511,6 +511,91 @@ def test_phantom_case_features_match_frozen_golden():
     assert digest.hexdigest() == _GOLDEN_CASE_SHA256
 
 
+# ---------------------------------------------------------------------------
+# demand-driven extraction
+# ---------------------------------------------------------------------------
+
+# columns every extraction computes, and the costly groups with their
+# outputs, written out from the schema's definition
+_ALWAYS = {"t1_mean", "t1_std", "t2_mean", "t2_std", "dce0_mean", "dce0_std",
+           "t1_skewness", "t1_kurtosis", "t2_skewness", "t2_kurtosis",
+           "t2_p20", "t2_p90"} | {f"{c}_{s}" for c in ("enh", "var") for s in (
+               "peak", "time_to_peak_s", "uptake_rate", "washout_rate")}
+_COSTLY = {
+    "fit": {"fit_amplitude", "fit_alpha", "fit_beta", "fit_rmse", "flag_fit_fallback"},
+    "core_rim": {"blooming", "peripheral_uptake", "flag_core_empty",
+                 "flag_kinetic_guarded"},
+    **{f"glcm_{seq}": {f"{seq}_glcm_{s}" for s in HARALICK_NAMES}
+       for seq in ("t2", "dce1", "dcesub")},
+    "margin": {f"{seq}_{s}" for seq in ("t2", "dce1", "dcesub")
+               for s in ("margin_sharpness", "rgi")} | {"flag_margin_shell_empty"},
+    "edema": {n for n in FEATURE_SCHEMA if n.startswith("edema_")}
+    | {"flag_edema_shell_empty"},
+    "shape": {"esd_mm", "extent", "solidity", "irregularity", "fat_fraction"},
+}
+_GLCM = ("glcm_t2", "glcm_dce1", "glcm_dcesub")
+
+
+def _computed(need_names: set) -> np.ndarray:
+    """Schema mask of the columns an extraction for ``need_names`` fills."""
+    groups = {g for g, names in _COSTLY.items() if names & need_names}
+    if "flag_texture_degenerate" in need_names:
+        groups |= set(_GLCM)
+    names = set(_ALWAYS).union(*(_COSTLY[g] for g in groups))
+    if groups.issuperset(_GLCM):
+        names.add("flag_texture_degenerate")
+    return np.array([n in names for n in FEATURE_SCHEMA])
+
+
+def test_group_table_covers_the_schema_once():
+    names = [n for g in _COSTLY.values() for n in g] + sorted(_ALWAYS)
+    assert len(names) == len(set(names)) == len(FEATURE_SCHEMA) - 1
+    assert set(FEATURE_SCHEMA) - set(names) == {"flag_texture_degenerate"}
+
+
+@pytest.fixture(scope="module")
+def golden_case_vectors():
+    """Three candidates per scale of the golden phantom case, with their
+    full feature vectors."""
+    spec = suite_specs(1, 5, dims=(64, 64, 32), diameter_range_mm=(5.0, 12.0))[0]
+    case, _, _ = generate_case(spec)
+    by_scale = {}
+    for rc in generate_candidates(case):
+        by_scale.setdefault(rc.scale_index, []).append(rc)
+    assert sorted(by_scale) == [1, 2, 3]
+    cands = [rcs[k] for rcs in by_scale.values() for k in (0, len(rcs) // 2, -1)]
+    extractor = FeatureExtractor(case)
+    return extractor, cands, [extractor.extract(rc).values for rc in cands]
+
+
+def _check_partial(extractor, rc, full, need_names):
+    need = [FEATURE_SCHEMA.index(n) for n in need_names]
+    got = extractor.extract(rc, need).values
+    computed = _computed(set(need_names))
+    assert np.isnan(got[~computed]).all()
+    assert got[computed].tobytes() == full[computed].tobytes()
+
+
+@pytest.mark.parametrize("group", [*_COSTLY, "texture_flag", "none"])
+def test_each_group_alone_equals_full_extraction(golden_case_vectors, group):
+    extractor, cands, fulls = golden_case_vectors
+    need_names = {**_COSTLY, "texture_flag": {"flag_texture_degenerate"},
+                  "none": set()}[group]
+    for rc, full in zip(cands, fulls):
+        _check_partial(extractor, rc, full, need_names)
+
+
+def test_random_feature_subsets_equal_full_extraction(golden_case_vectors):
+    extractor, cands, fulls = golden_case_vectors
+    rng = np.random.default_rng(8)
+    for i in range(50):
+        size = int(rng.integers(1, 9))
+        need_names = {FEATURE_SCHEMA[k] for k in
+                      rng.choice(len(FEATURE_SCHEMA), size=size, replace=False)}
+        for k in (i % 3, 3 + i % 3, 6 + i % 3):  # one candidate per scale
+            _check_partial(extractor, cands[k], fulls[k], need_names)
+
+
 def test_feature_vector_validation():
     with pytest.raises(VolumeError):
         FeatureVector(np.zeros(3))

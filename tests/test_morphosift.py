@@ -7,6 +7,8 @@ from siftcad.candidates import DEFAULT_V_MAX, DEFAULT_V_MIN
 from siftcad.morphosift import (
     _BLOCK_VOXELS,
     _line_plan,
+    _open_plan,
+    _sift_plan,
     LinearSE,
     MagnitudePlan,
     SiftError,
@@ -183,6 +185,32 @@ class TestLinePlan:
         plan = _line_plan(rasterize_lse(22.5, math.pi / 10))
         assert plan.step == (3, 1)
         assert len(plan.views) == 4 and plan.levels == 3
+
+
+    def test_line_elements_share_one_plan_for_opening(self):
+        for mag in (3.08, 5.71, 9.0, 22.5, 31.0):
+            for n in range(10):
+                offs = rasterize_lse(mag, n * math.pi / 10)
+                erode, dilate = _open_plan(offs)
+                assert dilate is erode
+                assert _line_plan(-offs) == erode
+
+    def test_asymmetric_element_dilates_by_its_reflection(self):
+        offs = np.array([[0, 0], [1, 0], [2, 1]])
+        erode, dilate = _open_plan(offs)
+        assert dilate == _line_plan(-offs)
+        assert dilate != erode
+
+    def test_sift_plans_are_built_once_per_magnitude_pair(self):
+        vol = Volume3D(np.random.default_rng(2).random((12, 12, 6)), (1.0, 1.0, 1.0))
+        plan = MagnitudePlan(axial=(2.0, 5.0), sagittal=(2.0, 4.0),
+                             coronal=(2.0, 4.0), ml1_mm=2.0, ml2_mm=5.0)
+        _sift_plan.cache_clear()
+        first = ms3d(vol, plan, 4).data
+        second = ms3d(vol, plan, 4).data
+        info = _sift_plan.cache_info()
+        assert (info.misses, info.hits) == (2, 4)
+        assert np.array_equal(first, second)
 
 
 class TestMs2d:
