@@ -16,6 +16,7 @@ training is bit-reproducible.
 from __future__ import annotations
 
 import heapq
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -213,109 +214,169 @@ class DecisionTree:
         return cls(n_features=n_features, **arrays)
 
 
-def _node_value(w: np.ndarray, wp: np.ndarray) -> float:
-    wt = w.sum()
-    return float(wp.sum() / wt) if wt > 0 else 0.5
-
-
 def _weighted_gini(wt, wpt):
-    # total-weight-scaled Gini impurity: w * (1 - p^2 - q^2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        g = wt - (wpt ** 2 + (wt - wpt) ** 2) / wt
+    # total-weight-scaled Gini impurity: w * (1 - p^2 - q^2); callers
+    # silence the 0/0 of an empty side, which this maps to 0
+    g = wt - (wpt ** 2 + (wt - wpt) ** 2) / wt
     return np.where(wt > 0, g, 0.0)
 
 
-def _best_split(x, w, wp, idx, feat_ids):
-    """Lowest-impurity (feature, threshold, gain) for one node.
+# lanes x features x samples of one batched split search: each of its
+# work arrays stays near 256 KB of float64 however many nodes a step scores
+_SPLIT_CELLS = 1 << 15
 
-    Every (feature, cut) pair of the node is scored in one pass over the
-    node's sorted ``(n, k)`` block. Thresholds are midpoints between
-    consecutive distinct values and samples with x < threshold go left.
-    Ties resolve to the lowest feature index, then the lowest threshold.
+
+def _best_splits(x, row, weights, slots, feats) -> list:
+    """Lowest-impurity (feature, threshold, gain) of each node, or None.
+
+    Lane i is the node of sample slots ``slots[i]``: rows ``row[slots[i]]``
+    of ``x``, with weights ``weights[0, slots[i]]`` and positive-class
+    weights ``weights[1, slots[i]]``, searched over the features
+    ``feats[i]``; all lanes hold the same number of samples. Every
+    (feature, cut) pair of every lane is scored in one pass over the
+    ``(lanes, features, samples)`` block, sorted along the samples.
+    Thresholds are midpoints between consecutive distinct values and
+    samples with x < threshold go left. Ties resolve to the lowest
+    feature, then the lowest threshold.
     """
-    wn = w[idx]
-    wpn = wp[idx]
-    wt = wn.sum()
-    wpt = wpn.sum()
-    parent = float(_weighted_gini(np.array(wt), np.array(wpt)))
-    xs = x[np.ix_(idx, feat_ids)]
-    order = np.argsort(xs, axis=0, kind="stable")
-    xs = np.take_along_axis(xs, order, axis=0)
-    valid = xs[:-1] < xs[1:]
-    if not valid.any():
-        return None
-    # column cumsums accumulate in row order, bit-equal to 1-D cumsums
-    wl = np.cumsum(wn[order], axis=0)[:-1]
-    wpl = np.cumsum(wpn[order], axis=0)[:-1]
-    total = _weighted_gini(wl, wpl) + _weighted_gini(wt - wl, wpt - wpl)
+    g, k = slots.shape
+    m = feats.shape[1]
+    lane = np.arange(g)
+    wk = weights[:2].take(slots, axis=1)
+    # row sums of a C-contiguous block are bit-equal to each row's 1-D sum
+    wt, wpt = np.add.reduce(wk, axis=2)
+    xs = x.take(row[slots][:, None, :] * x.shape[1] + feats[:, :, None])
+    # the stable rank order of each (lane, feature) row, then the flat
+    # (lane, sample) position of each rank
+    at = xs.argsort(axis=2, kind="stable")
+    xs = xs.take(at + k * np.arange(g * m).reshape(g, m, 1))
+    valid = xs[:, :, :-1] < xs[:, :, 1:]
+    at += (k * lane)[:, None, None]
+    # cumsums accumulate in rank order, bit-equal to 1-D cumsums; the cut
+    # after the last rank is no cut
+    wl, wpl = wk.reshape(2, -1).take(at[:, :, :-1], axis=1).cumsum(axis=3)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        parent = _weighted_gini(wt, wpt)
+        total = _weighted_gini(wl, wpl) + _weighted_gini(
+            wt[:, None, None] - wl, wpt[:, None, None] - wpl)
     total[~valid] = np.inf
-    # feature-major flattening: the first minimum is the lowest feature,
+    # rows are feature-major: the first minimum is the lowest feature,
     # then the lowest cut
-    f, c = divmod(int(np.argmin(total.T)), len(total))
-    thr = 0.5 * (xs[c, f] + xs[c + 1, f])
-    return feat_ids[f], float(thr), parent - float(total[c, f])
+    best = total.reshape(g, -1).argmin(axis=1)
+    f, c = np.divmod(best, k - 1)
+    thr = 0.5 * (xs[lane, f, c] + xs[lane, f, c + 1])
+    gain = parent - total.reshape(g, -1)[lane, best]
+    return [(fi, ti, gi) if ok else None for ok, fi, ti, gi in zip(
+        valid.any(axis=(1, 2)).tolist(), feats[lane, f].tolist(),
+        thr.tolist(), gain.tolist())]
 
 
-def _grow_tree(x, y, w, max_splits, m_try, rng) -> DecisionTree:
-    n, nf = x.shape
-    wp = np.where(y > 0, w, 0.0)
-    feature, threshold, left, right, value = [], [], [], [], []
+class _Growth:
+    """One tree's node arrays and open-node heap while it grows."""
 
-    def new_node(idx) -> int:
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        value.append(_node_value(w[idx], wp[idx]))
-        return len(feature) - 1
+    __slots__ = ("feature", "threshold", "left", "right", "value", "heap", "splits")
 
-    def splittable(idx) -> bool:
-        if idx.size < 2:
-            return False
-        yn, wn = y[idx], w[idx]
-        return bool((wn[yn > 0] > 0).any() and (wn[yn < 0] > 0).any())
+    def __init__(self):
+        self.feature, self.threshold, self.left, self.right = [], [], [], []
+        self.value, self.heap, self.splits = [], [], 0
 
-    def propose(node_id, idx, counter):
-        if not splittable(idx):
-            return None
-        ids = np.arange(nf) if m_try is None else np.sort(
-            rng.choice(nf, size=m_try, replace=False))
-        found = _best_split(x, w, wp, idx, ids)
-        if found is None:
-            return None
-        f, thr, gain = found
-        return (-gain, counter, node_id, idx, f, thr)
+    def add(self) -> int:
+        self.feature.append(-1)
+        self.threshold.append(0.0)
+        self.left.append(-1)
+        self.right.append(-1)
+        self.value.append(0.5)
+        return len(self.feature) - 1
 
-    heap = []
-    counter = 0
-    root_idx = np.arange(n)
-    new_node(root_idx)
-    entry = propose(0, root_idx, counter)
-    if entry is not None:
-        heapq.heappush(heap, entry)
-    splits = 0
-    while heap and splits < max_splits:
-        _, _, node_id, idx, f, thr = heapq.heappop(heap)
-        go = x[idx, f] < thr
-        li, ri = idx[go], idx[~go]
-        feature[node_id] = f
-        threshold[node_id] = thr
-        left[node_id] = new_node(li)
-        right[node_id] = new_node(ri)
-        splits += 1
-        for child_id, child_idx in ((left[node_id], li), (right[node_id], ri)):
-            counter += 1
-            entry = propose(child_id, child_idx, counter)
-            if entry is not None:
-                heapq.heappush(heap, entry)
-    return DecisionTree(
-        feature=np.asarray(feature, dtype=np.int64),
-        threshold=np.asarray(threshold, dtype=np.float64),
-        left=np.asarray(left, dtype=np.int64),
-        right=np.asarray(right, dtype=np.int64),
-        value=np.asarray(value, dtype=np.float64),
-        n_features=nf,
-    )
+    def tree(self, nf) -> DecisionTree:
+        return DecisionTree(
+            feature=np.asarray(self.feature, dtype=np.int64),
+            threshold=np.asarray(self.threshold, dtype=np.float64),
+            left=np.asarray(self.left, dtype=np.int64),
+            right=np.asarray(self.right, dtype=np.int64),
+            value=np.asarray(self.value, dtype=np.float64),
+            n_features=nf,
+        )
+
+
+def _grow_trees(x, y, rows, weights, rngs, m_try, max_splits) -> list:
+    """Best-first weighted-Gini CARTs grown in lockstep: tree t is fit on
+    the rows ``rows[t]`` of ``x`` (repeats allowed) with position weights
+    ``weights[t]`` and draws its features from ``rngs[t]``.
+
+    A tree numbers its nodes in creation order. Each step, every tree
+    with split budget left splits its open node of largest gain (the
+    earliest on ties) and appends the left, then the right child. Then
+    each tree draws, in creation order, ``m_try`` features (all when
+    None) for each new node that holds positive weight in both classes,
+    and the new nodes of all trees are scored together, grouped by
+    sample count. Each tree equals the one grown alone, bit for bit.
+    """
+    x = np.ascontiguousarray(x)  # read through flat indices
+    nf = x.shape[1]
+    row = np.concatenate(rows)  # tree t owns a run of these sample slots
+    w = np.concatenate(weights)
+    wp = np.where(y[row] > 0, w, 0.0)
+    ww = np.array((w, wp, w - wp))  # all, positive and negative class
+    every = np.arange(nf)
+    grown = [_Growth() for _ in rows]
+    end = list(itertools.accumulate(len(r) for r in rows))
+    born = [(t, grown[t].add(), np.arange(e - len(r), e))
+            for t, (r, e) in enumerate(zip(rows, end))]
+    active = range(len(rows))
+    while born:
+        groups = {}
+        for i, (_, _, s) in enumerate(born):
+            groups.setdefault(len(s), []).append(i)
+        blocks = []
+        for k, lanes in groups.items():
+            s = np.array([born[i][2] for i in lanes])
+            # bit-equal to each node's 1-D sums; a sum of non-negative
+            # weights is positive iff one of them is
+            sums = np.add.reduce(ww.take(s, axis=1), axis=2).tolist()
+            split = []
+            for j, (i, wt, wpt, wnt) in enumerate(zip(lanes, *sums)):
+                t, node, _ = born[i]
+                grown[t].value[node] = wpt / wt if wt > 0 else 0.5
+                if wpt > 0 and wnt > 0:
+                    split.append(j)
+            if split:
+                lanes = [lanes[j] for j in split]
+                blocks.append((k, lanes, s if len(split) == len(s) else s[split]))
+        # each tree draws in its creation order
+        feats = dict.fromkeys(sorted(i for _, lanes, _ in blocks for i in lanes), every)
+        if m_try is not None:
+            for i in feats:
+                feats[i] = rngs[born[i][0]].choice(nf, size=m_try, replace=False)
+        for k, lanes, s in blocks:
+            step = max(1, _SPLIT_CELLS // (k * (m_try or nf)))
+            for a in range(0, len(lanes), step):
+                chunk = lanes[a:a + step]
+                f = np.array([feats[i] for i in chunk])
+                if m_try is not None:
+                    f.sort(axis=1)
+                for i, found in zip(chunk, _best_splits(x, row, ww, s[a:a + step], f)):
+                    if found is not None:
+                        t, node, slots = born[i]
+                        feature, thr, gain = found
+                        heapq.heappush(grown[t].heap, (-gain, node, slots, feature, thr))
+        born, growing = [], []
+        for t in active:
+            g = grown[t]
+            if not g.heap or g.splits >= max_splits:
+                continue
+            growing.append(t)
+            _, node, slots, feature, thr = heapq.heappop(g.heap)
+            go = x[row[slots], feature] < thr
+            g.feature[node] = feature
+            g.threshold[node] = thr
+            g.left[node] = g.add()
+            g.right[node] = g.add()
+            g.splits += 1
+            born.append((t, g.left[node], slots[go]))
+            born.append((t, g.right[node], slots[~go]))
+        active = growing
+    return [g.tree(nf) for g in grown]
 
 
 def _as_xy(samples_or_x, y):
@@ -357,7 +418,7 @@ def train_tree(samples_or_x, y=None, *, sample_weight=None, max_splits=None,
     if m_try is not None and not 1 <= m_try <= nf:
         raise ValueError(f"m_try must be in [1, {nf}]")
     rng = np.random.default_rng(seed)
-    return _grow_tree(x, yy, w, max_splits, m_try, rng)
+    return _grow_trees(x, yy, [np.arange(n)], [w], [rng], m_try, max_splits)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -427,8 +488,8 @@ def train_rusboost(samples_or_x, y=None, *, n_trees=DEFAULT_N_TREES,
                 [minority, rng.choice(majority, size=minority.size,
                                       replace=False)]))
             wsub = w[sub]
-            tree = _grow_tree(x[sub], yy[sub], wsub / wsub.sum(),
-                              max_splits, None, rng)
+            (tree,) = _grow_trees(x, yy, [sub], [wsub / wsub.sum()], [rng],
+                                  None, max_splits)
             h = tree.predict_class(x)
             eps = float(w[h != yy].sum())
             if eps < 0.5:
@@ -455,22 +516,28 @@ def train_rusboost(samples_or_x, y=None, *, n_trees=DEFAULT_N_TREES,
 
 @dataclass(frozen=True, eq=False)
 class RandomForestModel:
-    """Bagged trees; probability = fraction of trees voting positive."""
+    """Bagged trees; probability = fraction of trees voting positive.
+
+    ``oob_grid`` holds the ``(n_tree, m_try, oob_mse)`` points that
+    ``train_rf`` scored to choose the model; model files do not carry it.
+    """
 
     trees: tuple
     n_tree: int
     m_try: int
     schema_id: str | None = None
     oob_error: float = float("nan")
+    oob_grid: tuple = ()
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2:
             raise ValueError("expected a 2D feature matrix")
-        votes = np.zeros(len(x))
-        for tree in self.trees:
-            votes += tree.predict_proba(x) >= 0.5
-        return votes / len(self.trees)
+        nf = self.trees[0].n_features
+        if x.shape[1] != nf:
+            raise ValueError(f"expected (n, {nf}) inputs, got {x.shape}")
+        # vote counts are small integers, exact in any order
+        return _positive_votes(self.trees, x).sum(axis=0) / len(self.trees)
 
 
 def rf_mtry_grid(n_features: int) -> tuple[int, ...]:
@@ -485,15 +552,51 @@ def rf_mtry_grid(n_features: int) -> tuple[int, ...]:
     return tuple(int(v) for v in np.unique(vals))
 
 
-def _grow_forest(x, y, n_tree, m_try, seeds):
+def _bootstrap_forest(x, y, m_try, seeds):
+    """One tree per seed on a sorted bootstrap draw of the rows, all grown
+    together; returns the trees and the (trees, n) bootstrap draws."""
     n = len(x)
-    uniform = np.full(n, 1.0 / n)
-    trees = []
-    for t in range(n_tree):
-        rng = np.random.default_rng(seeds[t])
-        boot = np.sort(rng.integers(0, n, size=n))
-        trees.append(_grow_tree(x[boot], y[boot], uniform, n, m_try, rng))
-    return trees
+    rngs = [np.random.default_rng(s) for s in seeds]
+    boots = np.sort([rng.integers(0, n, size=n) for rng in rngs], axis=1)
+    trees = _grow_trees(x, y, boots, [np.full(n, 1.0 / n)] * len(boots), rngs,
+                        m_try, n)
+    return trees, boots
+
+
+def _positive_votes(trees, x) -> np.ndarray:
+    """(trees, rows) mask of the rows of ``x`` each tree votes positive,
+    as ``tree.predict_proba(x) >= 0.5``, descending all trees together
+    in blocks of at most ``_SPLIT_CELLS`` (tree, row) pairs."""
+    n = len(x)
+    out = np.empty((len(trees), n), dtype=bool)
+    col = np.arange(n)
+    step = max(1, _SPLIT_CELLS // max(1, n))
+    for a in range(0, len(trees), step):
+        block = trees[a:a + step]
+        base = np.cumsum([0] + [len(t.feature) for t in block[:-1]])
+        feature = np.concatenate([t.feature for t in block])
+        threshold = np.concatenate([t.threshold for t in block])
+        left = np.concatenate([t.left + b for t, b in zip(block, base)])
+        right = np.concatenate([t.right + b for t, b in zip(block, base)])
+        node = np.repeat(base, n).reshape(len(block), n)
+        inner = feature[node] >= 0
+        while inner.any():
+            # a leaf reads column -1 here and keeps its node
+            go = x[col, feature[node]] < threshold[node]
+            node = np.where(inner, np.where(go, left[node], right[node]), node)
+            inner = feature[node] >= 0
+        value = np.concatenate([t.value for t in block])
+        out[a:a + len(block)] = value[node] >= 0.5
+    return out
+
+
+def _oob_votes(x, y, m_try, seeds):
+    """(positive out-of-bag votes, out-of-bag) masks, (trees, rows), of
+    the bootstrap forest of ``seeds``; the forest itself is dropped."""
+    trees, boots = _bootstrap_forest(x, y, m_try, seeds)
+    oob = np.ones(boots.shape, dtype=bool)
+    oob[np.arange(len(boots))[:, None], boots] = False
+    return oob & _positive_votes(trees, x), oob
 
 
 def train_rf(samples_or_x, y=None, *, seed=None, n_tree_grid=None,
@@ -504,7 +607,8 @@ def train_rf(samples_or_x, y=None, *, seed=None, n_tree_grid=None,
     and every tree-count grid point is scored from the out-of-bag votes
     of its prefix (samples never out-of-bag are excluded from the MSE).
     The lowest-MSE point wins, ties toward fewer trees then fewer
-    features per split, and the final model is refit on all samples.
+    features per split, and the final model is refit on all samples;
+    its ``oob_grid`` lists every point scored.
     """
     x, yy, _, inferred = _as_xy(samples_or_x, y)
     schema_id = schema_id if schema_id is not None else inferred
@@ -516,34 +620,24 @@ def train_rf(samples_or_x, y=None, *, seed=None, n_tree_grid=None,
     root = np.random.SeedSequence(seed)
     children = root.spawn(len(m_try_grid) + 1)
     max_trees = n_tree_grid[-1]
-    uniform = np.full(n, 1.0 / n)
     mse = {}
     for mi, m in enumerate(m_try_grid):
-        seeds = children[mi].spawn(max_trees)
+        hit, oob = _oob_votes(x, yy, m, children[mi].spawn(max_trees))
+        # vote counts are small integers, exact in float64 in any order
         vote_sum = np.zeros(n)
         vote_cnt = np.zeros(n)
-        marks = set(n_tree_grid)
-        for t in range(max_trees):
-            rng = np.random.default_rng(seeds[t])
-            boot = np.sort(rng.integers(0, n, size=n))
-            tree = _grow_tree(x[boot], yy[boot], uniform, n, m, rng)
-            oob = np.flatnonzero(np.bincount(boot, minlength=n) == 0)
-            if oob.size:
-                vote_sum[oob] += tree.predict_proba(x[oob]) >= 0.5
-                vote_cnt[oob] += 1
-            if t + 1 in marks:
-                covered = vote_cnt > 0
-                pred = 2.0 * (vote_sum[covered] / vote_cnt[covered]) - 1.0
-                mse[(t + 1, m)] = float(((pred - yy[covered]) ** 2).mean())
-    best = None
-    for nt in n_tree_grid:
-        for m in m_try_grid:
-            if best is None or mse[(nt, m)] < best[0]:
-                best = (mse[(nt, m)], nt, m)
-    _, n_best, m_best = best
-    final_seeds = children[-1].spawn(n_best)
-    trees = _grow_forest(x, yy, n_best, m_best, final_seeds)
-    return RandomForestModel(tuple(trees), n_best, m_best, schema_id, best[0])
+        done = 0
+        for nt in n_tree_grid:
+            vote_sum += hit[done:nt].sum(axis=0)
+            vote_cnt += oob[done:nt].sum(axis=0)
+            done = nt
+            covered = vote_cnt > 0
+            pred = 2.0 * (vote_sum[covered] / vote_cnt[covered]) - 1.0
+            mse[(nt, m)] = float(((pred - yy[covered]) ** 2).mean())
+    grid = tuple((nt, m, e) for (nt, m), e in sorted(mse.items()))
+    n_best, m_best, best = min(grid, key=lambda point: point[2])
+    trees, _ = _bootstrap_forest(x, yy, m_best, children[-1].spawn(n_best))
+    return RandomForestModel(tuple(trees), n_best, m_best, schema_id, best, grid)
 
 
 # ---------------------------------------------------------------------------

@@ -216,6 +216,9 @@ def cmd_train(args) -> int:
         "n_trees": len(lesion_model.trees),
         "rf_n_tree": None if malignancy_model is None else malignancy_model.n_tree,
         "rf_m_try": None if malignancy_model is None else malignancy_model.m_try,
+        # [n_tree, m_try, OOB MSE] of every point the forest's size was chosen from
+        "rf_oob_grid": None if malignancy_model is None else
+        [list(point) for point in malignancy_model.oob_grid],
         "seed": config.seed,
     }
     (out / "train_summary.json").write_text(

@@ -108,14 +108,14 @@ _INDEX = {name: k for k, name in enumerate(FEATURE_SCHEMA)}
 ALL_FEATURES = frozenset(range(len(FEATURE_SCHEMA)))
 
 # the costly groups and their outputs; intensity and the enhancement and
-# variance curve summaries are always computed. The texture flag is an
-# output of each GLCM group, so reading it computes all three.
+# variance curve summaries are always computed. The texture flag depends
+# on the region alone, so reading it runs no GLCM.
 _GROUPS = {
     "fit": ("fit_amplitude", "fit_alpha", "fit_beta", "fit_rmse", "flag_fit_fallback"),
     "core_rim": ("blooming", "peripheral_uptake", "flag_core_empty", "flag_kinetic_guarded"),
-    **{f"glcm_{seq}": (*(f"{seq}_glcm_{s}" for s in HARALICK_NAMES),
-                       "flag_texture_degenerate")
+    **{f"glcm_{seq}": tuple(f"{seq}_glcm_{s}" for s in HARALICK_NAMES)
        for seq in MARGIN_SEQUENCES},
+    "texture_flag": ("flag_texture_degenerate",),
     "margin": (*(f"{seq}_{stat}" for seq in MARGIN_SEQUENCES
                  for stat in ("margin_sharpness", "rgi")),
                "flag_margin_shell_empty"),
@@ -293,15 +293,30 @@ def _quantize(vals: np.ndarray, levels: int) -> np.ndarray:
     return q
 
 
+def _pairs(off, dims) -> tuple[tuple, tuple]:
+    """Slices of the first and second voxel of every pair one ``off``
+    step apart on a grid of ``dims``."""
+    src = tuple(slice(max(0, -o), dims[a] - max(0, o)) for a, o in enumerate(off))
+    dst = tuple(slice(max(0, o), dims[a] + min(0, o)) for a, o in enumerate(off))
+    return src, dst
+
+
+def _texture_degenerate(region: BinaryMask, box) -> bool:
+    """True when the region, whose :func:`_index_box` is ``box``, has no
+    two voxels one GLCM step apart (fewer than 2 voxels among them): its
+    co-occurrence matrix is empty whatever the image."""
+    crop = region.data[_box_slices(box, (0, 0, 0), region.dims)]
+    return not any((crop[src] & crop[dst]).any()
+                   for src, dst in (_pairs(off, crop.shape) for off in GLCM_DIRECTIONS))
+
+
 def _pooled_glcm(quant: np.ndarray, region: np.ndarray) -> np.ndarray | None:
     """Symmetric co-occurrence matrix pooled over the 13 directions,
     normalised to unit mass; None when the region has no voxel pairs."""
     levels = GLCM_LEVELS
     counts = np.zeros((levels, levels), dtype=np.float64)
-    dims = region.shape
     for off in GLCM_DIRECTIONS:
-        src = tuple(slice(max(0, -o), dims[a] - max(0, o)) for a, o in enumerate(off))
-        dst = tuple(slice(max(0, o), dims[a] + min(0, o)) for a, o in enumerate(off))
+        src, dst = _pairs(off, region.shape)
         both = region[src] & region[dst]
         if not both.any():
             continue
@@ -750,16 +765,13 @@ class FeatureExtractor:
                 else:
                     out[name] = float(np.percentile(view.t2[shell.data], q))
 
-        degenerate = []
         for seq in MARGIN_SEQUENCES:
-            if f"glcm_{seq}" not in groups:
-                continue
-            stats, flag = haralick_features(region, getattr(view, seq), box)
-            degenerate.append(flag)
-            for stat_name, value in zip(HARALICK_NAMES, stats):
-                out[f"{seq}_glcm_{stat_name}"] = float(value)
-        if len(degenerate) == len(MARGIN_SEQUENCES):
-            out["flag_texture_degenerate"] = 1.0 if any(degenerate) else 0.0
+            if f"glcm_{seq}" in groups:
+                stats, _ = haralick_features(region, getattr(view, seq), box)
+                for stat_name, value in zip(HARALICK_NAMES, stats):
+                    out[f"{seq}_glcm_{stat_name}"] = float(value)
+        if "texture_flag" in groups:
+            out["flag_texture_degenerate"] = float(_texture_degenerate(region, box))
 
         if "margin" in groups:
             margin_shell = field.shell(1.0, 2.0)

@@ -133,7 +133,13 @@ def _read_nrrd(path) -> tuple[np.ndarray, tuple[float, ...]]:
             f"{path}: spacings must be finite and positive, got {fields['spacings']!r}")
 
     if "data file" in fields:
-        raw = (path.parent / fields["data file"]).read_bytes()
+        name = fields["data file"]
+        # the writer names <stem>.raw beside the header; anything else
+        # could read a file outside the dataset
+        if name in ("", ".", "..") or Path(name).name != name or "\\" in name:
+            raise NrrdError(f"{path}: field 'data file' must name a file in the "
+                            f"header's directory, got {name!r}")
+        raw = (path.parent / name).read_bytes()
     else:
         raw = blob[data_offset:]
     expected = int(np.prod(sizes)) * dtype.itemsize
@@ -218,32 +224,75 @@ def save_manifest(path, records: list[CaseRecord]) -> None:
     Path(path).write_text(json.dumps({"cases": cases}, indent=2, sort_keys=True) + "\n")
 
 
+def _text(v) -> bool:
+    return isinstance(v, str)
+
+
+def _texts(v) -> bool:
+    return isinstance(v, list) and all(map(_text, v))
+
+
+def _text_or_null(v) -> bool:
+    return v is None or _text(v)
+
+
+# every case field: (name, required, valid, what a valid value is)
+_CASE_FIELDS = (
+    ("case_id", True, _text, "a string"),
+    ("side", True, _text, "a string"),
+    ("t1", True, _text, "a file name"),
+    ("t2", True, _text, "a file name"),
+    ("dce", True, _texts, "a list of file names"),
+    ("acquisition_times", True, lambda v: isinstance(v, list) and all(
+        isinstance(t, (int, float)) and not isinstance(t, bool) for t in v),
+     "a list of numbers"),
+    ("ground_truth", False, _texts, "a list of file names"),
+    ("malignant", False, lambda v: isinstance(v, list) and all(
+        isinstance(m, int) for m in v), "a list of booleans"),
+    ("split", False, _text, "a string"),
+    ("breast_mask", False, _text_or_null, "a file name or null"),
+    ("fat_mask", False, _text_or_null, "a file name or null"),
+)
+
+
 def load_manifest(path) -> list[CaseRecord]:
+    """Case records of a manifest; NrrdError names the manifest and the
+    first malformed field."""
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise NrrdError(f"{path}: invalid manifest JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise NrrdError(f"{path}: manifest must be a JSON object, not {type(doc).__name__}")
+    cases = doc.get("cases", [])
+    if not isinstance(cases, list):
+        raise NrrdError(f"{path}: manifest field 'cases' must be a list")
     records = []
-    for entry in doc.get("cases", []):
-        try:
-            rec = CaseRecord(
-                case_id=entry["case_id"],
-                side=entry["side"],
-                t1=entry["t1"],
-                t2=entry["t2"],
-                dce=list(entry["dce"]),
-                acquisition_times=[float(t) for t in entry["acquisition_times"]],
-                ground_truth=list(entry.get("ground_truth", [])),
-                malignant=[bool(m) for m in entry.get("malignant", [])],
-                split=entry.get("split", "train"),
-                breast_mask=entry.get("breast_mask"),
-                fat_mask=entry.get("fat_mask"),
-                base_dir=path.parent,
-            )
-        except KeyError as exc:
-            raise NrrdError(f"{path}: manifest case missing field {exc}") from exc
-        records.append(rec)
+    for i, entry in enumerate(cases):
+        where = f"{path}: manifest cases[{i}]"
+        if not isinstance(entry, dict):
+            raise NrrdError(f"{where} must be a JSON object")
+        for name, required, valid, what in _CASE_FIELDS:
+            if name in entry:
+                if not valid(entry[name]):
+                    raise NrrdError(f"{where}: field {name!r} must be {what}")
+            elif required:
+                raise NrrdError(f"{where}: missing field {name!r}")
+        records.append(CaseRecord(
+            case_id=entry["case_id"],
+            side=entry["side"],
+            t1=entry["t1"],
+            t2=entry["t2"],
+            dce=list(entry["dce"]),
+            acquisition_times=[float(t) for t in entry["acquisition_times"]],
+            ground_truth=list(entry.get("ground_truth", [])),
+            malignant=[bool(m) for m in entry.get("malignant", [])],
+            split=entry.get("split", "train"),
+            breast_mask=entry.get("breast_mask"),
+            fat_mask=entry.get("fat_mask"),
+            base_dir=path.parent,
+        ))
     return records
 
 

@@ -7,6 +7,7 @@ input conventions (grid layout, histogram binning, border rule).
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 
@@ -308,6 +309,68 @@ def per_feature_best_split(x, w, wp, idx, feat_ids):
     if best is None:
         return None
     return best[1], best[2], parent - best[0]
+
+
+# ---------------------------------------------------------------------------
+# best-first tree growth, one tree and one node at a time
+# ---------------------------------------------------------------------------
+# The grower the package used before it grew a forest's trees in lockstep:
+# one heap of open nodes keyed (-gain, creation counter), children created
+# left then right, and each splittable child's features drawn from the
+# tree's generator as the child is created.
+
+def grow_tree(x, y, w, max_splits, m_try, rng) -> dict:
+    """``DecisionTree.to_dict()`` of the tree fit on every row of ``x``
+    with position weights ``w`` (``m_try=None``: every feature)."""
+    n, nf = x.shape
+    wp = np.where(y > 0, w, 0.0)
+    feature, threshold, left, right, value = [], [], [], [], []
+
+    def new_node(idx) -> int:
+        wt = w[idx].sum()
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        value.append(float(wp[idx].sum() / wt) if wt > 0 else 0.5)
+        return len(feature) - 1
+
+    def propose(node_id, idx, counter):
+        yn, wn = y[idx], w[idx]
+        if idx.size < 2 or not ((wn[yn > 0] > 0).any() and (wn[yn < 0] > 0).any()):
+            return None
+        ids = np.arange(nf) if m_try is None else np.sort(
+            rng.choice(nf, size=m_try, replace=False))
+        found = per_feature_best_split(x, w, wp, idx, ids)
+        if found is None:
+            return None
+        f, thr, gain = found
+        return (-gain, counter, node_id, idx, int(f), thr)
+
+    heap = []
+    counter = 0
+    root_idx = np.arange(n)
+    new_node(root_idx)
+    entry = propose(0, root_idx, counter)
+    if entry is not None:
+        heapq.heappush(heap, entry)
+    splits = 0
+    while heap and splits < max_splits:
+        _, _, node_id, idx, f, thr = heapq.heappop(heap)
+        go = x[idx, f] < thr
+        li, ri = idx[go], idx[~go]
+        feature[node_id] = f
+        threshold[node_id] = thr
+        left[node_id] = new_node(li)
+        right[node_id] = new_node(ri)
+        splits += 1
+        for child_id, child_idx in ((left[node_id], li), (right[node_id], ri)):
+            counter += 1
+            entry = propose(child_id, child_idx, counter)
+            if entry is not None:
+                heapq.heappush(heap, entry)
+    return {"feature": feature, "threshold": threshold, "left": left,
+            "right": right, "value": value, "n_features": nf}
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,9 @@ import pytest
 
 from siftcad.candidates import candidate_from_mask
 from siftcad.classifiers import (
-    _best_split,
+    _best_splits,
+    _grow_trees,
+    _positive_votes,
     CandidateLabel,
     DecisionTree,
     LabeledSample,
@@ -32,7 +34,7 @@ from siftcad.classifiers import (
 from siftcad.features import FEATURE_SCHEMA, FeatureVector
 from siftcad.volume import BinaryMask
 
-from oracles import ball_mask, per_feature_best_split
+from oracles import ball_mask, grow_tree, per_feature_best_split
 
 
 def _separable_1d(n_neg=6, n_pos=6):
@@ -151,13 +153,20 @@ def _random_node(rng):
     return x, w, wp, idx, feat_ids
 
 
+def _lane_split(x, w, wp, idx, feat_ids):
+    """The batched split search on one node, as a lane of its own."""
+    weights = np.array((w, wp, w - wp))
+    return _best_splits(x, np.arange(len(x)), weights, idx[None],
+                        np.asarray(feat_ids)[None])[0]
+
+
 def test_best_split_equals_per_feature_oracle():
     rng = np.random.default_rng(20240611)
     seen_none = seen_pair = 0
     for _ in range(600):
         x, w, wp, idx, feat_ids = _random_node(rng)
         want = per_feature_best_split(x, w, wp, idx, feat_ids)
-        got = _best_split(x, w, wp, idx, feat_ids)
+        got = _lane_split(x, w, wp, idx, feat_ids)
         assert _split_key(got) == _split_key(want)
         seen_none += want is None
         seen_pair += idx.size == 2
@@ -167,10 +176,120 @@ def test_best_split_equals_per_feature_oracle():
     x = np.array([[1.0, 3.0, 0.0], [1.0, 3.0, 5.0], [1.0, 3.0, 9.0]])
     w = np.full(3, 1.0 / 3)
     wp = np.array([w[0], 0.0, w[2]])
-    assert _best_split(x, w, wp, np.arange(3), np.array([0, 1])) is None
-    assert _split_key(_best_split(x, w, wp, np.arange(3), np.array([0, 2]))) \
+    assert _lane_split(x, w, wp, np.arange(3), np.array([0, 1])) is None
+    assert _split_key(_lane_split(x, w, wp, np.arange(3), np.array([0, 2]))) \
         == _split_key(per_feature_best_split(x, w, wp, np.arange(3),
                                              np.array([0, 2])))
+
+
+def test_batched_lanes_equal_per_feature_oracle():
+    # many nodes of one size in one call, each with its own samples
+    # (through a row map with repeats) and its own feature draw
+    rng = np.random.default_rng(77)
+    for _ in range(60):
+        x, w, wp, _, _ = _random_node(rng)
+        n, nf = x.shape
+        row = rng.integers(0, n, size=3 * n)
+        ws = rng.random(3 * n) * (rng.random(3 * n) < 0.8)
+        wps = np.where(rng.random(3 * n) < 0.4, ws, 0.0)
+        k = int(rng.integers(2, 3 * n + 1))
+        m = int(rng.integers(1, nf + 1))
+        slots = np.array([np.sort(rng.choice(3 * n, size=k, replace=False))
+                          for _ in range(int(rng.integers(1, 9)))])
+        feats = np.array([np.sort(rng.choice(nf, size=m, replace=False))
+                          for _ in slots])
+        got = _best_splits(x, row, np.array((ws, wps, ws - wps)), slots, feats)
+        for lane, found in zip(range(len(slots)), got):
+            # the oracle sees the node as the rows it holds, in slot order
+            rows = row[slots[lane]]
+            want = per_feature_best_split(x[rows], ws[slots[lane]], wps[slots[lane]],
+                                          np.arange(k), feats[lane])
+            assert _split_key(found) == _split_key(want)
+
+
+def _lockstep_inputs(rng, n, nf, n_tree, weighting, single_class=False):
+    """A matrix with a rounded (tied) column, a copied and a constant
+    column, sorted bootstrap rows per tree, and per-tree weights."""
+    x = rng.normal(size=(n, nf))
+    x[:, 0] = np.round(x[:, 0])
+    if nf > 2:
+        x[:, 2] = x[:, 1]
+    if nf > 3:
+        x[:, 3] = 1.5
+    y = np.ones(n) if single_class else np.where(rng.random(n) < 0.5, 1.0, -1.0)
+    rows = np.sort(rng.integers(0, n, size=(n_tree, n)), axis=1)
+    weights = []
+    for t in range(n_tree):
+        if weighting == "uniform":
+            wt = np.full(n, 1.0 / n)
+        else:  # boosting-like spread, some zeros, some trees with no
+            # positive weight at all
+            wt = rng.random(n) ** 4 * (rng.random(n) < 0.75)
+            if weighting == "zeros" and t % 3 == 0:
+                wt[y[rows[t]] > 0] = 0.0
+            wt = wt / wt.sum() if wt.sum() > 0 else np.full(n, 1.0 / n)
+        weights.append(wt)
+    return x, y, rows, weights
+
+
+@pytest.mark.parametrize("n, nf, m_try, weighting, budget, single_class", [
+    (1, 4, 2, "uniform", None, False),
+    (2, 4, 1, "uniform", None, False),
+    (3, 5, 5, "uniform", None, False),
+    (4, 85, 10, "uniform", None, False),
+    (12, 5, 2, "uniform", None, True),
+    (16, 6, 3, "zeros", None, False),
+    (40, 12, 3, "uniform", None, False),
+    (40, 12, 12, "boosting", None, False),
+    (30, 6, None, "boosting", None, False),
+    (25, 6, 2, "uniform", 3, False),
+])
+def test_lockstep_forest_equals_one_tree_at_a_time(n, nf, m_try, weighting, budget,
+                                                   single_class):
+    rng = np.random.default_rng(1000 * n + nf)
+    n_tree = 24
+    x, y, rows, weights = _lockstep_inputs(rng, n, nf, n_tree, weighting, single_class)
+    seeds = np.random.SeedSequence(n).spawn(n_tree)
+    max_splits = n if budget is None else budget
+    trees = _grow_trees(x, y, rows, weights, [np.random.default_rng(s) for s in seeds],
+                        m_try, max_splits)
+    for t, tree in enumerate(trees):
+        want = grow_tree(x[rows[t]], y[rows[t]], weights[t], max_splits, m_try,
+                         np.random.default_rng(seeds[t]))
+        assert json.dumps(tree.to_dict()) == json.dumps(want), t
+    if single_class:
+        assert all(tree.n_splits == 0 for tree in trees)
+
+
+def test_single_trees_under_a_binding_budget_equal_the_oracle():
+    rng = np.random.default_rng(8)
+    for trial in range(12):
+        n = int(rng.integers(8, 40))
+        x, y, _, (w,) = _lockstep_inputs(rng, n, 6, 1, "boosting")
+        m_try = None if trial % 3 == 0 else int(rng.integers(1, 7))
+        for budget in (0, 1, 2, 4):
+            tree = train_tree(x, y, sample_weight=w, max_splits=budget,
+                              m_try=m_try, seed=trial)
+            want = grow_tree(x, y, w / w.sum(), budget, m_try,
+                             np.random.default_rng(trial))
+            assert json.dumps(tree.to_dict()) == json.dumps(want)
+            assert tree.n_splits <= budget
+
+
+def test_positive_votes_equal_each_trees_prediction():
+    rng = np.random.default_rng(5)
+    x, y, rows, weights = _lockstep_inputs(rng, 40, 6, 30, "uniform")
+    trees = _grow_trees(x, y, rows, weights,
+                        [np.random.default_rng(s) for s in range(30)], 2, 40)
+    # probes on every threshold exercise the strict x < threshold rule
+    probe = np.vstack([x, rng.normal(size=(20, 6))])
+    for tree in trees[:5]:
+        for f, thr in zip(tree.feature, tree.threshold):
+            if f >= 0:
+                probe = np.vstack([probe, probe[:1]])
+                probe[-1, f] = thr
+    want = np.stack([t.predict_proba(probe) >= 0.5 for t in trees])
+    assert np.array_equal(_positive_votes(trees, probe), want)
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +390,36 @@ def test_rf_grid_selection_is_seed_deterministic():
     assert (a.n_tree, a.m_try) == (b.n_tree, b.m_try)
     assert a.oob_error == b.oob_error
     assert all(s.to_dict() == t.to_dict() for s, t in zip(a.trees, b.trees))
+
+
+def test_rf_oob_grid_equals_one_tree_at_a_time():
+    # the forests of every grid column grown tree by tree with the oracle,
+    # from the seed derivation of ``train_rf``, and scored from each
+    # tree's own out-of-bag predictions
+    x, y = _two_gaussians(n=24, seed=17)
+    x[:, 1] = np.round(x[:, 1])
+    n_tree_grid, m_try_grid = (4, 9, 20), (1, 2)
+    model = train_rf(x, y, seed=6, n_tree_grid=n_tree_grid, m_try_grid=m_try_grid)
+    children = np.random.SeedSequence(6).spawn(len(m_try_grid) + 1)
+    want = {}
+    for mi, m in enumerate(m_try_grid):
+        vote_sum, vote_cnt = np.zeros(len(x)), np.zeros(len(x))
+        for t, seed in enumerate(children[mi].spawn(n_tree_grid[-1])):
+            rng = np.random.default_rng(seed)
+            boot = np.sort(rng.integers(0, len(x), size=len(x)))
+            tree = DecisionTree.from_dict(
+                grow_tree(x[boot], y[boot], np.full(len(x), 1.0 / len(x)), len(x), m, rng),
+                "oracle")
+            oob = np.setdiff1d(np.arange(len(x)), boot)
+            vote_sum[oob] += tree.predict_proba(x[oob]) >= 0.5
+            vote_cnt[oob] += 1
+            if t + 1 in n_tree_grid:
+                covered = vote_cnt > 0
+                pred = 2.0 * (vote_sum[covered] / vote_cnt[covered]) - 1.0
+                want[(t + 1, m)] = float(((pred - y[covered]) ** 2).mean())
+    assert model.oob_grid == tuple((nt, m, e) for (nt, m), e in sorted(want.items()))
+    best = min(model.oob_grid, key=lambda point: point[2])
+    assert (model.n_tree, model.m_try, model.oob_error) == best
 
 
 def test_rf_probability_is_vote_fraction():

@@ -10,9 +10,16 @@ import numpy as np
 import pytest
 
 from siftcad import cli, evaluation
-from siftcad.classifiers import model_to_dict, train_rf, train_rusboost
+from siftcad.classifiers import (
+    DEFAULT_RF_NTREE_GRID,
+    LabeledSample,
+    model_to_dict,
+    rf_mtry_grid,
+    train_rf,
+    train_rusboost,
+)
 from siftcad.candidates import DEFAULT_V_MAX, DEFAULT_V_MIN, diameter_to_volume
-from siftcad.features import FEATURE_SCHEMA
+from siftcad.features import FEATURE_SCHEMA, FeatureVector
 from siftcad.cli import (
     EXIT_OK,
     EXIT_RUNTIME,
@@ -174,6 +181,31 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert message in err
         assert str(data / record.t1) in err
+
+    @pytest.mark.parametrize("doc, field", [
+        ([1, 2], "must be a JSON object, not list"),
+        ({"cases": [5]}, "cases[0] must be a JSON object"),
+        ({"cases": {"a": 1}}, "field 'cases' must be a list"),
+        ("dce", "cases[0]: field 'dce' must be a list of file names"),
+        ("acquisition_times", "cases[0]: field 'acquisition_times' must be a list of numbers"),
+        ("malignant", "cases[0]: field 'malignant' must be a list of booleans"),
+    ], ids=["list_document", "case_not_object", "cases_not_list", "dce_number",
+            "times_strings", "malignant_string"])
+    def test_malformed_manifest_names_manifest_and_field(self, workspace, tmp_path,
+                                                         capsys, doc, field):
+        manifest = tmp_path / "manifest.json"
+        if isinstance(doc, str):  # one field of the first real case spoiled
+            good = json.loads((workspace / "data/manifest.json").read_text())
+            good["cases"][0][doc] = {"dce": 3, "acquisition_times": ["0", "90"],
+                                     "malignant": "yes"}[doc]
+            doc = good
+        manifest.write_text(json.dumps(doc))
+        for argv in (["sift", "--out", str(tmp_path / "s")],
+                     ["train", "--out", str(tmp_path / "m")]):
+            rc = main(argv + ["--manifest", str(manifest)])
+            assert rc == EXIT_RUNTIME
+            err = capsys.readouterr().err
+            assert str(manifest) in err and field in err, err
 
 
 def _drop(key):
@@ -395,6 +427,30 @@ class TestPipelineCommands:
         assert summary["n_positive"] >= 1
         assert summary["n_negative"] >= 1
         assert "generated" not in " ".join(summary)
+
+    def test_train_summary_holds_the_rf_oob_grid(self, workspace, tmp_path, monkeypatch):
+        # the phantom split holds no benign lesion, so both models are fit
+        # on random vectors instead of the cases' candidates
+        rng = np.random.default_rng(4)
+
+        def samples(record, config):
+            def vec():
+                return FeatureVector(rng.normal(size=len(FEATURE_SCHEMA)))
+            return ([LabeledSample(vec(), label, record.case_id) for label in (1, -1, -1)],
+                    [LabeledSample(vec(), label, record.case_id) for label in (1, -1)])
+
+        monkeypatch.setattr(cli, "_case_training_samples", samples)
+        out = tmp_path / "models"
+        assert main(["train", "--manifest", str(workspace / "data/manifest.json"),
+                     "--out", str(out), "--n-trees", "5"]) == EXIT_OK
+        summary = json.loads((out / "train_summary.json").read_text())
+        model = json.loads((out / "malignancy_model.json").read_text())
+        grid = summary["rf_oob_grid"]
+        assert [row[:2] for row in grid] == [
+            [nt, m] for nt in DEFAULT_RF_NTREE_GRID for m in rf_mtry_grid(len(FEATURE_SCHEMA))]
+        assert min(grid, key=lambda row: row[2]) == \
+            [summary["rf_n_tree"], summary["rf_m_try"], model["oob_error"]]
+        assert "oob_grid" not in model
 
     def test_detect_writes_detections_with_masks(self, workspace):
         doc = json.loads((workspace / "det/detections.json").read_text())

@@ -354,13 +354,15 @@ def test_pipeline_scores_each_stage_in_one_batch():
     assert malignancy.batch_sizes == [len(out)]
 
 
-# two features of each costly feature group
+# two features of each costly feature group; the texture flag's group has
+# one output, so a GLCM output rides with it
 _GROUP_FEATURES = {
     "fit": ("fit_rmse", "fit_beta"),
     "core_rim": ("blooming", "flag_kinetic_guarded"),
     "glcm_t2": ("t2_glcm_contrast", "t2_glcm_entropy"),
     "glcm_dce1": ("dce1_glcm_idm", "dce1_glcm_asm"),
-    "glcm_dcesub": ("dcesub_glcm_correlation", "flag_texture_degenerate"),
+    "glcm_dcesub": ("dcesub_glcm_correlation", "dcesub_glcm_entropy"),
+    "texture_flag": ("flag_texture_degenerate", "dcesub_glcm_asm"),
     "margin": ("t2_rgi", "dcesub_margin_sharpness"),
     "edema": ("edema_t2_p98_20mm", "edema_t2_p92_2mm"),
     "shape": ("solidity", "esd_mm"),

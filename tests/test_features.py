@@ -15,6 +15,7 @@ from siftcad.features import (
     _index_box,
     _shell_gradient_stats,
     _SurfaceField,
+    _texture_degenerate,
     enhancement_model,
     haralick_features,
     kinetic_features,
@@ -234,6 +235,30 @@ def test_degenerate_regions_flagged():
     scattered[5, 5, 5] = True
     stats, flag = _texture(BinaryMask(scattered, (1, 1, 1)), np.zeros((7, 7, 7)))
     assert flag and np.all(stats == 0.0)
+
+
+def test_texture_flag_from_the_region_equals_the_glcm_flag():
+    # sparse random regions: single voxels, pairs one step apart along
+    # each direction (diagonals included) and pairs two steps apart
+    rng = np.random.default_rng(12)
+    seen = set()
+    for trial in range(300):
+        dims = tuple(int(d) for d in rng.integers(2, 7, size=3))
+        region = rng.random(dims) < rng.choice([0.02, 0.08, 0.2])
+        if trial % 3 == 0:
+            region[:] = False
+            a = tuple(int(rng.integers(0, d - 1)) for d in dims)
+            step = rng.choice([1, 2])
+            b = tuple(min(d - 1, p + int(step * rng.integers(0, 2))) for p, d in zip(a, dims))
+            region[a] = region[b] = True
+        if not region.any():
+            continue
+        mask = BinaryMask(region, (1, 1, 1))
+        data = rng.normal(size=dims)
+        want = _texture(mask, data)[1]
+        assert _texture_degenerate(mask, _box(mask)) == want
+        seen.add(want)
+    assert seen == {True, False}
 
 
 # ---------------------------------------------------------------------------
@@ -527,30 +552,26 @@ _COSTLY = {
                  "flag_kinetic_guarded"},
     **{f"glcm_{seq}": {f"{seq}_glcm_{s}" for s in HARALICK_NAMES}
        for seq in ("t2", "dce1", "dcesub")},
+    "texture_flag": {"flag_texture_degenerate"},
     "margin": {f"{seq}_{s}" for seq in ("t2", "dce1", "dcesub")
                for s in ("margin_sharpness", "rgi")} | {"flag_margin_shell_empty"},
     "edema": {n for n in FEATURE_SCHEMA if n.startswith("edema_")}
     | {"flag_edema_shell_empty"},
     "shape": {"esd_mm", "extent", "solidity", "irregularity", "fat_fraction"},
 }
-_GLCM = ("glcm_t2", "glcm_dce1", "glcm_dcesub")
 
 
 def _computed(need_names: set) -> np.ndarray:
     """Schema mask of the columns an extraction for ``need_names`` fills."""
     groups = {g for g, names in _COSTLY.items() if names & need_names}
-    if "flag_texture_degenerate" in need_names:
-        groups |= set(_GLCM)
     names = set(_ALWAYS).union(*(_COSTLY[g] for g in groups))
-    if groups.issuperset(_GLCM):
-        names.add("flag_texture_degenerate")
     return np.array([n in names for n in FEATURE_SCHEMA])
 
 
 def test_group_table_covers_the_schema_once():
     names = [n for g in _COSTLY.values() for n in g] + sorted(_ALWAYS)
-    assert len(names) == len(set(names)) == len(FEATURE_SCHEMA) - 1
-    assert set(FEATURE_SCHEMA) - set(names) == {"flag_texture_degenerate"}
+    assert len(names) == len(set(names)) == len(FEATURE_SCHEMA)
+    assert set(names) == set(FEATURE_SCHEMA)
 
 
 @pytest.fixture(scope="module")
@@ -576,11 +597,10 @@ def _check_partial(extractor, rc, full, need_names):
     assert got[computed].tobytes() == full[computed].tobytes()
 
 
-@pytest.mark.parametrize("group", [*_COSTLY, "texture_flag", "none"])
+@pytest.mark.parametrize("group", [*_COSTLY, "none"])
 def test_each_group_alone_equals_full_extraction(golden_case_vectors, group):
     extractor, cands, fulls = golden_case_vectors
-    need_names = {**_COSTLY, "texture_flag": {"flag_texture_degenerate"},
-                  "none": set()}[group]
+    need_names = {**_COSTLY, "none": set()}[group]
     for rc, full in zip(cands, fulls):
         _check_partial(extractor, rc, full, need_names)
 

@@ -49,6 +49,16 @@ def test_detached_header_roundtrip(tmp_path):
     assert np.array_equal(back.data, v.data)
 
 
+@pytest.mark.parametrize("name", ["../v.raw", "/tmp/v.raw", "sub/v.raw", "..", "sub\\v.raw"])
+def test_data_file_outside_the_header_directory_rejected(tmp_path, name):
+    save_volume(tmp_path / "v.nhdr", random_u16_volume(np.random.default_rng(2)))
+    header = (tmp_path / "v.nhdr").read_text().replace("data file: v.raw",
+                                                       f"data file: {name}")
+    (tmp_path / "v.nhdr").write_text(header)
+    with pytest.raises(NrrdError, match="'data file' must name a file in the header's"):
+        load_volume(tmp_path / "v.nhdr")
+
+
 def test_missing_field_names_field(tmp_path):
     path = tmp_path / "bad.nrrd"
     header = "NRRD0004\ntype: unsigned short\ndimension: 3\nsizes: 2 2 2\nencoding: raw\nendian: little\n\n"
