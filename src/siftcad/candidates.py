@@ -3,9 +3,12 @@
 Per pyramid scale the sifted response is normalised to 16 bit inside
 the (downscaled) breast mask, split by a multilevel Otsu threshold
 bank, and each threshold's 26-connected components are sieved by the
-physical volume window of that scale. Candidates are stored sparsely
-(sorted flat voxel indices on their scale grid) and can be brought back
-to the original grid through the wavelet ladder.
+physical volume window of that scale. The sieve labels each threshold
+on the bounding box of its foreground and builds voxel lists only for
+the components inside the window; the large breast-wide components of
+the low thresholds are counted and dropped. Candidates are stored
+sparsely (sorted flat voxel indices on their scale grid) and can be
+brought back to the original grid through the wavelet ladder.
 """
 
 from __future__ import annotations
@@ -134,19 +137,49 @@ def multilevel_otsu(volume: Volume3D, mask: BinaryMask, t_count: int) -> Thresho
 _CONNECTIVITY_26 = np.ones((3, 3, 3), dtype=bool)
 
 
-def _label_index_lists(binary: np.ndarray) -> list[np.ndarray]:
-    """Sorted flat-index arrays of the 26-connected components, in
-    raster order of their first voxels."""
-    labels, n = ndimage.label(binary, structure=_CONNECTIVITY_26)
-    if n == 0:
-        return []
-    flat = labels.ravel()
-    nz = np.flatnonzero(flat)
-    order = nz[np.argsort(flat[nz], kind="stable")]
-    counts = np.bincount(flat[nz], minlength=n + 1)
-    pieces = np.split(order, np.cumsum(counts[1:-1]))
-    pieces.sort(key=lambda ix: ix[0])
-    return pieces
+def _sieve_components(data: np.ndarray, thresholds, lo: float, hi: float,
+                      voxvol: float) -> list[list[np.ndarray]]:
+    """Per threshold th, the 26-connected components of ``data >= th``
+    whose physical volume (voxel count times ``voxvol``) lies in
+    [lo, hi]: sorted flat-index arrays on the grid of ``data``, in raster
+    order of their first voxels.
+
+    Each threshold's foreground is labelled on its bounding box only,
+    read off the per-plane maxima of ``data`` along each axis, and index
+    lists are built for the components the window keeps only.
+    """
+    # peak[a][i]: max of the i-th plane across axis a
+    peaks = [data.max(axis=tuple(b for b in range(3) if b != a)) for a in range(3)]
+    out: list[list[np.ndarray]] = []
+    for th in thresholds:
+        spans = [np.flatnonzero(p >= th) for p in peaks]
+        if spans[0].size == 0:
+            out.append([])
+            continue
+        box = tuple(slice(ix[0], ix[-1] + 1) for ix in spans)
+        fg = data[box] >= th
+        # intp labels: bincount and the lookup below would cast int32 ones
+        labels = np.empty(fg.shape, dtype=np.intp)
+        n = ndimage.label(fg, structure=_CONNECTIVITY_26, output=labels)
+        flat = labels.ravel()
+        counts = np.bincount(flat, minlength=n + 1)
+        size = counts * voxvol
+        keep = (lo <= size) & (size <= hi)
+        keep[0] = False
+        kept = np.flatnonzero(keep)
+        if kept.size == 0:
+            out.append([])
+            continue
+        idx = np.flatnonzero(keep[flat])  # raster order within the box
+        lab = flat[idx]
+        idx = idx[np.argsort(lab, kind="stable")]
+        coords = np.unravel_index(idx, fg.shape)
+        idx = np.ravel_multi_index(tuple(c + b.start for c, b in zip(coords, box)),
+                                   data.shape)
+        pieces = np.split(idx, np.cumsum(counts[kept[:-1]]))
+        pieces.sort(key=lambda ix: ix[0])
+        out.append(pieces)
+    return out
 
 
 @dataclass(eq=False)
@@ -285,11 +318,9 @@ def generate_candidates(
         voxvol = scaled.volume.voxel_volume_mm3
         seen: dict[bytes, RegionCandidate] = {}
         ordered: list[RegionCandidate] = []
-        for t_idx, th in enumerate(bank.thresholds):
-            binary = f16.data >= th
-            for flat_idx in _label_index_lists(binary):
-                if not lo <= flat_idx.size * voxvol <= hi:
-                    continue
+        pieces = _sieve_components(f16.data, bank.thresholds, lo, hi, voxvol)
+        for t_idx, t_pieces in enumerate(pieces):
+            for flat_idx in t_pieces:
                 key = flat_idx.tobytes()
                 if key in seen:
                     continue

@@ -446,9 +446,12 @@ class RusBoostModel:
         total = float(self.alphas.sum()) if len(self.trees) else 0.0
         if total <= 0:
             return np.full(len(x), 0.5)
-        margin = np.zeros(len(x))
-        for tree, alpha in zip(self.trees, self.alphas):
-            margin += alpha * tree.predict_class(x)
+        nf = self.trees[0].n_features
+        if x.shape[1] != nf:
+            raise ValueError(f"expected (n, {nf}) inputs, got {x.shape}")
+        votes = np.where(_positive_votes(self.trees, x), 1.0, -1.0)
+        # a running sum adds the rounds in order, as a per-tree loop would
+        margin = np.add.accumulate(self.alphas[:, None] * votes, axis=0)[-1]
         return 1.0 / (1.0 + np.exp(-margin / total))
 
     def prefix(self, n_trees: int) -> "RusBoostModel":

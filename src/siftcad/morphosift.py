@@ -31,10 +31,14 @@ The filters take the slice plane on the first two axes and treat
 trailing axes as a stack, so ``ms3d`` sifts C-contiguous blocks of
 consecutive slices (about 256 KB each) in one pass and ``ms2d`` is the
 single-slice case of the same path; work arrays are reused from block
-to block. Every voxel sees the same min/max set, subtraction and sum
-sequence as a slice-by-slice evaluation (orientations in ascending
-order, views axial + sagittal + coronal, all in float64), so the result
-is bit-equal to it.
+to block. ``ms3d`` copies each view's slices once into block-major
+order, so that every block is a contiguous chunk of the copy, writes
+each block's response over it and adds the copy to the sum in one
+strided pass: gathering and scattering the blocks one at a time misses
+the cache on large grids. Every voxel sees the same min/max set,
+subtraction and sum sequence as a slice-by-slice evaluation
+(orientations in ascending order, views axial + sagittal + coronal,
+added to zero, all in float64), so the result is bit-equal to it.
 """
 
 from __future__ import annotations
@@ -310,10 +314,10 @@ def _sift_plan(ml1: float, ml2: float, n_orient: int):
     return tuple(plan)
 
 
-def _sift(f: np.ndarray, plan, scratch: _Scratch) -> np.ndarray:
-    """Sifting response of ``f`` (slice plane on the first two axes,
-    trailing axes a stack), accumulated in plan order."""
-    out = np.zeros_like(f)
+def _sift(f: np.ndarray, plan, scratch: _Scratch, out: np.ndarray) -> np.ndarray:
+    """Add the sifting response of ``f`` (slice plane on the first two
+    axes, trailing axes a stack) to ``out`` in plan order; ``out`` starts
+    at zero."""
     tophat = scratch.take("tophat", f.shape)
     for long_line, short_line in plan:
         np.subtract(f, _open(f, long_line, scratch), out=tophat)
@@ -327,7 +331,8 @@ def ms2d(f: np.ndarray, ml1: float, ml2: float, n_orient: int = 10) -> np.ndarra
     Sum over n = 0..N-1, theta = n*pi/N, of the short-line opening of
     the long-line top-hat. Accumulation is in ascending n.
     """
-    return _sift(_check_slice(f), _sift_plan(ml1, ml2, n_orient), _Scratch())
+    arr = _check_slice(f)
+    return _sift(arr, _sift_plan(ml1, ml2, n_orient), _Scratch(), np.zeros_like(arr))
 
 
 @dataclass(frozen=True)
@@ -372,27 +377,42 @@ def lse_magnitudes(v_min: float, v_max: float, d: float, big_d: float, m_scales:
 _BLOCK_VOXELS = 32768
 
 
-def _sift_stack(vol: np.ndarray, plan) -> np.ndarray:
-    """Sifting response of every slice ``vol[:, :, k]``, filtered in
-    C-contiguous blocks of consecutive slices."""
+def _sift_stack(vol: np.ndarray, plan, out: np.ndarray) -> None:
+    """Add the sifting response of every slice ``vol[:, :, k]`` to
+    ``out``, an array or view of ``vol``'s shape.
+
+    The slices are copied once, block-major: each block of consecutive
+    slices is a C-contiguous (nx, ny, slices) stack, and a shorter block
+    takes any remainder. A block's response is written over the block,
+    and every group of equal blocks is added to ``out`` in one pass, so
+    neither the copy nor the sum reads or writes ``out`` block by
+    block."""
     nx, ny, nz = vol.shape
     step = max(1, _BLOCK_VOXELS // max(1, nx * ny))
-    out = np.empty(vol.shape)
+    full = nz - nz % step
     scratch = _Scratch()
-    for k in range(0, nz, step):
-        out[:, :, k:k + step] = _sift(np.ascontiguousarray(vol[:, :, k:k + step]), plan, scratch)
-    return out
+    for k0, k1, size in ((0, full, step), (full, nz, nz - full)):
+        if k1 == k0:
+            continue
+        # splitting the slice axis is a view of any strided array
+        blocks = np.moveaxis(vol[:, :, k0:k1].reshape(nx, ny, -1, size), 2, 0).copy()
+        for block in blocks:
+            acc = scratch.take("sum", block.shape)
+            acc[...] = 0.0
+            block[...] = _sift(block, plan, scratch, acc)
+        target = out[:, :, k0:k1].reshape(nx, ny, -1, size)
+        target += np.moveaxis(blocks, 0, 2)
 
 
 def ms3d(volume: Volume3D, plan: MagnitudePlan, n_orient: int = 10) -> Volume3D:
     """3D sifting: per-slice 2D responses of the axial, sagittal and
-    coronal stacks, summed in that order."""
+    coronal stacks, added to zero in that order."""
     data = volume.data
-    out = _sift_stack(data, _sift_plan(*plan.axial, n_orient))
-    sag = np.transpose(data, (0, 2, 1))
-    out += np.transpose(_sift_stack(sag, _sift_plan(*plan.sagittal, n_orient)), (0, 2, 1))
-    cor = np.transpose(data, (2, 1, 0))
-    out += np.transpose(_sift_stack(cor, _sift_plan(*plan.coronal, n_orient)), (2, 1, 0))
+    out = np.zeros(data.shape)
+    for view, magnitudes in (((0, 1, 2), plan.axial), ((0, 2, 1), plan.sagittal),
+                             ((2, 1, 0), plan.coronal)):
+        _sift_stack(np.transpose(data, view), _sift_plan(*magnitudes, n_orient),
+                    np.transpose(out, view))
     return Volume3D(out, volume.spacing)
 
 

@@ -141,11 +141,13 @@ def _read_nrrd(path) -> tuple[np.ndarray, tuple[float, ...]]:
                             f"header's directory, got {name!r}")
         raw = (path.parent / name).read_bytes()
     else:
-        raw = blob[data_offset:]
-    expected = int(np.prod(sizes)) * dtype.itemsize
+        raw = memoryview(blob)[data_offset:]  # a view: no copy of the payload
+    count = int(np.prod(sizes))
+    expected = count * dtype.itemsize
     if len(raw) < expected:
         raise NrrdError(f"{path}: raw payload too short ({len(raw)} < {expected} bytes)")
-    arr = np.frombuffer(raw[:expected], dtype=dtype).reshape(sizes, order="F")
+    # read-only over the file's bytes; the loaders convert it in one pass
+    arr = np.frombuffer(raw, dtype=dtype, count=count).reshape(sizes, order="F")
     return arr, spacings
 
 
@@ -163,7 +165,7 @@ def load_volume(path) -> Volume3D:
     arr, spacings = _read_nrrd(path)
     if arr.dtype != np.uint16:
         raise NrrdError(f"{path}: volume files must be unsigned short")
-    return Volume3D(arr.astype(np.float64), spacings)
+    return Volume3D(np.ascontiguousarray(arr, dtype=np.float64), spacings)
 
 
 def save_mask(path, mask: BinaryMask) -> None:
@@ -177,7 +179,7 @@ def load_mask(path) -> BinaryMask:
     bad = np.unique(arr[arr > 1])
     if bad.size:
         raise NrrdError(f"{path}: mask values must be 0/1, found {bad[:4].tolist()}")
-    return BinaryMask(arr.astype(bool), spacings)
+    return BinaryMask(np.ascontiguousarray(arr, dtype=bool), spacings)
 
 
 # ---------------------------------------------------------------------------

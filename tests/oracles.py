@@ -169,6 +169,33 @@ def multilevel_otsu_exhaustive(hist, t_count: int) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
+# component sieve
+# ---------------------------------------------------------------------------
+
+def label_index_lists(binary: np.ndarray) -> list[np.ndarray]:
+    """Sorted flat-index arrays of the 26-connected components of the
+    whole grid, in raster order of their first voxels."""
+    labels, n = ndimage.label(binary, structure=np.ones((3, 3, 3), dtype=bool))
+    if n == 0:
+        return []
+    flat = labels.ravel()
+    nz = np.flatnonzero(flat)
+    order = nz[np.argsort(flat[nz], kind="stable")]
+    counts = np.bincount(flat[nz], minlength=n + 1)
+    pieces = np.split(order, np.cumsum(counts[1:-1]))
+    pieces.sort(key=lambda ix: ix[0])
+    return pieces
+
+
+def sieve_components(data: np.ndarray, thresholds, lo: float, hi: float,
+                     voxvol: float) -> list[list[np.ndarray]]:
+    """Per threshold, every component of ``data >= th`` on the whole grid
+    whose voxel count times ``voxvol`` lies in [lo, hi]."""
+    return [[ix for ix in label_index_lists(data >= th) if lo <= ix.size * voxvol <= hi]
+            for th in thresholds]
+
+
+# ---------------------------------------------------------------------------
 # geometry helpers
 # ---------------------------------------------------------------------------
 
@@ -318,6 +345,18 @@ def per_feature_best_split(x, w, wp, idx, feat_ids):
 # one heap of open nodes keyed (-gain, creation counter), children created
 # left then right, and each splittable child's features drawn from the
 # tree's generator as the child is created.
+
+def rusboost_scores_per_tree(model, x) -> np.ndarray:
+    """RUSBoost scores accumulated one tree at a time, in round order."""
+    x = np.asarray(x, dtype=np.float64)
+    total = float(model.alphas.sum()) if len(model.trees) else 0.0
+    if total <= 0:
+        return np.full(len(x), 0.5)
+    margin = np.zeros(len(x))
+    for tree, alpha in zip(model.trees, model.alphas):
+        margin += alpha * tree.predict_class(x)
+    return 1.0 / (1.0 + np.exp(-margin / total))
+
 
 def grow_tree(x, y, w, max_splits, m_try, rng) -> dict:
     """``DecisionTree.to_dict()`` of the tree fit on every row of ``x``

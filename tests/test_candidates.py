@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from siftcad import candidates as cmod
 from siftcad.candidates import (
     DEFAULT_V_MAX,
     DEFAULT_V_MIN,
-    _label_index_lists,
+    _sieve_components,
     candidate_from_mask,
     diameter_to_volume,
     generate_candidates,
@@ -17,7 +18,7 @@ from siftcad.volume import BinaryMask, Volume3D, VolumeError, otsu_threshold
 from siftcad.wavelet import dims_ladder, upscale_mask
 
 from helpers import make_mini_case
-from oracles import dice, multilevel_otsu_exhaustive
+from oracles import dice, multilevel_otsu_exhaustive, sieve_components
 
 
 # ---------------------------------------------------------------------------
@@ -111,14 +112,94 @@ def test_components_use_26_connectivity_and_raster_order():
     data[0, 3, 0] = True            # edge-touching bar, sorted voxel by voxel
     data[0, 4, 0] = True
     data[1, 5, 0] = True
-    comps = _label_index_lists(data)
+    (comps,) = _sieve_components(data.astype(float), [0.5], 0.0, np.inf, 1.0)
     flat = lambda *ijk: np.ravel_multi_index(ijk, data.shape)
     assert [c.tolist() for c in comps] == [
         [flat(0, 0, 5), flat(1, 1, 4)],
         [flat(0, 3, 0), flat(0, 4, 0), flat(1, 5, 0)],
         [flat(4, 4, 4)],
     ]
-    assert _label_index_lists(np.zeros((3, 3, 3), dtype=bool)) == []
+    assert _sieve_components(np.zeros((3, 3, 3)), [0.5], 0.0, np.inf, 1.0) == [[]]
+
+
+def _assert_same_pieces(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert len(g) == len(w)
+        for a, b in zip(g, w):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def _sieve_both(data, thresholds, lo=0.0, hi=np.inf, voxvol=1.0):
+    got = _sieve_components(data, thresholds, lo, hi, voxvol)
+    _assert_same_pieces(got, sieve_components(data, thresholds, lo, hi, voxvol))
+    return got
+
+
+def test_sieve_matches_whole_grid_oracle_on_random_volumes():
+    rng = np.random.default_rng(23)
+    for _ in range(60):
+        dims = tuple(int(n) for n in rng.integers(1, 14, 3))
+        data = rng.random(dims)
+        if rng.random() < 0.5:
+            # smooth noise: large components that shrink as thresholds rise
+            data = ndimage.uniform_filter(data, 3, mode="nearest")
+        thresholds = np.sort(rng.choice(data.ravel(), size=min(data.size, 5)))
+        voxvol = float(rng.choice([1.0, 0.7 * 0.7 * 1.3, 8.0]))
+        sizes = rng.integers(0, data.size + 1, 2) * voxvol
+        lo, hi = float(sizes.min()), float(sizes.max())
+        _sieve_both(data, thresholds, lo, hi, voxvol)
+        _sieve_both(data, thresholds)
+
+
+def test_sieve_edge_cases_match_whole_grid_oracle():
+    rng = np.random.default_rng(29)
+    # empty foreground at every threshold, and at the upper ones only
+    data = rng.random((5, 6, 7))
+    assert _sieve_both(data, [2.0, 3.0]) == [[], []]
+    got = _sieve_both(data, [0.5, 0.9, 1.5, 2.5])
+    assert got[0] and got[2:] == [[], []]
+    # one component touching every face, then one per face
+    assert len(_sieve_both(np.ones((4, 5, 6)), [0.5])[0]) == 1
+    faces = np.zeros((7, 8, 9))
+    faces[0, 2:4, 3] = faces[-1, 5, 2:6] = faces[3, 0, 4] = 1.0
+    faces[2:5, -1, 7] = faces[5, 3, 0] = faces[1, 2, -1] = 1.0
+    assert len(_sieve_both(faces, [0.5])[0]) == 6
+    # isolated single voxels, kept by a window of exactly one voxel
+    single = np.zeros((9, 9, 9))
+    single[::2, ::3, ::4] = rng.random(single[::2, ::3, ::4].shape) + 1.0
+    got = _sieve_both(single, [0.5, 1.5], 0.637, 0.637, 0.637)
+    assert all(p.size == 1 for pieces in got for p in pieces)
+    # 26-connected diagonal chains are single components
+    chains = np.zeros((8, 8, 8))
+    i = np.arange(8)
+    chains[i, i, i] = 1.0
+    chains[i, 7 - i, np.minimum(i, 3)] = 2.0
+    got = _sieve_both(chains, [0.5, 1.5])
+    assert [len(p) for p in got] == [1, 1]
+    # a threshold whose every piece falls outside the window
+    blobs = np.zeros((10, 10, 10))
+    blobs[1:4, 1:4, 1:4] = 1.0
+    blobs[6:8, 6:8, 6:8] = 2.0
+    got = _sieve_both(blobs, [0.5, 1.5], 8.0, 8.0)
+    assert [len(p) for p in got] == [1, 1]
+    assert _sieve_both(blobs, [0.5, 1.5], 9.0, 26.0) == [[], []]
+
+
+def test_sieve_window_bounds_are_inclusive_floats():
+    rng = np.random.default_rng(31)
+    data = ndimage.uniform_filter(rng.random((12, 11, 10)), 3, mode="nearest")
+    th = [float(np.quantile(data, 0.8))]
+    voxvol = 0.7 * 0.7 * 1.3
+    (pieces,) = _sieve_both(data, th, 0.0, np.inf, voxvol)
+    assert len({p.size for p in pieces}) >= 2
+    for size in sorted({p.size for p in pieces}):
+        exact = size * voxvol
+        up, down = np.nextafter(exact, np.inf), np.nextafter(exact, 0.0)
+        at = lambda lo, hi: sorted(p.size for p in _sieve_both(data, th, lo, hi, voxvol)[0])
+        assert size in at(exact, exact)
+        assert size not in at(up, np.inf)
+        assert size not in at(0.0, down)
 
 
 # ---------------------------------------------------------------------------

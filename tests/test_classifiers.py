@@ -34,7 +34,12 @@ from siftcad.classifiers import (
 from siftcad.features import FEATURE_SCHEMA, FeatureVector
 from siftcad.volume import BinaryMask
 
-from oracles import ball_mask, grow_tree, per_feature_best_split
+from oracles import (
+    ball_mask,
+    grow_tree,
+    per_feature_best_split,
+    rusboost_scores_per_tree,
+)
 
 
 def _separable_1d(n_neg=6, n_pos=6):
@@ -346,6 +351,39 @@ def test_rusboost_memorizes_single_positive():
     y = np.concatenate([-np.ones(40), np.ones(3)])
     model = train_rusboost(x, y, n_trees=10, seed=4)
     assert predict(model, np.array([5.0, 5.0])) > 0.5
+
+
+def test_rusboost_scores_equal_per_tree_loop_bitwise():
+    x, y = _golden_matrix(300, 20, 16, seed=0)
+    model = train_rusboost(x, y, n_trees=120, seed=3)
+    assert len(model.trees) == 120
+    rng = np.random.default_rng(21)
+    probe = np.vstack([x, rng.normal(size=(40, 16)) * 2.0])
+    # rows on a split threshold exercise the strict x < threshold rule
+    for tree in model.trees[:10]:
+        for f, thr in zip(tree.feature, tree.threshold):
+            if f >= 0:
+                probe = np.vstack([probe, probe[:1]])
+                probe[-1, f] = thr
+    # single rows and no rows: the running sum must not change its order
+    for rows in (probe, probe[7:9], probe[:0], *(probe[i:i + 1] for i in range(0, 400, 40))):
+        got = model.predict_proba(rows)
+        assert got.tobytes() == rusboost_scores_per_tree(model, rows).tobytes()
+    for n_trees in (1, 2, 17):
+        prefix = model.prefix(n_trees)
+        assert prefix.predict_proba(probe).tobytes() == \
+            rusboost_scores_per_tree(prefix, probe).tobytes()
+
+
+def test_rusboost_rejects_wrong_feature_count():
+    x, y = _imbalanced_separable(n_neg=30, n_pos=5)
+    model = train_rusboost(x, y, n_trees=4, seed=1)
+    with pytest.raises(ValueError, match=r"expected \(n, 3\) inputs"):
+        model.predict_proba(np.zeros((2, 4)))
+    with pytest.raises(ValueError, match="2D"):
+        model.predict_proba(np.zeros(3))
+    zero = RusBoostModel(model.trees, np.zeros(len(model.trees)), 0.1)
+    assert np.all(zero.predict_proba(np.zeros((2, 4))) == 0.5)
 
 
 def test_rusboost_deterministic():

@@ -563,3 +563,25 @@ def test_end_to_end_outputs_match_frozen_golden(tmp_path, monkeypatch):
     assert counts == _GOLDEN_CANDIDATES
     assert sha(det / "detections.json") == _GOLDEN_DETECTIONS
     assert {p.name: sha(p) for p in (det / "masks").iterdir()} == _GOLDEN_MASKS
+
+
+# SHA-256 of what ``siftcad sift`` writes for one clinical-spacing phantom
+# case, frozen from the implementation that labelled every threshold on the
+# whole grid (numpy 2.4, scipy 1.17, x86-64)
+_GOLDEN_SIFT = {
+    "phantom_000_candidates.json":
+        "63aeb9697782bbe6b71cc0b1bd6a8399f29a30391fe7e7021832deda41826798",
+    "phantom_000_ms3d.nrrd":
+        "c884f947e5a92a16e408c0ebf8a223aeec1e3c375d3d2370781365e62668d198",
+}
+
+
+def test_sift_outputs_match_frozen_golden(tmp_path):
+    generate_suite(1, 3, tmp_path / "data", dims=(64, 64, 32), spacing=(0.7, 0.7, 1.3))
+    out = tmp_path / "sift"
+    assert main(["sift", "--manifest", str(tmp_path / "data" / "manifest.json"),
+                 "--out", str(out)]) == EXIT_OK
+    doc = json.loads((out / "phantom_000_candidates.json").read_text())
+    assert sorted({c["scale_index"] for c in doc["candidates"]}) == [1, 2, 3]
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in out.iterdir()} == _GOLDEN_SIFT

@@ -108,6 +108,62 @@ def test_truncated_payload(tmp_path):
         load_volume(path)
 
 
+def _payload(path):
+    """Raw bytes of a written volume or mask, attached or detached."""
+    if path.suffix == ".nhdr":
+        return path.with_suffix(".raw").read_bytes()
+    return path.read_bytes().split(b"\n\n", 1)[1]
+
+
+@pytest.mark.parametrize("suffix", [".nrrd", ".nhdr"])
+@pytest.mark.parametrize("comment", ["", "# an odd shift\n"], ids=["as_written", "odd_offset"])
+def test_loaders_return_c_contiguous_arrays_equal_to_two_step_conversion(
+        tmp_path, suffix, comment):
+    rng = np.random.default_rng(5)
+    dims = (3, 5, 7)
+    vol_path, mask_path = tmp_path / f"v{suffix}", tmp_path / f"m{suffix}"
+    save_volume(vol_path, random_u16_volume(rng, dims=dims))
+    save_mask(mask_path, BinaryMask(rng.random(dims) > 0.5, (1.0, 1.0, 2.0)))
+    # an odd-length comment after the magic line moves the payload of
+    # the attached header to an odd, unaligned offset
+    assert len(comment) % 2 == (1 if comment else 0)
+    for path in (vol_path, mask_path):
+        blob = path.read_bytes()
+        cut = blob.index(b"\n") + 1
+        path.write_bytes(blob[:cut] + comment.encode() + blob[cut:])
+    # the conversion the loaders used to make: astype keeps the payload's
+    # Fortran order, then the volume type copies to C order
+    raw = np.frombuffer(_payload(vol_path), dtype="<u2").reshape(dims, order="F")
+    v = load_volume(vol_path)
+    assert v.data.flags.c_contiguous and v.data.flags.writeable
+    assert v.data.dtype == np.float64
+    assert np.array_equal(v.data, np.ascontiguousarray(raw.astype(np.float64)))
+    raw = np.frombuffer(_payload(mask_path), dtype=np.uint8).reshape(dims, order="F")
+    m = load_mask(mask_path)
+    assert m.data.flags.c_contiguous and m.data.dtype == np.bool_
+    assert np.array_equal(m.data, np.ascontiguousarray(raw.astype(bool)))
+
+
+def test_every_truncated_prefix_is_rejected(tmp_path):
+    rng = np.random.default_rng(6)
+    for trial in range(3):
+        dims = tuple(int(n) for n in rng.integers(1, 6, 3))
+        spacing = tuple(float(s) for s in rng.uniform(0.3, 3.0, 3))
+        files = {
+            tmp_path / f"v{trial}.nrrd": (load_volume, Volume3D(
+                rng.integers(0, 65536, dims).astype(np.float64), spacing)),
+            tmp_path / f"m{trial}.nrrd": (load_mask, BinaryMask(rng.random(dims) > 0.5, spacing)),
+        }
+        for path, (load, data) in files.items():
+            (save_volume if load is load_volume else save_mask)(path, data)
+            blob = path.read_bytes()
+            load(path)  # the whole file loads
+            for length in range(len(blob)):
+                path.write_bytes(blob[:length])
+                with pytest.raises(NrrdError):
+                    load(path)
+
+
 def test_mask_rejects_nonbinary_payload(tmp_path):
     path = tmp_path / "m.nrrd"
     header = (
