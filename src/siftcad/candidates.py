@@ -31,7 +31,7 @@ from .volume import (
     otsu_cumulative_tables,
     subtract,
 )
-from .wavelet import downscale_mask, scale_image, upscale_mask
+from .wavelet import downscale_mask, scale_image, upscale_indices
 
 DEFAULT_MIN_DIAMETER_MM = 4.0
 DEFAULT_MAX_DIAMETER_MM = 63.0
@@ -217,14 +217,16 @@ class RegionCandidate:
         return BinaryMask(m, self.original_spacing)
 
     def original_indices(self) -> np.ndarray:
-        """Sorted flat indices on the original grid (cached)."""
+        """Sorted flat indices on the original grid (cached): the
+        candidate itself at scale 1, else the voxels of
+        :func:`~siftcad.wavelet.upscale_mask` of its mask, synthesised on
+        the candidate's bounding box alone (see :func:`upscale_indices`)."""
         if self._original_indices is None:
             if self.scale_index == 1:
                 self._original_indices = self.flat_indices
             else:
-                up = upscale_mask(self.mask(), self.scale_index,
-                                  self.original_dims, self.original_spacing)
-                self._original_indices = np.flatnonzero(up.data.ravel())
+                self._original_indices = upscale_indices(
+                    self.flat_indices, self.dims, self.scale_index, self.original_dims)
         return self._original_indices
 
 

@@ -10,24 +10,28 @@ renormalised to unit DC gain so intensities stay comparable across
 scales. Kinetics always use the original grid through the upscaled
 candidate mask (largest voxel sample for the time curves).
 
-Shells and cores: each candidate gets one smoothed signed-distance
-field per grid, wide enough for the widest shell there (the 20 mm
-edema shell on its scale grid, the 2 mm margin rim on the original
-grid); at scale 1 the two grids are one, and so is the field. The
-edema shells, the margin shell, the kinetic core and the kinetic rim
-are thresholds of that field; see :class:`_SurfaceField` for why this
-equals computing a field per shell.
+Shells and cores: each candidate gets at most one smoothed
+signed-distance field per grid, reaching as far as the widest shell
+read there (an edema shell of width w needs w mm on the scale grid; the
+edema flag, the margin shell and the kinetic core and rim need 2 mm);
+at scale 1 the two grids are one, and so is the field. Shells and cores
+are thresholds of that field, kept as bands on the field's crop of the
+grid; see :class:`_SurfaceField` for why this equals computing a field
+per shell.
 
 Every degenerate path (empty shell, single-voxel texture, guarded
 denominator, fit fallback, empty core) sets a 0/1 flag feature; no NaN
 or infinity ever leaves the extractor for a column it computed.
 
 Demand: a caller that reads only some columns names them, and the
-extractor skips each costly group (kinetic fit, kinetic core/rim, the
-GLCM of each sequence, margin, edema, shape) none of whose outputs it
-reads; skipped columns are NaN. Every group is a function of the
-candidate and the case alone, so a computed column never depends on
-what else was asked for.
+extractor computes only the groups (see ``_GROUPS``) with a column among
+them; the other columns are NaN. Each group builds only what its
+columns read: a sequence's decimation level at the candidate's scale on
+first use (renormalised only where it is read), a surface field only as
+wide as the widest shell read, and the upscaled original-grid region
+only for the kinetic groups. Every group is a function of the candidate
+and the case alone, so a computed column never depends on what else was
+asked for.
 """
 
 from __future__ import annotations
@@ -40,8 +44,8 @@ from scipy import ndimage, optimize
 from scipy.spatial import ConvexHull, QhullError
 
 from .candidates import RegionCandidate
-from .volume import BinaryMask, BreastCase, Volume3D, VolumeError
-from .wavelet import LLL_GAIN, downscale_mask, scale_image
+from .volume import BreastCase, VolumeError
+from .wavelet import LLL_GAIN, _lll_once, downscale_mask
 
 GLCM_LEVELS = 32
 
@@ -61,7 +65,6 @@ HARALICK_NAMES = (
 
 # (outer shell width mm, percentile) markers for peritumoral fluid
 EDEMA_SHELLS = ((2.0, 92.0), (10.0, 98.0), (20.0, 98.0))
-_EDEMA_OUTER_MM = max(width for width, _ in EDEMA_SHELLS)
 
 MARGIN_SEQUENCES = ("t2", "dce1", "dcesub")
 
@@ -84,6 +87,10 @@ KINETIC_NAMES = (
 )
 
 
+def _edema_name(width: float, q: float) -> str:
+    return f"edema_t2_p{int(q)}_{int(width)}mm"
+
+
 def _build_schema() -> tuple[str, ...]:
     names: list[str] = []
     for seq in ("t1", "t2", "dce0"):
@@ -91,7 +98,7 @@ def _build_schema() -> tuple[str, ...]:
     for seq in ("t1", "t2"):
         names += [f"{seq}_skewness", f"{seq}_kurtosis"]
     names += ["t2_p20", "t2_p90"]
-    names += [f"edema_t2_p{int(q)}_{int(w)}mm" for w, q in EDEMA_SHELLS]
+    names += [_edema_name(w, q) for w, q in EDEMA_SHELLS]
     for seq in MARGIN_SEQUENCES:
         names += [f"{seq}_glcm_{s}" for s in HARALICK_NAMES]
     for seq in MARGIN_SEQUENCES:
@@ -107,10 +114,23 @@ FEATURE_SCHEMA_ID = "siftcad-features-1"
 _INDEX = {name: k for k, name in enumerate(FEATURE_SCHEMA)}
 ALL_FEATURES = frozenset(range(len(FEATURE_SCHEMA)))
 
-# the costly groups and their outputs; intensity and the enhancement and
-# variance curve summaries are always computed. The texture flag depends
-# on the region alone, so reading it runs no GLCM.
+
+# the edema shells are nested thresholds of one field, so one of them is
+# empty exactly when the narrowest is: the flag reads that shell alone
+_EDEMA_INNER_MM = min(width for width, _ in EDEMA_SHELLS)
+_EDEMA_GROUP = {width: "edema" if width == _EDEMA_INNER_MM else f"edema_{int(width)}mm"
+                for width, _ in EDEMA_SHELLS}
+_MARGIN_OUTER_MM = 2.0
+
+# the groups and their outputs, each computed as a whole; every column
+# is in exactly one. The texture flag depends on the region alone, so
+# reading it runs no GLCM; the fit and the core/rim compute the curve
+# summaries they read without filling the ``curves`` columns.
 _GROUPS = {
+    "t1": ("t1_mean", "t1_std", "t1_skewness", "t1_kurtosis"),
+    "t2": ("t2_mean", "t2_std", "t2_skewness", "t2_kurtosis", "t2_p20", "t2_p90"),
+    "dce0": ("dce0_mean", "dce0_std"),
+    "curves": KINETIC_NAMES[:8],
     "fit": ("fit_amplitude", "fit_alpha", "fit_beta", "fit_rmse", "flag_fit_fallback"),
     "core_rim": ("blooming", "peripheral_uptake", "flag_core_empty", "flag_kinetic_guarded"),
     **{f"glcm_{seq}": tuple(f"{seq}_glcm_{s}" for s in HARALICK_NAMES)
@@ -119,16 +139,26 @@ _GROUPS = {
     "margin": (*(f"{seq}_{stat}" for seq in MARGIN_SEQUENCES
                  for stat in ("margin_sharpness", "rgi")),
                "flag_margin_shell_empty"),
-    "edema": (*(f"edema_t2_p{int(q)}_{int(w)}mm" for w, q in EDEMA_SHELLS),
-              "flag_edema_shell_empty"),
+    **{_EDEMA_GROUP[w]: (_edema_name(w, q),) for w, q in EDEMA_SHELLS},
     "shape": SHAPE_NAMES,
 }
+_GROUPS["edema"] += ("flag_edema_shell_empty",)
 _GROUP_INDICES = {g: frozenset(_INDEX[n] for n in names) for g, names in _GROUPS.items()}
+_KINETIC_GROUPS = frozenset(("curves", "fit", "core_rim"))
 
 
 def _groups_for(need: frozenset) -> frozenset:
-    """The costly groups with an output in ``need``."""
+    """The groups with an output in ``need``."""
     return frozenset(g for g, idx in _GROUP_INDICES.items() if not idx.isdisjoint(need))
+
+
+def _field_reach_mm(groups: frozenset, scale_index: int) -> float:
+    """How far outside the region the scale-grid surface field must
+    reach for ``groups``; 0 when none of them reads a shell or core."""
+    reach = [w for w, _ in EDEMA_SHELLS if _EDEMA_GROUP[w] in groups]
+    if "margin" in groups or ("core_rim" in groups and scale_index == 1):
+        reach.append(_MARGIN_OUTER_MM)
+    return max(reach, default=0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,6 +202,15 @@ def _box_slices(box, pad, dims) -> tuple[slice, slice, slice]:
                  for (lo, hi), p, n in zip(box, pad, dims))
 
 
+def _region_crop(flat_idx: np.ndarray, dims, pad=(0, 0, 0)):
+    """(slices, crop): the :func:`_box_slices` of the non-empty region
+    with these flat indices, and the region drawn on that crop alone."""
+    slices = _box_slices(_index_box(flat_idx, dims), pad, dims)
+    crop = np.zeros(tuple(s.stop - s.start for s in slices), dtype=bool)
+    crop[tuple(c - s.start for c, s in zip(np.unravel_index(flat_idx, dims), slices))] = True
+    return slices, crop
+
+
 # Centre-to-centre distance transforms overshoot the true surface distance
 # by about a third of the voxel pitch, and the digitised boundary adds a
 # staircase error of comparable size. Subtracting the bias and smoothing the
@@ -183,9 +222,10 @@ _SURFACE_SMOOTH_VOX = 0.8
 
 class _SurfaceField:
     """Smoothed signed distance (mm) from voxel centres to one region's
-    surface, negative inside, on a crop that holds every shell reaching
-    up to ``outer_mm`` outside the region. ``box`` is the region's
-    :func:`_index_box`.
+    surface, negative inside, on a crop (``slices`` of the grid) that
+    holds every shell reaching up to ``outer_mm`` outside the region.
+    The region is given by its sorted flat indices on a grid of ``dims``;
+    no array of the whole grid is built.
 
     One field serves all shells and cores of a region on its grid: each
     is a threshold of the same values, and that is exact, not an
@@ -197,22 +237,21 @@ class _SurfaceField:
     lies there. Any crop also reaches 4 voxels past the outer edge of
     each shell it serves, beyond the 3-voxel radius of the Gaussian, so
     every voxel a threshold can select smooths the same values on a
-    wide crop as on a narrow one.
+    wide crop as on a narrow one. Shells and cores are boolean bands on
+    the crop; every voxel outside it is outside them.
     """
 
-    def __init__(self, region: BinaryMask, outer_mm: float, box):
-        spacing = region.spacing
-        self.region = region
+    def __init__(self, flat_idx: np.ndarray, dims, spacing, outer_mm: float):
         self.outer_mm = outer_mm
         pad = tuple(int(math.ceil(outer_mm / s)) + 4 for s in spacing)
-        self.slices = _box_slices(box, pad, region.dims)
-        self.crop = crop = region.data[self.slices]
-        tight = _box_slices(box, (1, 1, 1), region.dims)
+        self.slices, self.crop = _region_crop(flat_idx, dims, pad)
+        crop = self.crop
+        tight = _box_slices(_index_box(flat_idx, dims), (1, 1, 1), dims)
         tight_in_crop = tuple(slice(t.start - c.start, t.stop - c.start)
                               for t, c in zip(tight, self.slices))
         inside = np.zeros(crop.shape)
         inside[tight_in_crop] = ndimage.distance_transform_edt(
-            region.data[tight], sampling=spacing)
+            crop[tight_in_crop], sampling=spacing)
         outside = ndimage.distance_transform_edt(~crop, sampling=spacing)
         bias = _SURFACE_BIAS_PITCH * (sum(spacing) / 3.0)
         sd = np.where(
@@ -222,8 +261,8 @@ class _SurfaceField:
         )
         self.distance = ndimage.gaussian_filter(sd, sigma=_SURFACE_SMOOTH_VOX)
 
-    def shell(self, inner_mm: float, outer_mm: float) -> BinaryMask:
-        """Voxels with signed distance in [-inner_mm, +outer_mm]."""
+    def shell(self, inner_mm: float, outer_mm: float) -> np.ndarray:
+        """Crop voxels with signed distance in [-inner_mm, +outer_mm]."""
         if inner_mm < 0 or outer_mm < 0:
             raise VolumeError("shell offsets must be non-negative")
         if inner_mm == 0 and outer_mm == 0:
@@ -237,23 +276,12 @@ class _SurfaceField:
             band |= self.crop & (self.distance >= -inner_mm)
         if outer_mm > 0:
             band |= ~self.crop & (self.distance <= outer_mm)
-        return self._full(band)
+        return band
 
-    def core(self, depth_mm: float) -> BinaryMask:
-        """Region voxels deeper than ``depth_mm`` below the surface."""
-        return self._full(self.crop & (self.distance < -depth_mm))
-
-    def box(self, mask: BinaryMask):
-        """:func:`_index_box` of a non-empty shell or core of this field,
-        found on the crop."""
-        local = _index_box(np.flatnonzero(mask.data[self.slices]), self.crop.shape)
-        return tuple((lo + s.start, hi + s.start)
-                     for (lo, hi), s in zip(local, self.slices))
-
-    def _full(self, crop_mask: np.ndarray) -> BinaryMask:
-        full = np.zeros_like(self.region.data)
-        full[self.slices] = crop_mask
-        return BinaryMask(full, self.region.spacing)
+    def core(self, depth_mm: float) -> np.ndarray:
+        """Crop voxels of the region deeper than ``depth_mm`` below the
+        surface."""
+        return self.crop & (self.distance < -depth_mm)
 
 
 # ---------------------------------------------------------------------------
@@ -293,42 +321,53 @@ def _quantize(vals: np.ndarray, levels: int) -> np.ndarray:
     return q
 
 
-def _pairs(off, dims) -> tuple[tuple, tuple]:
-    """Slices of the first and second voxel of every pair one ``off``
-    step apart on a grid of ``dims``."""
-    src = tuple(slice(max(0, -o), dims[a] - max(0, o)) for a, o in enumerate(off))
-    dst = tuple(slice(max(0, o), dims[a] + min(0, o)) for a, o in enumerate(off))
-    return src, dst
+class _GlcmPairs:
+    """Every ordered pair of region voxels one GLCM step apart, found
+    once per region and shared by the texture flag and each sequence's
+    GLCM. ``region`` is the region on its bounding box (``slices`` of
+    the grid); ``src`` and ``dst`` are flat indices into that box
+    padded by one background voxel per side (``shape``), in direction
+    order, and ``voxels`` are the region's voxels there, in C order."""
 
+    def __init__(self, flat_idx: np.ndarray, dims):
+        self.slices, self.region = _region_crop(flat_idx, dims)
+        padded = np.pad(self.region, 1)
+        self.shape = padded.shape
+        inside = padded.ravel()
+        self.voxels = np.flatnonzero(inside)
+        strides = (self.shape[1] * self.shape[2], self.shape[2], 1)
+        src, dst = [], []
+        for off in GLCM_DIRECTIONS:
+            step = sum(o * s for o, s in zip(off, strides))
+            first = self.voxels[inside[self.voxels + step]]
+            src.append(first)
+            dst.append(first + step)
+        self.src = np.concatenate(src)
+        self.dst = np.concatenate(dst)
 
-def _texture_degenerate(region: BinaryMask, box) -> bool:
-    """True when the region, whose :func:`_index_box` is ``box``, has no
-    two voxels one GLCM step apart (fewer than 2 voxels among them): its
-    co-occurrence matrix is empty whatever the image."""
-    crop = region.data[_box_slices(box, (0, 0, 0), region.dims)]
-    return not any((crop[src] & crop[dst]).any()
-                   for src, dst in (_pairs(off, crop.shape) for off in GLCM_DIRECTIONS))
+    @property
+    def degenerate(self) -> bool:
+        """True when the region has no two voxels one GLCM step apart
+        (fewer than 2 voxels among them): its co-occurrence matrix is
+        empty whatever the image."""
+        return self.src.size == 0
 
-
-def _pooled_glcm(quant: np.ndarray, region: np.ndarray) -> np.ndarray | None:
-    """Symmetric co-occurrence matrix pooled over the 13 directions,
-    normalised to unit mass; None when the region has no voxel pairs."""
-    levels = GLCM_LEVELS
-    counts = np.zeros((levels, levels), dtype=np.float64)
-    for off in GLCM_DIRECTIONS:
-        src, dst = _pairs(off, region.shape)
-        both = region[src] & region[dst]
-        if not both.any():
-            continue
-        a = quant[src][both]
-        b = quant[dst][both]
-        c = np.bincount(a * levels + b, minlength=levels * levels)
+    def pooled_glcm(self, data: np.ndarray) -> np.ndarray:
+        """Symmetric co-occurrence matrix of ``data`` (on the region's
+        bounding box) over the region, pooled over the 13 directions and
+        normalised to unit mass; the region must not be degenerate. The
+        counts are integers, so one ``bincount`` over every direction's
+        pairs sums them exactly."""
+        levels = GLCM_LEVELS
+        # the padded box's C order keeps the region's voxels in the order
+        # the crop lists them
+        quant = np.zeros(self.voxels[-1] + 1, dtype=np.int64)
+        quant[self.voxels] = _quantize(data[self.region], levels)
+        c = np.bincount(quant[self.src] * levels + quant[self.dst],
+                        minlength=levels * levels)
         c = c.reshape(levels, levels).astype(np.float64)
-        counts += c + c.T
-    total = counts.sum()
-    if total == 0:
-        return None
-    return counts / total
+        counts = c + c.T
+        return counts / counts.sum()
 
 
 def _haralick_stats(p: np.ndarray) -> np.ndarray:
@@ -388,61 +427,58 @@ def _haralick_stats(p: np.ndarray) -> np.ndarray:
     ])
 
 
-def haralick_features(region: BinaryMask, data: np.ndarray,
-                      box) -> tuple[np.ndarray, bool]:
-    """13 pooled-GLCM statistics of the region, whose :func:`_index_box`
-    is ``box``; degenerate regions (single voxel or no adjacent pairs)
+def haralick_features(pairs: _GlcmPairs, data: np.ndarray) -> tuple[np.ndarray, bool]:
+    """13 pooled-GLCM statistics of ``data``, an image on the bounding box
+    of the region of ``pairs`` (its ``slices`` of the grid), over that
+    region; degenerate regions (single voxel or no adjacent pairs)
     return zeros with the flag."""
-    if region.data.shape != data.shape:
-        raise VolumeError("region grid does not match volume")
-    sl = _box_slices(box, (0, 0, 0), data.shape)
-    crop_region = region.data[sl]
-    if crop_region.sum() < 2:
+    if data.shape != pairs.region.shape:
+        raise VolumeError("image does not match the region's box")
+    if pairs.degenerate:
         return np.zeros(len(HARALICK_NAMES)), True
-    crop_data = data[sl]
-    quant = np.zeros(crop_data.shape, dtype=np.int64)
-    quant[crop_region] = _quantize(crop_data[crop_region], GLCM_LEVELS)
-    p = _pooled_glcm(quant, crop_region)
-    if p is None:
-        return np.zeros(len(HARALICK_NAMES)), True
-    return _haralick_stats(p), False
+    return _haralick_stats(pairs.pooled_glcm(data)), False
 
 
 # ---------------------------------------------------------------------------
 # margin features
 # ---------------------------------------------------------------------------
 
-def _shell_gradient_stats(shell: BinaryMask, data: np.ndarray, centroid_mm,
-                          box) -> tuple[float, float]:
+class _MarginRing:
+    """A margin band's voxels with their radial vectors from the region
+    centroid, found once per candidate and shared by every sequence.
+
+    ``band`` lies on the crop at ``slices`` of a grid of ``dims``;
+    gradients are taken on the band's bounding box plus one voxel
+    (``window``, clipped to the grid) and read at ``at``.
+    """
+
+    def __init__(self, band: np.ndarray, slices, dims, spacing, centroid_mm):
+        pts = np.argwhere(band) + np.array([s.start for s in slices])
+        box = tuple((int(pts[:, a].min()), int(pts[:, a].max())) for a in range(3))
+        self.spacing = spacing
+        self.window = _box_slices(box, (1, 1, 1), dims)
+        self.at = tuple(pts[:, a] - self.window[a].start for a in range(3))
+        self.radial = pts * np.asarray(spacing) - np.asarray(centroid_mm)
+        self.rmag = np.sqrt((self.radial ** 2).sum(axis=1))
+
+
+def _shell_gradient_stats(ring: _MarginRing, crop: np.ndarray) -> tuple[float, float]:
     """(mean gradient magnitude, mean radial cosine) over the voxels of
-    the shell, whose :func:`_index_box` is ``box``."""
-    spacing = shell.spacing
-    sl = _box_slices(box, (1, 1, 1), data.shape)
-    crop = data[sl]
-    grads = np.gradient(crop, *spacing) if min(crop.shape) > 1 else [
+    the margin band of an image ``crop`` on ``ring.window``."""
+    grads = np.gradient(crop, *ring.spacing) if min(crop.shape) > 1 else [
         np.zeros_like(crop)] * 3
-    sel = shell.data[sl]
-    g = np.stack([gr[sel] for gr in grads], axis=1)
+    g = np.stack([gr[ring.at] for gr in grads], axis=1)
     gmag = np.sqrt((g ** 2).sum(axis=1))
-    coords = np.argwhere(sel).astype(np.float64)
-    for a in range(3):
-        coords[:, a] = (coords[:, a] + sl[a].start) * spacing[a] - centroid_mm[a]
-    rmag = np.sqrt((coords ** 2).sum(axis=1))
-    denom = gmag * rmag
+    denom = gmag * ring.rmag
     # the cosine is only defined where both the gradient and the radial
     # vector are non-zero; flat voxels carry no direction to average
     defined = denom > 0
     if defined.any():
         cos_mean = float(
-            ((g * coords).sum(axis=1)[defined] / denom[defined]).mean())
+            ((g * ring.radial).sum(axis=1)[defined] / denom[defined]).mean())
     else:
         cos_mean = 0.0
     return float(gmag.mean()), cos_mean
-
-
-def _region_centroid_mm(region: BinaryMask) -> tuple[float, float, float]:
-    coords = np.argwhere(region.data)
-    return tuple(float(coords[:, a].mean() * region.spacing[a]) for a in range(3))
 
 
 # ---------------------------------------------------------------------------
@@ -495,8 +531,8 @@ def shape_features(rc: RegionCandidate, fat_region: np.ndarray | None = None) ->
         except QhullError:
             solidity = 1.0
 
-    region = rc.mask().data
-    area = _surface_area_mm2(region, rc.spacing)
+    # the region's faces all lie on its bounding box
+    area = _surface_area_mm2(_region_crop(rc.flat_indices, rc.dims)[1], rc.spacing)
     sphere_area = math.pi ** (1.0 / 3.0) * (6.0 * vol) ** (2.0 / 3.0)
     irregularity = min(1.0, max(0.0, 1.0 - sphere_area / area)) if area > 0 else 0.0
 
@@ -589,9 +625,10 @@ def kinetic_features(rc: RegionCandidate, case: BreastCase,
                      need: frozenset = ALL_FEATURES) -> tuple[dict[str, float], dict[str, bool]]:
     """Kinetic feature group at original resolution.
 
-    The enhancement and variance curve summaries are always computed;
-    the parametric fit and the core/rim features only when ``need``
-    holds one of their outputs (see ``_GROUPS``).
+    The curve summaries, the parametric fit and the core/rim features
+    are returned when ``need`` holds one of their outputs (see
+    ``_GROUPS``); the fit and the core/rim compute the curves they read
+    either way.
 
     ``field`` is the candidate's surface field on the original grid,
     reaching at least 2 mm (a scale-1 candidate's scale grid is the
@@ -616,15 +653,17 @@ def kinetic_features(rc: RegionCandidate, case: BreastCase,
         guard_var = any(float(f.var()) > _EPS_BASELINE for f in frames[1:])
     else:
         var_series = np.array([(float(f.var()) - base_var) / base_var for f in frames])
-    vpeak, vttp, vuptake, vwashout = _curve_summary(var_series, times)
 
-    features = {
-        "enh_peak": peak, "enh_time_to_peak_s": ttp,
-        "enh_uptake_rate": uptake, "enh_washout_rate": washout,
-        "var_peak": vpeak, "var_time_to_peak_s": vttp,
-        "var_uptake_rate": vuptake, "var_washout_rate": vwashout,
-    }
+    features = {}
     flags = {}
+    if "curves" in groups:
+        vpeak, vttp, vuptake, vwashout = _curve_summary(var_series, times)
+        features.update({
+            "enh_peak": peak, "enh_time_to_peak_s": ttp,
+            "enh_uptake_rate": uptake, "enh_washout_rate": washout,
+            "var_peak": vpeak, "var_time_to_peak_s": vttp,
+            "var_uptake_rate": vuptake, "var_washout_rate": vwashout,
+        })
 
     if "fit" in groups:
         amp, alpha, beta, rmse, fit_fallback = _fit_enhancement(times, enh, peak)
@@ -632,25 +671,24 @@ def kinetic_features(rc: RegionCandidate, case: BreastCase,
         flags["fit_fallback"] = bool(fit_fallback)
 
     if "core_rim" in groups:
-        original = rc.original_mask()
         # the 2 mm core and the 1 mm-in/2 mm-out rim share one field
         if field is None:
-            field = _SurfaceField(original, 2.0, _index_box(region_idx, original.dims))
+            field = _SurfaceField(region_idx, rc.original_dims, rc.original_spacing,
+                                  _MARGIN_OUTER_MM)
+        picks = (0, 1, len(case.dce) - 1)
+
+        def frames_of(band):
+            # an empty band falls back to the whole region
+            if band.any():
+                return [case.dce[i].data[field.slices][band] for i in picks]
+            return [case.dce[i].data.ravel()[region_idx] for i in picks]
+
         core = field.core(2.0)
-        core_empty = core.count == 0
-        if core_empty:
-            core = original
-        shell = field.shell(1.0, 2.0)
-        guard_shell = False
-        if shell.count == 0:
-            shell = original
-            guard_shell = True
-        core_idx = np.flatnonzero(core.data.ravel())
-        shell_idx = np.flatnonzero(shell.data.ravel())
-        core_frames = [case.dce[i].data.ravel()[core_idx] for i in (0, 1, len(case.dce) - 1)]
-        shell_frames = [case.dce[i].data.ravel()[shell_idx] for i in (0, 1, len(case.dce) - 1)]
-        core_enh, g1 = _relative_series(core_frames, np.mean)
-        shell_enh, g2 = _relative_series(shell_frames, np.mean)
+        core_empty = not core.any()
+        shell = field.shell(1.0, _MARGIN_OUTER_MM)
+        guard_shell = not shell.any()
+        core_enh, g1 = _relative_series(frames_of(core), np.mean)
+        shell_enh, g2 = _relative_series(frames_of(shell), np.mean)
         blooming = float((shell_enh[-1] - shell_enh[1]) - (core_enh[-1] - core_enh[1]))
         if abs(core_enh[-1]) <= _EPS_BASELINE:
             peripheral = 0.0
@@ -669,20 +707,15 @@ def kinetic_features(rc: RegionCandidate, case: BreastCase,
 # extractor
 # ---------------------------------------------------------------------------
 
-@dataclass(eq=False)
-class _ScaleViews:
-    t1: np.ndarray
-    t2: np.ndarray
-    dce0: np.ndarray
-    dce1: np.ndarray
-    dcesub: np.ndarray
-    fat: np.ndarray
-    spacing: tuple[float, float, float]
+# the fat mean each sequence is normalised by
+_FAT_MEAN_OF = {"t1": "t1", "t2": "t2", "dce0": "dce0", "dce1": "dce0", "dcesub": "dce0"}
 
 
 class FeatureExtractor:
-    """Extracts the full schema for candidates of one case, caching the
-    decimated sequence views per pyramid scale."""
+    """Extracts features for candidates of one case. Each (sequence,
+    scale) level of the decimation ladder is built on first use and
+    cached; the caches are plain dicts of arrays, so an extractor holds
+    no reference cycle and is freed as soon as its last user drops it."""
 
     def __init__(self, case: BreastCase):
         self.case = case
@@ -697,107 +730,132 @@ class FeatureExtractor:
         for name, mean in self._fat_means.items():
             if mean <= 0:
                 raise VolumeError(f"non-positive fat mean on {name}")
-        self._views: dict[int, _ScaleViews] = {}
+        # (sequence, scale) -> LLL level of the fat-normalised sequence,
+        # with the level's gain still in it; scale -> fat mask
+        self._levels: dict[tuple[str, int], np.ndarray] = {}
+        self._fat: dict[int, np.ndarray] = {}
 
-    def _scaled(self, data: np.ndarray, m: int) -> np.ndarray:
-        if m == 1:
-            return data
-        vol = scale_image(Volume3D(data, self.case.spacing), m).volume
-        return vol.data / LLL_GAIN ** (m - 1)
+    def _level(self, seq: str, m: int) -> np.ndarray:
+        """Level m of the same ``_lll_once`` chain :func:`scale_image`
+        runs, each level made from the one below."""
+        key = (seq, m)
+        if key not in self._levels:
+            if m > 1:
+                level = _lll_once(self._level(seq, m - 1))
+            else:
+                case = self.case
+                if seq == "dcesub":
+                    data = case.dce[1].data - case.dce[0].data
+                else:
+                    data = {"t1": case.t1, "t2": case.t2,
+                            "dce0": case.dce[0], "dce1": case.dce[1]}[seq].data
+                level = data / self._fat_means[_FAT_MEAN_OF[seq]]
+            self._levels[key] = level
+        return self._levels[key]
 
-    def _view(self, m: int) -> _ScaleViews:
-        if m not in self._views:
-            case = self.case
-            sub = case.dce[1].data - case.dce[0].data
-            spacing = tuple(s * 2 ** (m - 1) for s in case.spacing)
-            self._views[m] = _ScaleViews(
-                t1=self._scaled(case.t1.data / self._fat_means["t1"], m),
-                t2=self._scaled(case.t2.data / self._fat_means["t2"], m),
-                dce0=self._scaled(case.dce[0].data / self._fat_means["dce0"], m),
-                dce1=self._scaled(case.dce[1].data / self._fat_means["dce0"], m),
-                dcesub=self._scaled(sub / self._fat_means["dce0"], m),
-                fat=downscale_mask(case.fat_mask, m).data,
-                spacing=spacing,
-            )
-        return self._views[m]
+    def _scaled(self, seq: str, m: int, where) -> np.ndarray:
+        """Sequence ``seq`` (a key of ``_FAT_MEAN_OF``) on the scale-m
+        grid, renormalised to unit DC gain, read at ``where``: flat
+        indices, or a tuple of slices for a crop. The gain is divided out
+        of what is read, which gives the same values as dividing the
+        whole level first."""
+        level = self._level(seq, m)
+        vals = level[where] if isinstance(where, tuple) else level.ravel()[where]
+        return vals if m == 1 else vals / LLL_GAIN ** (m - 1)
+
+    def _fat_mask(self, m: int) -> np.ndarray:
+        if m not in self._fat:
+            self._fat[m] = downscale_mask(self.case.fat_mask, m).data
+        return self._fat[m]
+
+    def _texture_columns(self, rc: RegionCandidate, groups: frozenset) -> dict[str, float]:
+        """The texture flag and the GLCM columns in ``groups``, all from
+        one set of voxel pairs."""
+        pairs = _GlcmPairs(rc.flat_indices, rc.dims)
+        out = {}
+        if "texture_flag" in groups:
+            out["flag_texture_degenerate"] = float(pairs.degenerate)
+        for seq in MARGIN_SEQUENCES:
+            if f"glcm_{seq}" in groups:
+                stats, _ = haralick_features(
+                    pairs, self._scaled(seq, rc.scale_index, pairs.slices))
+                for stat_name, value in zip(HARALICK_NAMES, stats):
+                    out[f"{seq}_glcm_{stat_name}"] = float(value)
+        return out
+
+    def _margin_columns(self, rc: RegionCandidate, field: _SurfaceField) -> dict[str, float]:
+        """Margin sharpness and RGI per sequence over the 1 mm-in/2 mm-out
+        shell of the scale-grid ``field``, and the empty-shell flag."""
+        band = field.shell(1.0, _MARGIN_OUTER_MM)
+        if not band.any():
+            out = {"flag_margin_shell_empty": 1.0}
+            for seq in MARGIN_SEQUENCES:
+                out[f"{seq}_margin_sharpness"] = 0.0
+                out[f"{seq}_rgi"] = 0.0
+            return out
+        out = {"flag_margin_shell_empty": 0.0}
+        ring = _MarginRing(band, field.slices, rc.dims, rc.spacing, rc.centroid_mm)
+        for seq in MARGIN_SEQUENCES:
+            sharp, rgi = _shell_gradient_stats(
+                ring, self._scaled(seq, rc.scale_index, ring.window))
+            out[f"{seq}_margin_sharpness"] = sharp
+            out[f"{seq}_rgi"] = rgi
+        return out
 
     def extract(self, rc: RegionCandidate, need=ALL_FEATURES) -> FeatureVector:
         """Feature vector of one candidate.
 
-        ``need`` holds the schema indices the caller reads; each costly
-        group with no output in it is skipped and its columns are NaN.
+        ``need`` holds the schema indices the caller reads; each group
+        with no output in it is skipped and its columns are NaN.
         Computed columns equal those of the full extraction bit for bit.
         """
         need = frozenset(int(k) for k in need)
         groups = _groups_for(need)
-        view = self._view(rc.scale_index)
-        region = rc.mask()
+        m = rc.scale_index
         idx = rc.flat_indices
         out: dict[str, float] = {}
 
         for seq in ("t1", "t2", "dce0"):
-            vals = getattr(view, seq).ravel()[idx]
+            if seq not in groups:
+                continue
+            vals = self._scaled(seq, m, idx)
             out[f"{seq}_mean"] = float(vals.mean())
             out[f"{seq}_std"] = float(vals.std())
-        for seq in ("t1", "t2"):
-            vals = getattr(view, seq).ravel()[idx]
-            out[f"{seq}_skewness"] = skewness(vals)
-            out[f"{seq}_kurtosis"] = pearson_kurtosis(vals)
-        t2_vals = view.t2.ravel()[idx]
-        out["t2_p20"] = float(np.percentile(t2_vals, 20))
-        out["t2_p90"] = float(np.percentile(t2_vals, 90))
+            if seq != "dce0":
+                out[f"{seq}_skewness"] = skewness(vals)
+                out[f"{seq}_kurtosis"] = pearson_kurtosis(vals)
+        if "t2" in groups:
+            t2_vals = self._scaled("t2", m, idx)
+            out["t2_p20"] = float(np.percentile(t2_vals, 20))
+            out["t2_p90"] = float(np.percentile(t2_vals, 90))
 
-        box = _index_box(idx, region.dims)
-        # the 20 mm field serves the edema shells, the margin shell and,
-        # on the original grid, the kinetic core and rim
-        field = None
-        if {"edema", "margin"} & groups or ("core_rim" in groups and rc.scale_index == 1):
-            field = _SurfaceField(region, _EDEMA_OUTER_MM, box)
+        reach = _field_reach_mm(groups, m)
+        field = _SurfaceField(idx, rc.dims, rc.spacing, reach) if reach else None
 
-        if "edema" in groups:
-            out["flag_edema_shell_empty"] = 0.0
-            for width, q in EDEMA_SHELLS:
-                name = f"edema_t2_p{int(q)}_{int(width)}mm"
-                shell = field.shell(0.0, width)
-                if shell.count == 0:
-                    out[name] = float(np.percentile(t2_vals, q))
-                    out["flag_edema_shell_empty"] = 1.0
-                else:
-                    out[name] = float(np.percentile(view.t2[shell.data], q))
+        edema = [(width, q) for width, q in EDEMA_SHELLS if _EDEMA_GROUP[width] in groups]
+        if edema:
+            t2_crop = self._scaled("t2", m, field.slices)
+        for width, q in edema:
+            shell = field.shell(0.0, width)
+            vals = t2_crop[shell] if shell.any() else self._scaled("t2", m, idx)
+            out[_edema_name(width, q)] = float(np.percentile(vals, q))
+            if width == _EDEMA_INNER_MM:
+                out["flag_edema_shell_empty"] = float(not shell.any())
 
-        for seq in MARGIN_SEQUENCES:
-            if f"glcm_{seq}" in groups:
-                stats, _ = haralick_features(region, getattr(view, seq), box)
-                for stat_name, value in zip(HARALICK_NAMES, stats):
-                    out[f"{seq}_glcm_{stat_name}"] = float(value)
-        if "texture_flag" in groups:
-            out["flag_texture_degenerate"] = float(_texture_degenerate(region, box))
-
+        if {"texture_flag", *(f"glcm_{seq}" for seq in MARGIN_SEQUENCES)} & groups:
+            out.update(self._texture_columns(rc, groups))
         if "margin" in groups:
-            margin_shell = field.shell(1.0, 2.0)
-            if margin_shell.count == 0:
-                out["flag_margin_shell_empty"] = 1.0
-                for seq in MARGIN_SEQUENCES:
-                    out[f"{seq}_margin_sharpness"] = 0.0
-                    out[f"{seq}_rgi"] = 0.0
-            else:
-                out["flag_margin_shell_empty"] = 0.0
-                centroid = _region_centroid_mm(region)
-                shell_box = field.box(margin_shell)
-                for seq in MARGIN_SEQUENCES:
-                    sharp, rgi = _shell_gradient_stats(
-                        margin_shell, getattr(view, seq), centroid, shell_box)
-                    out[f"{seq}_margin_sharpness"] = sharp
-                    out[f"{seq}_rgi"] = rgi
+            out.update(self._margin_columns(rc, field))
 
         if "shape" in groups:
-            out.update(shape_features(rc, view.fat))
+            out.update(shape_features(rc, self._fat_mask(m)))
 
-        kin, kin_flags = kinetic_features(
-            rc, self.case, field if rc.scale_index == 1 else None, need)
-        out.update(kin)
-        out.update({f"flag_{name}": 1.0 if fired else 0.0
-                    for name, fired in kin_flags.items()})
+        if groups & _KINETIC_GROUPS:
+            kin, kin_flags = kinetic_features(
+                rc, self.case, field if m == 1 else None, need)
+            out.update(kin)
+            out.update({f"flag_{name}": 1.0 if fired else 0.0
+                        for name, fired in kin_flags.items()})
 
         bad = [name for name, value in out.items() if not math.isfinite(value)]
         if bad:

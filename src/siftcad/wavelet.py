@@ -206,6 +206,43 @@ def upscale_mask(mask: BinaryMask, m: int, original_dims, spacing) -> BinaryMask
     return BinaryMask(data >= 0.5, spacing)
 
 
+def upscale_indices(flat_idx: np.ndarray, dims, m: int, original_dims) -> np.ndarray:
+    """Sorted original-grid flat indices of :func:`upscale_mask` of the
+    scale-m mask with these (non-empty, sorted) flat indices on ``dims``,
+    synthesised on the mask's bounding box alone.
+
+    Each inverse level runs on the box padded by one zero sample per
+    side, which holds every sample its output reaches, and its output is
+    clipped to the level's grid. Every term the whole-grid synthesis adds
+    beyond the box is a product with a zero sample, a ``±0.0`` addition
+    that changes no non-zero sum, so the thresholded mask is the same.
+    """
+    ladder = dims_ladder(original_dims, m)
+    if tuple(dims) != ladder[m - 1]:
+        raise VolumeError(f"mask dims {tuple(dims)} do not match level-{m} dims {ladder[m - 1]}")
+    coords = np.unravel_index(flat_idx, dims)
+    origin = [int(c.min()) for c in coords]
+    data = np.zeros([int(c.max()) - o + 1 for c, o in zip(coords, origin)])
+    data[tuple(c - o for c, o in zip(coords, origin))] = 1.0
+    for level in range(m - 1, 0, -1):
+        target = ladder[level - 1]
+        for axis in (2, 1, 0):
+            pad = [(0, 0)] * 3
+            pad[axis] = (1, 1)
+            data = np.pad(data, pad)
+            # output sample j of the padded box is sample j + start of the level
+            start = 2 * (origin[axis] - 1)
+            data = _synthesis_axis(data, None, 2 * data.shape[axis], axis)
+            keep = [slice(None)] * 3
+            keep[axis] = slice(max(0, -start), target[axis] - start)
+            data = data[tuple(keep)]
+            origin[axis] = max(0, start)
+    data *= LLL_GAIN ** (m - 1)
+    local = np.nonzero(data >= 0.5)
+    return np.ravel_multi_index(tuple(c + o for c, o in zip(local, origin)),
+                                tuple(original_dims))
+
+
 def downscale_mask(mask: BinaryMask, m: int) -> BinaryMask:
     """Project a full-resolution mask onto the scale-m grid (dual of
     :func:`upscale_mask`): LLL-decimate, renormalise, threshold 0.5."""

@@ -20,6 +20,7 @@ TEST_ONLY = {
     "ms2d": "single-slice sifting, checked against the oracle's direct evaluation",
     "dwt3_db2": "forward transform of the wavelet round-trip and LLL-gain criterion",
     "idwt3_db2": "inverse transform of the same round trip",
+    "upscale_mask": "whole-grid inverse the box-local upscale of candidates is checked against",
     "train_tree": "one CART tree, the unit the ensemble tests build on",
     "mse_loss": "the loss the cross-validation tests report",
     "cross_validate": "grouped k-fold driver of the cross-validation tests",

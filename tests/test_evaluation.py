@@ -354,9 +354,13 @@ def test_pipeline_scores_each_stage_in_one_batch():
     assert malignancy.batch_sizes == [len(out)]
 
 
-# two features of each costly feature group; the texture flag's group has
-# one output, so a GLCM output rides with it
+# two features of each feature group; where a group has one output, a
+# column of another group rides with it
 _GROUP_FEATURES = {
+    "t1": ("t1_kurtosis", "t1_std"),
+    "t2": ("t2_p90", "t2_skewness"),
+    "dce0": ("dce0_std", "dce0_mean"),
+    "curves": ("enh_washout_rate", "var_peak"),
     "fit": ("fit_rmse", "fit_beta"),
     "core_rim": ("blooming", "flag_kinetic_guarded"),
     "glcm_t2": ("t2_glcm_contrast", "t2_glcm_entropy"),
@@ -364,7 +368,9 @@ _GROUP_FEATURES = {
     "glcm_dcesub": ("dcesub_glcm_correlation", "dcesub_glcm_entropy"),
     "texture_flag": ("flag_texture_degenerate", "dcesub_glcm_asm"),
     "margin": ("t2_rgi", "dcesub_margin_sharpness"),
-    "edema": ("edema_t2_p98_20mm", "edema_t2_p92_2mm"),
+    "edema": ("edema_t2_p92_2mm", "flag_edema_shell_empty"),
+    "edema_10mm": ("edema_t2_p98_10mm", "t2_p20"),
+    "edema_20mm": ("edema_t2_p98_20mm", "edema_t2_p98_10mm"),
     "shape": ("solidity", "esd_mm"),
 }
 

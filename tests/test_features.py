@@ -1,7 +1,10 @@
+import gc
 import hashlib
+import weakref
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from siftcad.candidates import candidate_from_mask, generate_candidates
 from siftcad.features import (
@@ -12,10 +15,11 @@ from siftcad.features import (
     GLCM_DIRECTIONS,
     HARALICK_NAMES,
     _box_slices,
+    _GlcmPairs,
     _index_box,
+    _MarginRing,
     _shell_gradient_stats,
     _SurfaceField,
-    _texture_degenerate,
     enhancement_model,
     haralick_features,
     kinetic_features,
@@ -42,11 +46,24 @@ def _box(mask: BinaryMask):
 
 
 def _field(region: BinaryMask, outer_mm: float) -> _SurfaceField:
-    return _SurfaceField(region, outer_mm, _box(region))
+    return _SurfaceField(np.flatnonzero(region.data), region.dims, region.spacing, outer_mm)
+
+
+def _on_grid(region: BinaryMask, field: _SurfaceField, band: np.ndarray) -> np.ndarray:
+    """A band of ``field``'s crop drawn on the region's whole grid."""
+    full = np.zeros(region.dims, dtype=bool)
+    full[field.slices] = band
+    return full
+
+
+def _shell(region: BinaryMask, field_mm: float, inner_mm: float, outer_mm: float) -> BinaryMask:
+    field = _field(region, field_mm)
+    return BinaryMask(_on_grid(region, field, field.shell(inner_mm, outer_mm)), region.spacing)
 
 
 def _texture(region: BinaryMask, data: np.ndarray):
-    return haralick_features(region, data, _box(region))
+    pairs = _GlcmPairs(np.flatnonzero(region.data), region.dims)
+    return haralick_features(pairs, data[pairs.slices])
 
 
 def _ball_region(radius=10.0, dims=(40, 40, 40), spacing=(1.0, 1.0, 1.0)):
@@ -60,7 +77,7 @@ def _ball_region(radius=10.0, dims=(40, 40, 40), spacing=(1.0, 1.0, 1.0)):
 
 def test_shell_matches_analytic_band():
     region, centre = _ball_region(10.0)
-    shell = _field(region, 2.0).shell(1.0, 2.0)
+    shell = _shell(region, 2.0, 1.0, 2.0)
     analytic = ball_mask(region.dims, region.spacing, centre, 12.0) & ~ball_mask(
         region.dims, region.spacing, centre, 9.0 - 1e-6)
     assert dice(shell.data, analytic) >= 0.95
@@ -75,16 +92,17 @@ def test_shell_offset_validation():
         field.shell(0.0, 0.0)
     with pytest.raises(VolumeError):
         field.shell(-1.0, 2.0)
-    outer_only = field.shell(0.0, 3.0)
-    assert not (outer_only.data & region.data).any()
+    outer_only = _on_grid(region, field, field.shell(0.0, 3.0))
+    assert outer_only.any() and not (outer_only & region.data).any()
 
 
 def test_erode_mm_shrinks_ball():
     region, centre = _ball_region(8.0)
-    core = _field(region, 2.0).core(2.0)
+    field = _field(region, 2.0)
+    core = _on_grid(region, field, field.core(2.0))
     analytic = ball_mask(region.dims, region.spacing, centre, 6.0)
-    assert dice(core.data, analytic) >= 0.85
-    assert core.count < region.count
+    assert dice(core, analytic) >= 0.85
+    assert core.sum() < region.count
 
 
 def _oracle_regions():
@@ -107,20 +125,52 @@ def _oracle_regions():
     }
 
 
-@pytest.mark.parametrize("name", sorted(_oracle_regions()))
+def _random_regions():
+    """Seeded random clumps on odd and even grids, at fine and coarse
+    pitch (where the 2 mm shells can be empty), many touching a face."""
+    rng = np.random.default_rng(31)
+    out = {}
+    for k in range(6):
+        dims = tuple(int(n) for n in rng.integers(5, 20, size=3))
+        spacing = tuple(float(s) for s in rng.choice([0.7, 1.0, 1.3, 2.6, 4.0, 5.2], size=3))
+        seeds = rng.random(dims) < rng.uniform(0.002, 0.02)
+        seeds[tuple(int(rng.integers(0, n)) for n in dims)] = True
+        region = ndimage.binary_dilation(seeds, iterations=int(rng.integers(0, 3)))
+        out[f"random_{k}"] = BinaryMask(region, spacing)
+    return out
+
+
+_SHELL_REGIONS = {**_oracle_regions(), **_random_regions()}
+
+
+@pytest.mark.parametrize("name", sorted(_SHELL_REGIONS))
 def test_field_thresholds_equal_per_shell_fields(name):
-    region = _oracle_regions()[name]
+    # each band and core lies on its field's crop and equals, drawn on
+    # the whole grid, the one a field built for it alone gives
+    region = _SHELL_REGIONS[name]
     spacing = region.spacing
     widest = _field(region, max(w for w, _ in EDEMA_SHELLS))
     rim = _field(region, 2.0)
     for inner, outer in ((0.0, 2.0), (0.0, 10.0), (0.0, 20.0), (1.0, 2.0)):
         expected = per_shell_band(region.data, spacing, inner, outer)
-        assert np.array_equal(widest.shell(inner, outer).data, expected), (inner, outer)
+        assert np.array_equal(_on_grid(region, widest, widest.shell(inner, outer)),
+                              expected), (inner, outer)
         just_wide_enough = _field(region, outer)
-        assert np.array_equal(just_wide_enough.shell(inner, outer).data, expected)
+        assert np.array_equal(
+            _on_grid(region, just_wide_enough, just_wide_enough.shell(inner, outer)), expected)
     core = per_shell_core(region.data, spacing, 2.0)
     for field in (widest, rim, _field(region, 0.0)):
-        assert np.array_equal(field.core(2.0).data, core)
+        assert np.array_equal(_on_grid(region, field, field.core(2.0)), core)
+
+
+def test_edema_flag_from_the_narrowest_shell_equals_any_shell_empty():
+    seen = set()
+    for region in _SHELL_REGIONS.values():
+        widest = _field(region, 20.0)
+        any_empty = any(not widest.shell(0.0, w).any() for w, _ in EDEMA_SHELLS)
+        assert (not _field(region, 2.0).shell(0.0, 2.0).any()) == any_empty
+        seen.add(any_empty)
+    assert seen == {True, False}
 
 
 def test_field_refuses_shells_past_its_crop():
@@ -152,11 +202,6 @@ def test_index_box_equals_grid_scan():
         box = _box(region)
         for pad in ((0, 0, 0), (1, 1, 1), (3, 0, 7)):
             assert _box_slices(box, pad, region.dims) == _scanned_slices(region.data, pad)
-    # the field finds a shell's box on its crop
-    region = _oracle_regions()["touching_face"]
-    field = _field(region, 2.0)
-    shell = field.shell(1.0, 2.0)
-    assert field.box(shell) == _box(shell)
 
 
 # ---------------------------------------------------------------------------
@@ -255,8 +300,12 @@ def test_texture_flag_from_the_region_equals_the_glcm_flag():
             continue
         mask = BinaryMask(region, (1, 1, 1))
         data = rng.normal(size=dims)
-        want = _texture(mask, data)[1]
-        assert _texture_degenerate(mask, _box(mask)) == want
+        # oracle: no region voxel has a region voxel among its 26 neighbours
+        neighbours = ndimage.convolve(region.astype(int), np.ones((3, 3, 3), int),
+                                      mode="constant") - region
+        want = not (region & (neighbours > 0)).any()
+        assert _GlcmPairs(np.flatnonzero(region), dims).degenerate == want
+        assert _texture(mask, data)[1] == want
         seen.add(want)
     assert seen == {True, False}
 
@@ -267,9 +316,11 @@ def test_texture_flag_from_the_region_equals_the_glcm_flag():
 
 def _margin_stats(region: BinaryMask, data: np.ndarray, centre):
     """(sharpness, rgi) over the extractor's 1 mm-in/2 mm-out margin shell."""
-    shell = _field(region, 2.0).shell(1.0, 2.0)
-    assert shell.count > 0
-    return _shell_gradient_stats(shell, data, centre, _box(shell))
+    field = _field(region, 2.0)
+    band = field.shell(1.0, 2.0)
+    assert band.any()
+    ring = _MarginRing(band, field.slices, region.dims, region.spacing, centre)
+    return _shell_gradient_stats(ring, data[ring.window])
 
 
 def test_bright_ball_rgi_is_strongly_negative():
@@ -280,8 +331,6 @@ def test_bright_ball_rgi_is_strongly_negative():
 
 
 def test_blurring_reduces_margin_sharpness():
-    from scipy import ndimage
-
     region, centre = _ball_region(8.0)
     data = 50.0 + 150.0 * region.data
     sharp, _ = _margin_stats(region, data, centre)
@@ -540,13 +589,14 @@ def test_phantom_case_features_match_frozen_golden():
 # demand-driven extraction
 # ---------------------------------------------------------------------------
 
-# columns every extraction computes, and the costly groups with their
-# outputs, written out from the schema's definition
-_ALWAYS = {"t1_mean", "t1_std", "t2_mean", "t2_std", "dce0_mean", "dce0_std",
-           "t1_skewness", "t1_kurtosis", "t2_skewness", "t2_kurtosis",
-           "t2_p20", "t2_p90"} | {f"{c}_{s}" for c in ("enh", "var") for s in (
-               "peak", "time_to_peak_s", "uptake_rate", "washout_rate")}
-_COSTLY = {
+# the groups an extraction computes as wholes, with their outputs, written
+# out from the schema's definition
+_GROUPS = {
+    "t1": {"t1_mean", "t1_std", "t1_skewness", "t1_kurtosis"},
+    "t2": {"t2_mean", "t2_std", "t2_skewness", "t2_kurtosis", "t2_p20", "t2_p90"},
+    "dce0": {"dce0_mean", "dce0_std"},
+    "curves": {f"{c}_{s}" for c in ("enh", "var") for s in (
+        "peak", "time_to_peak_s", "uptake_rate", "washout_rate")},
     "fit": {"fit_amplitude", "fit_alpha", "fit_beta", "fit_rmse", "flag_fit_fallback"},
     "core_rim": {"blooming", "peripheral_uptake", "flag_core_empty",
                  "flag_kinetic_guarded"},
@@ -555,21 +605,22 @@ _COSTLY = {
     "texture_flag": {"flag_texture_degenerate"},
     "margin": {f"{seq}_{s}" for seq in ("t2", "dce1", "dcesub")
                for s in ("margin_sharpness", "rgi")} | {"flag_margin_shell_empty"},
-    "edema": {n for n in FEATURE_SCHEMA if n.startswith("edema_")}
-    | {"flag_edema_shell_empty"},
+    "edema": {"edema_t2_p92_2mm", "flag_edema_shell_empty"},
+    "edema_10mm": {"edema_t2_p98_10mm"},
+    "edema_20mm": {"edema_t2_p98_20mm"},
     "shape": {"esd_mm", "extent", "solidity", "irregularity", "fat_fraction"},
 }
 
 
 def _computed(need_names: set) -> np.ndarray:
     """Schema mask of the columns an extraction for ``need_names`` fills."""
-    groups = {g for g, names in _COSTLY.items() if names & need_names}
-    names = set(_ALWAYS).union(*(_COSTLY[g] for g in groups))
+    groups = {g for g, names in _GROUPS.items() if names & need_names}
+    names = set().union(*(_GROUPS[g] for g in groups))
     return np.array([n in names for n in FEATURE_SCHEMA])
 
 
 def test_group_table_covers_the_schema_once():
-    names = [n for g in _COSTLY.values() for n in g] + sorted(_ALWAYS)
+    names = [n for g in _GROUPS.values() for n in g]
     assert len(names) == len(set(names)) == len(FEATURE_SCHEMA)
     assert set(names) == set(FEATURE_SCHEMA)
 
@@ -597,10 +648,10 @@ def _check_partial(extractor, rc, full, need_names):
     assert got[computed].tobytes() == full[computed].tobytes()
 
 
-@pytest.mark.parametrize("group", [*_COSTLY, "none"])
+@pytest.mark.parametrize("group", [*_GROUPS, "none"])
 def test_each_group_alone_equals_full_extraction(golden_case_vectors, group):
     extractor, cands, fulls = golden_case_vectors
-    need_names = {**_COSTLY, "none": set()}[group]
+    need_names = {**_GROUPS, "none": set()}[group]
     for rc, full in zip(cands, fulls):
         _check_partial(extractor, rc, full, need_names)
 
@@ -614,6 +665,51 @@ def test_random_feature_subsets_equal_full_extraction(golden_case_vectors):
                       rng.choice(len(FEATURE_SCHEMA), size=size, replace=False)}
         for k in (i % 3, 3 + i % 3, 6 + i % 3):  # one candidate per scale
             _check_partial(extractor, cands[k], fulls[k], need_names)
+
+
+def test_t2_mean_alone_builds_only_the_t2_levels(golden_case_vectors, monkeypatch):
+    # t2_mean reads the T2 level at the candidate's scale and nothing
+    # else: no other sequence's level, no fat mask, no field, no GLCM
+    # pairs and no upscaling to the original grid
+    import siftcad.candidates as cmod
+    import siftcad.features as fmod
+
+    calls = []
+    for module, name in ((fmod, "_SurfaceField"), (fmod, "_GlcmPairs"),
+                         (fmod, "downscale_mask"), (fmod, "kinetic_features"),
+                         (cmod, "upscale_indices")):
+        monkeypatch.setattr(module, name, lambda *a, _n=name, **k: calls.append(_n))
+    lll = []
+    real_lll = fmod._lll_once
+    monkeypatch.setattr(fmod, "_lll_once", lambda data: lll.append(data.shape) or real_lll(data))
+    base, cands, fulls = golden_case_vectors
+    extractor = FeatureExtractor(base.case)
+    fresh = [candidate_from_mask(rc.mask(), rc.scale_index, rc.original_dims,
+                                 rc.original_spacing) for rc in cands]
+    for rc, full in zip(fresh, fulls):
+        _check_partial(extractor, rc, full, {"t2_mean"})
+        assert rc._original_indices is None
+    assert calls == []
+    assert set(extractor._levels) == {("t2", 1), ("t2", 2), ("t2", 3)}
+    assert extractor._fat == {}
+    assert len(lll) == 2  # level 2 from level 1, level 3 from level 2
+
+
+def test_extractor_is_freed_by_reference_counting(golden_case_vectors):
+    # the level caches must hold no reference back to the extractor: a
+    # cycle would keep every level alive until the cycle collector runs
+    base, cands, _ = golden_case_vectors
+    gc.disable()
+    try:
+        extractor = FeatureExtractor(base.case)
+        for rc in cands:
+            extractor.extract(rc)
+        assert len(extractor._levels) == 15 and len(extractor._fat) == 3
+        ref = weakref.ref(extractor)
+        del extractor
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_feature_vector_validation():

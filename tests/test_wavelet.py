@@ -12,6 +12,7 @@ from siftcad.wavelet import (
     idwt3_db2,
     scale_image,
     subband_length,
+    upscale_indices,
     upscale_mask,
 )
 
@@ -97,6 +98,48 @@ def test_upscale_mask_dims_mismatch():
     m = BinaryMask(np.ones((5, 5, 5), bool), SP)
     with pytest.raises(VolumeError, match="dims"):
         upscale_mask(m, 2, (20, 18, 15), SP)
+
+
+def test_box_local_upscale_equals_whole_grid_upscale():
+    # oracle: the whole-grid inverse; odd and even dims, boxes touching
+    # every face of the grid, sparse and solid boxes, single voxels
+    rng = np.random.default_rng(77)
+    faces = set()
+    for trial in range(240):
+        m = 2 + trial % 2
+        dims = tuple(int(n) for n in rng.integers(3, 26, size=3))
+        ldims = dims_ladder(dims, m)[m - 1]
+        lo = [int(rng.integers(0, n)) for n in ldims]
+        hi = [int(rng.integers(a, n)) for a, n in zip(lo, ldims)]
+        for axis, n in enumerate(ldims):
+            side = rng.integers(0, 4)
+            if side == 0:
+                lo[axis] = 0
+            elif side == 1:
+                hi[axis] = n - 1
+        region = np.zeros(ldims, dtype=bool)
+        box = tuple(slice(a, b + 1) for a, b in zip(lo, hi))
+        if trial % 5 == 0:
+            region[tuple(lo)] = True
+        else:
+            region[box] = rng.random(region[box].shape) < rng.choice([0.2, 0.6, 1.0])
+            region[tuple(lo)] = region[tuple(hi)] = True
+        flat = np.flatnonzero(region)
+        coords = np.unravel_index(flat, ldims)
+        for axis, n in enumerate(ldims):
+            if coords[axis].min() == 0:
+                faces.add((axis, "low"))
+            if coords[axis].max() == n - 1:
+                faces.add((axis, "high"))
+        want = upscale_mask(BinaryMask(region, SP), m, dims, SP)
+        got = upscale_indices(flat, ldims, m, dims)
+        assert np.array_equal(got, np.flatnonzero(want.data)), (trial, dims, m)
+    assert len(faces) == 6
+
+
+def test_box_local_upscale_dims_mismatch():
+    with pytest.raises(VolumeError, match="dims"):
+        upscale_indices(np.array([0]), (5, 5, 5), 2, (20, 18, 15))
 
 
 def test_upscale_ball_overlaps_analytic_reference():
