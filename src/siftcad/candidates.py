@@ -206,11 +206,6 @@ class RegionCandidate:
     def voxel_count(self) -> int:
         return int(self.flat_indices.size)
 
-    def mask(self) -> BinaryMask:
-        m = np.zeros(self.dims, dtype=bool)
-        m.ravel()[self.flat_indices] = True
-        return BinaryMask(m, self.spacing)
-
     def original_mask(self) -> BinaryMask:
         m = np.zeros(self.original_dims, dtype=bool)
         m.ravel()[self.original_indices()] = True
@@ -307,7 +302,7 @@ def generate_candidates(
         mask_m = downscale_mask(case.breast_mask, m)
         if mask_m.count == 0:
             continue
-        response = ms3d(scaled.volume, plan, n_orient)
+        response = ms3d(scaled, plan, n_orient)
         f16 = normalize16(response, mask_m)
         if responses is not None:
             responses[m] = f16
@@ -317,7 +312,7 @@ def generate_candidates(
             # a (near-)constant response carries no candidates at this scale
             continue
         lo, hi = volume_window(m, m_scales, v_min, v_max)
-        voxvol = scaled.volume.voxel_volume_mm3
+        voxvol = scaled.voxel_volume_mm3
         seen: dict[bytes, RegionCandidate] = {}
         ordered: list[RegionCandidate] = []
         pieces = _sieve_components(f16.data, bank.thresholds, lo, hi, voxvol)
@@ -327,7 +322,7 @@ def generate_candidates(
                 if key in seen:
                     continue
                 cand = _make_candidate(
-                    flat_idx, m, t_idx, f16.dims, scaled.volume.spacing,
+                    flat_idx, m, t_idx, f16.dims, scaled.spacing,
                     case.dims, case.spacing,
                 )
                 seen[key] = cand

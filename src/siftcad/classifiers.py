@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .features import FEATURE_SCHEMA, FeatureVector
+from .volume import _regions, dsi_matrix
 
 DEFAULT_N_TREES = 2000
 DEFAULT_LEARNING_RATE = 0.1
@@ -78,15 +79,6 @@ class CandidateLabel:
     best_dsi: float
 
 
-def _indices_dsi(a_idx: np.ndarray, a_n: int, b_idx: np.ndarray, b_n: int) -> float:
-    if a_n == 0 and b_n == 0:
-        return 1.0
-    if a_n == 0 or b_n == 0:
-        return 0.0
-    inter = np.intersect1d(a_idx, b_idx, assume_unique=True).size
-    return 2.0 * inter / (a_n + b_n)
-
-
 def assign_training_labels(candidates, ground_truth) -> list[CandidateLabel]:
     """Three-way labels for candidates against ground-truth lesion masks.
 
@@ -98,12 +90,8 @@ def assign_training_labels(candidates, ground_truth) -> list[CandidateLabel]:
     """
     n_c = len(candidates)
     n_l = len(ground_truth)
-    cand_idx = [c.original_indices() for c in candidates]
-    truth_idx = [np.flatnonzero(m.data.ravel()) for m in ground_truth]
-    mat = np.zeros((n_c, n_l))
-    for i, ci in enumerate(cand_idx):
-        for j, tj in enumerate(truth_idx):
-            mat[i, j] = _indices_dsi(ci, ci.size, tj, tj.size)
+    mat = dsi_matrix([c.original_indices() for c in candidates],
+                     _regions(ground_truth))
     winner_of = [None] * n_c
     for j in range(n_l):
         if n_c == 0:

@@ -309,12 +309,18 @@ def cmd_evaluate(args) -> int:
             raise VolumeError(f"case {case_id!r} missing from manifest")
         record = records[case_id]
         base = record.base_dir
-        truths_per_case.append(
-            [load_mask(base / p) for p in record.ground_truth])
+        truths = [load_mask(base / p) for p in record.ground_truth]
+        truths_per_case.append(truths)
         malignant_per_case.append([bool(b) for b in record.malignant])
+        grid = truths[0].dims if truths else None
         dets = []
         for d in entry["detections"]:
-            mask = load_mask(detections_path.parent / d["mask"])
+            path = detections_path.parent / d["mask"]
+            mask = load_mask(path)
+            grid = grid or mask.dims
+            if mask.dims != grid:
+                raise VolumeError(f"{path}: mask grid {mask.dims} differs from "
+                                  f"case {case_id!r} grid {grid}")
             dets.append(Detection(
                 mask=mask,
                 lesion_score=d["lesion_score"],
@@ -326,7 +332,8 @@ def cmd_evaluate(args) -> int:
         detections_per_case.append(dets)
 
     detection = detection_metrics(detections_per_case, truths_per_case)
-    arcg_stats = arcg(detections_per_case, truths_per_case)
+    arcg_stats = arcg([[d.mask for d in dets] for dets in detections_per_case],
+                      truths_per_case)
     malignancy = None
     if any(d.malignancy_score is not None
            for dets in detections_per_case for d in dets):

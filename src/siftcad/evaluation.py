@@ -19,17 +19,13 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
+from scipy.sparse.csgraph import connected_components
 
-from .candidates import (
-    DEFAULT_V_MAX,
-    DEFAULT_V_MIN,
-    RegionCandidate,
-    generate_candidates,
-)
+from .candidates import DEFAULT_V_MAX, DEFAULT_V_MIN, generate_candidates
 from .classifiers import DEFAULT_N_TREES, predict, split_features
 from .features import FeatureExtractor
 from .nrrd_io import save_mask
-from .volume import BinaryMask, VolumeError, dsi
+from .volume import BinaryMask, VolumeError, _regions, dsi_matrix
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
@@ -69,40 +65,18 @@ def fuse_labels(detections) -> list[Detection]:
     lower scale index, then input order. Survivors keep input order and
     are pairwise disjoint.
     """
-    n = len(detections)
-    if n <= 1:
+    if len(detections) <= 1:
         return list(detections)
-    dims = detections[0].mask.dims
-    for d in detections:
-        if d.mask.dims != dims:
-            raise VolumeError("detections must share one grid")
-    idxs = [np.flatnonzero(d.mask.data.ravel()) for d in detections]
-
-    parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if find(i) != find(j) and \
-                    np.intersect1d(idxs[i], idxs[j], assume_unique=True).size:
-                parent[find(j)] = find(i)
-
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    keep = []
-    for members in groups.values():
-        best = max(members, key=lambda k: (
-            detections[k].lesion_score,
-            detections[k].mask.count,
-            -detections[k].scale_index,
-        ))
-        keep.append(best)
+    regions = _regions([d.mask for d in detections])
+    _, group = connected_components(dsi_matrix(regions, regions) > 0,
+                                    directed=False)
+    members: dict[int, list[int]] = {}
+    for k, g in enumerate(group):
+        members.setdefault(g, []).append(k)
+    keep = [max(ks, key=lambda k: (detections[k].lesion_score,
+                                   regions[k].size,
+                                   -detections[k].scale_index))
+            for ks in members.values()]
     return [detections[k] for k in sorted(keep)]
 
 
@@ -252,12 +226,12 @@ def tpr_at_fpp(froc: FrocCurve, fpp_budget: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# detection metrics
+# detection and malignancy metrics
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class DetectionMetrics:
-    """FROC over score thresholds, per-candidate ROC, and the
+    """FROC over score thresholds, per-detection ROC, and the
     keep-everything operating point."""
 
     froc: FrocCurve
@@ -266,17 +240,14 @@ class DetectionMetrics:
     fpp: float
 
 
-def _match_matrix(dets, lesions, match_dsi):
-    mat = np.zeros((len(dets), len(lesions)), dtype=bool)
-    for i, det in enumerate(dets):
-        for j, lesion in enumerate(lesions):
-            mat[i, j] = dsi(det.mask, lesion) >= match_dsi
-    return mat
+def _masks_dsi(masks, targets) -> np.ndarray:
+    """DSI of every (mask, target) pair, all on one grid."""
+    regions = _regions([*masks, *targets])
+    return dsi_matrix(regions[:len(masks)], regions[len(masks):])
 
 
 def _froc_from_matches(scores_per_case, match_per_case, total_targets, n_cases):
-    all_scores = np.concatenate([s for s in scores_per_case]) \
-        if scores_per_case else np.zeros(0)
+    all_scores = np.concatenate(scores_per_case)
     if all_scores.size == 0:
         return FrocCurve(np.zeros(1), np.zeros(1), np.zeros(1))
     thresholds = np.unique(all_scores)
@@ -295,6 +266,25 @@ def _froc_from_matches(scores_per_case, match_per_case, total_targets, n_cases):
     return FrocCurve(thresholds, tpr, fpp)
 
 
+def _curve_metrics(per_case, total_targets: int, match_dsi: float) -> DetectionMetrics:
+    """Curves of scored detections against target lesions.
+
+    ``per_case`` holds one ``(scores, masks, targets)`` triple per case.
+    A target is hit at a threshold when a detection scoring at least
+    that overlaps it with DSI >= ``match_dsi``; a detection that hits
+    no target is a false positive, normalized per case. The ROC labels
+    each detection by whether it hits a target.
+    """
+    scores_pc, match_pc = [], []
+    for scores, masks, targets in per_case:
+        scores_pc.append(np.asarray(scores, dtype=np.float64))
+        match_pc.append(_masks_dsi(masks, targets) >= match_dsi)
+    froc = _froc_from_matches(scores_pc, match_pc, total_targets, len(per_case))
+    roc = roc_curve(np.concatenate(scores_pc),
+                    np.concatenate([m.any(axis=1) for m in match_pc]))
+    return DetectionMetrics(froc, roc, float(froc.tpr[0]), float(froc.fpp[0]))
+
+
 def detection_metrics(detections_per_case, truths_per_case,
                       match_dsi: float = 0.2) -> DetectionMetrics:
     """Lesion-detection FROC/ROC over per-case detection lists.
@@ -306,71 +296,19 @@ def detection_metrics(detections_per_case, truths_per_case,
     """
     if len(detections_per_case) != len(truths_per_case):
         raise ValueError("need one truth list per case")
-    n_cases = len(detections_per_case)
-    if n_cases == 0:
+    if not detections_per_case:
         raise ValueError("need at least one case")
     total_lesions = sum(len(t) for t in truths_per_case)
     if total_lesions == 0:
         raise ValueError("no ground-truth lesions in any case")
-    scores_pc, match_pc = [], []
-    roc_scores, roc_labels = [], []
-    for dets, lesions in zip(detections_per_case, truths_per_case):
-        mat = _match_matrix(dets, lesions, match_dsi)
-        scores = np.array([d.lesion_score for d in dets], dtype=np.float64)
-        scores_pc.append(scores)
-        match_pc.append(mat)
-        roc_scores.extend(scores)
-        roc_labels.extend(mat.any(axis=1) if len(dets) else [])
-    froc = _froc_from_matches(scores_pc, match_pc, total_lesions, n_cases)
-    roc = roc_curve(np.array(roc_scores), np.array(roc_labels, dtype=bool))
-    return DetectionMetrics(froc, roc, float(froc.tpr[0]), float(froc.fpp[0]))
-
-
-def arcg(candidates_per_case, truths_per_case) -> tuple[float, float]:
-    """Mean and population std of each lesion's best candidate DSI.
-
-    Lesions no candidate overlaps contribute 0. Accepts candidates as
-    RegionCandidate (upscaled internally), Detection, or BinaryMask.
-    """
-    best = []
-    for cands, lesions in zip(candidates_per_case, truths_per_case):
-        masks = [_original_mask(c) for c in cands]
-        for lesion in lesions:
-            score = 0.0
-            for m in masks:
-                score = max(score, dsi(m, lesion))
-            best.append(score)
-    if not best:
-        return 0.0, 0.0
-    arr = np.asarray(best)
-    return float(arr.mean()), float(arr.std())
-
-
-def _original_mask(obj) -> BinaryMask:
-    if isinstance(obj, RegionCandidate):
-        return obj.original_mask()
-    if isinstance(obj, Detection):
-        return obj.mask
-    if isinstance(obj, BinaryMask):
-        return obj
-    raise TypeError(f"cannot take a mask from {type(obj).__name__}")
-
-
-# ---------------------------------------------------------------------------
-# malignancy metrics
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class MalignancyMetrics:
-    froc: FrocCurve
-    roc: RocCurve
-    tpr: float
-    fpp: float
+    per_case = [([d.lesion_score for d in dets], [d.mask for d in dets], lesions)
+                for dets, lesions in zip(detections_per_case, truths_per_case)]
+    return _curve_metrics(per_case, total_lesions, match_dsi)
 
 
 def malignancy_metrics(detections_per_case, truths_per_case,
                        malignant_per_case, match_dsi: float = 0.2
-                       ) -> MalignancyMetrics:
+                       ) -> DetectionMetrics:
     """Malignancy identification curves over scored detections.
 
     Sweeps the malignancy threshold: a true positive is a malignant
@@ -382,28 +320,34 @@ def malignancy_metrics(detections_per_case, truths_per_case,
     if not len(detections_per_case) == len(truths_per_case) == \
             len(malignant_per_case):
         raise ValueError("need truths and malignancy flags for every case")
-    n_cases = len(detections_per_case)
-    if n_cases == 0:
+    if not detections_per_case:
         raise ValueError("need at least one case")
-    total_malignant = sum(int(sum(flags)) for flags in malignant_per_case)
-    scores_pc, match_pc = [], []
-    roc_scores, roc_labels = [], []
+    per_case = []
     for dets, lesions, flags in zip(detections_per_case, truths_per_case,
                                     malignant_per_case):
         if len(lesions) != len(flags):
             raise ValueError("one malignancy flag per lesion required")
         scored = [d for d in dets if d.malignancy_score is not None]
-        malignant_lesions = [m for m, f in zip(lesions, flags) if f]
-        mat = _match_matrix(scored, malignant_lesions, match_dsi)
-        scores = np.array([d.malignancy_score for d in scored],
-                          dtype=np.float64)
-        scores_pc.append(scores)
-        match_pc.append(mat)
-        roc_scores.extend(scores)
-        roc_labels.extend(mat.any(axis=1) if len(scored) else [])
-    froc = _froc_from_matches(scores_pc, match_pc, total_malignant, n_cases)
-    roc = roc_curve(np.array(roc_scores), np.array(roc_labels, dtype=bool))
-    return MalignancyMetrics(froc, roc, float(froc.tpr[0]), float(froc.fpp[0]))
+        per_case.append(([d.malignancy_score for d in scored],
+                         [d.mask for d in scored],
+                         [m for m, f in zip(lesions, flags) if f]))
+    total_malignant = sum(int(sum(flags)) for flags in malignant_per_case)
+    return _curve_metrics(per_case, total_malignant, match_dsi)
+
+
+def arcg(candidates_per_case, truths_per_case) -> tuple[float, float]:
+    """Mean and population std of each lesion's best candidate DSI.
+
+    Candidates are masks (BinaryMask or boolean arrays) on their case's
+    grid. Lesions no candidate overlaps contribute 0.
+    """
+    best = []
+    for cands, lesions in zip(candidates_per_case, truths_per_case):
+        best.extend(np.max(_masks_dsi(cands, lesions), axis=0, initial=0.0))
+    if not best:
+        return 0.0, 0.0
+    arr = np.asarray(best)
+    return float(arr.mean()), float(arr.std())
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +373,7 @@ def _curve_payload(metrics) -> dict:
 
 
 def write_report_json(path, detection: DetectionMetrics,
-                      malignancy: MalignancyMetrics | None = None,
+                      malignancy: DetectionMetrics | None = None,
                       arcg_stats: tuple[float, float] | None = None,
                       extra: dict | None = None) -> None:
     """One JSON report with a single UTC timestamp line."""

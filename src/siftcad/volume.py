@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
+from scipy import ndimage, sparse
 
 
 class VolumeError(ValueError):
@@ -340,20 +340,47 @@ def normalize_to_fat(volume: Volume3D, fat: BinaryMask) -> Volume3D:
     return Volume3D(volume.data / mean, volume.spacing)
 
 
-def dsi(a, b) -> float:
-    """Dice similarity index 2|A and B| / (|A| + |B|) of two masks.
+def dsi_matrix(a_regions, b_regions) -> np.ndarray:
+    """Dice similarity index 2|A and B| / (|A| + |B|) of every pair of
+    regions, shape ``(len(a_regions), len(b_regions))``.
 
-    Two empty masks are identical (1.0); if exactly one is empty the
-    overlap is 0.0. Accepts BinaryMask or boolean arrays on the same
-    grid.
+    Each region is an array of sorted unique flat indices, all on one
+    grid. Two empty regions are identical (1.0); if exactly one is
+    empty the overlap is 0.0.
     """
-    da = a.data if isinstance(a, BinaryMask) else np.asarray(a, dtype=bool)
-    db = b.data if isinstance(b, BinaryMask) else np.asarray(b, dtype=bool)
-    if da.shape != db.shape:
-        raise VolumeError(f"mask grids differ: {da.shape} vs {db.shape}")
-    na = int(da.sum())
-    nb = int(db.sum())
-    if na == 0 and nb == 0:
-        return 1.0
-    inter = int(np.logical_and(da, db).sum())
-    return 2.0 * inter / (na + nb)
+    regions = [*a_regions, *b_regions]
+    n_cols = 1 + max((int(r[-1]) for r in regions if r.size), default=0)
+
+    def incidence(group):
+        sizes = np.array([r.size for r in group], dtype=np.int64)
+        cols = np.concatenate([np.zeros(0, dtype=np.int64), *group])
+        rows = sparse.csr_array((np.ones(cols.size, dtype=np.int64), cols,
+                                 np.r_[0, np.cumsum(sizes)]),
+                                shape=(len(group), n_cols))
+        return rows, sizes
+
+    a, na = incidence(a_regions)
+    b, nb = incidence(b_regions)
+    inter = (a @ b.T).toarray()
+    total = na[:, None] + nb[None, :]
+    out = np.ones(total.shape)
+    np.divide(2.0 * inter, total, out=out, where=total > 0)
+    return out
+
+
+def _regions(masks) -> list[np.ndarray]:
+    """Sorted flat voxel indices of each mask (BinaryMask or boolean
+    array); the masks must share one grid."""
+    data = [m.data if isinstance(m, BinaryMask) else np.asarray(m, dtype=bool)
+            for m in masks]
+    for d in data[1:]:
+        if d.shape != data[0].shape:
+            raise VolumeError(f"mask grids differ: {data[0].shape} vs {d.shape}")
+    return [np.flatnonzero(d) for d in data]
+
+
+def dsi(a, b) -> float:
+    """:func:`dsi_matrix` of two masks (BinaryMask or boolean arrays on
+    the same grid)."""
+    ra, rb = _regions([a, b])
+    return float(dsi_matrix([ra], [rb])[0, 0])

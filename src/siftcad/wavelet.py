@@ -163,16 +163,7 @@ def _lll_inverse_once(data: np.ndarray, target_dims) -> np.ndarray:
     return data
 
 
-@dataclass(frozen=True, eq=False)
-class ScaledImage:
-    """LLL pyramid level ``scale_index`` of a volume (1 = original)."""
-
-    volume: Volume3D
-    scale_index: int
-    original_dims: tuple[int, int, int]
-
-
-def scale_image(volume: Volume3D, m: int) -> ScaledImage:
+def scale_image(volume: Volume3D, m: int) -> Volume3D:
     """Repeated LLL decimation; level m carries an intensity gain of
     ``(2*sqrt 2)**(m-1)`` on top of the doubled spacing per level."""
     if m < 1:
@@ -181,7 +172,7 @@ def scale_image(volume: Volume3D, m: int) -> ScaledImage:
     for _ in range(m - 1):
         data = _lll_once(data)
     spacing = tuple(s * 2 ** (m - 1) for s in volume.spacing)
-    return ScaledImage(Volume3D(data.copy(), spacing), m, volume.dims)
+    return Volume3D(data.copy(), spacing)
 
 
 def upscale_mask(mask: BinaryMask, m: int, original_dims, spacing) -> BinaryMask:

@@ -217,6 +217,30 @@ def dice(a: np.ndarray, b: np.ndarray) -> float:
     return 2.0 * np.logical_and(a, b).sum() / (na + nb)
 
 
+def fusion_survivors(masks, keys) -> list[int]:
+    """Label fusion by brute force: group the masks by transitive voxel
+    overlap (breadth-first over every pair), keep the member of each
+    group with the largest key, the lowest index among equal keys, and
+    return the survivors' indices in ascending order."""
+    n = len(masks)
+    seen = [False] * n
+    keep = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        group, frontier = [start], [start]
+        while frontier:
+            i = frontier.pop()
+            for j in range(n):
+                if not seen[j] and np.logical_and(masks[i], masks[j]).any():
+                    seen[j] = True
+                    group.append(j)
+                    frontier.append(j)
+        keep.append(max(sorted(group), key=lambda k: keys[k]))
+    return sorted(keep)
+
+
 def glcm_contrast_paircount(quant: np.ndarray, region: np.ndarray, offsets) -> float:
     """Haralick contrast via explicit symmetric pair counting."""
     pairs = []

@@ -30,6 +30,7 @@ TEST_ONLY = {
     "permute": "axis permutation the volume tests round-trip",
     "split_breasts": "left/right split the volume tests check",
     "normalize_to_fat": "fat normalisation the volume tests check",
+    "dsi": "whole-mask DSI the acceptance criteria state their thresholds in",
 }
 
 

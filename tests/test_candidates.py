@@ -301,10 +301,10 @@ def test_original_mask_is_the_upscaled_mask_built_once(scale, monkeypatch):
     region = np.zeros(dims, dtype=bool)
     region[2:7, 3:6, 1:4] = True
     region[6, 6, 3] = True
-    rc = candidate_from_mask(BinaryMask(region, spacing), scale_index=scale,
-                             original_dims=original_dims,
+    mask = BinaryMask(region, spacing)
+    rc = candidate_from_mask(mask, scale_index=scale, original_dims=original_dims,
                              original_spacing=original_spacing)
-    expected = upscale_mask(rc.mask(), scale, original_dims, original_spacing)
+    expected = upscale_mask(mask, scale, original_dims, original_spacing)
     calls = []
     real = cmod.upscale_indices
     monkeypatch.setattr(cmod, "upscale_indices",

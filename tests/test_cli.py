@@ -487,6 +487,22 @@ class TestPipelineCommands:
         assert (out / "froc.csv").read_text().startswith("threshold,tpr,fpp")
         assert (out / "roc.csv").read_text().startswith("fpr,tpr")
 
+    def test_evaluate_names_a_detection_mask_on_another_grid(self, workspace, tmp_path,
+                                                             capsys):
+        det = tmp_path / "det"
+        shutil.copytree(workspace / "det", det)
+        doc = json.loads((det / "detections.json").read_text())
+        name = next(d["mask"] for e in doc["cases"] for d in e["detections"])
+        mask = load_mask(det / name)
+        save_mask(det / name, BinaryMask(np.ones((4, 4, 4), bool), mask.spacing))
+        rc = main(["evaluate", "--detections", str(det / "detections.json"),
+                   "--manifest", str(workspace / "data/manifest.json"),
+                   "--out", str(tmp_path / "eval")])
+        assert rc == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert str(det / name) in err and "(4, 4, 4)" in err
+        assert "Traceback" not in err
+
     def test_evaluate_identical_modulo_timestamp_line(self, workspace):
         outs = [workspace / "eval_a", workspace / "eval_b"]
         for out in outs:

@@ -30,7 +30,7 @@ from siftcad.nrrd_io import load_mask
 from siftcad.volume import BinaryMask, VolumeError, dsi
 
 from helpers import make_mini_case
-from oracles import ball_mask, full_vector_pipeline
+from oracles import ball_mask, full_vector_pipeline, fusion_survivors
 
 DIMS = (16, 16, 8)
 SP = (1.0, 1.0, 1.0)
@@ -129,6 +129,27 @@ def test_fused_output_pairwise_disjoint():
     for i in range(len(out)):
         for j in range(i + 1, len(out)):
             assert not (out[i].mask.data & out[j].mask.data).any()
+
+
+def test_fuse_matches_brute_force_oracle():
+    # few score and size values, so ties on every key occur
+    rng = np.random.default_rng(5)
+    for _ in range(60):
+        dets = []
+        for _ in range(int(rng.integers(0, 10))):
+            m = np.zeros(DIMS, dtype=bool)
+            x0, y0 = rng.integers(0, 12, size=2)
+            m[x0:x0 + int(rng.integers(1, 5)), y0:y0 + int(rng.integers(1, 3)),
+              int(rng.integers(0, 2)):2] = True
+            dets.append(_det(BinaryMask(m, SP), float(rng.choice([0.3, 0.6, 0.9])),
+                             scale_index=int(rng.integers(1, 4))))
+        out = fuse_labels(dets)
+        keys = [(d.lesion_score, d.mask.count, -d.scale_index) for d in dets]
+        expected = fusion_survivors([d.mask.data for d in dets], keys)
+        assert [dets.index(d) for d in out] == expected
+        for i in range(len(out)):
+            for j in range(i + 1, len(out)):
+                assert not (out[i].mask.data & out[j].mask.data).any()
 
 
 def test_detection_validation():

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import hashlib
 import weakref
@@ -684,8 +685,7 @@ def test_t2_mean_alone_builds_only_the_t2_levels(golden_case_vectors, monkeypatc
     monkeypatch.setattr(fmod, "_lll_once", lambda data: lll.append(data.shape) or real_lll(data))
     base, cands, fulls = golden_case_vectors
     extractor = FeatureExtractor(base.case)
-    fresh = [candidate_from_mask(rc.mask(), rc.scale_index, rc.original_dims,
-                                 rc.original_spacing) for rc in cands]
+    fresh = [dataclasses.replace(rc, _original_indices=None) for rc in cands]
     for rc, full in zip(fresh, fulls):
         _check_partial(extractor, rc, full, {"t2_mean"})
         assert rc._original_indices is None

@@ -7,6 +7,8 @@ from siftcad.volume import (
     Volume3D,
     VolumeError,
     breast_mask,
+    dsi,
+    dsi_matrix,
     fat_mask,
     intensity_histogram,
     normalize_to_fat,
@@ -16,7 +18,7 @@ from siftcad.volume import (
     subtract,
 )
 
-from oracles import otsu_exhaustive_index
+from oracles import dice, otsu_exhaustive_index
 
 
 def vol(data, spacing=(1.0, 1.0, 1.0)):
@@ -215,3 +217,34 @@ class TestFatAndNormalise:
         full = BinaryMask(np.ones(t1.dims, bool), t1.spacing)
         with pytest.raises(VolumeError):
             normalize_to_fat(neg, full)
+
+
+class TestDsiMatrix:
+    def test_matches_whole_grid_dice(self):
+        rng = np.random.default_rng(7)
+        for _ in range(40):
+            dims = tuple(int(n) for n in rng.integers(1, 9, size=3))
+            masks = [rng.random(dims) < rng.choice([0.0, 0.1, 0.5, 1.0])
+                     for _ in range(int(rng.integers(0, 5)))]
+            masks += [masks[0].copy()] if masks else []  # an identical region
+            masks.append(np.zeros(dims, bool))
+            masks.append(~masks[0] if len(masks) > 1 else np.ones(dims, bool))
+            regions = [np.flatnonzero(m) for m in masks]
+            split = int(rng.integers(0, len(masks) + 1))
+            got = dsi_matrix(regions[:split], regions[split:])
+            assert got.shape == (split, len(masks) - split)
+            for i, a in enumerate(masks[:split]):
+                for j, b in enumerate(masks[split:]):
+                    assert got[i, j] == dice(a, b)
+
+    def test_conventions(self):
+        empty = np.zeros(0, dtype=np.int64)
+        bar = np.arange(4)
+        got = dsi_matrix([empty, bar], [empty, bar, bar + 4, bar + 2])
+        assert got.tolist() == [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.5]]
+        assert dsi_matrix([], [bar]).shape == (0, 1)
+        assert dsi_matrix([bar], []).shape == (1, 0)
+
+    def test_dsi_rejects_masks_on_different_grids(self):
+        with pytest.raises(VolumeError, match="mask grids differ"):
+            dsi(np.ones((2, 2, 2), bool), np.ones((2, 2, 3), bool))

@@ -5,7 +5,6 @@ from siftcad.volume import BinaryMask, Volume3D, VolumeError
 from siftcad.wavelet import (
     DEC_LO,
     LLL_GAIN,
-    ScaledImage,
     dims_ladder,
     downscale_mask,
     dwt3_db2,
@@ -75,13 +74,13 @@ def test_subband_dims_and_ladder():
 def test_scale_image_dims_spacing_gain():
     v = Volume3D(np.full((64, 64, 32), 2.0), (0.7, 0.7, 1.3))
     s2 = scale_image(v, 2)
-    assert isinstance(s2, ScaledImage)
-    assert s2.volume.dims == (33, 33, 17)
-    assert s2.volume.spacing == (1.4, 1.4, 2.6)
-    assert np.max(np.abs(s2.volume.data - 2.0 * LLL_GAIN)) <= 1e-9
+    assert isinstance(s2, Volume3D)
+    assert s2.dims == (33, 33, 17)
+    assert s2.spacing == (1.4, 1.4, 2.6)
+    assert np.max(np.abs(s2.data - 2.0 * LLL_GAIN)) <= 1e-9
     s1 = scale_image(v, 1)
-    assert np.array_equal(s1.volume.data, v.data)
-    assert s1.volume.spacing == v.spacing
+    assert np.array_equal(s1.data, v.data)
+    assert s1.spacing == v.spacing
 
 
 def test_upscale_full_mask_is_full():
