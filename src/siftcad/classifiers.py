@@ -428,6 +428,20 @@ class RusBoostModel:
     schema_id: str | None = None
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
+        return self._proba(x, upper=False)
+
+    def upper_proba(self, x: np.ndarray) -> np.ndarray:
+        """An upper bound on ``predict_proba`` of every completion of the
+        rows of ``x``, whose NaN columns are not yet known. A tree whose
+        path reaches a NaN column casts the vote that raises the margin:
+        +1 under a non-negative alpha, -1 under a negative one. Raising
+        votes raises each exact product, the running sum adds in the same
+        order and the logistic is monotone, so the bound holds bit for
+        bit, and equals ``predict_proba`` on rows its trees never read
+        NaN in."""
+        return self._proba(x, upper=True)
+
+    def _proba(self, x, upper: bool) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2:
             raise ValueError("expected a 2D feature matrix")
@@ -437,7 +451,10 @@ class RusBoostModel:
         nf = self.trees[0].n_features
         if x.shape[1] != nf:
             raise ValueError(f"expected (n, {nf}) inputs, got {x.shape}")
-        votes = np.where(_positive_votes(self.trees, x), 1.0, -1.0)
+        positive, determined = _positive_votes(self.trees, x)
+        if upper:
+            positive = np.where(determined, positive, (self.alphas >= 0)[:, None])
+        votes = np.where(positive, 1.0, -1.0)
         # a running sum adds the rounds in order, as a per-tree loop would
         margin = np.add.accumulate(self.alphas[:, None] * votes, axis=0)[-1]
         return 1.0 / (1.0 + np.exp(-margin / total))
@@ -521,14 +538,26 @@ class RandomForestModel:
     oob_grid: tuple = ()
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
+        return self._proba(x, upper=False)
+
+    def upper_proba(self, x: np.ndarray) -> np.ndarray:
+        """An upper bound on ``predict_proba`` of every completion of the
+        rows of ``x``, whose NaN columns are not yet known: a tree whose
+        path reaches a NaN column votes positive."""
+        return self._proba(x, upper=True)
+
+    def _proba(self, x, upper: bool) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2:
             raise ValueError("expected a 2D feature matrix")
         nf = self.trees[0].n_features
         if x.shape[1] != nf:
             raise ValueError(f"expected (n, {nf}) inputs, got {x.shape}")
+        positive, determined = _positive_votes(self.trees, x)
+        if upper:
+            positive |= ~determined
         # vote counts are small integers, exact in any order
-        return _positive_votes(self.trees, x).sum(axis=0) / len(self.trees)
+        return positive.sum(axis=0) / len(self.trees)
 
 
 def rf_mtry_grid(n_features: int) -> tuple[int, ...]:
@@ -554,12 +583,17 @@ def _bootstrap_forest(x, y, m_try, seeds):
     return trees, boots
 
 
-def _positive_votes(trees, x) -> np.ndarray:
-    """(trees, rows) mask of the rows of ``x`` each tree votes positive,
-    as ``tree.predict_proba(x) >= 0.5``, descending all trees together
-    in blocks of at most ``_SPLIT_CELLS`` (tree, row) pairs."""
+def _positive_votes(trees, x) -> tuple[np.ndarray, np.ndarray]:
+    """(positive, determined) masks, (trees, rows), descending all trees
+    together in blocks of at most ``_SPLIT_CELLS`` (tree, row) pairs.
+
+    A path that reaches a split on a NaN column stops there: that
+    (tree, row) pair is undetermined and its ``positive`` entry means
+    nothing. Every other pair votes as ``tree.predict_proba(x) >= 0.5``.
+    """
     n = len(x)
-    out = np.empty((len(trees), n), dtype=bool)
+    positive = np.empty((len(trees), n), dtype=bool)
+    determined = np.empty((len(trees), n), dtype=bool)
     col = np.arange(n)
     step = max(1, _SPLIT_CELLS // max(1, n))
     for a in range(0, len(trees), step):
@@ -570,15 +604,20 @@ def _positive_votes(trees, x) -> np.ndarray:
         left = np.concatenate([t.left + b for t, b in zip(block, base)])
         right = np.concatenate([t.right + b for t, b in zip(block, base)])
         node = np.repeat(base, n).reshape(len(block), n)
+        stuck = np.zeros(node.shape, dtype=bool)
         inner = feature[node] >= 0
         while inner.any():
             # a leaf reads column -1 here and keeps its node
-            go = x[col, feature[node]] < threshold[node]
-            node = np.where(inner, np.where(go, left[node], right[node]), node)
-            inner = feature[node] >= 0
+            v = x[col, feature[node]]
+            stuck |= inner & np.isnan(v)
+            inner &= ~stuck
+            node = np.where(inner, np.where(v < threshold[node], left[node], right[node]),
+                            node)
+            inner = (feature[node] >= 0) & ~stuck
         value = np.concatenate([t.value for t in block])
-        out[a:a + len(block)] = value[node] >= 0.5
-    return out
+        positive[a:a + len(block)] = value[node] >= 0.5
+        determined[a:a + len(block)] = ~stuck
+    return positive, determined
 
 
 def _oob_votes(x, y, m_try, seeds):
@@ -587,7 +626,7 @@ def _oob_votes(x, y, m_try, seeds):
     trees, boots = _bootstrap_forest(x, y, m_try, seeds)
     oob = np.ones(boots.shape, dtype=bool)
     oob[np.arange(len(boots))[:, None], boots] = False
-    return oob & _positive_votes(trees, x), oob
+    return oob & _positive_votes(trees, x)[0], oob
 
 
 def train_rf(samples_or_x, y=None, *, seed=None, n_tree_grid=None,

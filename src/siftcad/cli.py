@@ -64,20 +64,30 @@ _CONFIG_KEYS = {f.name for f in fields(RunConfig)}
 
 
 def load_config(path=None, overrides: dict | None = None) -> RunConfig:
-    """Config file values, then explicit CLI flags on top."""
+    """Config file values, then explicit CLI flags on top. Every error
+    that the file takes part in names it."""
     data: dict = {}
     if path is not None:
-        doc = json.loads(Path(path).read_text())
+        try:
+            doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        except UnicodeDecodeError as exc:
+            raise VolumeError(f"{path}: config is not UTF-8 text: {exc}") from exc
+        except json.JSONDecodeError as exc:
+            raise VolumeError(f"{path}: config is not valid JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise VolumeError(f"{path}: config must be a JSON object")
         unknown = set(doc) - _CONFIG_KEYS
         if unknown:
             raise VolumeError(f"{path}: unknown config keys {sorted(unknown)}")
         data.update(doc)
-    for key, value in (overrides or {}).items():
-        if value is not None:
-            data[key] = value
-    return RunConfig(**data)
+    flags = {k: v for k, v in (overrides or {}).items() if v is not None}
+    try:
+        return RunConfig(**{**data, **flags})
+    except VolumeError as exc:
+        if path is None:
+            raise
+        RunConfig(**flags)  # an error the flags make on their own is theirs
+        raise VolumeError(f"{path}: {exc}") from exc
 
 
 def _config_from_args(args) -> RunConfig:

@@ -22,8 +22,8 @@ import numpy as np
 from scipy.sparse.csgraph import connected_components
 
 from .candidates import DEFAULT_V_MAX, DEFAULT_V_MIN, generate_candidates
-from .classifiers import DEFAULT_N_TREES, predict, split_features
-from .features import FeatureExtractor
+from .classifiers import DEFAULT_N_TREES, _check_schema, predict, split_features
+from .features import COST_TIERS, FEATURE_SCHEMA, FeatureExtractor, FeatureVector
 from .nrrd_io import save_mask
 from .volume import BinaryMask, VolumeError, _regions, dsi_matrix
 
@@ -133,32 +133,60 @@ def run_pipeline(case, lesion_model, malignancy_model=None,
     malignancy model is supplied, flagged at ``theta_malig``. With the
     inputs and models fixed the output is deterministic.
 
-    Each stage extracts only the features its model splits on: every
-    candidate for the lesion model, then the fused survivors again for
-    the malignancy model. A tree reads no other column, so the scores
-    equal those of full feature vectors.
+    Each stage extracts only the features its model splits on. A tree
+    reads no other column, and a computed column does not depend on what
+    else was extracted with it, so the scores equal those of full
+    feature vectors. The lesion stage fills each candidate's row one
+    cost tier (``COST_TIERS``) at a time. After each tier but the last
+    the model's ``upper_proba`` bounds the score of every completion of
+    the rows so far, and a candidate whose bound is below
+    ``theta_lesion`` is settled: its score would be too, so none of its
+    costlier columns is extracted. The candidates left are scored in one
+    batch. The
+    malignancy stage extends the fused survivors' rows by the columns
+    the lesion stage did not compute.
     """
     candidates = generate_candidates(
         case, m_scales=config.m_scales, n_orient=config.n_orient,
         t_count=config.t_count, v_min=config.v_min, v_max=config.v_max)
     extractor = FeatureExtractor(case)
+    rows = np.full((len(candidates), len(FEATURE_SCHEMA)), np.nan)
+
+    def fill(i, cols):
+        rows[i, cols] = extractor.extract(candidates[i], cols).values[cols]
+
     need = split_features(lesion_model)
-    vectors = [extractor.extract(cand, need) for cand in candidates]
-    scores = predict(lesion_model, vectors) if vectors else []
-    kept = [(cand, float(score)) for cand, score in zip(candidates, scores)
+    if candidates:
+        # the bound reads the rows before ``predict`` checks any vector
+        _check_schema(lesion_model, FeatureVector(rows[0]))
+    tiers = [cols for cols in (need[np.isin(need, list(t))] for t in COST_TIERS)
+             if cols.size]
+    live = np.arange(len(candidates))
+    for k, cols in enumerate(tiers):
+        for i in live:
+            fill(i, cols)
+        # after the last tier the bound is the score itself: predict decides
+        if k + 1 < len(tiers):
+            live = live[lesion_model.upper_proba(rows[live]) >= config.theta_lesion]
+    scores = predict(lesion_model, [FeatureVector(rows[i]) for i in live]) \
+        if live.size else []
+    kept = [(i, float(score)) for i, score in zip(live, scores)
             if score >= config.theta_lesion]
     detections = [
-        Detection(mask=cand.original_mask(), lesion_score=score,
-                  scale_index=cand.scale_index,
-                  threshold_index=cand.threshold_index)
-        for cand, score in kept
+        Detection(mask=candidates[i].original_mask(), lesion_score=score,
+                  scale_index=candidates[i].scale_index,
+                  threshold_index=candidates[i].threshold_index)
+        for i, score in kept
     ]
-    cand_of = {id(d): cand for d, (cand, _) in zip(detections, kept)}
+    row_of = {id(d): i for d, (i, _) in zip(detections, kept)}
     fused = fuse_labels(detections)
     if malignancy_model is not None and fused:
-        need = split_features(malignancy_model)
-        malig = predict(malignancy_model,
-                        [extractor.extract(cand_of[id(det)], need) for det in fused])
+        survivors = [row_of[id(det)] for det in fused]
+        missing = np.setdiff1d(split_features(malignancy_model), need)
+        if missing.size:
+            for i in survivors:
+                fill(i, missing)
+        malig = predict(malignancy_model, [FeatureVector(rows[i]) for i in survivors])
         for det, m in zip(fused, malig):
             det.malignancy_score = float(m)
             det.malignant = det.malignancy_score >= config.theta_malig

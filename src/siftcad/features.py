@@ -31,7 +31,8 @@ first use (renormalised only where it is read), a surface field only as
 wide as the widest shell read, and the upscaled original-grid region
 only for the kinetic groups. Every group is a function of the candidate
 and the case alone, so a computed column never depends on what else was
-asked for.
+asked for, and a caller may extract a candidate's columns in steps;
+``COST_TIERS`` orders them by what they build.
 """
 
 from __future__ import annotations
@@ -145,6 +146,20 @@ _GROUPS = {
 _GROUPS["edema"] += ("flag_edema_shell_empty",)
 _GROUP_INDICES = {g: frozenset(_INDEX[n] for n in names) for g, names in _GROUPS.items()}
 _KINETIC_GROUPS = frozenset(("curves", "fit", "core_rim"))
+
+
+def _tier(*groups: str) -> frozenset:
+    return frozenset().union(*(_GROUP_INDICES[g] for g in groups))
+
+
+# the columns in rising order of per-candidate cost, whole groups each:
+# the region's voxel values; its box (the GLCM voxel pairs and shape);
+# everything else (surface fields, the kinetics and the upscaled region)
+COST_TIERS: tuple[frozenset, ...] = (
+    _tier("t1", "t2", "dce0"),
+    _tier("glcm_t2", "glcm_dce1", "glcm_dcesub", "texture_flag", "shape"),
+)
+COST_TIERS += (ALL_FEATURES - frozenset().union(*COST_TIERS),)
 
 
 def _groups_for(need: frozenset) -> frozenset:

@@ -14,6 +14,7 @@ from siftcad.classifiers import (
     CandidateLabel,
     DecisionTree,
     LabeledSample,
+    RandomForestModel,
     RusBoostModel,
     assign_training_labels,
     cross_validate,
@@ -294,7 +295,9 @@ def test_positive_votes_equal_each_trees_prediction():
                 probe = np.vstack([probe, probe[:1]])
                 probe[-1, f] = thr
     want = np.stack([t.predict_proba(probe) >= 0.5 for t in trees])
-    assert np.array_equal(_positive_votes(trees, probe), want)
+    positive, determined = _positive_votes(trees, probe)
+    assert np.array_equal(positive, want)
+    assert determined.all()
 
 
 # ---------------------------------------------------------------------------
@@ -650,6 +653,64 @@ def test_predict_refuses_non_finite_read_features_only():
                 predict(model, [vectors[0], bad])
             with pytest.raises(ValueError, match=FEATURE_SCHEMA[k]):
                 predict(model, bad)
+
+
+def _random_tree(rng, nf, depth=3):
+    """A random tree of up to ``depth`` splits per path, leaf values
+    drawn with the 0.5 tie among them."""
+    feature, threshold, left, right, value = [], [], [], [], []
+
+    def grow(d):
+        i = len(feature)
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        value.append(float(rng.choice([0.0, 0.5, 1.0, rng.random()])))
+        if d and rng.random() < 0.8:
+            feature[i] = int(rng.integers(nf))
+            threshold[i] = float(rng.normal())
+            left[i] = grow(d - 1)
+            right[i] = grow(d - 1)
+        return i
+
+    grow(depth)
+    return DecisionTree(np.array(feature), np.array(threshold), np.array(left),
+                        np.array(right), np.array(value), nf)
+
+
+def test_upper_proba_bounds_every_completion():
+    rng = np.random.default_rng(17)
+    nf = 5
+    for trial in range(40):
+        trees = tuple(_random_tree(rng, nf) for _ in range(int(rng.integers(1, 9))))
+        alphas = rng.normal(0.3, 1.0, size=len(trees))
+        # hand-set zero and negative weights, and weight sums <= 0
+        alphas[rng.random(len(trees)) < 0.2] = 0.0
+        if trial % 4 == 1:
+            alphas = -np.abs(alphas)
+        elif trial % 4 == 2:
+            alphas[-1] = -alphas[:-1].sum()
+        models = (RusBoostModel(trees, alphas, 0.1),
+                  RandomForestModel(trees, len(trees), 1))
+        x = rng.normal(size=(12, nf))
+        # probes on the thresholds exercise the strict x < threshold rule
+        pool = np.concatenate([rng.normal(size=8), *(t.threshold for t in trees)])
+        ties = rng.random(x.shape) < 0.2
+        x[ties] = rng.choice(pool, size=int(ties.sum()))
+        holes = rng.random(x.shape) < rng.uniform(0.1, 0.6)
+        masked = np.where(holes, np.nan, x)
+        for model in models:
+            exact = model.predict_proba(x)
+            assert model.upper_proba(x).tobytes() == exact.tobytes()
+            upper = model.upper_proba(masked)
+            for _ in range(20):
+                filled = np.where(holes, rng.choice(pool, size=x.shape), x)
+                assert (upper >= model.predict_proba(filled)).all()
+            read = split_features(model)
+            if np.isnan(masked[:, read]).any():
+                with pytest.raises(ValueError, match="not finite"):
+                    predict(model, masked)
 
 
 def test_labeled_sample_validation():

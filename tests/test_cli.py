@@ -13,13 +13,15 @@ from siftcad import cli, evaluation
 from siftcad.classifiers import (
     DEFAULT_RF_NTREE_GRID,
     LabeledSample,
+    load_model,
     model_to_dict,
     rf_mtry_grid,
+    split_features,
     train_rf,
     train_rusboost,
 )
 from siftcad.candidates import DEFAULT_V_MAX, DEFAULT_V_MIN, diameter_to_volume
-from siftcad.features import FEATURE_SCHEMA, FeatureVector
+from siftcad.features import COST_TIERS, FEATURE_SCHEMA, FeatureExtractor, FeatureVector
 from siftcad.cli import (
     EXIT_OK,
     EXIT_RUNTIME,
@@ -108,6 +110,33 @@ class TestConfig:
         assert rc == EXIT_RUNTIME
         assert "m_scales must be an integer" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("content, message", [
+        (b'{"seed": 4, "t_count": }', "config is not valid JSON"),
+        (b'{"seed": 4}\xff', "config is not UTF-8 text"),
+        (b'{"theta_lesion": "x"}', "theta_lesion must be a finite number"),
+        (b'{"v_max": 20.0}', "need 0 < v_min < v_max"),
+    ], ids=["json", "bytes", "mistyped", "window"])
+    def test_config_errors_name_the_file(self, tmp_path, capsys, content, message):
+        path = tmp_path / "run config.json"
+        path.write_bytes(content)
+        with pytest.raises(VolumeError, match=message) as err:
+            load_config(path, {})
+        assert str(err.value).startswith(f"{path}: ")
+        rc = main(["phantom", "--out", str(tmp_path / "x"), "--cases", "1",
+                   "--config", str(path)])
+        assert rc == EXIT_RUNTIME
+        assert capsys.readouterr().err.startswith(f"siftcad: error: {path}: ")
+        assert not (tmp_path / "x").exists()
+
+    def test_flag_errors_leave_the_file_unnamed(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        # v_max alone is below the default v_min; the flag mends the window
+        path.write_text(json.dumps({"v_max": 20.0}))
+        assert load_config(path, {"v_min": 10.0}).v_max == 20.0
+        with pytest.raises(VolumeError, match="threads") as err:
+            load_config(path, {"v_min": 10.0, "threads": 0})
+        assert str(path) not in str(err.value)
 
     def test_config_flag_reaches_commands(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -566,7 +595,15 @@ def test_end_to_end_outputs_match_frozen_golden(tmp_path, monkeypatch):
         counts[case.case_id] = len(cands)
         return cands
 
+    asked = []
+    extract = FeatureExtractor.extract
+
+    def extract_counted(self, rc, need):
+        asked.append((id(rc), frozenset(int(k) for k in need)))
+        return extract(self, rc, need)
+
     monkeypatch.setattr(evaluation, "generate_candidates", counted)
+    monkeypatch.setattr(FeatureExtractor, "extract", extract_counted)
     det = tmp_path / "det"
     assert main(["detect", "--manifest", str(manifest), "--models", str(tmp_path / "models"),
                  "--out", str(det), "--split", "all"]) == EXIT_OK
@@ -577,6 +614,12 @@ def test_end_to_end_outputs_match_frozen_golden(tmp_path, monkeypatch):
     assert {p.name: sha(p) for p in (tmp_path / "models").glob("*_model.json")} == \
         _GOLDEN_MODELS
     assert counts == _GOLDEN_CANDIDATES
+    # the lesion model reads columns past the voxel-value tier, and the
+    # vote bound settles some candidates before them
+    costly = frozenset(split_features(load_model(tmp_path / "models" / "lesion_model.json")
+                                      ).tolist()) - COST_TIERS[0]
+    reached = {rc for rc, need in asked if costly & need}
+    assert costly and 0 < len(reached) < sum(counts.values())
     assert sha(det / "detections.json") == _GOLDEN_DETECTIONS
     assert {p.name: sha(p) for p in (det / "masks").iterdir()} == _GOLDEN_MASKS
 

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from siftcad import evaluation
+from siftcad import evaluation, features
 from siftcad.candidates import generate_candidates
 from siftcad.classifiers import DecisionTree, RandomForestModel, RusBoostModel
 from siftcad.evaluation import (
@@ -398,16 +398,18 @@ _GROUP_FEATURES = {
 
 @pytest.fixture(scope="module")
 def stump_case():
-    """A case and a stump maker cutting a feature at its median over the
-    case's candidates, so that every stump splits them."""
+    """A case and a stump maker cutting a feature at its median (or its
+    ``q``-th percentile) over the case's candidates, so that every stump
+    splits them."""
     case = make_mini_case(seed=5, noise=0.3, clutter=2.0)
     extractor = FeatureExtractor(case)
     x = np.stack([extractor.extract(rc).values for rc in generate_candidates(case)])
 
-    def stump(name, low, high):
+    def stump(name, low, high, q=None):
         k = FEATURE_SCHEMA.index(name)
+        cut = np.median(x[:, k]) if q is None else np.percentile(x[:, k], q)
         return DecisionTree(
-            feature=np.array([k, -1, -1]), threshold=np.array([np.median(x[:, k]), 0.0, 0.0]),
+            feature=np.array([k, -1, -1]), threshold=np.array([cut, 0.0, 0.0]),
             left=np.array([1, -1, -1]), right=np.array([2, -1, -1]),
             value=np.array([0.5, low, high]), n_features=len(FEATURE_SCHEMA))
 
@@ -428,14 +430,87 @@ def test_pipeline_equals_full_vector_oracle(stump_case, group):
     malignancy = RandomForestModel((stump(second, 0.0, 1.0), stump(first, 1.0, 0.0),
                                     stump(other, 0.0, 1.0)), 3, 1)
     config = RunConfig(theta_lesion=0.5, theta_malig=0.5)
-    got = run_pipeline(case, lesion, malignancy, config)
-    want = full_vector_pipeline(case, lesion, malignancy, config)
+    _assert_same_detections(run_pipeline(case, lesion, malignancy, config),
+                            full_vector_pipeline(case, lesion, malignancy, config))
+
+
+def _assert_same_detections(got, want):
     assert len(got) == len(want) >= 1
     for a, b in zip(got, want):
         assert np.array_equal(a.mask.data, b.mask.data)
         assert (a.lesion_score, a.malignancy_score, a.malignant, a.scale_index,
                 a.threshold_index) == (b.lesion_score, b.malignancy_score, b.malignant,
                                        b.scale_index, b.threshold_index)
+
+
+def test_pipeline_settles_candidates_before_their_costly_columns(stump_case, monkeypatch):
+    # the t2_mean stump outweighs the other trees together, so the 80% of
+    # candidates below its cut score under 0.5 whatever their GLCM, edema
+    # and kinetic columns hold: the voxel-value tier settles them
+    case, stump = stump_case
+    lesion = RusBoostModel((stump("t2_mean", 0.0, 1.0, q=80),
+                            stump("t2_glcm_contrast", 0.0, 1.0),
+                            stump("edema_t2_p98_10mm", 1.0, 0.0),
+                            stump("enh_peak", 0.0, 1.0)),
+                           np.array([3.0, 0.5, 0.5, 0.5]), 0.1)
+    malignancy = RandomForestModel((stump("dce0_std", 0.0, 1.0),
+                                    stump("t2_glcm_contrast", 1.0, 0.0),
+                                    stump("blooming", 0.0, 1.0)), 3, 1)
+    made, extracted, asked, heavy = [], [], [], []
+    generate, extract = evaluation.generate_candidates, FeatureExtractor.extract
+
+    def generate_counted(case, **kw):
+        made.extend(generate(case, **kw))
+        return made
+
+    def extract_counted(self, rc, need):
+        extracted.append(rc)
+        asked.append(sorted(FEATURE_SCHEMA[k] for k in need))
+        return extract(self, rc, need)
+
+    def counted(name, real):
+        def build(*args, **kw):
+            heavy.append((name, id(extracted[-1])))
+            return real(*args, **kw)
+        return build
+
+    config = RunConfig(theta_lesion=0.5, theta_malig=0.5)
+    with monkeypatch.context() as patch:
+        patch.setattr(evaluation, "generate_candidates", generate_counted)
+        patch.setattr(FeatureExtractor, "extract", extract_counted)
+        for name in ("_SurfaceField", "_GlcmPairs", "kinetic_features"):
+            patch.setattr(features, name, counted(name, getattr(features, name)))
+        got = run_pipeline(case, lesion, malignancy, config)
+    _assert_same_detections(got, full_vector_pipeline(case, lesion, malignancy, config))
+
+    k = FEATURE_SCHEMA.index("t2_mean")
+    probe = FeatureExtractor(case)
+    settled = {id(rc) for rc in made
+               if probe.extract(rc, [k]).values[k] < lesion.trees[0].threshold[0]}
+    assert len(made) / 2 < len(settled) < len(made)
+    assert {name for name, _ in heavy} == {"_SurfaceField", "_GlcmPairs", "kinetic_features"}
+    assert settled.isdisjoint(rc for _, rc in heavy)
+    # a settled candidate is extracted once, for its voxel-value columns
+    assert sorted(id(rc) for rc in extracted if id(rc) in settled) == sorted(settled)
+    # the malignancy stage extracts only what the lesion stage did not
+    assert asked[-len(got):] == [["blooming", "dce0_std"]] * len(got)
+
+    # a threshold equal to an attainable score keeps that score
+    top = max(d.lesion_score for d in got)
+    at_top = RunConfig(theta_lesion=top, theta_malig=0.5)
+    want = full_vector_pipeline(case, lesion, malignancy, at_top)
+    assert {d.lesion_score for d in want} == {top}
+    _assert_same_detections(run_pipeline(case, lesion, malignancy, at_top), want)
+
+
+def test_pipeline_refuses_other_schema_even_when_all_are_settled(stump_case):
+    # no score reaches 1.01, so the bound would settle every candidate on
+    # its voxel values and no vector would reach predict's schema check
+    case, stump = stump_case
+    lesion = RusBoostModel((stump("t2_mean", 0.0, 1.0), stump("enh_peak", 0.0, 1.0)),
+                           np.array([1.0, 1.0]), 0.1, schema_id="siftcad-features-0")
+    with pytest.raises(ValueError, match="schema mismatch"):
+        run_pipeline(case, lesion, config=RunConfig(theta_lesion=1.01))
 
 
 @pytest.mark.parametrize("config", [
