@@ -31,7 +31,7 @@ from .volume import (
     otsu_cumulative_tables,
     subtract,
 )
-from .wavelet import downscale_mask, scale_image, upscale_indices
+from .wavelet import mask_ladder, scale_ladder, upscale_indices
 
 DEFAULT_MIN_DIAMETER_MM = 4.0
 DEFAULT_MAX_DIAMETER_MM = 63.0
@@ -283,7 +283,8 @@ def generate_candidates(
 ) -> list[RegionCandidate]:
     """Deterministic candidate generation over all pyramid scales.
 
-    Per scale: decimate the first-subtraction volume, sift, normalise
+    Per scale: decimate the first-subtraction volume and the breast mask
+    from the scale before (one LLL ladder each), sift, normalise
     inside the scaled breast mask, threshold with the multilevel bank,
     take 26-connected components per threshold and sieve them by the
     scale's volume window. Candidates with identical voxel sets at the
@@ -297,9 +298,8 @@ def generate_candidates(
     plan = lse_magnitudes(v_min, v_max, d, big_d, m_scales)
     sub = subtract(case.dce[1], case.dce[0])
     out: list[RegionCandidate] = []
-    for m in range(1, m_scales + 1):
-        scaled = scale_image(sub, m)
-        mask_m = downscale_mask(case.breast_mask, m)
+    ladder = zip(scale_ladder(sub, m_scales), mask_ladder(case.breast_mask, m_scales))
+    for m, (scaled, mask_m) in enumerate(ladder, start=1):
         if mask_m.count == 0:
             continue
         response = ms3d(scaled, plan, n_orient)

@@ -751,7 +751,7 @@ class FeatureExtractor:
         self._fat: dict[int, np.ndarray] = {}
 
     def _level(self, seq: str, m: int) -> np.ndarray:
-        """Level m of the same ``_lll_once`` chain :func:`scale_image`
+        """Level m of the same ``_lll_once`` chain :func:`scale_ladder`
         runs, each level made from the one below."""
         key = (seq, m)
         if key not in self._levels:

@@ -29,16 +29,29 @@ two halves overlap, and min and max are idempotent, so the views'
 extreme is exactly the run's: terms are regrouped, never approximated.
 The filters take the slice plane on the first two axes and treat
 trailing axes as a stack, so ``ms3d`` sifts C-contiguous blocks of
-consecutive slices (about 256 KB each) in one pass and ``ms2d`` is the
-single-slice case of the same path; work arrays are reused from block
-to block. ``ms3d`` copies each view's slices once into block-major
-order, so that every block is a contiguous chunk of the copy, writes
-each block's response over it and adds the copy to the sum in one
-strided pass: gathering and scattering the blocks one at a time misses
-the cache on large grids. Every voxel sees the same min/max set,
-subtraction and sum sequence as a slice-by-slice evaluation
-(orientations in ascending order, views axial + sagittal + coronal,
-added to zero, all in float64), so the result is bit-equal to it.
+consecutive slices (about 256 KB each, in either dtype) in one pass and
+``ms2d`` is the single-slice case of the same path; work arrays are
+reused from block to block. ``ms3d`` copies each view's slices once
+into block-major order, so that every block is a contiguous chunk of
+the copy, writes each block's response over it and adds the copy to
+the sum in one strided pass: gathering and scattering the blocks one at
+a time misses the cache on large grids. Every voxel sees the same
+min/max set, subtraction and sum sequence as a slice-by-slice
+evaluation (orientations in ascending order, views axial + sagittal +
+coronal, added to zero in float64), so the result is bit-equal to it.
+
+Precision: ``ms3d`` and ``ms2d`` filter in float32 when every input
+value is an integer, ``|v| <= 2**24`` and ``n_orient * (max - min) <=
+2**24`` (:func:`_work_dtype`), and in float64 otherwise. float32 holds
+every integer up to 2**24 exactly; min and max only pick input values;
+a top-hat ``f - open(f)`` lies in [0, max - min]; and a view sums
+``n_orient`` such terms, so every float32 value is the integer float64
+computes. Each sum starts at +0.0, so signed zeros never reach the
+output, and the cross-view sum is float64 as before: the result is
+bit-equal to a float64 evaluation and the passes move half the bytes.
+The subtraction volumes of the pipeline are differences of unsigned
+short scans, so their scale-1 sifting always takes float32; the
+decimated scales are not integer-valued and take float64.
 """
 
 from __future__ import annotations
@@ -175,13 +188,14 @@ def _line_plan(offsets) -> _LinePlan:
 
 
 class _Scratch:
-    """Work arrays reused from call to call, one flat float64 buffer per
-    role. The C allocator hands block-sized arrays back to the system
-    when they are freed, so allocating them afresh for every filter
-    page-faults their memory back in, which costs more than the min/max
-    passes over them."""
+    """Work arrays reused from call to call, one flat buffer of the
+    call's working dtype (see :func:`_work_dtype`) per role. The C
+    allocator hands block-sized arrays back to the system when they are
+    freed, so allocating them afresh for every filter page-faults their
+    memory back in, which costs more than the min/max passes over them."""
 
-    def __init__(self):
+    def __init__(self, dtype):
+        self.dtype = np.dtype(dtype)
         self._flat = {}
 
     def take(self, role, shape) -> np.ndarray:
@@ -190,7 +204,7 @@ class _Scratch:
         n = math.prod(shape)
         flat = self._flat.get(role)
         if flat is None or flat.size < n:
-            flat = self._flat[role] = np.empty(n)
+            flat = self._flat[role] = np.empty(n, self.dtype)
         return flat[:n].reshape(shape)
 
 
@@ -269,27 +283,51 @@ def _open(f: np.ndarray, plan: tuple[_LinePlan, _LinePlan], scratch: _Scratch) -
     return _line_filter(eroded, dilate, np.maximum, -np.inf, scratch, "opened")
 
 
-def _check_slice(f: np.ndarray) -> np.ndarray:
+# float32 holds every integer of at most this magnitude exactly
+_F32_EXACT = 2 ** 24
+
+
+def _work_dtype(data: np.ndarray, n_orient: int = 1) -> np.dtype:
+    """float32 when every value of ``data`` is an integer, ``|v| <=
+    2**24`` and ``n_orient * (max - min) <= 2**24``, the bound on a
+    view's sum of top-hats; float64 otherwise, NaN and inf included.
+    Sifting and the line filters are exact in float32 under these
+    conditions (see the module docstring)."""
+    if data.size:
+        lo, hi = float(data.min()), float(data.max())
+        # a NaN fails every comparison
+        if -_F32_EXACT <= lo and hi <= _F32_EXACT and n_orient * (hi - lo) <= _F32_EXACT \
+                and np.array_equal(np.trunc(data), data):
+            return np.dtype(np.float32)
+    return np.dtype(np.float64)
+
+
+def _on_slice(f: np.ndarray, filt, n_orient: int = 1) -> np.ndarray:
+    """``filt(slice, scratch)`` on a 2D slice in its working dtype,
+    returned as float64."""
     arr = np.asarray(f, dtype=np.float64)
     if arr.ndim != 2:
         raise SiftError(f"expected a 2D slice, got shape {arr.shape}")
-    return arr
+    scratch = _Scratch(_work_dtype(arr, n_orient))
+    return filt(arr.astype(scratch.dtype, copy=False), scratch).astype(np.float64, copy=False)
 
 
 def gray_erode(f: np.ndarray, se: np.ndarray) -> np.ndarray:
     """Flat erosion of a 2D slice by a point-set structuring element."""
-    return _line_filter(_check_slice(f), _line_plan(se), np.minimum, np.inf, _Scratch(), "out")
+    plan = _line_plan(se)
+    return _on_slice(f, lambda a, s: _line_filter(a, plan, np.minimum, np.inf, s, "out"))
 
 
 def gray_dilate(f: np.ndarray, se: np.ndarray) -> np.ndarray:
     """Flat dilation (max over the reflected offsets)."""
-    offs = -np.asarray(se, dtype=np.int64)
-    return _line_filter(_check_slice(f), _line_plan(offs), np.maximum, -np.inf, _Scratch(), "out")
+    plan = _line_plan(-np.asarray(se, dtype=np.int64))
+    return _on_slice(f, lambda a, s: _line_filter(a, plan, np.maximum, -np.inf, s, "out"))
 
 
 def gray_open(f: np.ndarray, se: np.ndarray) -> np.ndarray:
     """Opening: erosion then dilation with the same element."""
-    return _open(_check_slice(f), _open_plan(se), _Scratch())
+    plan = _open_plan(se)
+    return _on_slice(f, lambda a, s: _open(a, plan, s))
 
 
 # ---------------------------------------------------------------------------
@@ -331,8 +369,8 @@ def ms2d(f: np.ndarray, ml1: float, ml2: float, n_orient: int = 10) -> np.ndarra
     Sum over n = 0..N-1, theta = n*pi/N, of the short-line opening of
     the long-line top-hat. Accumulation is in ascending n.
     """
-    arr = _check_slice(f)
-    return _sift(arr, _sift_plan(ml1, ml2, n_orient), _Scratch(), np.zeros_like(arr))
+    plan = _sift_plan(ml1, ml2, n_orient)
+    return _on_slice(f, lambda a, s: _sift(a, plan, s, np.zeros(a.shape, s.dtype)), n_orient)
 
 
 @dataclass(frozen=True)
@@ -372,30 +410,32 @@ def lse_magnitudes(v_min: float, v_max: float, d: float, big_d: float, m_scales:
     return MagnitudePlan(axial=axial, sagittal=cross, coronal=cross, ml1_mm=ml1_mm, ml2_mm=ml2_mm)
 
 
-# voxels per block of slices (256 KB of float64): blocks of 1 MB and
-# 4 MB measured slower on full-resolution volumes
-_BLOCK_VOXELS = 32768
+# bytes per block of slices: 32768 float64 or 65536 float32 voxels. On
+# a 160x160x80 volume, float64 blocks of 512 KB and float32 blocks of
+# 128 KB and 512 KB measured slower (and float64 blocks of 1 MB and
+# 4 MB before them)
+_BLOCK_BYTES = 262144
 
 
-def _sift_stack(vol: np.ndarray, plan, out: np.ndarray) -> None:
+def _sift_stack(vol: np.ndarray, plan, out: np.ndarray, scratch: _Scratch) -> None:
     """Add the sifting response of every slice ``vol[:, :, k]`` to
     ``out``, an array or view of ``vol``'s shape.
 
-    The slices are copied once, block-major: each block of consecutive
-    slices is a C-contiguous (nx, ny, slices) stack, and a shorter block
-    takes any remainder. A block's response is written over the block,
-    and every group of equal blocks is added to ``out`` in one pass, so
-    neither the copy nor the sum reads or writes ``out`` block by
-    block."""
+    The slices are copied once, block-major and in ``scratch``'s dtype:
+    each block of consecutive slices is a C-contiguous (nx, ny, slices)
+    stack, and a shorter block takes any remainder. A block's response
+    is written over the block, and every group of equal blocks is added
+    to ``out`` in one pass, so neither the copy nor the sum reads or
+    writes ``out`` block by block."""
     nx, ny, nz = vol.shape
-    step = max(1, _BLOCK_VOXELS // max(1, nx * ny))
+    step = max(1, _BLOCK_BYTES // scratch.dtype.itemsize // max(1, nx * ny))
     full = nz - nz % step
-    scratch = _Scratch()
     for k0, k1, size in ((0, full, step), (full, nz, nz - full)):
         if k1 == k0:
             continue
         # splitting the slice axis is a view of any strided array
-        blocks = np.moveaxis(vol[:, :, k0:k1].reshape(nx, ny, -1, size), 2, 0).copy()
+        blocks = np.moveaxis(vol[:, :, k0:k1].reshape(nx, ny, -1, size), 2, 0) \
+            .astype(scratch.dtype, order="C")
         for block in blocks:
             acc = scratch.take("sum", block.shape)
             acc[...] = 0.0
@@ -406,13 +446,15 @@ def _sift_stack(vol: np.ndarray, plan, out: np.ndarray) -> None:
 
 def ms3d(volume: Volume3D, plan: MagnitudePlan, n_orient: int = 10) -> Volume3D:
     """3D sifting: per-slice 2D responses of the axial, sagittal and
-    coronal stacks, added to zero in that order."""
+    coronal stacks, added to zero in that order (in float64; each view
+    is sifted in the volume's working dtype, see :func:`_work_dtype`)."""
     data = volume.data
     out = np.zeros(data.shape)
+    scratch = _Scratch(_work_dtype(data, n_orient))
     for view, magnitudes in (((0, 1, 2), plan.axial), ((0, 2, 1), plan.sagittal),
                              ((2, 1, 0), plan.coronal)):
         _sift_stack(np.transpose(data, view), _sift_plan(*magnitudes, n_orient),
-                    np.transpose(out, view))
+                    np.transpose(out, view), scratch)
     return Volume3D(out, volume.spacing)
 
 

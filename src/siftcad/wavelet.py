@@ -20,6 +20,7 @@ high-pass is the alternating-sign mirror.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,16 +164,18 @@ def _lll_inverse_once(data: np.ndarray, target_dims) -> np.ndarray:
     return data
 
 
-def scale_image(volume: Volume3D, m: int) -> Volume3D:
-    """Repeated LLL decimation; level m carries an intensity gain of
-    ``(2*sqrt 2)**(m-1)`` on top of the doubled spacing per level."""
-    if m < 1:
-        raise VolumeError(f"scale index must be >= 1, got {m}")
-    data = volume.data
-    for _ in range(m - 1):
-        data = _lll_once(data)
-    spacing = tuple(s * 2 ** (m - 1) for s in volume.spacing)
-    return Volume3D(data.copy(), spacing)
+def scale_ladder(volume: Volume3D, m_levels: int) -> Iterator[Volume3D]:
+    """Scales 1..``m_levels`` of the LLL pyramid, each decimated from the
+    one before; scale 1 is ``volume`` itself. Scale m carries an
+    intensity gain of ``(2*sqrt 2)**(m-1)`` on top of the doubled
+    spacing per level."""
+    if m_levels < 1:
+        raise VolumeError(f"scale index must be >= 1, got {m_levels}")
+    level = volume
+    yield level
+    for m in range(2, m_levels + 1):
+        level = Volume3D(_lll_once(level.data), tuple(s * 2 ** (m - 1) for s in volume.spacing))
+        yield level
 
 
 def upscale_mask(mask: BinaryMask, m: int, original_dims, spacing) -> BinaryMask:
@@ -234,16 +237,21 @@ def upscale_indices(flat_idx: np.ndarray, dims, m: int, original_dims) -> np.nda
                                 tuple(original_dims))
 
 
-def downscale_mask(mask: BinaryMask, m: int) -> BinaryMask:
-    """Project a full-resolution mask onto the scale-m grid (dual of
-    :func:`upscale_mask`): LLL-decimate, renormalise, threshold 0.5."""
-    if m < 1:
-        raise VolumeError(f"scale index must be >= 1, got {m}")
-    if m == 1:
-        return BinaryMask(mask.data.copy(), mask.spacing)
+def mask_ladder(mask: BinaryMask, m_levels: int) -> Iterator[BinaryMask]:
+    """A full-resolution mask on scales 1..``m_levels`` (dual of
+    :func:`upscale_mask`): one LLL chain of the mask, each level
+    renormalised and thresholded at 0.5; scale 1 is ``mask`` itself."""
+    if m_levels < 1:
+        raise VolumeError(f"scale index must be >= 1, got {m_levels}")
+    yield mask
     data = mask.data.astype(np.float64)
-    for _ in range(m - 1):
+    for m in range(2, m_levels + 1):
         data = _lll_once(data)
-    data /= LLL_GAIN ** (m - 1)
-    spacing = tuple(s * 2 ** (m - 1) for s in mask.spacing)
-    return BinaryMask(data >= 0.5, spacing)
+        spacing = tuple(s * 2 ** (m - 1) for s in mask.spacing)
+        yield BinaryMask(data / LLL_GAIN ** (m - 1) >= 0.5, spacing)
+
+
+def downscale_mask(mask: BinaryMask, m: int) -> BinaryMask:
+    """Scale m of :func:`mask_ladder`."""
+    *_, scaled = mask_ladder(mask, m)
+    return scaled

@@ -261,6 +261,21 @@ def test_generated_candidate_covers_the_lesion():
         assert np.all(np.diff(idx) > 0)
 
 
+def test_generation_walks_the_wavelet_ladder_once(monkeypatch):
+    # scale m of the subtraction and of the breast mask are each made
+    # from scale m - 1: two decimations per coarser scale, not m - 1
+    import siftcad.wavelet as wmod
+
+    shapes = []
+    real = wmod._lll_once
+    monkeypatch.setattr(wmod, "_lll_once", lambda data: shapes.append(data.shape) or real(data))
+    case = make_mini_case(noise=0.5, seed=3)
+    cands = generate_candidates(case, m_scales=3)
+    level2 = dims_ladder(case.dims, 2)[1]
+    assert sorted(shapes) == sorted([case.dims, case.dims, level2, level2])
+    assert {c.scale_index for c in cands} >= {1}
+
+
 def test_generation_is_deterministic():
     case = make_mini_case(noise=0.5, clutter=2.0, seed=9)
     a = generate_candidates(case)

@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 from siftcad.candidates import DEFAULT_V_MAX, DEFAULT_V_MIN
+from siftcad import morphosift
+from siftcad.candidates import generate_candidates
 from siftcad.morphosift import (
-    _BLOCK_VOXELS,
+    _BLOCK_BYTES,
     _line_plan,
     _open_plan,
     _sift_plan,
+    _work_dtype,
     LinearSE,
     MagnitudePlan,
     SiftError,
@@ -21,7 +24,9 @@ from siftcad.morphosift import (
     normalize16,
     rasterize_lse,
 )
-from siftcad.volume import BinaryMask, Volume3D, VolumeError
+from siftcad.nrrd_io import load_case
+from siftcad.phantom import generate_suite
+from siftcad.volume import BinaryMask, Volume3D, VolumeError, subtract
 
 from oracles import (
     direct_ms2d,
@@ -31,6 +36,27 @@ from oracles import (
     shift_dilate,
     shift_erode,
 )
+
+
+@pytest.fixture
+def scratch_dtypes(monkeypatch):
+    """Working dtype of every sifting or filter call, in call order (one
+    ``_Scratch`` per call)."""
+    made = []
+
+    class Recording(morphosift._Scratch):
+        def __init__(self, dtype):
+            super().__init__(dtype)
+            made.append(self.dtype)
+
+    monkeypatch.setattr(morphosift, "_Scratch", Recording)
+    return made
+
+
+@pytest.fixture(scope="module")
+def loaded_phantom_case(tmp_path_factory):
+    (record,) = generate_suite(1, 3, tmp_path_factory.mktemp("phantom"), dims=(64, 64, 32))
+    return load_case(record)
 
 
 class TestRasterize:
@@ -120,16 +146,35 @@ class TestGrayOps:
         assert d[3, 4] == 1.0 and d[4, 4] == 1.0 and d[5, 4] == 1.0
         assert d.sum() == 3.0
 
-    def test_open_anti_extensive_and_idempotent(self):
+    def test_open_anti_extensive_and_idempotent(self, scratch_dtypes):
+        # the opening laws for line elements and random point sets, on
+        # float slices and on integer slices (filtered in float32); the
+        # opening is also increasing: f <= g implies open(f) <= open(g)
         rng = np.random.default_rng(5)
-        for _ in range(25):
-            f = rng.random((20, 20)) * 100
-            mag = rng.uniform(2, 9)
-            theta = rng.uniform(0, math.pi)
-            se = rasterize_lse(mag, theta)
+        for k in range(80):
+            if k % 2:
+                reach = int(rng.integers(1, 6))
+                se = rng.integers(-reach, reach + 1, size=(int(rng.integers(1, 12)), 2))
+            else:
+                se = rasterize_lse(rng.uniform(2, 9), rng.uniform(0, math.pi))
+            shape = (int(rng.integers(5, 21)), int(rng.integers(5, 21)))
+            if k % 4 < 2:
+                f = rng.random(shape) * 100
+                g = f + rng.random(shape) * (rng.random(shape) < 0.5)
+                dtype = np.float64
+            else:
+                f = rng.integers(-65535, 65536, size=shape).astype(np.float64)
+                g = f + rng.integers(0, 3, size=shape)
+                dtype = np.float32
+            scratch_dtypes.clear()
             opened = gray_open(f, se)
-            assert np.all(opened <= f)
-            assert np.array_equal(gray_open(opened, se), opened)
+            assert opened.dtype == np.float64
+            assert np.all(opened <= f), k
+            assert np.array_equal(gray_open(opened, se), opened), k
+            assert np.all(opened <= gray_open(g, se)), k
+            # f and g; an opened slice holds -inf where the element's
+            # reflection reaches past the slice, which takes float64
+            assert scratch_dtypes[::2] == [dtype, dtype], k
 
     def test_arbitrary_point_sets_match_double_loop(self):
         # gappy sets, isolated points and single points, so runs of every
@@ -297,14 +342,16 @@ class TestMs3d:
         want = direct_ms3d(v.data, plan, 4, rasterize_lse)
         assert np.array_equal(got.data, want)
 
-    # a block holds _BLOCK_VOXELS // (slice-plane voxels) slices, at least one
+    # a block holds _BLOCK_BYTES // itemsize // (slice-plane voxels)
+    # slices, at least one
     @pytest.mark.parametrize("dims", [
         (64, 64, 11),   # every view's stack spans several blocks plus a remainder
         (9, 7, 1),      # single-slice axial stack
         (200, 180, 3),  # axial slice plane larger than one block
     ], ids=["blocks_with_remainder", "single_slice", "plane_over_budget"])
     def test_block_boundaries_match_direct_evaluation(self, dims):
-        assert _BLOCK_VOXELS == 32768  # the shapes above are chosen for this size
+        # the shapes above are chosen for this size of float64 blocks
+        assert _BLOCK_BYTES // 8 == 32768
         rng = np.random.default_rng(11)
         plan = MagnitudePlan(
             axial=(2.0, 6.0), sagittal=(2.0, 5.0), coronal=(3.0, 5.0),
@@ -367,3 +414,91 @@ class TestNormalize16:
         v = Volume3D(np.ones((2, 2, 2)), (1, 1, 1))
         with pytest.raises(VolumeError):
             normalize16(v, BinaryMask(np.zeros((2, 2, 2), bool), (1, 1, 1)))
+
+
+class TestSinglePrecision:
+    """Integer-valued input is sifted in float32, bit-equal to float64."""
+
+    # a float32 block holds 65536 // (slice-plane voxels) slices, at least one
+    @pytest.mark.parametrize("dims", [
+        (64, 64, 37),   # every view's stack spans two blocks plus a remainder
+        (9, 7, 1),      # single-slice axial stack
+        (300, 260, 3),  # axial slice plane larger than one block
+    ], ids=["blocks_with_remainder", "single_slice", "plane_over_budget"])
+    def test_integer_volumes_match_direct_evaluation(self, dims, scratch_dtypes):
+        assert _BLOCK_BYTES // 4 == 65536  # the shapes above are chosen for this size
+        rng = np.random.default_rng(21)
+        data = rng.integers(-65535, 65536, size=dims).astype(np.float64)
+        data.flat[:2] = (-65535, 65535)
+        plan = MagnitudePlan(
+            axial=(2.0, 6.0), sagittal=(2.0, 5.0), coronal=(3.0, 5.0),
+            ml1_mm=2.0, ml2_mm=6.0,
+        )
+        got = ms3d(Volume3D(data, (0.7, 0.7, 1.3)), plan, 4)
+        assert scratch_dtypes == [np.float32]
+        want = direct_ms3d(data, plan, 4, rasterize_lse)
+        assert got.data.dtype == np.float64
+        assert got.data.tobytes() == want.tobytes()
+
+    def test_integer_slices_match_direct_evaluation(self, scratch_dtypes):
+        rng = np.random.default_rng(22)
+        for n_orient in (1, 4, 10):
+            f = rng.integers(-65535, 65536, size=(37, 29)).astype(np.float64)
+            got = ms2d(f, 2.0, 7.0, n_orient)
+            assert got.tobytes() == direct_ms2d(f, 2.0, 7.0, n_orient, rasterize_lse).tobytes()
+        assert scratch_dtypes == [np.float32] * 3
+
+    def test_view_sum_bound(self, scratch_dtypes, monkeypatch):
+        # ml1 = 1 is a one-point short line, so every orientation passes
+        # an isolated spike's whole top-hat and the sum reaches
+        # n_orient * (max - min)
+        f = np.zeros((15, 15))
+        f[7, 7] = 2 ** 22
+        got = ms2d(f, 1.0, 5.0, 4)
+        assert got[7, 7] == 2 ** 24
+        assert got.tobytes() == direct_ms2d(f, 1.0, 5.0, 4, rasterize_lse).tobytes()
+        f[0, 0] = -1.0  # one step past the bound
+        got = ms2d(f, 1.0, 5.0, 4)
+        assert got.tobytes() == direct_ms2d(f, 1.0, 5.0, 4, rasterize_lse).tobytes()
+        assert scratch_dtypes == [np.float32, np.float64]
+        # past the bound float32 would round: three top-hats of 5592407
+        # sum to 16777221, odd and above 2**24
+        f = np.zeros((15, 15))
+        f[7, 7] = 5592407
+        want = direct_ms2d(f, 1.0, 5.0, 3, rasterize_lse)
+        assert want[7, 7] == 16777221
+        assert ms2d(f, 1.0, 5.0, 3).tobytes() == want.tobytes()
+        assert scratch_dtypes[-1] == np.float64
+        monkeypatch.setattr(morphosift, "_work_dtype", lambda *a: np.dtype(np.float32))
+        assert ms2d(f, 1.0, 5.0, 3)[7, 7] != want[7, 7]
+
+    def test_inputs_outside_the_bounds_take_float64(self):
+        base = np.arange(12.0).reshape(3, 4) - 6.0
+        assert _work_dtype(base, 10) == np.float32
+        for bad in (0.5, -1e-9, np.nan, np.inf, -np.inf, 2.0 ** 24 + 2, -2.0 ** 24 - 2):
+            f = base.copy()
+            f[1, 2] = bad
+            assert _work_dtype(f, 1) == np.float64, bad
+        edge = np.array([[0.0, 2.0 ** 24]])  # |v| and n_orient * (max - min) at 2**24
+        assert _work_dtype(edge, 1) == _work_dtype(-edge, 1) == np.float32
+        assert _work_dtype(edge, 2) == np.float64
+        assert _work_dtype(np.empty((0, 3)), 1) == np.float64
+
+    def test_loaded_case_sifts_scale_1_in_float32(self, loaded_phantom_case, scratch_dtypes):
+        # unsigned short scans subtract to integers; the decimated
+        # scales are not integer-valued
+        generate_candidates(loaded_phantom_case)
+        assert scratch_dtypes == [np.float32, np.float64, np.float64]
+
+    def test_loaded_case_equals_its_float64_shift(self, loaded_phantom_case, scratch_dtypes):
+        # sifting is exactly invariant under adding 0.5, which keeps every
+        # value exact but forces float64: an oracle at sizes too large for
+        # direct_ms3d
+        case = loaded_phantom_case
+        sub = subtract(case.dce[1], case.dce[0])
+        plan = lse_magnitudes(DEFAULT_V_MIN, DEFAULT_V_MAX, case.spacing[0], case.spacing[2], 3)
+        got = ms3d(sub, plan, 10)
+        shifted = ms3d(Volume3D(sub.data + 0.5, sub.spacing), plan, 10)
+        assert scratch_dtypes == [np.float32, np.float64]
+        assert got.data.max() > 0
+        assert got.data.tobytes() == shifted.data.tobytes()

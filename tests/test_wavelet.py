@@ -7,9 +7,11 @@ from siftcad.wavelet import (
     LLL_GAIN,
     dims_ladder,
     downscale_mask,
+    _lll_once,
     dwt3_db2,
     idwt3_db2,
-    scale_image,
+    mask_ladder,
+    scale_ladder,
     subband_length,
     upscale_indices,
     upscale_mask,
@@ -73,14 +75,36 @@ def test_subband_dims_and_ladder():
 
 def test_scale_image_dims_spacing_gain():
     v = Volume3D(np.full((64, 64, 32), 2.0), (0.7, 0.7, 1.3))
-    s2 = scale_image(v, 2)
+    s1, s2, s3 = scale_ladder(v, 3)
+    assert s1 is v
     assert isinstance(s2, Volume3D)
     assert s2.dims == (33, 33, 17)
     assert s2.spacing == (1.4, 1.4, 2.6)
     assert np.max(np.abs(s2.data - 2.0 * LLL_GAIN)) <= 1e-9
-    s1 = scale_image(v, 1)
-    assert np.array_equal(s1.data, v.data)
-    assert s1.spacing == v.spacing
+    assert s3.dims == (18, 18, 10)
+    assert s3.spacing == (2.8, 2.8, 5.2)
+    assert np.max(np.abs(s3.data - 2.0 * LLL_GAIN ** 2)) <= 1e-9
+    with pytest.raises(VolumeError):
+        next(scale_ladder(v, 0))
+
+
+def test_ladders_equal_the_chain_from_full_resolution():
+    # each ladder level is bit-equal to decimating the full-resolution
+    # input m - 1 times afresh, odd dims included
+    rng = np.random.default_rng(31)
+    v = Volume3D(rng.standard_normal((23, 18, 11)) * 50, (0.7, 0.7, 1.3))
+    mask = BinaryMask(rng.random(v.dims) < 0.6, v.spacing)
+    levels = list(zip(scale_ladder(v, 4), mask_ladder(mask, 4)))
+    assert len(levels) == 4
+    for m, (scaled, mask_m) in enumerate(levels, start=1):
+        data, mdata = v.data, mask.data.astype(np.float64)
+        for _ in range(m - 1):
+            data, mdata = _lll_once(data), _lll_once(mdata)
+        spacing = tuple(s * 2 ** (m - 1) for s in v.spacing)
+        assert scaled.spacing == mask_m.spacing == spacing
+        assert scaled.data.tobytes() == np.ascontiguousarray(data).tobytes()
+        assert np.array_equal(mask_m.data, mdata / LLL_GAIN ** (m - 1) >= 0.5)
+        assert downscale_mask(mask, m).data.tobytes() == mask_m.data.tobytes()
 
 
 def test_upscale_full_mask_is_full():
