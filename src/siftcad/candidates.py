@@ -2,7 +2,7 @@
 
 Per pyramid scale the sifted response is normalised to 16 bit inside
 the (downscaled) breast mask, split by a multilevel Otsu threshold
-bank, and each threshold's 26-connected components are sieved by the
+bank (:func:`siftcad.volume.multilevel_otsu`), and each threshold's 26-connected components are sieved by the
 physical volume window of that scale. The sieve labels each threshold
 on the bounding box of its foreground and builds voxel lists only for
 the components inside the window; the large breast-wide components of
@@ -23,12 +23,9 @@ from .morphosift import lse_magnitudes, ms3d, normalize16
 from .volume import (
     BinaryMask,
     BreastCase,
-    HistogramSpec,
     Volume3D,
     VolumeError,
-    class_variance_term,
-    intensity_histogram,
-    otsu_cumulative_tables,
+    multilevel_otsu,
     subtract,
 )
 from .wavelet import mask_ladder, scale_ladder, upscale_indices
@@ -44,90 +41,6 @@ def diameter_to_volume(diameter_mm: float) -> float:
 
 DEFAULT_V_MIN = diameter_to_volume(DEFAULT_MIN_DIAMETER_MM)
 DEFAULT_V_MAX = diameter_to_volume(DEFAULT_MAX_DIAMETER_MM)
-
-
-# ---------------------------------------------------------------------------
-# multilevel Otsu
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class ThresholdSet:
-    """Strictly increasing scalar thresholds plus their bin indices and
-    the histogram they came from."""
-
-    thresholds: np.ndarray
-    indices: np.ndarray
-    histogram: HistogramSpec
-
-
-def otsu_multilevel_indices(hist: np.ndarray, t_count: int) -> np.ndarray:
-    """Threshold bin indices maximising the between-class criterion.
-
-    Dynamic programme over the suffix best-partition table, followed by
-    a forward pass that picks the lexicographically smallest maximiser
-    (ties resolve exactly as an exhaustive lexicographic enumeration
-    would). Classes are contiguous, non-empty bin ranges; a threshold
-    index t is the last bin of its lower class.
-    """
-    h = np.asarray(hist, dtype=np.float64)
-    n_bins = h.size
-    if t_count < 1:
-        raise VolumeError(f"threshold count must be >= 1, got {t_count}")
-    if t_count + 1 > n_bins:
-        raise VolumeError(f"{t_count} thresholds need more than {n_bins} bins")
-    cw, cs = otsu_cumulative_tables(h)
-    n_classes = t_count + 1
-
-    def row(i: int, c: int, g_next: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # candidate last-bins for class c starting at bin i
-        remaining = n_classes - c
-        ts = np.arange(i, n_bins - remaining)
-        return ts, class_variance_term(cw, cs, i, ts) + g_next[ts + 1]
-
-    # g[c][i]: best value of classes c..n_classes covering bins [i:]
-    g_next = np.full(n_bins + 1, -np.inf)
-    start = n_classes - 1
-    g_next[start:n_bins] = class_variance_term(
-        cw, cs, np.arange(start, n_bins), n_bins - 1
-    )
-    tables = {n_classes: g_next}
-    # term[i, t]: class [i..t], the same element-wise value ``row``
-    # computes; -inf where t < i, and tables[c + 1] is -inf past the last
-    # feasible end of class c, so a row's max sees only feasible t
-    bins = np.arange(n_bins)
-    term = class_variance_term(cw, cs, bins[:, None], bins[None, :])
-    term[bins[None, :] < bins[:, None]] = -np.inf
-    for c in range(n_classes - 1, 0, -1):
-        stop = n_bins - (n_classes - c)
-        g = np.full(n_bins + 1, -np.inf)
-        g[c - 1:stop] = (term[c - 1:stop] + tables[c + 1][1:]).max(axis=1)
-        tables[c] = g
-
-    indices = np.empty(t_count, dtype=np.int64)
-    i = 0
-    for c in range(1, n_classes):
-        ts, vals = row(i, c, tables[c + 1])
-        hit = np.flatnonzero(vals == tables[c][i])
-        indices[c - 1] = ts[hit[0]]
-        i = int(indices[c - 1]) + 1
-    return indices
-
-
-def multilevel_otsu(volume: Volume3D, mask: BinaryMask, t_count: int) -> ThresholdSet:
-    """Multilevel Otsu threshold bank of the masked voxels (256 bins)."""
-    if mask.dims != volume.dims:
-        raise VolumeError("mask grid does not match volume")
-    vals = volume.data[mask.data]
-    if vals.size == 0:
-        raise VolumeError("mask selects no voxels")
-    if np.unique(vals).size < t_count + 1:
-        raise VolumeError(
-            f"need at least {t_count + 1} distinct values for {t_count} thresholds"
-        )
-    hist, spec = intensity_histogram(vals)
-    idx = otsu_multilevel_indices(hist, t_count)
-    thresholds = np.array([spec.upper_edge(int(t)) for t in idx])
-    return ThresholdSet(thresholds=thresholds, indices=idx, histogram=spec)
 
 
 # ---------------------------------------------------------------------------
@@ -243,23 +156,6 @@ def _make_candidate(flat_idx, m, t_idx, dims, spacing, original_dims,
     )
 
 
-def candidate_from_mask(mask: BinaryMask, scale_index: int = 1,
-                        original_dims=None, original_spacing=None,
-                        threshold_index: int = 0) -> RegionCandidate:
-    """Wrap an explicit mask (on its scale grid) as a candidate."""
-    if mask.count == 0:
-        raise VolumeError("candidate mask must be non-empty")
-    flat = np.flatnonzero(mask.data.ravel()).astype(np.int64)
-    if original_dims is None:
-        if scale_index != 1:
-            raise VolumeError("original grid required for scale > 1")
-        original_dims = mask.dims
-        original_spacing = mask.spacing
-    return _make_candidate(flat, scale_index, threshold_index, mask.dims,
-                           mask.spacing, tuple(original_dims),
-                           tuple(original_spacing))
-
-
 def volume_window(m: int, m_scales: int, v_min: float, v_max: float) -> tuple[float, float]:
     """Inclusive physical-volume window for scale m.
 
@@ -307,7 +203,7 @@ def generate_candidates(
         if responses is not None:
             responses[m] = f16
         try:
-            bank = multilevel_otsu(f16, mask_m, t_count)
+            thresholds = multilevel_otsu(f16, mask_m, t_count)
         except VolumeError:
             # a (near-)constant response carries no candidates at this scale
             continue
@@ -315,7 +211,7 @@ def generate_candidates(
         voxvol = scaled.voxel_volume_mm3
         seen: dict[bytes, RegionCandidate] = {}
         ordered: list[RegionCandidate] = []
-        pieces = _sieve_components(f16.data, bank.thresholds, lo, hi, voxvol)
+        pieces = _sieve_components(f16.data, thresholds, lo, hi, voxvol)
         for t_idx, t_pieces in enumerate(pieces):
             for flat_idx in t_pieces:
                 key = flat_idx.tobytes()

@@ -378,6 +378,8 @@ def _as_xy(samples_or_x, y):
         raise ValueError("X must be (n, f) with matching y")
     if not np.isin(yy, (-1.0, 1.0)).all():
         raise ValueError("labels must be -1 or +1")
+    if not np.isfinite(x).all():
+        raise ValueError("sample features must be finite")
     return x, yy, None, None
 
 
@@ -743,47 +745,17 @@ def group_folds(groups, k: int) -> np.ndarray:
     return np.array([fold_of[g] for g in groups], dtype=np.int64)
 
 
-def mse_loss(probabilities: np.ndarray, labels: np.ndarray) -> float:
-    """MSE between predictions mapped to [-1, 1] (2p - 1) and +-1 labels.
-
-    Under this convention a constant chance predictor (p = 0.5) scores
-    exactly 1.0.
-    """
-    p = np.asarray(probabilities, dtype=np.float64)
-    yy = np.asarray(labels, dtype=np.float64)
-    return float((((2.0 * p - 1.0) - yy) ** 2).mean())
-
-
-def cross_validate(samples_or_x, y=None, *, groups=None, k=5, trainer=None) -> float:
-    """Pooled k-fold MSE with case-level (group) fold assignment.
-
-    ``trainer`` is a callable (X, y) -> model exposing predict_proba.
-    Every sample is scored exactly once by the model whose training
-    fold excluded it; the loss pools squared errors over all samples.
-    """
-    x, yy, inferred_groups, _ = _as_xy(samples_or_x, y)
-    groups = groups if groups is not None else inferred_groups
-    if groups is None:
-        raise ValueError("groups are required (or pass LabeledSamples)")
-    if trainer is None:
-        raise ValueError("trainer callable is required")
-    folds = group_folds(groups, k)
-    sq = np.empty(len(x))
-    for f in range(k):
-        test = folds == f
-        model = trainer(x[~test], yy[~test])
-        p = model.predict_proba(x[test])
-        sq[test] = ((2.0 * p - 1.0) - yy[test]) ** 2
-    return float(sq.mean())
-
-
 def rusboost_cv_curve(samples_or_x, y=None, *, groups=None, n_trees_list,
                       k=5, seed=None, **rus_kwargs) -> list[float]:
-    """CV loss at several ensemble lengths from one training per fold.
+    """Grouped k-fold CV loss at several ensemble lengths, one training
+    per fold.
 
     Trains each fold once at max(n_trees_list) and scores every prefix
     length, which is equivalent to retraining because boosting rounds
-    do not look ahead.
+    do not look ahead. All samples of a group share a fold, and every
+    sample is scored by the fold that left it out. The loss is the
+    pooled MSE between ``2p - 1`` and the +-1 labels, so a chance
+    predictor (p = 0.5) scores exactly 1.0.
     """
     x, yy, inferred_groups, _ = _as_xy(samples_or_x, y)
     groups = groups if groups is not None else inferred_groups

@@ -49,7 +49,14 @@ from .features import FEATURE_SCHEMA, FEATURE_SCHEMA_ID, FeatureExtractor
 # not called here: perfbench/bench.py cuts its reference-kernel clock at
 # ``cli.ms3d``, so the name stays importable from this module
 from .morphosift import ms3d  # noqa: F401
-from .nrrd_io import NrrdError, load_case, load_manifest, load_mask, save_volume
+from .nrrd_io import (
+    NrrdError,
+    check_fields,
+    load_case,
+    load_manifest,
+    load_mask,
+    save_volume,
+)
 from .phantom import generate_suite
 from .volume import Volume3D, VolumeError
 
@@ -58,6 +65,7 @@ EXIT_USAGE = 1
 EXIT_RUNTIME = 2
 
 DETECTIONS_FORMAT = "siftcad-detections"
+DETECTIONS_VERSION = 1
 
 
 _CONFIG_KEYS = {f.name for f in fields(RunConfig)}
@@ -289,8 +297,8 @@ def cmd_detect(args) -> int:
                 for det, p in zip(detections, paths)
             ],
         })
-    doc = {"format": DETECTIONS_FORMAT, "version": 1, "split": args.split,
-           "cases": cases_doc}
+    doc = {"format": DETECTIONS_FORMAT, "version": DETECTIONS_VERSION,
+           "split": args.split, "cases": cases_doc}
     out.mkdir(parents=True, exist_ok=True)
     (out / "detections.json").write_text(
         json.dumps(doc, indent=2, sort_keys=True) + "\n")
@@ -298,10 +306,51 @@ def cmd_detect(args) -> int:
     return EXIT_OK
 
 
+def _integer(lowest: int):
+    return lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= lowest
+
+
+def _score(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and 0.0 <= v <= 1.0
+
+
+# the fields of a detections document, of each of its cases and of each
+# detection: (name, required, valid, what a valid value is)
+_DOCUMENT_FIELDS = (
+    ("format", True, lambda v: v == DETECTIONS_FORMAT, repr(DETECTIONS_FORMAT)),
+    ("version", True, lambda v: v == DETECTIONS_VERSION and not isinstance(v, bool),
+     str(DETECTIONS_VERSION)),
+    ("split", False, lambda v: isinstance(v, str), "a string"),
+    ("cases", True, lambda v: isinstance(v, list), "a list"),
+)
+_CASE_FIELDS = (
+    ("case_id", True, lambda v: isinstance(v, str), "a string"),
+    ("detections", True, lambda v: isinstance(v, list), "a list"),
+)
+_DETECTION_FIELDS = (
+    ("mask", True, lambda v: isinstance(v, str), "a file name"),
+    ("lesion_score", True, _score, "a number in [0, 1]"),
+    ("malignancy_score", False, lambda v: v is None or _score(v),
+     "a number in [0, 1] or null"),
+    ("malignant", False, lambda v: v is None or isinstance(v, bool), "a boolean or null"),
+    ("scale_index", False, _integer(1), "a positive integer"),
+    ("threshold_index", False, _integer(0), "a non-negative integer"),
+)
+
+
 def _load_detections(path):
-    doc = json.loads(Path(path).read_text())
-    if not isinstance(doc, dict) or doc.get("format") != DETECTIONS_FORMAT:
-        raise VolumeError(f"{path}: not a detections file")
+    """A detections document, checked field by field; VolumeError names
+    the file and the first missing or malformed field."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise VolumeError(f"{path}: detections file is not valid JSON: {exc}") from exc
+    check_fields(doc, _DOCUMENT_FIELDS, f"{path}: detections document", VolumeError)
+    for i, entry in enumerate(doc["cases"]):
+        check_fields(entry, _CASE_FIELDS, f"{path}: cases[{i}]", VolumeError)
+        for j, det in enumerate(entry["detections"]):
+            check_fields(det, _DETECTION_FIELDS, f"{path}: cases[{i}].detections[{j}]",
+                         VolumeError)
     return doc
 
 
@@ -316,7 +365,7 @@ def cmd_evaluate(args) -> int:
     for entry in doc["cases"]:
         case_id = entry["case_id"]
         if case_id not in records:
-            raise VolumeError(f"case {case_id!r} missing from manifest")
+            raise VolumeError(f"{detections_path}: case {case_id!r} missing from manifest")
         record = records[case_id]
         base = record.base_dir
         truths = [load_mask(base / p) for p in record.ground_truth]

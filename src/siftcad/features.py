@@ -46,7 +46,7 @@ from scipy.spatial import ConvexHull, QhullError
 
 from .candidates import RegionCandidate
 from .volume import BreastCase, VolumeError
-from .wavelet import LLL_GAIN, _lll_once, downscale_mask
+from .wavelet import LLL_GAIN, _lll_once
 
 GLCM_LEVELS = 32
 
@@ -746,9 +746,11 @@ class FeatureExtractor:
             if mean <= 0:
                 raise VolumeError(f"non-positive fat mean on {name}")
         # (sequence, scale) -> LLL level of the fat-normalised sequence,
-        # with the level's gain still in it; scale -> fat mask
+        # with the level's gain still in it; scale -> fat mask, and
+        # scale -> LLL level of the fat mask under it
         self._levels: dict[tuple[str, int], np.ndarray] = {}
         self._fat: dict[int, np.ndarray] = {}
+        self._fat_levels: dict[int, np.ndarray] = {}
 
     def _level(self, seq: str, m: int) -> np.ndarray:
         """Level m of the same ``_lll_once`` chain :func:`scale_ladder`
@@ -779,9 +781,21 @@ class FeatureExtractor:
         return vals if m == 1 else vals / LLL_GAIN ** (m - 1)
 
     def _fat_mask(self, m: int) -> np.ndarray:
+        """Scale m of :func:`~siftcad.wavelet.mask_ladder` of the fat
+        mask: its LLL level, with the gain divided out, at or above 0.5."""
         if m not in self._fat:
-            self._fat[m] = downscale_mask(self.case.fat_mask, m).data
+            self._fat[m] = (self.case.fat_mask.data if m == 1 else
+                            self._fat_level(m) / LLL_GAIN ** (m - 1) >= 0.5)
         return self._fat[m]
+
+    def _fat_level(self, m: int) -> np.ndarray:
+        """Level m >= 2 of the fat mask's LLL chain, with its gain, each
+        level made from the one below as in ``_level``."""
+        if m not in self._fat_levels:
+            below = (self.case.fat_mask.data.astype(np.float64) if m == 2
+                     else self._fat_level(m - 1))
+            self._fat_levels[m] = _lll_once(below)
+        return self._fat_levels[m]
 
     def _texture_columns(self, rc: RegionCandidate, groups: frozenset) -> dict[str, float]:
         """The texture flag and the GLCM columns in ``groups``, all from

@@ -107,19 +107,6 @@ def rasterize_lse(magnitude: float, theta: float) -> np.ndarray:
     return offsets
 
 
-@dataclass(frozen=True, eq=False)
-class LinearSE:
-    """Line structuring element: physical magnitude in pixels plus its
-    rasterisation."""
-
-    magnitude: float
-    theta: float
-
-    @property
-    def offsets(self) -> np.ndarray:
-        return rasterize_lse(self.magnitude, self.theta)
-
-
 # ---------------------------------------------------------------------------
 # flat grayscale morphology
 # ---------------------------------------------------------------------------

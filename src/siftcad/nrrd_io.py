@@ -257,6 +257,20 @@ _CASE_FIELDS = (
 )
 
 
+def check_fields(entry, table, where: str, error: type[Exception]) -> None:
+    """Check one JSON object of a document against a field table of
+    ``(name, required, valid, what a valid value is)``; ``error`` names
+    ``where`` and the first missing or malformed field."""
+    if not isinstance(entry, dict):
+        raise error(f"{where} must be a JSON object")
+    for name, required, valid, what in table:
+        if name in entry:
+            if not valid(entry[name]):
+                raise error(f"{where}: field {name!r} must be {what}")
+        elif required:
+            raise error(f"{where}: missing field {name!r}")
+
+
 def load_manifest(path) -> list[CaseRecord]:
     """Case records of a manifest; NrrdError names the manifest and the
     first malformed field."""
@@ -273,14 +287,7 @@ def load_manifest(path) -> list[CaseRecord]:
     records = []
     for i, entry in enumerate(cases):
         where = f"{path}: manifest cases[{i}]"
-        if not isinstance(entry, dict):
-            raise NrrdError(f"{where} must be a JSON object")
-        for name, required, valid, what in _CASE_FIELDS:
-            if name in entry:
-                if not valid(entry[name]):
-                    raise NrrdError(f"{where}: field {name!r} must be {what}")
-            elif required:
-                raise NrrdError(f"{where}: missing field {name!r}")
+        check_fields(entry, _CASE_FIELDS, where, NrrdError)
         records.append(CaseRecord(
             case_id=entry["case_id"],
             side=entry["side"],

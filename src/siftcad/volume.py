@@ -143,7 +143,7 @@ class BreastCase:
 
 
 # ---------------------------------------------------------------------------
-# histograms and single Otsu thresholding
+# histograms and Otsu thresholding
 # ---------------------------------------------------------------------------
 
 N_HISTOGRAM_BINS = 256
@@ -221,25 +221,65 @@ def class_variance_term(cw: np.ndarray, cs: np.ndarray, i, j):
     return out
 
 
-def otsu_scan_index(hist: np.ndarray) -> int:
-    """Exhaustive single-threshold Otsu scan on a histogram.
+def otsu_multilevel_indices(hist: np.ndarray, t_count: int) -> np.ndarray:
+    """Threshold bin indices maximising the between-class criterion.
 
-    Maximises the between-class criterion ``s0^2/w0 + s1^2/w1`` over the
-    split bin ``t`` (lower class = bins ``<= t``). First maximum wins.
+    Dynamic programme over the suffix best-partition table, followed by
+    a forward pass that picks the lexicographically smallest maximiser
+    (ties resolve exactly as an exhaustive lexicographic enumeration
+    would). Classes are contiguous, non-empty bin ranges; a threshold
+    index t is the last bin of its lower class.
     """
-    cw, cs = otsu_cumulative_tables(hist)
-    n = len(hist)
-    ts = np.arange(n - 1)
-    crit = class_variance_term(cw, cs, 0, ts) + class_variance_term(cw, cs, ts + 1, n - 1)
-    return int(np.argmax(crit))
+    h = np.asarray(hist, dtype=np.float64)
+    n_bins = h.size
+    if t_count < 1:
+        raise VolumeError(f"threshold count must be >= 1, got {t_count}")
+    if t_count + 1 > n_bins:
+        raise VolumeError(f"{t_count} thresholds need more than {n_bins} bins")
+    cw, cs = otsu_cumulative_tables(h)
+    n_classes = t_count + 1
+
+    def row(i: int, c: int, g_next: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # candidate last-bins for class c starting at bin i
+        remaining = n_classes - c
+        ts = np.arange(i, n_bins - remaining)
+        return ts, class_variance_term(cw, cs, i, ts) + g_next[ts + 1]
+
+    # g[c][i]: best value of classes c..n_classes covering bins [i:]
+    g_next = np.full(n_bins + 1, -np.inf)
+    start = n_classes - 1
+    g_next[start:n_bins] = class_variance_term(
+        cw, cs, np.arange(start, n_bins), n_bins - 1
+    )
+    tables = {n_classes: g_next}
+    # term[i, t]: class [i..t], the same element-wise value ``row``
+    # computes; -inf where t < i, and tables[c + 1] is -inf past the last
+    # feasible end of class c, so a row's max sees only feasible t
+    bins = np.arange(n_bins)
+    term = class_variance_term(cw, cs, bins[:, None], bins[None, :])
+    term[bins[None, :] < bins[:, None]] = -np.inf
+    for c in range(n_classes - 1, 0, -1):
+        stop = n_bins - (n_classes - c)
+        g = np.full(n_bins + 1, -np.inf)
+        g[c - 1:stop] = (term[c - 1:stop] + tables[c + 1][1:]).max(axis=1)
+        tables[c] = g
+
+    indices = np.empty(t_count, dtype=np.int64)
+    i = 0
+    for c in range(1, n_classes):
+        ts, vals = row(i, c, tables[c + 1])
+        hit = np.flatnonzero(vals == tables[c][i])
+        indices[c - 1] = ts[hit[0]]
+        i = int(indices[c - 1]) + 1
+    return indices
 
 
-def otsu_threshold(volume: Volume3D, mask: BinaryMask | None = None) -> float:
-    """Single Otsu threshold of a volume, optionally within a mask.
-
-    Uses a 256-bin histogram spanning [min, max] of the considered
-    voxels; returns the scalar threshold (upper edge of the winning
-    bin) such that ``value >= threshold`` selects the upper class.
+def multilevel_otsu(volume: Volume3D, mask: BinaryMask | None,
+                    t_count: int) -> np.ndarray:
+    """Strictly increasing Otsu thresholds of the voxels in ``mask``, or
+    of the whole volume if it is None, from a 256-bin histogram over
+    their [min, max]. Each threshold is the upper edge of its bin, so
+    ``value >= threshold`` selects the classes above it.
     """
     if mask is None:
         vals = volume.data.ravel()
@@ -250,7 +290,14 @@ def otsu_threshold(volume: Volume3D, mask: BinaryMask | None = None) -> float:
         if vals.size == 0:
             raise VolumeError("mask selects no voxels")
     hist, spec = intensity_histogram(vals)
-    return spec.upper_edge(otsu_scan_index(hist))
+    # occupied bins hold distinct values, so only a sparse histogram
+    # needs the exact count
+    if np.count_nonzero(hist) < t_count + 1 and np.unique(vals).size < t_count + 1:
+        raise VolumeError(
+            f"need at least {t_count + 1} distinct values for {t_count} thresholds"
+        )
+    return np.array([spec.upper_edge(int(t))
+                     for t in otsu_multilevel_indices(hist, t_count)])
 
 
 # ---------------------------------------------------------------------------
@@ -266,23 +313,13 @@ def subtract(a: Volume3D, b: Volume3D) -> Volume3D:
     return Volume3D(a.data - b.data, a.spacing)
 
 
-def permute(volume: Volume3D, order: tuple[int, int, int]) -> Volume3D:
-    """Axis permutation; ``order`` is 1-indexed, e.g. (1, 3, 2) swaps y/z."""
-    if sorted(order) != [1, 2, 3]:
-        raise VolumeError(f"order must be a permutation of (1, 2, 3), got {order}")
-    axes = tuple(o - 1 for o in order)
-    data = np.ascontiguousarray(np.transpose(volume.data, axes))
-    spacing = tuple(volume.spacing[a] for a in axes)
-    return Volume3D(data, spacing)
-
-
 def breast_mask(t1: Volume3D) -> BinaryMask:
     """Foreground mask from the T1 volume.
 
     Otsu threshold over the whole volume, keep the largest 26-connected
     component, then fill holes slice-wise (axial planes).
     """
-    th = otsu_threshold(t1)
+    (th,) = multilevel_otsu(t1, None, 1)
     fg = t1.data >= th
     if not fg.any():
         raise VolumeError("breast segmentation found no foreground")
@@ -297,23 +334,6 @@ def breast_mask(t1: Volume3D) -> BinaryMask:
     return BinaryMask(filled, t1.spacing)
 
 
-def split_breasts(mask: BinaryMask) -> tuple[BinaryMask, BinaryMask]:
-    """Split a bilateral mask into (left, right) at the x mid-plane.
-
-    The mid-plane is the centre of the mask's bounding box along x;
-    voxels strictly below it go left, the rest right. The two parts
-    partition the input mask.
-    """
-    xs = np.flatnonzero(mask.data.any(axis=(1, 2)))
-    if xs.size == 0:
-        raise VolumeError("cannot split an empty mask")
-    mid = (xs[0] + xs[-1] + 1) / 2.0
-    x = np.arange(mask.dims[0])[:, None, None]
-    left = mask.data & (x < mid)
-    right = mask.data & (x >= mid)
-    return BinaryMask(left, mask.spacing), BinaryMask(right, mask.spacing)
-
-
 def fat_mask(t1: Volume3D, breast: BinaryMask) -> BinaryMask:
     """Fat compartment inside the breast.
 
@@ -324,20 +344,8 @@ def fat_mask(t1: Volume3D, breast: BinaryMask) -> BinaryMask:
         raise VolumeError("breast mask grid does not match T1")
     if breast.count == 0:
         raise VolumeError("breast mask is empty")
-    th = otsu_threshold(t1, breast)
+    (th,) = multilevel_otsu(t1, breast, 1)
     return BinaryMask(breast.data & (t1.data >= th), t1.spacing)
-
-
-def normalize_to_fat(volume: Volume3D, fat: BinaryMask) -> Volume3D:
-    """Divide a volume by the mean intensity over the fat mask."""
-    if fat.dims != volume.dims:
-        raise VolumeError("fat mask grid does not match volume")
-    if fat.count == 0:
-        raise VolumeError("fat mask is empty")
-    mean = float(volume.data[fat.data].mean())
-    if mean <= 0:
-        raise VolumeError(f"fat mean must be positive, got {mean}")
-    return Volume3D(volume.data / mean, volume.spacing)
 
 
 def dsi_matrix(a_regions, b_regions) -> np.ndarray:

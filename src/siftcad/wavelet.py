@@ -249,9 +249,3 @@ def mask_ladder(mask: BinaryMask, m_levels: int) -> Iterator[BinaryMask]:
         data = _lll_once(data)
         spacing = tuple(s * 2 ** (m - 1) for s in mask.spacing)
         yield BinaryMask(data / LLL_GAIN ** (m - 1) >= 0.5, spacing)
-
-
-def downscale_mask(mask: BinaryMask, m: int) -> BinaryMask:
-    """Scale m of :func:`mask_ladder`."""
-    *_, scaled = mask_ladder(mask, m)
-    return scaled

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import ndimage
 
+from siftcad.candidates import RegionCandidate, _make_candidate
 from siftcad.volume import BinaryMask, BreastCase, Volume3D
 
 from oracles import ball_mask
@@ -86,3 +87,18 @@ def make_mini_case(
         fat_mask=BinaryMask(breast & ~gland, spacing),
         ground_truth=[BinaryMask(lesion, spacing)],
     )
+
+
+def candidate_from_mask(mask: BinaryMask, scale_index: int = 1,
+                        original_dims=None, original_spacing=None,
+                        threshold_index: int = 0) -> RegionCandidate:
+    """Wrap a hand-made, non-empty mask on its scale grid as a candidate;
+    scales above 1 need the original grid."""
+    flat = np.flatnonzero(mask.data.ravel()).astype(np.int64)
+    assert flat.size, "candidate mask must be non-empty"
+    if original_dims is None:
+        assert scale_index == 1, "original grid required for scale > 1"
+        original_dims, original_spacing = mask.dims, mask.spacing
+    return _make_candidate(flat, scale_index, threshold_index, mask.dims,
+                           mask.spacing, tuple(original_dims),
+                           tuple(original_spacing))

@@ -13,11 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from siftcad.candidates import (
-    diameter_to_volume,
-    generate_candidates,
-    otsu_multilevel_indices,
-)
+from siftcad.candidates import diameter_to_volume, generate_candidates
 from siftcad.classifiers import train_rf, train_rusboost, rusboost_cv_curve
 from siftcad.cli import main as cli_main
 from siftcad.evaluation import (
@@ -37,7 +33,7 @@ from siftcad.morphosift import (
     rasterize_lse,
 )
 from siftcad.nrrd_io import load_case, load_manifest
-from siftcad.volume import BinaryMask, Volume3D, dsi
+from siftcad.volume import BinaryMask, Volume3D, dsi, otsu_multilevel_indices
 from siftcad.wavelet import dwt3_db2, idwt3_db2
 
 from oracles import (

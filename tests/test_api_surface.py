@@ -3,35 +3,44 @@ used somewhere in the package other than its own definition.
 
 Names only tests call are dead weight unless a test uses them as a
 reference or an oracle for code the pipeline runs; those are listed
-here, each with the reason it stays.
+here, each with the reason it stays, and some other test module must
+still use each of them.
 """
 
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "siftcad"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "siftcad"
 
 TEST_ONLY = {
-    "candidate_from_mask": "wraps a hand-made mask as a candidate for feature and upscaling tests",
     "gray_erode": "erosion through the line filter sifting runs, checked against two oracles",
     "gray_dilate": "line dilation, checked against the same oracles",
     "gray_open": "single-line opening for the opening-law criterion",
-    "LinearSE": "the line element those three take",
     "ms2d": "single-slice sifting, checked against the oracle's direct evaluation",
     "dwt3_db2": "forward transform of the wavelet round-trip and LLL-gain criterion",
     "idwt3_db2": "inverse transform of the same round trip",
     "upscale_mask": "whole-grid inverse the box-local upscale of candidates is checked against",
     "train_tree": "one CART tree, the unit the ensemble tests build on",
-    "mse_loss": "the loss the cross-validation tests report",
-    "cross_validate": "grouped k-fold driver of the cross-validation tests",
     "rusboost_cv_curve": "CV loss per boosting round, checked by a criterion",
     "tpr_at_fpp": "reads a FROC operating point in the end-to-end criterion and the benchmark",
     "analytic_lesion_volume_mm3": "analytic reference for the phantom's voxel volumes",
-    "permute": "axis permutation the volume tests round-trip",
-    "split_breasts": "left/right split the volume tests check",
-    "normalize_to_fat": "fat normalisation the volume tests check",
     "dsi": "whole-mask DSI the acceptance criteria state their thresholds in",
 }
+
+
+def _names_used(tree) -> list[tuple[str, int]]:
+    """Every name a module loads, reads as an attribute or imports, with
+    its line."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.append((node.id, node.lineno))
+        elif isinstance(node, ast.Attribute):
+            out.append((node.attr, node.lineno))
+        elif isinstance(node, ast.alias):
+            out.append((node.name, node.lineno))
+    return out
 
 
 def _definitions_and_references():
@@ -52,13 +61,7 @@ def _definitions_and_references():
                 if not name.startswith("_"):
                     definitions.setdefault(name, []).append(
                         (path.name, node.lineno, node.end_lineno))
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                references.append((node.id, path.name, node.lineno))
-            elif isinstance(node, ast.Attribute):
-                references.append((node.attr, path.name, node.lineno))
-            elif isinstance(node, ast.alias):
-                references.append((node.name, path.name, node.lineno))
+        references += [(name, path.name, line) for name, line in _names_used(tree)]
     return definitions, references
 
 
@@ -78,3 +81,13 @@ def test_every_public_name_is_used_in_the_package_or_listed():
         "public names nothing in src/siftcad uses: delete them or list why tests need them"
     assert set(TEST_ONLY) - unreferenced == set(), \
         "listed names that are gone or now used by the package: drop them from the list"
+
+
+def test_every_listed_name_is_used_by_another_test_module():
+    used = set()
+    for path in TESTS.glob("*.py"):
+        if path.name != Path(__file__).name:
+            tree = ast.parse(path.read_text(), filename=str(path))
+            used.update(name for name, _ in _names_used(tree))
+    assert set(TEST_ONLY) - used == set(), \
+        "listed names no test uses any more: delete them from the package"

@@ -7,17 +7,21 @@ from siftcad.candidates import (
     DEFAULT_V_MAX,
     DEFAULT_V_MIN,
     _sieve_components,
-    candidate_from_mask,
     diameter_to_volume,
     generate_candidates,
-    multilevel_otsu,
-    otsu_multilevel_indices,
     volume_window,
 )
-from siftcad.volume import BinaryMask, Volume3D, VolumeError, otsu_threshold
+from siftcad.volume import (
+    BinaryMask,
+    Volume3D,
+    VolumeError,
+    intensity_histogram,
+    multilevel_otsu,
+    otsu_multilevel_indices,
+)
 from siftcad.wavelet import dims_ladder, upscale_mask
 
-from helpers import make_mini_case
+from helpers import candidate_from_mask, make_mini_case
 from oracles import dice, multilevel_otsu_exhaustive, sieve_components
 
 
@@ -63,9 +67,10 @@ def test_single_threshold_equals_scalar_otsu():
     ]).reshape(20, 20, 15)
     vol = Volume3D(data, (1, 1, 1))
     mask = BinaryMask(np.ones(vol.dims, dtype=bool), vol.spacing)
-    bank = multilevel_otsu(vol, mask, 1)
-    assert bank.thresholds.shape == (1,)
-    assert bank.thresholds[0] == otsu_threshold(vol, mask)
+    thresholds = multilevel_otsu(vol, mask, 1)
+    hist, spec = intensity_histogram(data)
+    (t,) = multilevel_otsu_exhaustive(hist, 1)
+    assert thresholds.tolist() == [spec.upper_edge(t)]
 
 
 def test_delta_peaks_split_between_modes():
@@ -74,8 +79,7 @@ def test_delta_peaks_split_between_modes():
     ])
     vol = Volume3D(vals.reshape(24, 10, 10), (1, 1, 1))
     mask = BinaryMask(np.ones(vol.dims, dtype=bool), vol.spacing)
-    bank = multilevel_otsu(vol, mask, 2)
-    th0, th1 = bank.thresholds
+    th0, th1 = multilevel_otsu(vol, mask, 2)
     assert 10.0 < th0 <= 100.0 < th1 <= 200.0
     assert int((vol.data >= th0).sum()) == 1400
     assert int((vol.data >= th1).sum()) == 600
@@ -85,10 +89,9 @@ def test_threshold_bank_strictly_increasing():
     rng = np.random.default_rng(11)
     vol = Volume3D(rng.gamma(2.0, 30.0, (16, 16, 16)), (1, 1, 1))
     mask = BinaryMask(np.ones(vol.dims, dtype=bool), vol.spacing)
-    bank = multilevel_otsu(vol, mask, 16)
-    assert bank.thresholds.shape == (16,)
-    assert np.all(np.diff(bank.indices) > 0)
-    assert np.all(np.diff(bank.thresholds) > 0)
+    thresholds = multilevel_otsu(vol, mask, 16)
+    assert thresholds.shape == (16,)
+    assert np.all(np.diff(thresholds) > 0)
 
 
 def test_too_few_distinct_values_rejected():

@@ -6,7 +6,6 @@ import json
 import numpy as np
 import pytest
 
-from siftcad.candidates import candidate_from_mask
 from siftcad.classifiers import (
     _best_splits,
     _grow_trees,
@@ -17,10 +16,8 @@ from siftcad.classifiers import (
     RandomForestModel,
     RusBoostModel,
     assign_training_labels,
-    cross_validate,
     group_folds,
     load_model,
-    mse_loss,
     model_from_dict,
     model_to_dict,
     predict,
@@ -35,6 +32,7 @@ from siftcad.classifiers import (
 from siftcad.features import FEATURE_SCHEMA, FeatureVector
 from siftcad.volume import BinaryMask
 
+from helpers import candidate_from_mask
 from oracles import (
     ball_mask,
     grow_tree,
@@ -490,25 +488,20 @@ def test_group_folds_rejects_too_many_folds():
 
 
 def test_cv_constant_predictor_scores_one():
-    class Chance:
-        def predict_proba(self, x):
-            return np.full(len(x), 0.5)
-
-    x = np.arange(20.0)[:, None]
+    # constant features leave every fold's booster at chance: a one-leaf
+    # tree errs on half of the balanced training fold, so no round is
+    # accepted and the empty ensemble predicts 0.5 everywhere
+    x = np.zeros((20, 1))
     y = np.array([1.0, -1.0] * 10)
     groups = [f"c{i % 5}" for i in range(20)]
-    loss = cross_validate(x, y, groups=groups, k=5,
-                          trainer=lambda *_: Chance())
-    assert loss == 1.0
-    assert mse_loss(np.full(20, 0.5), y) == 1.0
+    losses = rusboost_cv_curve(x, y, groups=groups, n_trees_list=(1, 5), k=5, seed=0)
+    assert losses == [1.0, 1.0]
 
 
 def test_cv_perfect_classifier_scores_near_zero():
     x, y = _two_gaussians(n=50, seed=17)
     groups = [f"c{i % 10}" for i in range(len(x))]
-    loss = cross_validate(
-        x, y, groups=groups, k=5,
-        trainer=lambda xt, yt: train_rusboost(xt, yt, n_trees=15, seed=0))
+    (loss,) = rusboost_cv_curve(x, y, groups=groups, n_trees_list=(15,), k=5, seed=0)
     assert loss < 0.35
 
 
@@ -711,6 +704,16 @@ def test_upper_proba_bounds_every_completion():
             if np.isnan(masked[:, read]).any():
                 with pytest.raises(ValueError, match="not finite"):
                     predict(model, masked)
+
+
+def test_training_arrays_must_be_finite():
+    x, y = _imbalanced_separable(n_neg=20, n_pos=6, seed=3)
+    for row, col, value in ((3, 0, np.nan), (5, 1, np.inf)):
+        bad = x.copy()
+        bad[row, col] = value
+        for train in (train_tree, train_rusboost, train_rf):
+            with pytest.raises(ValueError, match="features must be finite"):
+                train(bad, y)
 
 
 def test_labeled_sample_validation():

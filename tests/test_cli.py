@@ -365,6 +365,77 @@ class TestBadModelFiles:
         assert not (tmp_path / "det").exists()
 
 
+class TestBadDetectionFiles:
+    """`evaluate` exits 2 on a malformed detections file and names the
+    file and the field."""
+
+    def _evaluate(self, workspace, path, tmp_path, capsys):
+        rc = main(["evaluate", "--detections", str(path),
+                   "--manifest", str(workspace / "data/manifest.json"),
+                   "--out", str(tmp_path / "eval")])
+        return rc, capsys.readouterr().err
+
+    def test_evaluate_names_the_bad_field(self, workspace, tmp_path, capsys):
+        det = tmp_path / "det"
+        shutil.copytree(workspace / "det", det)
+        path = det / "detections.json"
+        good = json.loads(path.read_text())
+        assert self._evaluate(workspace, path, tmp_path, capsys)[0] == EXIT_OK
+        k = next(i for i, entry in enumerate(good["cases"]) if entry["detections"])
+
+        def document(d):
+            return d
+
+        def case(d):
+            return d["cases"][k]
+
+        def detection(d):
+            return d["cases"][k]["detections"][0]
+
+        # (field, where it lives, required, values of the wrong type or range)
+        table = [
+            ("format", document, True, [5, "siftcad-candidates"]),
+            ("version", document, True, ["1", 2, True]),
+            ("split", document, False, [5, ["test"]]),
+            ("cases", document, True, [{}, "all"]),
+            ("case_id", case, True, [5, None]),
+            ("detections", case, True, [{}, 5]),
+            ("mask", detection, True, [5, None, ["m.nrrd"]]),
+            ("lesion_score", detection, True, ["high", None, 1.5, float("nan"), True]),
+            ("malignancy_score", detection, False, ["x", -0.5, float("inf")]),
+            ("malignant", detection, False, ["yes", 1]),
+            ("scale_index", detection, False, [0, "1", 2.0, True]),
+            ("threshold_index", detection, False, [-1, 1.5, None]),
+        ]
+        drop = object()
+        for name, where, required, wrong in table:
+            for value in [drop] * required + wrong:
+                doc = json.loads(json.dumps(good))
+                if value is drop:
+                    del where(doc)[name]
+                else:
+                    where(doc)[name] = value
+                path.write_text(json.dumps(doc))
+                rc, err = self._evaluate(workspace, path, tmp_path, capsys)
+                assert rc == EXIT_RUNTIME, (name, value)
+                assert str(path) in err and repr(name) in err, err
+                assert "Traceback" not in err
+
+    @pytest.mark.parametrize("content, message", [
+        ("{", "not valid JSON"),
+        ("[]", "must be a JSON object"),
+        ('{"format": "siftcad-detections", "version": 1, "cases": [3]}',
+         "cases[0] must be a JSON object"),
+    ], ids=["truncated", "list_document", "case_not_object"])
+    def test_evaluate_names_a_malformed_document(self, workspace, tmp_path, capsys,
+                                                 content, message):
+        path = tmp_path / "detections.json"
+        path.write_text(content)
+        rc, err = self._evaluate(workspace, path, tmp_path, capsys)
+        assert rc == EXIT_RUNTIME
+        assert str(path) in err and message in err, err
+
+
 class TestPhantomCommand:
     def test_single_case_run(self, tmp_path):
         out = tmp_path / "one"

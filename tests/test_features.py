@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from siftcad.candidates import candidate_from_mask, generate_candidates
+from siftcad.candidates import generate_candidates
 from siftcad.features import (
     EDEMA_SHELLS,
     FEATURE_SCHEMA,
@@ -30,9 +30,9 @@ from siftcad.features import (
 )
 from siftcad.phantom import generate_case, suite_specs
 from siftcad.volume import BinaryMask, BreastCase, Volume3D, VolumeError
-from siftcad.wavelet import dims_ladder
+from siftcad.wavelet import dims_ladder, mask_ladder
 
-from helpers import make_mini_case
+from helpers import candidate_from_mask, make_mini_case
 from oracles import (
     ball_mask,
     dice,
@@ -677,8 +677,7 @@ def test_t2_mean_alone_builds_only_the_t2_levels(golden_case_vectors, monkeypatc
 
     calls = []
     for module, name in ((fmod, "_SurfaceField"), (fmod, "_GlcmPairs"),
-                         (fmod, "downscale_mask"), (fmod, "kinetic_features"),
-                         (cmod, "upscale_indices")):
+                         (fmod, "kinetic_features"), (cmod, "upscale_indices")):
         monkeypatch.setattr(module, name, lambda *a, _n=name, **k: calls.append(_n))
     lll = []
     real_lll = fmod._lll_once
@@ -691,13 +690,18 @@ def test_t2_mean_alone_builds_only_the_t2_levels(golden_case_vectors, monkeypatc
         assert rc._original_indices is None
     assert calls == []
     assert set(extractor._levels) == {("t2", 1), ("t2", 2), ("t2", 3)}
-    assert extractor._fat == {}
+    assert extractor._fat == {} and extractor._fat_levels == {}
     assert len(lll) == 2  # level 2 from level 1, level 3 from level 2
 
 
-def test_extractor_is_freed_by_reference_counting(golden_case_vectors):
+def test_extractor_is_freed_by_reference_counting(golden_case_vectors, monkeypatch):
     # the level caches must hold no reference back to the extractor: a
     # cycle would keep every level alive until the cycle collector runs
+    import siftcad.features as fmod
+
+    lll = []
+    real_lll = fmod._lll_once
+    monkeypatch.setattr(fmod, "_lll_once", lambda data: lll.append(data) or real_lll(data))
     base, cands, _ = golden_case_vectors
     gc.disable()
     try:
@@ -705,6 +709,13 @@ def test_extractor_is_freed_by_reference_counting(golden_case_vectors):
         for rc in cands:
             extractor.extract(rc)
         assert len(extractor._levels) == 15 and len(extractor._fat) == 3
+        # every level above scale 1 is made once, from the one below:
+        # two per sequence, and two of the fat mask's chain
+        assert len(lll) == 2 * 5 + 2
+        fat = base.case.fat_mask.data
+        assert [np.array_equal(data, fat) for data in lll].count(True) == 1
+        for m, mask_m in enumerate(mask_ladder(base.case.fat_mask, 3), start=1):
+            assert np.array_equal(extractor._fat[m], mask_m.data)
         ref = weakref.ref(extractor)
         del extractor
         assert ref() is None

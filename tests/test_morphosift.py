@@ -12,7 +12,6 @@ from siftcad.morphosift import (
     _open_plan,
     _sift_plan,
     _work_dtype,
-    LinearSE,
     MagnitudePlan,
     SiftError,
     gray_dilate,
@@ -102,10 +101,6 @@ class TestRasterize:
                 for a, b in zip(pts, pts[1:])
             }
             assert steps <= {(0, 1), (1, 0), (1, 1)}
-
-    def test_linear_se_wrapper(self):
-        se = LinearSE(5.0, 0.0)
-        assert se.offsets.shape == (5, 2)
 
 
 class TestGrayOps:

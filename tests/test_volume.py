@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from siftcad.features import FeatureExtractor
 from siftcad.volume import (
     BinaryMask,
     BreastCase,
@@ -11,10 +12,7 @@ from siftcad.volume import (
     dsi_matrix,
     fat_mask,
     intensity_histogram,
-    normalize_to_fat,
-    otsu_threshold,
-    permute,
-    split_breasts,
+    multilevel_otsu,
     subtract,
 )
 
@@ -59,29 +57,6 @@ class TestTypes:
             BreastCase("c", "left", v, other, [v, v], [0.0, 90.0], m, m)
 
 
-class TestPermute:
-    def test_permute_swaps_axes_and_spacing(self):
-        rng = np.random.default_rng(0)
-        v = Volume3D(rng.random((3, 4, 5)), (0.7, 0.7, 1.3))
-        p = permute(v, (1, 3, 2))
-        assert p.dims == (3, 5, 4)
-        assert p.spacing == (0.7, 1.3, 0.7)
-        assert np.array_equal(p.data, np.transpose(v.data, (0, 2, 1)))
-
-    def test_permute_involution(self):
-        rng = np.random.default_rng(1)
-        v = Volume3D(rng.random((5, 6, 7)), (0.7, 0.7, 1.3))
-        for order in [(1, 3, 2), (3, 2, 1)]:
-            back = permute(permute(v, order), order)
-            assert np.array_equal(back.data, v.data)
-            assert back.spacing == v.spacing
-
-    def test_permute_rejects_bad_order(self):
-        v = vol(np.zeros((2, 2, 2)))
-        with pytest.raises(VolumeError):
-            permute(v, (1, 1, 2))
-
-
 class TestSubtract:
     def test_subtract_values(self):
         a = vol(np.full((2, 2, 2), 5.0))
@@ -102,7 +77,7 @@ class TestOtsu:
     def test_two_delta_masses(self):
         data = np.zeros((10, 10, 10))
         data.ravel()[:500] = 200.0
-        th = otsu_threshold(vol(data))
+        th = multilevel_otsu(vol(data), None, 1)[0]
         assert 0.0 < th < 200.0
 
     def test_bimodal_gaussians(self):
@@ -110,7 +85,7 @@ class TestOtsu:
         samples = np.concatenate(
             [rng.normal(50, 10, 10_000), rng.normal(200, 10, 10_000)]
         )
-        th = otsu_threshold(vol(samples.reshape(20, 100, 10)))
+        th = multilevel_otsu(vol(samples.reshape(20, 100, 10)), None, 1)[0]
         assert 90.0 <= th <= 160.0
 
     def test_matches_exhaustive_scan(self):
@@ -119,11 +94,11 @@ class TestOtsu:
             data = rng.gamma(2.0, 30.0, size=(8, 8, 8))
             hist, spec = intensity_histogram(data)
             expected = spec.upper_edge(otsu_exhaustive_index(hist))
-            assert otsu_threshold(vol(data)) == pytest.approx(expected, abs=0)
+            assert multilevel_otsu(vol(data), None, 1)[0] == pytest.approx(expected, abs=0)
 
     def test_constant_volume_rejected(self):
         with pytest.raises(VolumeError):
-            otsu_threshold(vol(np.ones((3, 3, 3))))
+            multilevel_otsu(vol(np.ones((3, 3, 3))), None, 1)
 
     def test_mask_restricts_voxels(self):
         data = np.zeros((6, 6, 6))
@@ -132,7 +107,7 @@ class TestOtsu:
         m = np.zeros((6, 6, 6), bool)
         m[:3] = True
         data[0, 0, 0] = 0.0
-        th = otsu_threshold(vol(data), BinaryMask(m, (1, 1, 1)))
+        th = multilevel_otsu(vol(data), BinaryMask(m, (1, 1, 1)), 1)[0]
         assert th < 200.0
 
 
@@ -150,29 +125,6 @@ class TestBreastMask:
     def test_no_foreground_error(self):
         with pytest.raises(VolumeError):
             breast_mask(vol(np.ones((4, 4, 4))))
-
-
-class TestSplit:
-    def test_symmetric_blobs(self):
-        m = np.zeros((100, 10, 10), bool)
-        m[10:21, 2:8, 2:8] = True
-        m[80:91, 2:8, 2:8] = True
-        left, right = split_breasts(BinaryMask(m, (1, 1, 1)))
-        assert left.data[:, :, :].any(axis=(1, 2))[:50].any()
-        assert not left.data[50:].any()
-        assert not right.data[:50].any()
-        assert np.array_equal(left.data | right.data, m)
-        assert not (left.data & right.data).any()
-
-    def test_partition_property_random(self):
-        rng = np.random.default_rng(3)
-        for _ in range(10):
-            m = rng.random((20, 8, 8)) > 0.7
-            if not m.any():
-                continue
-            left, right = split_breasts(BinaryMask(m, (1, 1, 1)))
-            assert np.array_equal(left.data | right.data, m)
-            assert not (left.data & right.data).any()
 
 
 class TestFatAndNormalise:
@@ -202,21 +154,27 @@ class TestFatAndNormalise:
         d = 2 * inter / (fm.count + fat_true.sum())
         assert d >= 0.9
 
+    # the feature extractor divides each sequence by its mean over the
+    # fat mask
+    @staticmethod
+    def extractor(t1, fat):
+        mask = BinaryMask(fat, t1.spacing)
+        case = BreastCase("c", "left", t1, t1, [t1, t1], [0.0, 90.0],
+                          BinaryMask(np.ones(t1.dims, bool), t1.spacing), mask)
+        return FeatureExtractor(case)
+
     def test_normalize_to_fat_unit_mean(self):
         t1, _, fat_true = self.synthetic_breast()
-        fm = BinaryMask(fat_true, t1.spacing)
-        out = normalize_to_fat(t1, fm)
-        assert out.data[fat_true].mean() == pytest.approx(1.0)
+        level = self.extractor(t1, fat_true)._level("t1", 1)
+        assert level[fat_true].mean() == pytest.approx(1.0)
 
     def test_normalize_errors(self):
         t1, _, _ = self.synthetic_breast()
-        empty = BinaryMask(np.zeros(t1.dims, bool), t1.spacing)
-        with pytest.raises(VolumeError):
-            normalize_to_fat(t1, empty)
+        with pytest.raises(VolumeError, match="fat mask is empty"):
+            self.extractor(t1, np.zeros(t1.dims, bool))
         neg = Volume3D(-np.abs(t1.data), t1.spacing)
-        full = BinaryMask(np.ones(t1.dims, bool), t1.spacing)
-        with pytest.raises(VolumeError):
-            normalize_to_fat(neg, full)
+        with pytest.raises(VolumeError, match="non-positive fat mean"):
+            self.extractor(neg, np.ones(t1.dims, bool))
 
 
 class TestDsiMatrix:

@@ -6,7 +6,6 @@ from siftcad.wavelet import (
     DEC_LO,
     LLL_GAIN,
     dims_ladder,
-    downscale_mask,
     _lll_once,
     dwt3_db2,
     idwt3_db2,
@@ -104,7 +103,6 @@ def test_ladders_equal_the_chain_from_full_resolution():
         assert scaled.spacing == mask_m.spacing == spacing
         assert scaled.data.tobytes() == np.ascontiguousarray(data).tobytes()
         assert np.array_equal(mask_m.data, mdata / LLL_GAIN ** (m - 1) >= 0.5)
-        assert downscale_mask(mask, m).data.tobytes() == mask_m.data.tobytes()
 
 
 def test_upscale_full_mask_is_full():
@@ -182,7 +180,7 @@ def test_upscale_ball_overlaps_analytic_reference():
 def test_downscale_then_upscale_keeps_bulk():
     dims = (40, 36, 30)
     ball = ball_mask(dims, SP, (20.0, 18.0, 15.0), 10.0)
-    down = downscale_mask(BinaryMask(ball, SP), 2)
+    *_, down = mask_ladder(BinaryMask(ball, SP), 2)
     assert down.dims == dims_ladder(dims, 2)[1]
     up = upscale_mask(down, 2, dims, SP)
     assert dice(up.data, ball) >= 0.85
