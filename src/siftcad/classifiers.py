@@ -24,6 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .features import FEATURE_SCHEMA, FeatureVector
+from .nrrd_io import (array_of, check_fields, integer_from, is_finite, is_number, of_type,
+                      one_of, or_null, read_document)
 from .volume import _regions, dsi_matrix
 
 DEFAULT_N_TREES = 2000
@@ -175,19 +177,16 @@ class DecisionTree:
     def from_dict(cls, d, where: str) -> "DecisionTree":
         """Rebuild a tree, checking every field; ValueError names the
         first missing or malformed one."""
-        if not isinstance(d, dict):
-            raise ValueError(f"{where} must be a JSON object")
-        n_features = _int_field(d, "n_features", where)
-        arrays = {k: _number_list(d, k, where, integer=k in ("feature", "left", "right"))
+        check_fields(d, _TREE_FIELDS, where, ValueError)
+        arrays = {k: np.asarray(d[k], np.float64 if k in ("threshold", "value") else np.int64)
                   for k in ("feature", "threshold", "left", "right", "value")}
         feature = arrays["feature"]
         n_nodes = len(feature)
-        if n_nodes == 0:
-            raise ValueError(f"{where}: field 'feature' must not be empty")
         for name, arr in arrays.items():
             if len(arr) != n_nodes:
                 raise ValueError(f"{where}: field {name!r} has {len(arr)} "
                                  f"entries, 'feature' has {n_nodes}")
+        n_features = d["n_features"]
         if ((feature < -1) | (feature >= n_features)).any():
             raise ValueError(
                 f"{where}: field 'feature' must hold -1 or a feature index "
@@ -798,44 +797,34 @@ def model_to_dict(model) -> dict:
     return base
 
 
-def _field(doc: dict, name: str, where: str):
-    if name not in doc:
-        raise ValueError(f"{where}: missing field {name!r}")
-    return doc[name]
-
-
-def _int_field(doc: dict, name: str, where: str) -> int:
-    v = _field(doc, name, where)
-    if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-        raise ValueError(f"{where}: field {name!r} must be a positive integer")
-    return v
-
-
-def _real_field(doc: dict, name: str, where: str, finite: bool = True) -> float:
-    v = _field(doc, name, where)
-    if not isinstance(v, (int, float)) or isinstance(v, bool) or \
-            (finite and not math.isfinite(v)):
-        raise ValueError(f"{where}: field {name!r} must be a "
-                         f"{'finite ' if finite else ''}number")
-    return float(v)
-
-
-def _number_list(doc: dict, name: str, where: str, integer: bool) -> np.ndarray:
-    """A flat JSON list of integers, or of finite numbers, as an array."""
-    v = _field(doc, name, where)
-    try:
-        arr = np.asarray(v) if isinstance(v, list) else None
-    except (ValueError, TypeError, OverflowError):
-        arr = None
-    ok = arr is not None and arr.ndim == 1 and \
-        arr.dtype.kind in ("i" if integer else "if")
-    if ok and not integer:
-        arr = arr.astype(np.float64)
-        ok = bool(np.isfinite(arr).all())
-    if not ok:
-        what = "integers" if integer else "finite numbers"
-        raise ValueError(f"{where}: field {name!r} must be a list of {what}")
-    return arr.astype(np.int64) if integer else arr
+# the fields of each kind of model document, of every model document,
+# and of each tree: (name, required, valid, what a valid value is)
+_KIND_FIELDS = {
+    "rusboost": (
+        ("alphas", True, array_of("if"), "a list of finite numbers"),
+        ("learning_rate", True, is_finite, "a finite number"),
+    ),
+    "random_forest": (
+        ("n_tree", True, integer_from(1), "a positive integer"),
+        ("m_try", True, integer_from(1), "a positive integer"),
+        ("oob_error", True, is_number, "a number"),
+    ),
+}
+_MODEL_FIELDS = (
+    ("format", True, one_of(MODEL_FORMAT), repr(MODEL_FORMAT)),
+    ("version", True, one_of(MODEL_VERSION), str(MODEL_VERSION)),
+    ("kind", True, one_of(*_KIND_FIELDS), " or ".join(map(repr, _KIND_FIELDS))),
+    ("schema_id", True, or_null(of_type(str)), "a string or null"),
+    ("trees", True, of_type(list), "a list"),
+)
+_TREE_FIELDS = (
+    ("feature", True, array_of("i"), "a list of integers"),
+    ("threshold", True, array_of("if"), "a list of finite numbers"),
+    ("left", True, array_of("i"), "a list of integers"),
+    ("right", True, array_of("i"), "a list of integers"),
+    ("value", True, array_of("if"), "a list of finite numbers"),
+    ("n_features", True, integer_from(1), "a positive integer"),
+)
 
 
 def model_from_dict(d):
@@ -843,44 +832,28 @@ def model_from_dict(d):
 
     Raises ValueError naming the first missing or malformed field.
     """
-    if not isinstance(d, dict):
-        raise ValueError(
-            f"model document must be a JSON object, not {type(d).__name__}")
-    if d.get("format") != MODEL_FORMAT:
-        raise ValueError("not a recognized model file")
-    if d.get("version") != MODEL_VERSION:
-        raise ValueError(f"unsupported model version {d.get('version')}")
-    kind = _field(d, "kind", "model")
-    if kind not in ("rusboost", "random_forest"):
-        raise ValueError(f"model: unknown model kind {kind!r}")
-    schema_id = _field(d, "schema_id", "model")
-    if schema_id is not None and not isinstance(schema_id, str):
-        raise ValueError("model: field 'schema_id' must be a string or null")
-    docs = _field(d, "trees", "model")
-    if not isinstance(docs, list):
-        raise ValueError("model: field 'trees' must be a list")
+    check_fields(d, _MODEL_FIELDS, "model", ValueError)
+    kind = d["kind"]
+    check_fields(d, _KIND_FIELDS[kind], "model", ValueError)
     trees = tuple(DecisionTree.from_dict(t, f"model: trees[{i}]")
-                  for i, t in enumerate(docs))
+                  for i, t in enumerate(d["trees"]))
     if any(t.n_features != trees[0].n_features for t in trees):
         raise ValueError("model: field 'trees' mixes feature counts")
     if kind == "rusboost":
-        alphas = _number_list(d, "alphas", "model", integer=False)
+        alphas = np.asarray(d["alphas"], dtype=np.float64)
         if len(alphas) != len(trees):
             raise ValueError(
                 f"model: field 'alphas' must hold one weight per tree "
                 f"({len(trees)})")
-        return RusBoostModel(trees, alphas,
-                             _real_field(d, "learning_rate", "model"), schema_id)
-    n_tree = _int_field(d, "n_tree", "model")
+        return RusBoostModel(trees, alphas, float(d["learning_rate"]), d["schema_id"])
+    n_tree, m_try = d["n_tree"], d["m_try"]
     if n_tree != len(trees):
         raise ValueError(f"model: field 'n_tree' is {n_tree} but "
                          f"'trees' holds {len(trees)}")
-    m_try = _int_field(d, "m_try", "model")
     if m_try > trees[0].n_features:
         raise ValueError(f"model: field 'm_try' exceeds the "
                          f"{trees[0].n_features} features")
-    return RandomForestModel(trees, n_tree, m_try, schema_id,
-                             _real_field(d, "oob_error", "model", finite=False))
+    return RandomForestModel(trees, n_tree, m_try, d["schema_id"], float(d["oob_error"]))
 
 
 def save_model(path, model) -> None:
@@ -891,8 +864,8 @@ def save_model(path, model) -> None:
 def load_model(path):
     """Read a model file; malformed content raises ValueError naming the
     file and the field."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return model_from_dict(json.load(fh))
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from exc
+    doc = read_document(path, "model file", ValueError)
+    try:
+        return model_from_dict(doc)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

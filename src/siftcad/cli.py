@@ -52,9 +52,15 @@ from .morphosift import ms3d  # noqa: F401
 from .nrrd_io import (
     NrrdError,
     check_fields,
+    integer_from,
+    is_score,
     load_case,
     load_manifest,
     load_mask,
+    of_type,
+    one_of,
+    or_null,
+    read_document,
     save_volume,
 )
 from .phantom import generate_suite
@@ -76,14 +82,7 @@ def load_config(path=None, overrides: dict | None = None) -> RunConfig:
     that the file takes part in names it."""
     data: dict = {}
     if path is not None:
-        try:
-            doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        except UnicodeDecodeError as exc:
-            raise VolumeError(f"{path}: config is not UTF-8 text: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise VolumeError(f"{path}: config is not valid JSON: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise VolumeError(f"{path}: config must be a JSON object")
+        doc = read_document(path, "config", VolumeError)
         unknown = set(doc) - _CONFIG_KEYS
         if unknown:
             raise VolumeError(f"{path}: unknown config keys {sorted(unknown)}")
@@ -134,14 +133,12 @@ def cmd_phantom(args) -> int:
 
 def cmd_sift(args) -> int:
     config = _config_from_args(args)
-    records = load_manifest(args.manifest)
-    if args.case is not None:
-        matches = [r for r in records if r.case_id == args.case]
-        if not matches:
-            raise VolumeError(f"case {args.case!r} not in manifest")
-        record = matches[0]
-    else:
-        record = records[0]
+    matches = [r for r in load_manifest(args.manifest)
+               if args.case in (None, r.case_id)]
+    if not matches:
+        what = "no cases" if args.case is None else f"no case {args.case!r}"
+        raise VolumeError(f"{args.manifest}: manifest has {what}")
+    record = matches[0]
     case = load_case(record)
     responses: dict[int, Volume3D] = {}
     cands = generate_candidates(
@@ -306,45 +303,32 @@ def cmd_detect(args) -> int:
     return EXIT_OK
 
 
-def _integer(lowest: int):
-    return lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= lowest
-
-
-def _score(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and 0.0 <= v <= 1.0
-
-
 # the fields of a detections document, of each of its cases and of each
 # detection: (name, required, valid, what a valid value is)
 _DOCUMENT_FIELDS = (
-    ("format", True, lambda v: v == DETECTIONS_FORMAT, repr(DETECTIONS_FORMAT)),
-    ("version", True, lambda v: v == DETECTIONS_VERSION and not isinstance(v, bool),
-     str(DETECTIONS_VERSION)),
-    ("split", False, lambda v: isinstance(v, str), "a string"),
-    ("cases", True, lambda v: isinstance(v, list), "a list"),
+    ("format", True, one_of(DETECTIONS_FORMAT), repr(DETECTIONS_FORMAT)),
+    ("version", True, one_of(DETECTIONS_VERSION), str(DETECTIONS_VERSION)),
+    ("split", False, of_type(str), "a string"),
+    ("cases", True, of_type(list), "a list"),
 )
 _CASE_FIELDS = (
-    ("case_id", True, lambda v: isinstance(v, str), "a string"),
-    ("detections", True, lambda v: isinstance(v, list), "a list"),
+    ("case_id", True, of_type(str), "a string"),
+    ("detections", True, of_type(list), "a list"),
 )
 _DETECTION_FIELDS = (
-    ("mask", True, lambda v: isinstance(v, str), "a file name"),
-    ("lesion_score", True, _score, "a number in [0, 1]"),
-    ("malignancy_score", False, lambda v: v is None or _score(v),
-     "a number in [0, 1] or null"),
-    ("malignant", False, lambda v: v is None or isinstance(v, bool), "a boolean or null"),
-    ("scale_index", False, _integer(1), "a positive integer"),
-    ("threshold_index", False, _integer(0), "a non-negative integer"),
+    ("mask", True, of_type(str), "a file name"),
+    ("lesion_score", True, is_score, "a number in [0, 1]"),
+    ("malignancy_score", False, or_null(is_score), "a number in [0, 1] or null"),
+    ("malignant", False, or_null(of_type(bool)), "a boolean or null"),
+    ("scale_index", False, integer_from(1), "a positive integer"),
+    ("threshold_index", False, integer_from(0), "a non-negative integer"),
 )
 
 
 def _load_detections(path):
     """A detections document, checked field by field; VolumeError names
     the file and the first missing or malformed field."""
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise VolumeError(f"{path}: detections file is not valid JSON: {exc}") from exc
+    doc = read_document(path, "detections file", VolumeError)
     check_fields(doc, _DOCUMENT_FIELDS, f"{path}: detections document", VolumeError)
     for i, entry in enumerate(doc["cases"]):
         check_fields(entry, _CASE_FIELDS, f"{path}: cases[{i}]", VolumeError)

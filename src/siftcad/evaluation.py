@@ -279,19 +279,17 @@ def _froc_from_matches(scores_per_case, match_per_case, total_targets, n_cases):
     if all_scores.size == 0:
         return FrocCurve(np.zeros(1), np.zeros(1), np.zeros(1))
     thresholds = np.unique(all_scores)
-    tpr = np.zeros(len(thresholds))
-    fpp = np.zeros(len(thresholds))
-    for k, th in enumerate(thresholds):
-        hit = 0
-        false_pos = 0
-        for scores, mat in zip(scores_per_case, match_per_case):
-            active = scores >= th
-            if mat.shape[1]:
-                hit += int(mat[active].any(axis=0).sum())
-            false_pos += int((active & ~mat.any(axis=1)).sum())
-        tpr[k] = hit / total_targets if total_targets else 0.0
-        fpp[k] = false_pos / n_cases
-    return FrocCurve(thresholds, tpr, fpp)
+    # a target is hit at every threshold up to its best matching score, and
+    # a detection that matches nothing is a false positive up to its own
+    pairs = list(zip(scores_per_case, match_per_case))
+    best = np.sort(np.concatenate([
+        np.where(m[:, m.any(axis=0)], s[:, None], -np.inf).max(axis=0, initial=-np.inf)
+        for s, m in pairs]))
+    unmatched = np.sort(np.concatenate([s[~m.any(axis=1)] for s, m in pairs]))
+    hits = len(best) - np.searchsorted(best, thresholds)
+    false_pos = len(unmatched) - np.searchsorted(unmatched, thresholds)
+    tpr = hits / total_targets if total_targets else np.zeros(len(thresholds))
+    return FrocCurve(thresholds, tpr, false_pos / n_cases)
 
 
 def _curve_metrics(per_case, total_targets: int, match_dsi: float) -> DetectionMetrics:

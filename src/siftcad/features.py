@@ -38,15 +38,17 @@ asked for, and a caller may extract a candidate's columns in steps;
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage, optimize
 from scipy.spatial import ConvexHull, QhullError
 
+from . import wavelet
 from .candidates import RegionCandidate
 from .volume import BreastCase, VolumeError
-from .wavelet import LLL_GAIN, _lll_once
+from .wavelet import LLL_GAIN
 
 GLCM_LEVELS = 32
 
@@ -729,7 +731,8 @@ _FAT_MEAN_OF = {"t1": "t1", "t2": "t2", "dce0": "dce0", "dce1": "dce0", "dcesub"
 class FeatureExtractor:
     """Extracts features for candidates of one case. Each (sequence,
     scale) level of the decimation ladder is built on first use and
-    cached; the caches are plain dicts of arrays, so an extractor holds
+    cached; the caches are plain dicts of arrays and the fat mask's
+    ladder a generator that refers to no extractor, so an extractor holds
     no reference cycle and is freed as soon as its last user drops it."""
 
     def __init__(self, case: BreastCase):
@@ -746,11 +749,11 @@ class FeatureExtractor:
             if mean <= 0:
                 raise VolumeError(f"non-positive fat mean on {name}")
         # (sequence, scale) -> LLL level of the fat-normalised sequence,
-        # with the level's gain still in it; scale -> fat mask, and
-        # scale -> LLL level of the fat mask under it
+        # with the level's gain still in it; scale -> fat mask, pulled from
+        # one lazy ladder whose length only caps a candidate's scale
         self._levels: dict[tuple[str, int], np.ndarray] = {}
         self._fat: dict[int, np.ndarray] = {}
-        self._fat_levels: dict[int, np.ndarray] = {}
+        self._fat_ladder = wavelet.mask_ladder(case.fat_mask, sys.maxsize)
 
     def _level(self, seq: str, m: int) -> np.ndarray:
         """Level m of the same ``_lll_once`` chain :func:`scale_ladder`
@@ -758,7 +761,7 @@ class FeatureExtractor:
         key = (seq, m)
         if key not in self._levels:
             if m > 1:
-                level = _lll_once(self._level(seq, m - 1))
+                level = wavelet._lll_once(self._level(seq, m - 1))
             else:
                 case = self.case
                 if seq == "dcesub":
@@ -779,23 +782,6 @@ class FeatureExtractor:
         level = self._level(seq, m)
         vals = level[where] if isinstance(where, tuple) else level.ravel()[where]
         return vals if m == 1 else vals / LLL_GAIN ** (m - 1)
-
-    def _fat_mask(self, m: int) -> np.ndarray:
-        """Scale m of :func:`~siftcad.wavelet.mask_ladder` of the fat
-        mask: its LLL level, with the gain divided out, at or above 0.5."""
-        if m not in self._fat:
-            self._fat[m] = (self.case.fat_mask.data if m == 1 else
-                            self._fat_level(m) / LLL_GAIN ** (m - 1) >= 0.5)
-        return self._fat[m]
-
-    def _fat_level(self, m: int) -> np.ndarray:
-        """Level m >= 2 of the fat mask's LLL chain, with its gain, each
-        level made from the one below as in ``_level``."""
-        if m not in self._fat_levels:
-            below = (self.case.fat_mask.data.astype(np.float64) if m == 2
-                     else self._fat_level(m - 1))
-            self._fat_levels[m] = _lll_once(below)
-        return self._fat_levels[m]
 
     def _texture_columns(self, rc: RegionCandidate, groups: frozenset) -> dict[str, float]:
         """The texture flag and the GLCM columns in ``groups``, all from
@@ -877,7 +863,9 @@ class FeatureExtractor:
             out.update(self._margin_columns(rc, field))
 
         if "shape" in groups:
-            out.update(shape_features(rc, self._fat_mask(m)))
+            while m not in self._fat:
+                self._fat[len(self._fat) + 1] = next(self._fat_ladder).data
+            out.update(shape_features(rc, self._fat[m]))
 
         if groups & _KINETIC_GROUPS:
             kin, kin_flags = kinetic_features(

@@ -1,4 +1,5 @@
-"""Minimal NRRD reader/writer and JSON case manifests.
+"""Minimal NRRD reader/writer, JSON case manifests, and the one reader
+and field-table check of every JSON document the package reads.
 
 Volumes are stored as 16-bit unsigned raw little-endian, masks as 8-bit
 0/1; everything is converted to the internal float/bool representation
@@ -10,6 +11,7 @@ the first axis fastest, as usual for this format.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -183,6 +185,89 @@ def load_mask(path) -> BinaryMask:
 
 
 # ---------------------------------------------------------------------------
+# JSON documents: one reader, and one field-table check
+# ---------------------------------------------------------------------------
+
+def read_document(path, what: str, error: type[Exception]) -> dict:
+    """The top-level object of the JSON document at ``path``; ``error``
+    names the file and ``what`` it holds when its bytes are not UTF-8
+    text, the text is not JSON or the value is not an object."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: {what} is not UTF-8 text: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{path}: {what} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise error(f"{path}: {what} must be a JSON object, not {type(doc).__name__}")
+    return doc
+
+
+def check_fields(entry, table, where: str, error: type[Exception]) -> None:
+    """Check one JSON object of a document against a field table of
+    ``(name, required, valid, what a valid value is)``; ``error`` names
+    ``where`` and the first missing or malformed field, and quotes a
+    malformed value that is not a list or an object."""
+    if not isinstance(entry, dict):
+        raise error(f"{where} must be a JSON object")
+    for name, required, valid, what in table:
+        if name in entry:
+            value = entry[name]
+            if not valid(value):
+                got = "" if isinstance(value, (list, dict)) else f", not {value!r}"
+                raise error(f"{where}: field {name!r} must be {what}{got}")
+        elif required:
+            raise error(f"{where}: missing field {name!r}")
+
+
+# the predicates the field tables are made of
+def of_type(kind: type):
+    return lambda v: isinstance(v, kind)
+
+
+def is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def is_finite(v) -> bool:
+    return is_number(v) and math.isfinite(v)
+
+
+def is_score(v) -> bool:
+    return is_number(v) and 0.0 <= v <= 1.0
+
+
+def integer_from(lowest: int):
+    return lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= lowest
+
+
+def one_of(*values):
+    return lambda v: not isinstance(v, bool) and v in values
+
+
+def or_null(valid):
+    return lambda v: v is None or valid(v)
+
+
+def list_of(valid):
+    return lambda v: isinstance(v, list) and all(map(valid, v))
+
+
+def array_of(kinds: str):
+    """A flat list whose numpy dtype kind is in ``kinds`` (``"i"`` for
+    integers, ``"if"`` for numbers), all finite, checked in one
+    vectorised pass rather than element by element."""
+    def valid(v) -> bool:
+        try:
+            arr = np.asarray(v) if isinstance(v, list) else None
+        except (ValueError, TypeError, OverflowError):
+            return False
+        return (arr is not None and arr.ndim == 1 and arr.dtype.kind in kinds
+                and (arr.dtype.kind == "i" or bool(np.isfinite(arr).all())))
+    return valid
+
+
+# ---------------------------------------------------------------------------
 # case manifests
 # ---------------------------------------------------------------------------
 
@@ -226,66 +311,32 @@ def save_manifest(path, records: list[CaseRecord]) -> None:
     Path(path).write_text(json.dumps({"cases": cases}, indent=2, sort_keys=True) + "\n")
 
 
-def _text(v) -> bool:
-    return isinstance(v, str)
-
-
-def _texts(v) -> bool:
-    return isinstance(v, list) and all(map(_text, v))
-
-
-def _text_or_null(v) -> bool:
-    return v is None or _text(v)
-
+_MANIFEST_FIELDS = (("cases", True, of_type(list), "a list"),)
 
 # every case field: (name, required, valid, what a valid value is)
 _CASE_FIELDS = (
-    ("case_id", True, _text, "a string"),
-    ("side", True, _text, "a string"),
-    ("t1", True, _text, "a file name"),
-    ("t2", True, _text, "a file name"),
-    ("dce", True, _texts, "a list of file names"),
-    ("acquisition_times", True, lambda v: isinstance(v, list) and all(
-        isinstance(t, (int, float)) and not isinstance(t, bool) for t in v),
-     "a list of numbers"),
-    ("ground_truth", False, _texts, "a list of file names"),
-    ("malignant", False, lambda v: isinstance(v, list) and all(
-        isinstance(m, int) for m in v), "a list of booleans"),
-    ("split", False, _text, "a string"),
-    ("breast_mask", False, _text_or_null, "a file name or null"),
-    ("fat_mask", False, _text_or_null, "a file name or null"),
+    ("case_id", True, of_type(str), "a string"),
+    ("side", True, of_type(str), "a string"),
+    ("t1", True, of_type(str), "a file name"),
+    ("t2", True, of_type(str), "a file name"),
+    ("dce", True, list_of(of_type(str)), "a list of file names"),
+    ("acquisition_times", True, list_of(is_number), "a list of numbers"),
+    ("ground_truth", False, list_of(of_type(str)), "a list of file names"),
+    ("malignant", False, list_of(of_type(bool)), "a list of booleans"),
+    ("split", False, of_type(str), "a string"),
+    ("breast_mask", False, or_null(of_type(str)), "a file name or null"),
+    ("fat_mask", False, or_null(of_type(str)), "a file name or null"),
 )
-
-
-def check_fields(entry, table, where: str, error: type[Exception]) -> None:
-    """Check one JSON object of a document against a field table of
-    ``(name, required, valid, what a valid value is)``; ``error`` names
-    ``where`` and the first missing or malformed field."""
-    if not isinstance(entry, dict):
-        raise error(f"{where} must be a JSON object")
-    for name, required, valid, what in table:
-        if name in entry:
-            if not valid(entry[name]):
-                raise error(f"{where}: field {name!r} must be {what}")
-        elif required:
-            raise error(f"{where}: missing field {name!r}")
 
 
 def load_manifest(path) -> list[CaseRecord]:
     """Case records of a manifest; NrrdError names the manifest and the
     first malformed field."""
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise NrrdError(f"{path}: invalid manifest JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise NrrdError(f"{path}: manifest must be a JSON object, not {type(doc).__name__}")
-    cases = doc.get("cases", [])
-    if not isinstance(cases, list):
-        raise NrrdError(f"{path}: manifest field 'cases' must be a list")
+    doc = read_document(path, "manifest", NrrdError)
+    check_fields(doc, _MANIFEST_FIELDS, f"{path}: manifest", NrrdError)
     records = []
-    for i, entry in enumerate(cases):
+    for i, entry in enumerate(doc["cases"]):
         where = f"{path}: manifest cases[{i}]"
         check_fields(entry, _CASE_FIELDS, where, NrrdError)
         records.append(CaseRecord(
@@ -296,7 +347,7 @@ def load_manifest(path) -> list[CaseRecord]:
             dce=list(entry["dce"]),
             acquisition_times=[float(t) for t in entry["acquisition_times"]],
             ground_truth=list(entry.get("ground_truth", [])),
-            malignant=[bool(m) for m in entry.get("malignant", [])],
+            malignant=list(entry.get("malignant", [])),
             split=entry.get("split", "train"),
             breast_mask=entry.get("breast_mask"),
             fat_mask=entry.get("fat_mask"),

@@ -3,7 +3,7 @@
 import hashlib
 import json
 import shutil
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -434,6 +434,120 @@ class TestBadDetectionFiles:
         rc, err = self._evaluate(workspace, path, tmp_path, capsys)
         assert rc == EXIT_RUNTIME
         assert str(path) in err and message in err, err
+
+
+# JSON kinds a mutation sets a field to; a list holds elements no list
+# field takes, so it is wrong for list fields too
+_WRONG_KINDS = ("string", "null", "float", "bool", "list", "object")
+
+
+def _json_value(kind, rng):
+    return {"string": "".join(rng.choice(list("abxyz"), 4)),
+            "null": None,
+            "float": float(rng.uniform(-5.0, 5.0)),
+            "bool": bool(rng.integers(2)),
+            "list": [int(rng.integers(9)), {"k": int(rng.integers(9))}],
+            "object": {"k": int(rng.integers(9))}}[kind]
+
+
+class TestMutatedManifestsAndConfigs:
+    """Seeded mutations of manifests and config files: each one makes
+    `sift` exit 2 with a message that names the file, and no traceback."""
+
+    # manifest case fields: (required, the JSON kinds that are valid)
+    CASE_FIELDS = {
+        "case_id": (True, {"string"}), "side": (True, {"string"}),
+        "t1": (True, {"string"}), "t2": (True, {"string"}),
+        "dce": (True, set()), "acquisition_times": (True, set()),
+        "ground_truth": (False, set()), "malignant": (False, set()),
+        "split": (False, {"string"}),
+        "breast_mask": (False, {"string", "null"}), "fat_mask": (False, {"string", "null"}),
+    }
+
+    def _sift(self, tmp_path, capsys, manifest, *flags):
+        rc = main(["sift", "--manifest", str(manifest), "--out", str(tmp_path / "out"),
+                   *flags])
+        err = capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        assert "Traceback" not in err
+        return rc, err
+
+    @pytest.mark.parametrize("doc, argv, message", [
+        ({}, [], "manifest: missing field 'cases'"),
+        ({"cases": []}, [], "manifest has no cases"),
+        (None, ["--case", "no_such_case"], "manifest has no case 'no_such_case'"),
+    ], ids=["no_cases_field", "empty_cases", "unknown_case"])
+    def test_sift_names_the_manifest_when_it_has_no_case_to_sift(
+            self, workspace, tmp_path, capsys, doc, argv, message):
+        manifest = tmp_path / "manifest.json"
+        if doc is None:
+            shutil.copy(workspace / "data/manifest.json", manifest)
+        else:
+            manifest.write_text(json.dumps(doc))
+        rc, err = self._sift(tmp_path, capsys, manifest, *argv)
+        assert rc == EXIT_RUNTIME
+        assert err == f"siftcad: error: {manifest}: {message}\n"
+
+    def test_manifest_mutations(self, workspace, tmp_path, capsys):
+        good = json.loads((workspace / "data/manifest.json").read_text())
+        manifest = tmp_path / "manifest.json"
+        rng = np.random.default_rng(18)
+        drop = object()
+
+        def mutated(where, name, value):
+            doc = json.loads(json.dumps(good))
+            entry = doc if where is None else doc["cases"][where]
+            if value is drop:
+                del entry[name]
+            else:
+                entry[name] = value
+            return doc
+
+        # (case index or None for the document, field, value, what the
+        # message must name besides the file)
+        mutations = [(None, "cases", v, ["'cases'"]) for v in
+                     [drop] + [_json_value(k, rng) for k in _WRONG_KINDS if k != "list"]]
+        mutations.append((None, "cases", _json_value("list", rng), ["cases[0]"]))
+        for name, (required, valid) in self.CASE_FIELDS.items():
+            for value in [drop] * required + [_json_value(k, rng) for k in _WRONG_KINDS
+                                              if k not in valid]:
+                i = int(rng.integers(len(good["cases"])))
+                mutations.append((i, name, value, [f"cases[{i}]: ", repr(name)]))
+        for where, name, value, named in mutations:
+            manifest.write_text(json.dumps(mutated(where, name, value)))
+            rc, err = self._sift(tmp_path, capsys, manifest)
+            assert rc == EXIT_RUNTIME, (name, value)
+            assert all(s in err for s in [str(manifest), *named]), (name, value, err)
+
+        text = json.dumps(good).encode()
+        at = int(rng.integers(len(text)))
+        manifest.write_bytes(text[:at] + b"\xff" + text[at + 1:])
+        rc, err = self._sift(tmp_path, capsys, manifest)
+        assert rc == EXIT_RUNTIME
+        assert f"{manifest}: manifest is not UTF-8 text" in err
+
+    def test_config_mutations(self, workspace, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        rng = np.random.default_rng(18)
+        for f in fields(RunConfig):
+            valid = {"int": set(), "float": {"float"}}[f.type]
+            for kind in _WRONG_KINDS:
+                if kind in valid:
+                    continue
+                value = _json_value(kind, rng)
+                config.write_text(json.dumps({f.name: value}))
+                rc, err = self._sift(tmp_path, capsys, workspace / "data/manifest.json",
+                                     "--config", str(config))
+                assert rc == EXIT_RUNTIME, (f.name, value)
+                assert err.startswith(f"siftcad: error: {config}: {f.name} must be "), err
+
+        text = json.dumps({"seed": 4, "n_orient": 6}).encode()
+        at = int(rng.integers(len(text)))
+        config.write_bytes(text[:at] + b"\xff" + text[at + 1:])
+        rc, err = self._sift(tmp_path, capsys, workspace / "data/manifest.json",
+                             "--config", str(config))
+        assert rc == EXIT_RUNTIME
+        assert f"{config}: config is not UTF-8 text" in err
 
 
 class TestPhantomCommand:

@@ -242,6 +242,42 @@ def test_froc_monotone_in_threshold():
     assert np.all(np.diff(froc.fpp) <= 1e-12)
 
 
+def _froc_by_threshold(scores_per_case, match_per_case, total_targets, n_cases):
+    """The FROC counted threshold by threshold and case by case."""
+    thresholds = np.unique(np.concatenate(scores_per_case))
+    tpr, fpp = np.zeros(len(thresholds)), np.zeros(len(thresholds))
+    for k, th in enumerate(thresholds):
+        hit = false_pos = 0
+        for scores, mat in zip(scores_per_case, match_per_case):
+            active = scores >= th
+            hit += int(mat[active].any(axis=0).sum())
+            false_pos += int((active & ~mat.any(axis=1)).sum())
+        tpr[k] = hit / total_targets if total_targets else 0.0
+        fpp[k] = false_pos / n_cases
+    return thresholds, tpr, fpp
+
+
+def test_froc_sweep_matches_the_threshold_by_threshold_count():
+    # scores are drawn from a few levels so that ties across detections
+    # and cases occur; cases without detections or without targets too
+    rng = np.random.default_rng(18)
+    for trial in range(300):
+        n_cases = int(rng.integers(1, 5))
+        scores_pc, match_pc = [], []
+        for _ in range(n_cases):
+            n_det, n_tgt = int(rng.integers(0, 6)), int(rng.integers(0, 4))
+            scores_pc.append(rng.integers(0, 8, n_det) / 7.0)
+            match_pc.append(rng.random((n_det, n_tgt)) < 0.3)
+        if not np.concatenate(scores_pc).size:
+            continue
+        total = sum(m.shape[1] for m in match_pc) + int(rng.integers(0, 2))
+        total *= trial % 10 != 0  # some sweeps have no targets at all
+        got = evaluation._froc_from_matches(scores_pc, match_pc, total, n_cases)
+        want = _froc_by_threshold(scores_pc, match_pc, total, n_cases)
+        for a, b in zip((got.thresholds, got.tpr, got.fpp), want):
+            assert a.tobytes() == b.tobytes()
+
+
 def test_tpr_at_fpp_budget():
     froc = FrocCurve(np.array([0.1, 0.5, 0.9]),
                      np.array([0.9, 0.6, 0.3]),

@@ -674,14 +674,15 @@ def test_t2_mean_alone_builds_only_the_t2_levels(golden_case_vectors, monkeypatc
     # pairs and no upscaling to the original grid
     import siftcad.candidates as cmod
     import siftcad.features as fmod
+    import siftcad.wavelet as wmod
 
     calls = []
     for module, name in ((fmod, "_SurfaceField"), (fmod, "_GlcmPairs"),
                          (fmod, "kinetic_features"), (cmod, "upscale_indices")):
         monkeypatch.setattr(module, name, lambda *a, _n=name, **k: calls.append(_n))
     lll = []
-    real_lll = fmod._lll_once
-    monkeypatch.setattr(fmod, "_lll_once", lambda data: lll.append(data.shape) or real_lll(data))
+    real_lll = wmod._lll_once
+    monkeypatch.setattr(wmod, "_lll_once", lambda data: lll.append(data.shape) or real_lll(data))
     base, cands, fulls = golden_case_vectors
     extractor = FeatureExtractor(base.case)
     fresh = [dataclasses.replace(rc, _original_indices=None) for rc in cands]
@@ -690,18 +691,18 @@ def test_t2_mean_alone_builds_only_the_t2_levels(golden_case_vectors, monkeypatc
         assert rc._original_indices is None
     assert calls == []
     assert set(extractor._levels) == {("t2", 1), ("t2", 2), ("t2", 3)}
-    assert extractor._fat == {} and extractor._fat_levels == {}
+    assert extractor._fat == {}
     assert len(lll) == 2  # level 2 from level 1, level 3 from level 2
 
 
 def test_extractor_is_freed_by_reference_counting(golden_case_vectors, monkeypatch):
     # the level caches must hold no reference back to the extractor: a
     # cycle would keep every level alive until the cycle collector runs
-    import siftcad.features as fmod
+    import siftcad.wavelet as wmod
 
     lll = []
-    real_lll = fmod._lll_once
-    monkeypatch.setattr(fmod, "_lll_once", lambda data: lll.append(data) or real_lll(data))
+    real_lll = wmod._lll_once
+    monkeypatch.setattr(wmod, "_lll_once", lambda data: lll.append(data) or real_lll(data))
     base, cands, _ = golden_case_vectors
     gc.disable()
     try:
