@@ -198,8 +198,8 @@ def generate_candidates(
     for m, (scaled, mask_m) in enumerate(ladder, start=1):
         if mask_m.count == 0:
             continue
-        response = ms3d(scaled, plan, n_orient)
-        f16 = normalize16(response, mask_m)
+        # the raw response is dropped as soon as its 16-bit map exists
+        f16 = normalize16(ms3d(scaled, plan, n_orient), mask_m)
         if responses is not None:
             responses[m] = f16
         try:

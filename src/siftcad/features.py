@@ -728,10 +728,16 @@ def kinetic_features(rc: RegionCandidate, case: BreastCase,
 _FAT_MEAN_OF = {"t1": "t1", "t2": "t2", "dce0": "dce0", "dce1": "dce0", "dcesub": "dce0"}
 
 
+def _read(data: np.ndarray, where) -> np.ndarray:
+    """``data`` at flat indices, or at a tuple of slices."""
+    return data[where] if isinstance(where, tuple) else data.ravel()[where]
+
+
 class FeatureExtractor:
     """Extracts features for candidates of one case. Each (sequence,
-    scale) level of the decimation ladder is built on first use and
-    cached; the caches are plain dicts of arrays and the fat mask's
+    scale) level of the decimation ladder above scale 1 is built on first
+    use and cached, while scale 1 is read from the case's own volumes;
+    the caches are plain dicts of arrays and the fat mask's
     ladder a generator that refers to no extractor, so an extractor holds
     no reference cycle and is freed as soon as its last user drops it."""
 
@@ -748,29 +754,37 @@ class FeatureExtractor:
         for name, mean in self._fat_means.items():
             if mean <= 0:
                 raise VolumeError(f"non-positive fat mean on {name}")
-        # (sequence, scale) -> LLL level of the fat-normalised sequence,
-        # with the level's gain still in it; scale -> fat mask, pulled from
-        # one lazy ladder whose length only caps a candidate's scale
+        # (sequence, scale) -> LLL level m >= 2 of the fat-normalised
+        # sequence, with the level's gain still in it; scale -> fat mask,
+        # pulled from one lazy ladder whose length only caps a candidate's
+        # scale. Scale 1 is never cached: its reads come from the case's
+        # own volumes.
         self._levels: dict[tuple[str, int], np.ndarray] = {}
         self._fat: dict[int, np.ndarray] = {}
         self._fat_ladder = wavelet.mask_ladder(case.fat_mask, sys.maxsize)
 
+    def _normalised(self, seq: str, where) -> np.ndarray:
+        """The fat-normalised scale-1 sequence ``seq`` read at ``where``
+        (see :meth:`_scaled`; ``()`` reads the whole grid). Each voxel
+        goes through the same operations as in a whole-grid division."""
+        case = self.case
+        if seq == "dcesub":
+            data = _read(case.dce[1].data, where) - _read(case.dce[0].data, where)
+        else:
+            volume = {"t1": case.t1, "t2": case.t2,
+                      "dce0": case.dce[0], "dce1": case.dce[1]}[seq]
+            data = _read(volume.data, where)
+        return data / self._fat_means[_FAT_MEAN_OF[seq]]
+
     def _level(self, seq: str, m: int) -> np.ndarray:
         """Level m of the same ``_lll_once`` chain :func:`scale_ladder`
-        runs, each level made from the one below."""
+        runs, each level made from the one below; level 1 is built afresh
+        for the one call that decimates it."""
+        if m == 1:
+            return self._normalised(seq, ())
         key = (seq, m)
         if key not in self._levels:
-            if m > 1:
-                level = wavelet._lll_once(self._level(seq, m - 1))
-            else:
-                case = self.case
-                if seq == "dcesub":
-                    data = case.dce[1].data - case.dce[0].data
-                else:
-                    data = {"t1": case.t1, "t2": case.t2,
-                            "dce0": case.dce[0], "dce1": case.dce[1]}[seq].data
-                level = data / self._fat_means[_FAT_MEAN_OF[seq]]
-            self._levels[key] = level
+            self._levels[key] = wavelet._lll_once(self._level(seq, m - 1))
         return self._levels[key]
 
     def _scaled(self, seq: str, m: int, where) -> np.ndarray:
@@ -779,9 +793,9 @@ class FeatureExtractor:
         indices, or a tuple of slices for a crop. The gain is divided out
         of what is read, which gives the same values as dividing the
         whole level first."""
-        level = self._level(seq, m)
-        vals = level[where] if isinstance(where, tuple) else level.ravel()[where]
-        return vals if m == 1 else vals / LLL_GAIN ** (m - 1)
+        if m == 1:
+            return self._normalised(seq, where)
+        return _read(self._level(seq, m), where) / LLL_GAIN ** (m - 1)
 
     def _texture_columns(self, rc: RegionCandidate, groups: frozenset) -> dict[str, float]:
         """The texture flag and the GLCM columns in ``groups``, all from

@@ -188,6 +188,11 @@ def load_mask(path) -> BinaryMask:
 # JSON documents: one reader, and one field-table check
 # ---------------------------------------------------------------------------
 
+# the JSON type of each Python type ``json.loads`` makes
+_JSON_TYPES = {type(None): "null", bool: "boolean", int: "number", float: "number",
+               str: "string", list: "array", dict: "object"}
+
+
 def read_document(path, what: str, error: type[Exception]) -> dict:
     """The top-level object of the JSON document at ``path``; ``error``
     names the file and ``what`` it holds when its bytes are not UTF-8
@@ -199,7 +204,7 @@ def read_document(path, what: str, error: type[Exception]) -> dict:
     except (ValueError, RecursionError) as exc:
         raise error(f"{path}: {what} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
-        raise error(f"{path}: {what} must be a JSON object, not {type(doc).__name__}")
+        raise error(f"{path}: {what} must be a JSON object, not {_JSON_TYPES[type(doc)]}")
     return doc
 
 
@@ -251,6 +256,10 @@ def or_null(valid):
 
 def list_of(valid):
     return lambda v: isinstance(v, list) and all(map(valid, v))
+
+
+def increasing_list_of(valid):
+    return lambda v: list_of(valid)(v) and all(a < b for a, b in zip(v, v[1:]))
 
 
 def array_of(kinds: str):
@@ -320,7 +329,8 @@ _CASE_FIELDS = (
     ("t1", True, of_type(str), "a file name"),
     ("t2", True, of_type(str), "a file name"),
     ("dce", True, list_of(of_type(str)), "a list of file names"),
-    ("acquisition_times", True, list_of(is_number), "a list of numbers"),
+    ("acquisition_times", True, increasing_list_of(is_finite),
+     "a list of numbers, finite and strictly increasing"),
     ("ground_truth", False, list_of(of_type(str)), "a list of file names"),
     ("malignant", False, list_of(of_type(bool)), "a list of booleans"),
     ("split", False, of_type(str), "a string"),

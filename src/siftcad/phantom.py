@@ -233,8 +233,8 @@ def generate_case(spec: PhantomSpec):
     for lesion, m in zip(spec.lesions, truths):
         t2[m.data] = spec.t2_lesion
         if lesion.rim:
-            outside = ndimage.distance_transform_edt(~m.data, sampling=spacing)
-            t2[(outside <= 2.0) & ~m.data & breast & ~lesion_union] = spec.t2_rim
+            near = ndimage.distance_transform_edt(~m.data, sampling=spacing) <= 2.0
+            t2[near & ~m.data & breast & ~lesion_union] = spec.t2_rim
 
     pre = np.full(dims, DCE_BG)
     pre[gland] = DCE_GLAND
@@ -248,21 +248,32 @@ def generate_case(spec: PhantomSpec):
     if std > 0:
         texture /= std
     clutter = spec.clutter_amp * np.clip(texture, 0.0, None)
+    del texture
     clutter[~gland | lesion_union] = 0.0
 
-    frames = [pre.copy()]
+    # every array below is built and edited in place, so the case holds
+    # one full grid per output volume plus one working grid (the clutter,
+    # then the noise); each voxel goes through the same operations, in
+    # the same order, as pre * (1 + clutter * k) and max(v + sigma * noise, 0)
+    frames = [pre]
     for t in spec.times[1:]:
-        factor = 1.0 + clutter * (1.0 - math.exp(-t / _CLUTTER_TAU_S))
-        frame = pre * factor
+        frame = clutter * (1.0 - math.exp(-t / _CLUTTER_TAU_S))
+        frame += 1.0
+        frame *= pre
         for lesion, m in zip(spec.lesions, truths):
             curve = kinetic_curve(lesion.kinetic)
             frame[m.data] = pre[m.data] * (1.0 + curve(t))
         frames.append(frame)
+    del clutter
 
     volumes = [t1, t2, *frames]
     if spec.noise_sigma > 0:
-        volumes = [np.maximum(v + spec.noise_sigma * rng.standard_normal(dims), 0.0)
-                   for v in volumes]
+        noise = np.empty(dims)
+        for v in volumes:
+            rng.standard_normal(out=noise)
+            noise *= spec.noise_sigma
+            v += noise
+            np.maximum(v, 0.0, out=v)
     t1v, t2v, *dce = (Volume3D(v, spacing) for v in volumes)
     case = BreastCase(
         case_id=spec.case_id,
@@ -393,6 +404,7 @@ def generate_suite(n_cases: int, seed: int, out_dir, **suite_kwargs
             p = f"{spec.case_id}/gt_{j}.nrrd"
             save_mask(out_dir / p, m)
             gt_paths.append(p)
+        del case, truths  # written: free them before the next case is made
         records.append(CaseRecord(
             case_id=spec.case_id,
             side=spec.side,

@@ -212,7 +212,7 @@ class TestExitCodes:
         assert str(data / record.t1) in err
 
     @pytest.mark.parametrize("doc, field", [
-        ([1, 2], "must be a JSON object, not list"),
+        ([1, 2], "must be a JSON object, not array"),
         ({"cases": [5]}, "cases[0] must be a JSON object"),
         ({"cases": {"a": 1}}, "field 'cases' must be a list"),
         ("dce", "cases[0]: field 'dce' must be a list of file names"),
@@ -339,6 +339,57 @@ class TestBadModelFiles:
         err = capsys.readouterr().err
         assert name in err and field in err
         assert not (tmp_path / "det").exists()
+
+    # the JSON kinds each field of a model file takes (see _WRONG_KINDS):
+    # the header of every model, the fields of each kind, and each tree's
+    HEADER_KINDS = {"format": set(), "version": set(), "kind": set(),
+                    "schema_id": {"null"}, "trees": set()}
+    KIND_KINDS = {_LESION: {"alphas": set(), "learning_rate": {"float"}},
+                  _MALIGNANCY: {"n_tree": set(), "m_try": set(), "oob_error": {"float"}}}
+    TREE_KINDS = {"feature": set(), "threshold": set(), "left": set(), "right": set(),
+                  "value": set(), "n_features": set()}
+
+    def test_detect_rejects_every_seeded_mutation(self, workspace, docs, tmp_path, capsys):
+        rng = np.random.default_rng(19)
+        drop = object()
+        # (file, tree index or None for the document, field, value, what
+        # the message must name besides the file)
+        mutations = []
+        for name in (_LESION, _MALIGNANCY):
+            places = [(None, f, ok) for f, ok in
+                      {**self.HEADER_KINDS, **self.KIND_KINDS[name]}.items()]
+            places += [(int(rng.integers(len(docs[name]["trees"]))), f, ok)
+                       for f, ok in self.TREE_KINDS.items()]
+            for tree, field, ok in places:
+                for kind in ["drop", *(k for k in _WRONG_KINDS if k not in ok)]:
+                    value = drop if kind == "drop" else _json_value(kind, rng)
+                    if tree is not None:
+                        named = [f"trees[{tree}]", repr(field)]
+                    elif field == "trees" and kind == "list":
+                        named = ["trees[0]"]
+                    else:
+                        named = [repr(field)]
+                    mutations.append((name, tree, field, value, named))
+
+        models = tmp_path / "models"
+        models.mkdir()
+        for name, tree, field, value, named in mutations:
+            for fname, doc in docs.items():
+                (models / fname).write_text(json.dumps(doc))
+            doc = json.loads(json.dumps(docs[name]))
+            entry = doc if tree is None else doc["trees"][tree]
+            if value is drop:
+                del entry[field]
+            else:
+                entry[field] = value
+            (models / name).write_text(json.dumps(doc))
+            rc = main(["detect", "--manifest", str(workspace / "data/manifest.json"),
+                       "--models", str(models), "--out", str(tmp_path / "det")])
+            err = capsys.readouterr().err
+            assert rc == EXIT_RUNTIME, (name, tree, field, value)
+            assert all(s in err for s in [str(models / name), *named]), (field, value, err)
+            assert "Traceback" not in err
+            assert not (tmp_path / "det").exists()
 
     @pytest.mark.parametrize("name", [_LESION, _MALIGNANCY])
     def test_detect_rejects_another_feature_count_before_reading_cases(
@@ -513,6 +564,14 @@ class TestMutatedManifestsAndConfigs:
                                               if k not in valid]:
                 i = int(rng.integers(len(good["cases"])))
                 mutations.append((i, name, value, [f"cases[{i}]: ", repr(name)]))
+        # lists of numbers that are no series of frame times
+        times = good["cases"][0]["acquisition_times"]
+        for value in ([times[0], float("nan"), *times[2:]],
+                      [times[0], times[1], times[1], *times[3:]],
+                      times[::-1], [*times[:-1], float("inf")]):
+            i = int(rng.integers(len(good["cases"])))
+            mutations.append((i, "acquisition_times", value,
+                              [f"cases[{i}]: ", "'acquisition_times'", "strictly increasing"]))
         for where, name, value, named in mutations:
             manifest.write_text(json.dumps(mutated(where, name, value)))
             rc, err = self._sift(tmp_path, capsys, manifest)

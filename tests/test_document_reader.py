@@ -54,9 +54,14 @@ def test_json_is_decoded_only_by_the_document_reader():
     (b'{"a": ', "model file is not valid JSON: "),
     (b"[" * 100_000, "model file is not valid JSON: "),
     (b"1" * 5_000, "model file is not valid JSON: "),
-    (b"[1, 2]", "model file must be a JSON object, not list"),
-    (b"null", "model file must be a JSON object, not NoneType"),
-], ids=["bytes", "truncated", "deep", "long_integer", "list", "null"])
+    (b"[1, 2]", "model file must be a JSON object, not array"),
+    (b"null", "model file must be a JSON object, not null"),
+    (b"true", "model file must be a JSON object, not boolean"),
+    (b"-1.5e3", "model file must be a JSON object, not number"),
+    (b"7", "model file must be a JSON object, not number"),
+    (b'"lesion"', "model file must be a JSON object, not string"),
+], ids=["bytes", "truncated", "deep", "long_integer", "list", "null", "boolean",
+        "float", "integer", "string"])
 def test_reader_names_the_file_and_what_it_holds(tmp_path, content, message):
     class Malformed(Exception):
         pass

@@ -574,16 +574,33 @@ _GOLDEN_CASE_CANDIDATES = 27
 _GOLDEN_CASE_SHA256 = "42ace1b827e8cf56afff69076d42e0b542597a4ea284bcb02c215e9d9c044b97"
 
 
-def test_phantom_case_features_match_frozen_golden():
+@pytest.fixture(scope="module")
+def golden_case_extraction():
+    """Every candidate of the golden phantom case, extracted in order by
+    one extractor, and the SHA-256 of their feature vectors."""
     spec = suite_specs(1, 5, dims=(64, 64, 32), diameter_range_mm=(5.0, 12.0))[0]
     case, _, _ = generate_case(spec)
     cands = generate_candidates(case)
-    assert len(cands) == _GOLDEN_CASE_CANDIDATES
     digest = hashlib.sha256()
     extractor = FeatureExtractor(case)
     for rc in cands:
         digest.update(extractor.extract(rc).values.tobytes())
-    assert digest.hexdigest() == _GOLDEN_CASE_SHA256
+    return cands, extractor, digest.hexdigest()
+
+
+def test_phantom_case_features_match_frozen_golden(golden_case_extraction):
+    cands, _, digest = golden_case_extraction
+    assert len(cands) == _GOLDEN_CASE_CANDIDATES
+    assert digest == _GOLDEN_CASE_SHA256
+
+
+def test_extractor_caches_no_full_grid_scale_1_copy(golden_case_extraction):
+    # scale-1 columns read the case's own volumes on the candidate's box;
+    # only the decimated levels 2 and up are worth keeping
+    cands, extractor, _ = golden_case_extraction
+    assert {rc.scale_index for rc in cands} == {1, 2, 3}
+    assert extractor._levels
+    assert all(m > 1 for _, m in extractor._levels)
 
 
 # ---------------------------------------------------------------------------
@@ -690,7 +707,7 @@ def test_t2_mean_alone_builds_only_the_t2_levels(golden_case_vectors, monkeypatc
         _check_partial(extractor, rc, full, {"t2_mean"})
         assert rc._original_indices is None
     assert calls == []
-    assert set(extractor._levels) == {("t2", 1), ("t2", 2), ("t2", 3)}
+    assert set(extractor._levels) == {("t2", 2), ("t2", 3)}
     assert extractor._fat == {}
     assert len(lll) == 2  # level 2 from level 1, level 3 from level 2
 
@@ -709,7 +726,7 @@ def test_extractor_is_freed_by_reference_counting(golden_case_vectors, monkeypat
         extractor = FeatureExtractor(base.case)
         for rc in cands:
             extractor.extract(rc)
-        assert len(extractor._levels) == 15 and len(extractor._fat) == 3
+        assert len(extractor._levels) == 10 and len(extractor._fat) == 3
         # every level above scale 1 is made once, from the one below:
         # two per sequence, and two of the fat mask's chain
         assert len(lll) == 2 * 5 + 2

@@ -1,5 +1,8 @@
 """Tests for the synthetic case generator."""
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,7 @@ from siftcad.candidates import (
 )
 from siftcad.nrrd_io import load_case, load_manifest
 from siftcad.phantom import (
+    SHAPES,
     LesionSpec,
     PhantomSpec,
     analytic_lesion_volume_mm3,
@@ -271,3 +275,109 @@ class TestSuite:
     def test_zero_cases_rejected(self):
         with pytest.raises(VolumeError):
             suite_specs(0, seed=5)
+
+
+# a 3-case suite that writes noise (sigma 4), glandular clutter, a rim
+# lesion (phantom_000), each shape and a two-lesion case (phantom_002);
+# SHA-256 of every file, frozen from the implementation that built each
+# volume out of place (numpy 2.4, scipy 1.17, x86-64)
+_GOLDEN_SUITE_KW = dict(dims=(64, 64, 32), diameter_range_mm=(5.0, 12.0))
+_GOLDEN_SUITE_SHA256 = {
+    "manifest.json":
+        "d28cc21707fa95a65f9b51593af0befb2f7ba73eb39c1302de295a5adc176693",
+    "phantom_000/breast.nrrd":
+        "faab6cbe16380ce47c0858e7050a085e124e5d3ee3d8eb3ec9d216d391f4ed5b",
+    "phantom_000/dce_0.nrrd":
+        "a7f2cd1512b7d6df3360b754fd082a69408f24a25c0fce03323714327bf7d921",
+    "phantom_000/dce_1.nrrd":
+        "a15f614cd1d775ce3dc01df8f55248f24c6038f5625349d4b6dc7fe59c5b4f1a",
+    "phantom_000/dce_2.nrrd":
+        "9c16ab14746cee12765fed1e0fdf818e93b74b66483fecbcdc1fbc9f9e3eaa2d",
+    "phantom_000/dce_3.nrrd":
+        "98fadd22ac968bb64e2d32caab3737f36e21277ee2141cbf64894be4d08b515f",
+    "phantom_000/fat.nrrd":
+        "1eb41bea172f36f486d295afc3217bafc351bad2bc3cf9dbe8beb0bd1b71e12f",
+    "phantom_000/gt_0.nrrd":
+        "6671c7ca26b66e1cd8577eb12bb803a0ba3c1ecd8910a823bf88a7404bdbfb18",
+    "phantom_000/t1.nrrd":
+        "a26751fd4b3686da46f7b85208455ada0bc3bb475bd10ca6cb834a8aa8807f83",
+    "phantom_000/t2.nrrd":
+        "20276e486fc6f2a1f4dc6f6eb1b9c91b30fa4f88f8d0c23aad7e295636a1144a",
+    "phantom_001/breast.nrrd":
+        "faab6cbe16380ce47c0858e7050a085e124e5d3ee3d8eb3ec9d216d391f4ed5b",
+    "phantom_001/dce_0.nrrd":
+        "cb3a592a62261b2ab66d521c1c705f1a8969d6ad774970a34a3b944c88731463",
+    "phantom_001/dce_1.nrrd":
+        "9b26fdd616e80ac8211ce4e45761e59cd2d54c10de830fede813ddf36ef0780e",
+    "phantom_001/dce_2.nrrd":
+        "b25084e0cb3833fb1df13028ba759063bb2c91fdc35f314968db859be2a1988c",
+    "phantom_001/dce_3.nrrd":
+        "04c6e5baf845bed0d8fbe92ced465d9218dee2dd43190632dd4a7f1923ddba28",
+    "phantom_001/fat.nrrd":
+        "1eb41bea172f36f486d295afc3217bafc351bad2bc3cf9dbe8beb0bd1b71e12f",
+    "phantom_001/gt_0.nrrd":
+        "e1ca85c3a1516e4de992fc0af7d10d91128e461fc894aa024a9619b58025335d",
+    "phantom_001/t1.nrrd":
+        "c1929d88e74dfc0169a26226269877ad35b3daee3a6ffd01c89f7a454346a55a",
+    "phantom_001/t2.nrrd":
+        "d1cfed95e07139d27b5f016bf2337e6ded92ec21cacab451a775c5437e01e295",
+    "phantom_002/breast.nrrd":
+        "faab6cbe16380ce47c0858e7050a085e124e5d3ee3d8eb3ec9d216d391f4ed5b",
+    "phantom_002/dce_0.nrrd":
+        "6680e8bcbb09466658d14b07932d30c636df26d4c1246fea02b3d78f92c0bd7d",
+    "phantom_002/dce_1.nrrd":
+        "67b543c7136867c9bd4fb54fec8bc9d5aaa8b90b3a635e69e68dca84cc043e33",
+    "phantom_002/dce_2.nrrd":
+        "018f5eeec9aed53e99dd1ad3dea8bb4c5db237b6329114f532eac1401b17082a",
+    "phantom_002/dce_3.nrrd":
+        "a533e010286dcf611c31d2a275b6846799c1aa381aa86519e341d4f84805d4dd",
+    "phantom_002/fat.nrrd":
+        "1eb41bea172f36f486d295afc3217bafc351bad2bc3cf9dbe8beb0bd1b71e12f",
+    "phantom_002/gt_0.nrrd":
+        "fe947d5de1b4a81ed8b8a8fbda039b90e6aa3f870c7f6e8fd638615d663b94c5",
+    "phantom_002/gt_1.nrrd":
+        "1f171e869b30ffcc674619d3f1e3ec8545b581a7219f6531c0e775496ec4bb6d",
+    "phantom_002/t1.nrrd":
+        "fb75505f77f2a52683fdccf2647ce3c1702734c6d1804492992285f3257816ed",
+    "phantom_002/t2.nrrd":
+        "589df38e02aa80bd49e7fd8035460488e939a9510a23381d782dd84c7e1c57a3",
+}
+
+
+class TestGolden:
+    def test_suite_covers_every_generator_path(self):
+        specs = suite_specs(3, 2, **_GOLDEN_SUITE_KW)
+        lesions = [l for s in specs for l in s.lesions]
+        assert {l.shape for l in lesions} == set(SHAPES)
+        assert any(l.rim for l in lesions)
+        assert max(len(s.lesions) for s in specs) == 2
+        assert all(s.noise_sigma > 0 and s.clutter_amp > 0 for s in specs)
+
+    def test_suite_files_match_frozen_golden(self, tmp_path):
+        generate_suite(3, 2, tmp_path, **_GOLDEN_SUITE_KW)
+        got = {p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in sorted(tmp_path.rglob("*")) if p.is_file()}
+        assert got == _GOLDEN_SUITE_SHA256
+
+    # six output volumes, one working grid (clutter, then the noise) and
+    # the boolean masks: the traced peak counts every numpy buffer, so it
+    # does not depend on the allocator or on other processes
+    @staticmethod
+    def _traced_peak_grids(make) -> float:
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            make()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak / (8 * int(np.prod(_GOLDEN_SUITE_KW["dims"])))
+
+    @pytest.mark.parametrize("index", range(3))
+    def test_generate_case_holds_each_grid_once(self, index):
+        spec = suite_specs(3, 2, **_GOLDEN_SUITE_KW)[index]
+        assert self._traced_peak_grids(lambda: generate_case(spec)) <= 10
+
+    def test_generate_suite_holds_one_case_at_a_time(self, tmp_path):
+        assert self._traced_peak_grids(
+            lambda: generate_suite(3, 2, tmp_path, **_GOLDEN_SUITE_KW)) <= 10
