@@ -5,7 +5,15 @@ Volumes are stored as 16-bit unsigned raw little-endian, masks as 8-bit
 0/1; everything is converted to the internal float/bool representation
 on load. Attached headers (.nrrd) are written; both attached and
 detached (.nhdr + raw file) headers are read. Raw data is laid out with
-the first axis fastest, as usual for this format.
+the first axis fastest, as usual for this format, and is written a slab
+of z planes at a time, so a write holds no converted copy of the grid.
+
+Payloads are read on first use. :func:`load_case` checks the header,
+type and payload size of every file of a case, reading no payload, so a
+malformed or truncated file fails before any work on the case and the
+error names it. Each volume or mask is read when the case is first asked
+for it, and kept; a command reads only what it uses (``sift`` reads the
+first two DCE frames and the breast mask).
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .volume import BinaryMask, BreastCase, Volume3D, VolumeError
+from .volume import BinaryMask, BreastCase, Pending, Volume3D, VolumeError
 from .volume import breast_mask as compute_breast_mask
 from .volume import fat_mask as compute_fat_mask
 
@@ -58,38 +66,48 @@ def _format_header(dtype, sizes, spacings, data_file: str | None = None) -> str:
     return "\n".join(lines) + "\n\n"
 
 
-def _write_nrrd(path: Path, arr: np.ndarray, spacings) -> None:
+# slabs a payload is written in: each converts at most 1/16 of the grid
+_WRITE_SLABS = 16
+
+
+def _write_nrrd(path: Path, data: np.ndarray, spacings, dtype, convert) -> None:
+    """Write ``data`` as NRRD of ``dtype``; ``convert`` maps a slab of z
+    planes of ``data`` to ``dtype`` values. The payload is converted and
+    written slab by slab, in the file's order, so no converted copy of
+    the whole grid is ever held."""
     path = Path(path)
-    raw = np.asfortranarray(arr)
-    if raw.dtype.byteorder == ">":
-        raw = raw.astype(raw.dtype.newbyteorder("<"))
+    dtype = np.dtype(dtype).newbyteorder("<")
     if path.suffix == ".nhdr":
-        data_name = path.with_suffix(".raw").name
-        header = _format_header(arr.dtype.type, arr.shape, spacings, data_file=data_name)
-        path.write_text(header)
-        path.with_suffix(".raw").write_bytes(raw.tobytes(order="F"))
+        payload = path.with_suffix(".raw")
+        path.write_text(_format_header(dtype.type, data.shape, spacings,
+                                       data_file=payload.name))
+        header = b""
     else:
-        with open(path, "wb") as fh:
-            fh.write(_format_header(arr.dtype.type, arr.shape, spacings).encode("ascii"))
-            fh.write(raw.tobytes(order="F"))
+        payload = path
+        header = _format_header(dtype.type, data.shape, spacings).encode("ascii")
+    nz = data.shape[2]
+    step = -(-nz // _WRITE_SLABS)
+    with open(payload, "wb") as fh:
+        fh.write(header)
+        # z varies slowest in the file, so the slabs follow each other
+        for k in range(0, nz, step):
+            fh.write(convert(data[:, :, k:k + step]).astype(dtype).tobytes(order="F"))
 
 
-def _parse_header(blob: bytes, path: Path):
-    try:
-        nl = blob.index(b"\n")
-    except ValueError:
+def _parse_header(fh, path: Path) -> dict[str, str]:
+    """The header's fields, read line by line up to the blank line that
+    ends them, which leaves ``fh`` at the first payload byte."""
+    magic = fh.readline()
+    if not magic.endswith(b"\n"):
         raise NrrdError(f"{path}: truncated header")
-    if not blob[:nl].decode("ascii", "replace").startswith(_MAGIC):
+    if not magic.decode("ascii", "replace").startswith(_MAGIC):
         raise NrrdError(f"{path}: missing NRRD magic")
     fields: dict[str, str] = {}
-    pos = nl + 1
     while True:
-        end = blob.find(b"\n", pos)
-        if end < 0:
-            pos = len(blob)
+        raw = fh.readline()
+        if not raw.endswith(b"\n"):  # the file ends inside the header
             break
-        line = blob[pos:end].decode("ascii", "replace").rstrip("\r")
-        pos = end + 1
+        line = raw[:-1].decode("ascii", "replace").rstrip("\r")
         if line == "":
             break
         if line.startswith("#"):
@@ -98,13 +116,31 @@ def _parse_header(blob: bytes, path: Path):
             raise NrrdError(f"{path}: bad header line {line!r}")
         key, value = line.split(":", 1)
         fields[key.strip().lower()] = value.strip()
-    return fields, pos
+    return fields
 
 
-def _read_nrrd(path) -> tuple[np.ndarray, tuple[float, ...]]:
+@dataclass(frozen=True)
+class _Header:
+    """A checked header: the payload's type and grid, and where it lies."""
+
+    dtype: np.dtype
+    sizes: tuple[int, int, int]
+    spacings: tuple[float, float, float]
+    payload: Path
+    offset: int
+
+
+# the type each loader takes, by what it loads
+_KIND_TYPES = {"volume": np.uint16, "mask": np.uint8}
+
+
+def _read_header(path, kind: str) -> _Header:
+    """Parse and check the header of a ``kind`` file, and check that the
+    payload it describes is all there, reading no payload byte."""
     path = Path(path)
-    blob = path.read_bytes()
-    fields, data_offset = _parse_header(blob, path)
+    with open(path, "rb") as fh:
+        fields = _parse_header(fh, path)
+        offset = fh.tell()
 
     for required in ("type", "sizes", "spacings"):
         if required not in fields:
@@ -133,7 +169,11 @@ def _read_nrrd(path) -> tuple[np.ndarray, tuple[float, ...]]:
     if not all(np.isfinite(s) and s > 0 for s in spacings):
         raise NrrdError(
             f"{path}: spacings must be finite and positive, got {fields['spacings']!r}")
+    wanted = _KIND_TYPES[kind]
+    if dtype.type is not wanted:
+        raise NrrdError(f"{path}: {kind} files must be {_TYPE_NAMES[wanted]}")
 
+    payload = path
     if "data file" in fields:
         name = fields["data file"]
         # the writer names <stem>.raw beside the header; anything else
@@ -141,16 +181,28 @@ def _read_nrrd(path) -> tuple[np.ndarray, tuple[float, ...]]:
         if name in ("", ".", "..") or Path(name).name != name or "\\" in name:
             raise NrrdError(f"{path}: field 'data file' must name a file in the "
                             f"header's directory, got {name!r}")
-        raw = (path.parent / name).read_bytes()
-    else:
-        raw = memoryview(blob)[data_offset:]  # a view: no copy of the payload
-    count = int(np.prod(sizes))
-    expected = count * dtype.itemsize
-    if len(raw) < expected:
-        raise NrrdError(f"{path}: raw payload too short ({len(raw)} < {expected} bytes)")
-    # read-only over the file's bytes; the loaders convert it in one pass
-    arr = np.frombuffer(raw, dtype=dtype, count=count).reshape(sizes, order="F")
-    return arr, spacings
+        payload, offset = path.parent / name, 0
+    header = _Header(dtype, sizes, spacings, payload, offset)
+    _check_length(path, header, payload.stat().st_size - offset)
+    return header
+
+
+def _check_length(path, header: _Header, length: int) -> None:
+    expected = math.prod(header.sizes) * header.dtype.itemsize
+    if length < expected:
+        raise NrrdError(f"{path}: raw payload too short ({length} < {expected} bytes)")
+
+
+def _read_nrrd(path, kind: str) -> tuple[np.ndarray, tuple[float, ...]]:
+    """The payload of a ``kind`` file as an array of the file's type on
+    its grid (Fortran order, as stored), and its spacings."""
+    header = _read_header(path, kind)
+    arr = np.empty(header.sizes, dtype=header.dtype, order="F")
+    with open(header.payload, "rb") as fh:
+        fh.seek(header.offset)
+        length = fh.readinto(arr.reshape(-1, order="A"))
+    _check_length(path, header, length)  # the file may have shrunk since
+    return arr, header.spacings
 
 
 def save_volume(path, volume: Volume3D) -> None:
@@ -159,25 +211,24 @@ def save_volume(path, volume: Volume3D) -> None:
     Values are rounded and clipped to [0, 65535]; volumes that already
     hold 16-bit integers round-trip bit-exactly.
     """
-    arr = np.clip(np.round(volume.data), 0, 65535).astype(np.uint16)
-    _write_nrrd(Path(path), arr, volume.spacing)
+    def convert(slab):
+        values = np.round(slab)
+        return np.clip(values, 0, 65535, out=values)
+
+    _write_nrrd(Path(path), volume.data, volume.spacing, np.uint16, convert)
 
 
 def load_volume(path) -> Volume3D:
-    arr, spacings = _read_nrrd(path)
-    if arr.dtype != np.uint16:
-        raise NrrdError(f"{path}: volume files must be unsigned short")
+    arr, spacings = _read_nrrd(path, "volume")
     return Volume3D(np.ascontiguousarray(arr, dtype=np.float64), spacings)
 
 
 def save_mask(path, mask: BinaryMask) -> None:
-    _write_nrrd(Path(path), mask.data.astype(np.uint8), mask.spacing)
+    _write_nrrd(Path(path), mask.data, mask.spacing, np.uint8, lambda slab: slab)
 
 
 def load_mask(path) -> BinaryMask:
-    arr, spacings = _read_nrrd(path)
-    if arr.dtype != np.uint8:
-        raise NrrdError(f"{path}: mask files must be unsigned char")
+    arr, spacings = _read_nrrd(path, "mask")
     bad = np.unique(arr[arr > 1])
     if bad.size:
         raise NrrdError(f"{path}: mask values must be 0/1, found {bad[:4].tolist()}")
@@ -328,7 +379,8 @@ _CASE_FIELDS = (
     ("side", True, of_type(str), "a string"),
     ("t1", True, of_type(str), "a file name"),
     ("t2", True, of_type(str), "a file name"),
-    ("dce", True, list_of(of_type(str)), "a list of file names"),
+    ("dce", True, lambda v: list_of(of_type(str))(v) and len(v) >= 2,
+     "a list of file names, at least two"),
     ("acquisition_times", True, increasing_list_of(is_finite),
      "a list of numbers, finite and strictly increasing"),
     ("ground_truth", False, list_of(of_type(str)), "a list of file names"),
@@ -349,6 +401,10 @@ def load_manifest(path) -> list[CaseRecord]:
     for i, entry in enumerate(doc["cases"]):
         where = f"{path}: manifest cases[{i}]"
         check_fields(entry, _CASE_FIELDS, where, NrrdError)
+        n_times, n_frames = len(entry["acquisition_times"]), len(entry["dce"])
+        if n_times != n_frames:
+            raise NrrdError(f"{where}: field 'acquisition_times' must hold one time per "
+                            f"DCE frame, has {n_times} for {n_frames}")
         records.append(CaseRecord(
             case_id=entry["case_id"],
             side=entry["side"],
@@ -366,25 +422,34 @@ def load_manifest(path) -> list[CaseRecord]:
     return records
 
 
-def load_case(record: CaseRecord) -> BreastCase:
-    """Materialise a case from disk.
+def _pending(path: Path, kind: str) -> Pending:
+    """A volume or mask file whose header, type and size are checked now
+    and whose payload is read on first use."""
+    header = _read_header(path, kind)
+    read = (lambda: load_volume(path)) if kind == "volume" else (lambda: load_mask(path))
+    return Pending(header.sizes, header.spacings, str(path), read)
 
-    Breast and fat masks are loaded when the manifest provides them and
-    derived from T1 otherwise.
+
+def load_case(record: CaseRecord) -> BreastCase:
+    """The case a record describes.
+
+    Every file's header, type and size are checked here, so a malformed
+    or truncated file fails now and is named; each payload is read when
+    the case first uses it, and kept. Breast and fat masks the manifest
+    does not name are derived from T1 here.
     """
     base = record.base_dir
-    t1 = load_volume(base / record.t1)
-    t2 = load_volume(base / record.t2)
-    dce = [load_volume(base / p) for p in record.dce]
-    gts = [load_mask(base / p) for p in record.ground_truth]
-    if record.breast_mask:
-        breast = load_mask(base / record.breast_mask)
-    else:
-        breast = compute_breast_mask(t1)
-    if record.fat_mask:
-        fat = load_mask(base / record.fat_mask)
-    else:
-        fat = compute_fat_mask(t1, breast)
+    t1 = _pending(base / record.t1, "volume")
+    t2 = _pending(base / record.t2, "volume")
+    dce = [_pending(base / p, "volume") for p in record.dce]
+    gts = [_pending(base / p, "mask") for p in record.ground_truth]
+    breast = record.breast_mask and _pending(base / record.breast_mask, "mask")
+    fat = record.fat_mask and _pending(base / record.fat_mask, "mask")
+    if not (breast and fat):
+        # a derived mask needs the values of T1, and the fat mask the breast's
+        t1 = t1.read()
+        breast = breast.read() if breast else compute_breast_mask(t1)
+        fat = fat or compute_fat_mask(t1, breast)
     return BreastCase(
         case_id=record.case_id,
         side=record.side,

@@ -200,6 +200,30 @@ def _breast_masks(dims, spacing):
     return breast, gland
 
 
+# width of the bright T2 shell around a rim lesion
+_RIM_MM = 2.0
+
+
+def rim_shell(region: np.ndarray, spacing, reach_mm: float):
+    """``(box, near)``: the voxels outside ``region`` within ``reach_mm``
+    of it, as a boolean ``near`` on the grid's sub-box ``box``.
+
+    The box is the region's bounding box grown by
+    ``ceil(reach_mm / s) + 1`` voxels per axis and clipped to the grid.
+    It holds every voxel in reach and every region voxel, so each
+    distance is to the same nearest region voxel as on the whole grid.
+    """
+    box = []
+    for axis, s in enumerate(spacing):
+        hit = np.flatnonzero(region.any(axis=tuple(a for a in range(3) if a != axis)))
+        pad = math.ceil(reach_mm / s) + 1
+        box.append(slice(max(0, hit[0] - pad), min(region.shape[axis], hit[-1] + 1 + pad)))
+    box = tuple(box)
+    outside = ~region[box]
+    near = ndimage.distance_transform_edt(outside, sampling=spacing) <= reach_mm
+    return box, near & outside
+
+
 def generate_case(spec: PhantomSpec):
     """Materialise one case: (BreastCase, ground truths, malignancy labels).
 
@@ -233,8 +257,8 @@ def generate_case(spec: PhantomSpec):
     for lesion, m in zip(spec.lesions, truths):
         t2[m.data] = spec.t2_lesion
         if lesion.rim:
-            near = ndimage.distance_transform_edt(~m.data, sampling=spacing) <= 2.0
-            t2[near & ~m.data & breast & ~lesion_union] = spec.t2_rim
+            box, near = rim_shell(m.data, spacing, _RIM_MM)
+            t2[box][near & breast[box] & ~lesion_union[box]] = spec.t2_rim
 
     pre = np.full(dims, DCE_BG)
     pre[gland] = DCE_GLAND
@@ -379,45 +403,49 @@ def suite_specs(n_cases: int, seed: int = 0, *, dims=(112, 112, 56),
     return specs
 
 
+def _write_case(spec: PhantomSpec, out_dir: Path, split: str) -> CaseRecord:
+    """Make one case and write its files; its arrays are freed on return,
+    before the next case is made."""
+    case, truths, malignant = generate_case(spec)
+    case_dir = out_dir / spec.case_id
+    case_dir.mkdir(exist_ok=True)
+    save_volume(case_dir / "t1.nrrd", case.t1)
+    save_volume(case_dir / "t2.nrrd", case.t2)
+    dce_paths = []
+    for j, frame in enumerate(case.dce):
+        p = f"{spec.case_id}/dce_{j}.nrrd"
+        save_volume(out_dir / p, frame)
+        dce_paths.append(p)
+    save_mask(case_dir / "breast.nrrd", case.breast_mask)
+    save_mask(case_dir / "fat.nrrd", case.fat_mask)
+    gt_paths = []
+    for j, m in enumerate(truths):
+        p = f"{spec.case_id}/gt_{j}.nrrd"
+        save_mask(out_dir / p, m)
+        gt_paths.append(p)
+    return CaseRecord(
+        case_id=spec.case_id,
+        side=spec.side,
+        t1=f"{spec.case_id}/t1.nrrd",
+        t2=f"{spec.case_id}/t2.nrrd",
+        dce=dce_paths,
+        acquisition_times=list(spec.times),
+        ground_truth=gt_paths,
+        malignant=malignant,
+        split=split,
+        breast_mask=f"{spec.case_id}/breast.nrrd",
+        fat_mask=f"{spec.case_id}/fat.nrrd",
+        base_dir=out_dir,
+    )
+
+
 def generate_suite(n_cases: int, seed: int, out_dir, **suite_kwargs
                    ) -> list[CaseRecord]:
     """Write a phantom dataset (NRRD volumes + JSON manifest) to disk."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     specs = suite_specs(n_cases, seed, **suite_kwargs)
-    records = []
-    for i, spec in enumerate(specs):
-        case, truths, malignant = generate_case(spec)
-        case_dir = out_dir / spec.case_id
-        case_dir.mkdir(exist_ok=True)
-        save_volume(case_dir / "t1.nrrd", case.t1)
-        save_volume(case_dir / "t2.nrrd", case.t2)
-        dce_paths = []
-        for j, frame in enumerate(case.dce):
-            p = f"{spec.case_id}/dce_{j}.nrrd"
-            save_volume(out_dir / p, frame)
-            dce_paths.append(p)
-        save_mask(case_dir / "breast.nrrd", case.breast_mask)
-        save_mask(case_dir / "fat.nrrd", case.fat_mask)
-        gt_paths = []
-        for j, m in enumerate(truths):
-            p = f"{spec.case_id}/gt_{j}.nrrd"
-            save_mask(out_dir / p, m)
-            gt_paths.append(p)
-        del case, truths  # written: free them before the next case is made
-        records.append(CaseRecord(
-            case_id=spec.case_id,
-            side=spec.side,
-            t1=f"{spec.case_id}/t1.nrrd",
-            t2=f"{spec.case_id}/t2.nrrd",
-            dce=dce_paths,
-            acquisition_times=list(spec.times),
-            ground_truth=gt_paths,
-            malignant=malignant,
-            split="train" if i < n_cases // 2 else "test",
-            breast_mask=f"{spec.case_id}/breast.nrrd",
-            fat_mask=f"{spec.case_id}/fat.nrrd",
-            base_dir=out_dir,
-        ))
+    records = [_write_case(spec, out_dir, "train" if i < n_cases // 2 else "test")
+               for i, spec in enumerate(specs)]
     save_manifest(out_dir / "manifest.json", records)
     return records

@@ -12,7 +12,8 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Callable, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage, sparse
@@ -91,55 +92,122 @@ class BinaryMask:
         return d0 * d1 * d2
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
+class Pending:
+    """A volume or mask of a case before its data is read: the grid its
+    header gives, the file it comes from and how to read it."""
+
+    dims: tuple[int, int, int]
+    spacing: tuple[float, float, float]
+    source: str
+    read: Callable[[], Volume3D | BinaryMask]
+
+
+def _made(item):
+    """``item``, or the volume or mask a Pending reads, on the grid its
+    header gave when the case was made."""
+    if not isinstance(item, Pending):
+        return item
+    value = item.read()
+    if value.dims != item.dims or value.spacing != item.spacing:
+        raise VolumeError(f"{item.source}: grid changed after the case was loaded")
+    return value
+
+
+class _OnFirstUse:
+    """A case field that may hold a Pending: its first read makes the
+    volume or mask and keeps it in the Pending's place."""
+
+    def __set_name__(self, owner, name):
+        self.slot = f"_{name}"
+
+    def __get__(self, case, owner=None):
+        if case is None:
+            return self
+        value = _made(getattr(case, self.slot))
+        setattr(case, self.slot, value)
+        return value
+
+    def __set__(self, case, value):
+        setattr(case, self.slot, value)
+
+
+class _OnFirstUseList(Sequence):
+    """The DCE frames or ground truths of a case, as :class:`_OnFirstUse`
+    keeps one volume: an item that is a Pending is read when first
+    indexed and kept."""
+
+    def __init__(self, items):
+        self._items = list(items)
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        self._items[i] = value = _made(self._items[i])
+        return value
+
+
 class BreastCase:
     """One breast: anatomical sequences, DCE series and masks.
 
     ``dce[0]`` is the pre-contrast frame; ``acquisition_times`` are
     seconds from contrast injection, one per DCE frame, strictly
-    increasing.
+    increasing. Any volume or mask may be given as a :class:`Pending`;
+    the checks here read only its grid, and its data is read when the
+    case first uses it.
     """
 
-    case_id: str
-    side: str
-    t1: Volume3D
-    t2: Volume3D
-    dce: list[Volume3D]
-    acquisition_times: list[float]
-    breast_mask: BinaryMask
-    fat_mask: BinaryMask
-    ground_truth: list[BinaryMask] = field(default_factory=list)
+    t1 = _OnFirstUse()
+    t2 = _OnFirstUse()
+    breast_mask = _OnFirstUse()
+    fat_mask = _OnFirstUse()
 
-    def __post_init__(self):
-        if self.side not in ("left", "right"):
-            raise VolumeError(f"side must be 'left' or 'right', got {self.side!r}")
-        if len(self.dce) < 2:
-            raise VolumeError("need at least a pre-contrast and one post-contrast DCE frame")
-        if len(self.acquisition_times) != len(self.dce):
-            raise VolumeError("one acquisition time per DCE frame required")
-        times = np.asarray(self.acquisition_times, dtype=float)
-        if not np.all(np.diff(times) > 0):
-            raise VolumeError("acquisition times must be strictly increasing")
-        ref = self.t1
-        d, dy, _ = ref.spacing
+    def __init__(self, case_id: str, side: str, t1, t2, dce, acquisition_times,
+                 breast_mask, fat_mask, ground_truth=()):
+        dce, ground_truth = list(dce), list(ground_truth)
+        where = f"case {case_id!r}"
+        if side not in ("left", "right"):
+            raise VolumeError(f"{where}: side must be 'left' or 'right', got {side!r}")
+        if len(dce) < 2:
+            raise VolumeError(
+                f"{where}: need at least a pre-contrast and one post-contrast DCE frame")
+        if len(acquisition_times) != len(dce):
+            raise VolumeError(f"{where}: {len(acquisition_times)} acquisition times for "
+                              f"{len(dce)} DCE frames; one per frame required")
+        if not np.all(np.diff(np.asarray(acquisition_times, dtype=float)) > 0):
+            raise VolumeError(f"{where}: acquisition times must be strictly increasing")
+
+        def name(item, field_name):
+            return item.source if isinstance(item, Pending) else field_name
+
+        d, dy, _ = t1.spacing
         if abs(d - dy) > 1e-9:
-            raise VolumeError("axial in-plane spacing must be equal in x and y")
-        vols = [self.t2, *self.dce]
-        masks = [self.breast_mask, self.fat_mask, *self.ground_truth]
-        for v in vols:
-            if v.dims != ref.dims or not np.allclose(v.spacing, ref.spacing):
-                raise VolumeError("all sequences must share dims and spacing")
-        for m in masks:
-            if m.dims != ref.dims:
-                raise VolumeError("all masks must share the case grid")
-
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        return self.t1.dims
-
-    @property
-    def spacing(self) -> tuple[float, float, float]:
-        return self.t1.spacing
+            raise VolumeError(f"{where}: {name(t1, 't1')}: axial in-plane spacing must "
+                              f"be equal in x and y, got {t1.spacing}")
+        ref = f"{name(t1, 't1')} has {t1.dims} at {t1.spacing} mm"
+        for field_name, v in (("t2", t2), *((f"dce[{i}]", f) for i, f in enumerate(dce))):
+            if v.dims != t1.dims or not np.allclose(v.spacing, t1.spacing):
+                raise VolumeError(
+                    f"{where}: {name(v, field_name)} has {v.dims} at {v.spacing} mm, "
+                    f"{ref}: all sequences must share dims and spacing")
+        masks = (("breast_mask", breast_mask), ("fat_mask", fat_mask),
+                 *((f"ground_truth[{i}]", m) for i, m in enumerate(ground_truth)))
+        for field_name, m in masks:
+            if m.dims != t1.dims:
+                raise VolumeError(f"{where}: {name(m, field_name)} has {m.dims}, "
+                                  f"{ref}: all masks must share the case grid")
+        self.case_id = case_id
+        self.side = side
+        self.t1, self.t2 = t1, t2
+        self.dce = _OnFirstUseList(dce)
+        self.acquisition_times = acquisition_times
+        self.breast_mask, self.fat_mask = breast_mask, fat_mask
+        self.ground_truth = _OnFirstUseList(ground_truth)
+        self.dims: tuple[int, int, int] = t1.dims
+        self.spacing: tuple[float, float, float] = t1.spacing
 
 
 # ---------------------------------------------------------------------------

@@ -208,6 +208,12 @@ def ball_mask(dims, spacing, centre_mm, radius_mm) -> np.ndarray:
     return d2 <= radius_mm ** 2
 
 
+def rim_shell_whole_grid(region: np.ndarray, spacing, reach_mm: float) -> np.ndarray:
+    """Voxels outside ``region`` within ``reach_mm`` of it, from one
+    distance transform of the whole grid."""
+    return (ndimage.distance_transform_edt(~region, sampling=spacing) <= reach_mm) & ~region
+
+
 def dice(a: np.ndarray, b: np.ndarray) -> float:
     a = a.astype(bool)
     b = b.astype(bool)

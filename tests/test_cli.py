@@ -3,13 +3,14 @@
 import hashlib
 import json
 import shutil
+import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from siftcad import cli, evaluation
+from siftcad import cli, evaluation, nrrd_io
 from siftcad.classifiers import (
     DEFAULT_RF_NTREE_GRID,
     LabeledSample,
@@ -607,6 +608,69 @@ class TestMutatedManifestsAndConfigs:
                              "--config", str(config))
         assert rc == EXIT_RUNTIME
         assert f"{config}: config is not UTF-8 text" in err
+
+
+class TestReadsOnFirstUse:
+    """Each command reads a payload only when it uses the volume, and
+    still rejects a bad file of a case before sifting that case."""
+
+    def test_sift_reads_only_the_frames_and_the_mask_it_sifts(
+            self, workspace, tmp_path, monkeypatch):
+        reads = []
+        for name in ("load_volume", "load_mask"):
+            load = getattr(nrrd_io, name)
+            monkeypatch.setattr(nrrd_io, name,
+                                lambda path, load=load: reads.append(path) or load(path))
+        manifest = workspace / "data/manifest.json"
+        assert main(["sift", "--manifest", str(manifest),
+                     "--out", str(tmp_path / "out")]) == EXIT_OK
+        record = load_manifest(manifest)[0]
+        assert sorted(reads) == sorted(workspace / "data" / p for p in
+                                       (*record.dce[:2], record.breast_mask))
+
+    @pytest.mark.parametrize("field", ["t2", "dce", "ground_truth", "fat_mask"])
+    def test_truncated_file_fails_before_sifting(self, workspace, tmp_path, capsys,
+                                                 monkeypatch, field):
+        data = tmp_path / "data"
+        shutil.copytree(workspace / "data", data)
+        record = load_manifest(data / "manifest.json")[0]  # sifted first by every command
+        path = data / {"t2": record.t2, "dce": record.dce[-1],
+                       "ground_truth": record.ground_truth[0],
+                       "fat_mask": record.fat_mask}[field]
+        path.write_bytes(path.read_bytes()[:-3])
+
+        def no_sifting(case, **kw):
+            raise AssertionError("a case was sifted before its files were checked")
+
+        monkeypatch.setattr(cli, "generate_candidates", no_sifting)
+        monkeypatch.setattr(evaluation, "generate_candidates", no_sifting)
+        manifest = str(data / "manifest.json")
+        for argv in (["sift", "--manifest", manifest],
+                     ["train", "--manifest", manifest],
+                     ["detect", "--manifest", manifest, "--split", "all",
+                      "--models", str(workspace / "models")]):
+            rc = main(argv + ["--out", str(tmp_path / argv[0])])
+            err = capsys.readouterr().err
+            assert rc == EXIT_RUNTIME, argv[0]
+            assert f"{path}: raw payload too short" in err and "Traceback" not in err, err
+
+    # the two frames it sifts and the breast mask, and the working grids of
+    # generate_candidates (about seven); reading every volume of the case
+    # and writing through full-grid temporaries made it 13
+    def test_sift_peak_in_grids(self, tmp_path):
+        dims = (64, 64, 32)
+        generate_suite(1, 3, tmp_path / "data", dims=dims, spacing=(0.7, 0.7, 1.3))
+        argv = ["sift", "--manifest", str(tmp_path / "data" / "manifest.json"),
+                "--out", str(tmp_path / "out")]
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            assert main(argv) == EXIT_OK
+            rise = tracemalloc.get_traced_memory()[1] - entry
+        finally:
+            tracemalloc.stop()
+        assert rise / (8 * np.prod(dims)) <= 10
 
 
 class TestPhantomCommand:

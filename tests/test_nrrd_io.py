@@ -1,6 +1,12 @@
+import json
+import tracemalloc
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from siftcad import nrrd_io
 from siftcad.nrrd_io import (
     CaseRecord,
     NrrdError,
@@ -12,7 +18,8 @@ from siftcad.nrrd_io import (
     save_mask,
     save_volume,
 )
-from siftcad.volume import BinaryMask, Volume3D
+from siftcad.phantom import generate_suite
+from siftcad.volume import BinaryMask, Volume3D, VolumeError
 
 
 def random_u16_volume(rng, dims=(8, 8, 8), spacing=(0.7, 0.7, 1.3)):
@@ -238,3 +245,139 @@ def test_manifest_missing_field(tmp_path):
     (tmp_path / "manifest.json").write_text('{"cases": [{"case_id": "x"}]}')
     with pytest.raises(NrrdError, match="missing field"):
         load_manifest(tmp_path / "manifest.json")
+
+
+@pytest.mark.parametrize("suffix", [".nrrd", ".nhdr"])
+@pytest.mark.parametrize("nz", [1, 5, 16, 17, 40])
+def test_slab_writer_matches_whole_grid_conversion(tmp_path, suffix, nz):
+    rng = np.random.default_rng(nz)
+    dims = (6, 7, nz)
+    # out-of-range values, halves (round to even) and integers
+    data = rng.uniform(-20.0, 70000.0, dims)
+    data.ravel()[::7] = np.floor(data.ravel()[::7]) + 0.5
+    data.ravel()[::5] = np.round(data.ravel()[::5])
+    mask = rng.random(dims) > 0.5
+    vol_path, mask_path = tmp_path / f"v{suffix}", tmp_path / f"m{suffix}"
+    save_volume(vol_path, Volume3D(data, (0.7, 0.7, 1.3)))
+    save_mask(mask_path, BinaryMask(mask, (0.7, 0.7, 1.3)))
+    want = np.clip(np.round(data), 0, 65535).astype("<u2").tobytes(order="F")
+    assert _payload(vol_path) == want
+    assert _payload(mask_path) == mask.astype(np.uint8).tobytes(order="F")
+
+
+def test_writes_hold_no_converted_copy_of_the_grid(tmp_path):
+    rng = np.random.default_rng(8)
+    dims = (64, 64, 40)
+    volume = Volume3D(rng.uniform(-10.0, 70000.0, dims), (1.0, 1.0, 1.0))
+    mask = BinaryMask(rng.random(dims) > 0.5, (1.0, 1.0, 1.0))
+    for save, data, grid_bytes in ((save_volume, volume, volume.data.nbytes),
+                                   (save_mask, mask, mask.data.nbytes)):
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            save(tmp_path / "out.nrrd", data)
+            rise = tracemalloc.get_traced_memory()[1] - entry
+        finally:
+            tracemalloc.stop()
+        assert rise <= 0.5 * grid_bytes, (save.__name__, rise / grid_bytes)
+
+
+def _case_on_disk(tmp_path):
+    records = generate_suite(1, 4, tmp_path, dims=(40, 40, 20),
+                             diameter_range_mm=(5.0, 8.0))
+    return records[0]
+
+
+def _record_reads(monkeypatch):
+    """Paths whose payload is read, in order, through the loaders the
+    cases look up when they first use a volume or mask."""
+    reads = []
+    for name in ("load_volume", "load_mask"):
+        load = getattr(nrrd_io, name)
+
+        def recorded(path, load=load):
+            reads.append(Path(path))
+            return load(path)
+
+        monkeypatch.setattr(nrrd_io, name, recorded)
+    return reads
+
+
+def test_load_case_reads_each_payload_on_first_use_and_keeps_it(tmp_path, monkeypatch):
+    record = _case_on_disk(tmp_path)
+    reads = _record_reads(monkeypatch)
+    case = load_case(record)
+    assert reads == []
+    assert case.dims == (40, 40, 20) and case.spacing == (0.8, 0.8, 1.3)
+    assert len(case.dce) == 4 and len(case.ground_truth) == 1
+    assert reads == []
+    first = case.dce[1]
+    assert case.dce[1] is first
+    assert reads == [tmp_path / record.dce[1]]
+    case.breast_mask, case.t2, case.breast_mask
+    assert reads[1:] == [tmp_path / record.breast_mask, tmp_path / record.t2]
+    assert np.array_equal(case.dce[1].data, load_volume(tmp_path / record.dce[1]).data)
+
+    # a mask the manifest does not name is derived from T1 as the case is made
+    reads.clear()
+    case = load_case(replace(record, fat_mask=None))
+    assert reads == [tmp_path / record.t1, tmp_path / record.breast_mask]
+    case.fat_mask, case.t1
+    assert len(reads) == 2
+
+
+def test_load_case_checks_every_file_before_reading_a_payload(tmp_path, monkeypatch):
+    record = _case_on_disk(tmp_path)
+    reads = _record_reads(monkeypatch)
+    names = [record.t1, record.t2, *record.dce, *record.ground_truth,
+             record.breast_mask, record.fat_mask]
+    for name in names:
+        path = tmp_path / name
+        blob = path.read_bytes()
+        path.write_bytes(blob[:-1])
+        with pytest.raises(NrrdError, match="too short") as err:
+            load_case(record)
+        assert str(path) in str(err.value)
+        path.write_bytes(blob)
+    # a mask where a volume belongs, and a volume where a mask belongs
+    for name, other, message in ((record.t2, record.fat_mask, "volume files must be"),
+                                 (record.ground_truth[0], record.t1, "mask files must be")):
+        path = tmp_path / name
+        blob = path.read_bytes()
+        path.write_bytes((tmp_path / other).read_bytes())
+        with pytest.raises(NrrdError, match=message) as err:
+            load_case(record)
+        assert str(path) in str(err.value)
+        path.write_bytes(blob)
+    assert reads == []
+
+
+@pytest.mark.parametrize("field", ["t2", "dce", "ground_truth", "fat_mask"])
+def test_grid_errors_name_the_case_and_the_file(tmp_path, field):
+    record = _case_on_disk(tmp_path)
+    name = {"t2": record.t2, "dce": record.dce[2], "ground_truth": record.ground_truth[0],
+            "fat_mask": record.fat_mask}[field]
+    path = tmp_path / name
+    if field in ("t2", "dce"):
+        save_volume(path, Volume3D(np.zeros((40, 40, 21)), (0.8, 0.8, 1.3)))
+    else:
+        save_mask(path, BinaryMask(np.zeros((40, 41, 20), bool), (0.8, 0.8, 1.3)))
+    with pytest.raises(VolumeError, match="must share") as err:
+        load_case(record)
+    assert f"case {record.case_id!r}" in str(err.value) and str(path) in str(err.value)
+
+
+@pytest.mark.parametrize("times, dce, message", [
+    ([0.0, 90.0, 180.0], ["a.nrrd", "b.nrrd", "c.nrrd", "d.nrrd"],
+     "field 'acquisition_times' must hold one time per DCE frame, has 3 for 4"),
+    ([0.0], ["a.nrrd"], "field 'dce' must be a list of file names, at least two"),
+], ids=["times_per_frame", "one_frame"])
+def test_manifest_names_a_frame_count_error(tmp_path, times, dce, message):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"cases": [
+        {"case_id": "c", "side": "left", "t1": "t1.nrrd", "t2": "t2.nrrd",
+         "dce": dce, "acquisition_times": times}]}))
+    with pytest.raises(NrrdError) as err:
+        load_manifest(path)
+    assert str(err.value) == f"{path}: manifest cases[0]: {message}"
