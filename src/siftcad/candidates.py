@@ -198,8 +198,10 @@ def generate_candidates(
     for m, (scaled, mask_m) in enumerate(ladder, start=1):
         if mask_m.count == 0:
             continue
-        # the raw response is dropped as soon as its 16-bit map exists
-        f16 = normalize16(ms3d(scaled, plan, n_orient), mask_m)
+        # normalize16 reads the response inside the mask alone, so ms3d
+        # sifts only the mask's slices; the raw response is dropped as
+        # soon as its 16-bit map exists
+        f16 = normalize16(ms3d(scaled, plan, n_orient, mask=mask_m), mask_m)
         if responses is not None:
             responses[m] = f16
         try:

@@ -29,9 +29,9 @@ two halves overlap, and min and max are idempotent, so the views'
 extreme is exactly the run's: terms are regrouped, never approximated.
 The filters take the slice plane on the first two axes and treat
 trailing axes as a stack, so ``ms3d`` sifts C-contiguous blocks of
-consecutive slices (about 256 KB each, in either dtype) in one pass and
-``ms2d`` is the single-slice case of the same path; work arrays are
-reused from block to block. ``ms3d`` copies each view's slices once
+consecutive slices (about 256 KB each, in any working dtype) in one
+pass and ``ms2d`` is the single-slice case of the same path; work arrays
+are reused from block to block. ``ms3d`` copies each view's slices once
 into block-major order, so that every block is a contiguous chunk of
 the copy, writes each block's response over it and adds the copy to
 the sum in one strided pass: gathering and scattering the blocks one at
@@ -40,18 +40,41 @@ min/max set, subtraction and sum sequence as a slice-by-slice
 evaluation (orientations in ascending order, views axial + sagittal +
 coronal, added to zero in float64), so the result is bit-equal to it.
 
-Precision: ``ms3d`` and ``ms2d`` filter in float32 when every input
-value is an integer, ``|v| <= 2**24`` and ``n_orient * (max - min) <=
-2**24`` (:func:`_work_dtype`), and in float64 otherwise. float32 holds
-every integer up to 2**24 exactly; min and max only pick input values;
-a top-hat ``f - open(f)`` lies in [0, max - min]; and a view sums
-``n_orient`` such terms, so every float32 value is the integer float64
-computes. Each sum starts at +0.0, so signed zeros never reach the
-output, and the cross-view sum is float64 as before: the result is
-bit-equal to a float64 evaluation and the passes move half the bytes.
-The subtraction volumes of the pipeline are differences of unsigned
-short scans, so their scale-1 sifting always takes float32; the
-decimated scales are not integer-valued and take float64.
+Mask: ``ms3d(volume, plan, n_orient, mask)`` sifts each view only over
+the range of its slices that holds a mask voxel. A view's response at a
+voxel reads that voxel's slice alone, and every mask voxel lies in a
+sifted slice of all three views, so the result equals the unmasked one
+at every mask voxel; elsewhere it lacks the terms of the views that
+skipped the voxel's slice. :func:`normalize16` reads the mask's voxels
+only, so candidate generation passes the scale's breast mask.
+
+Precision: ``ms3d`` and ``ms2d`` filter in the first dtype of the
+ladder int16, float32, float64 in which every step is exact
+(:func:`_work_dtype`). Both narrow rungs need every input value to be
+an integer. Min and max only pick input values, a top-hat ``f -
+open(f)`` lies in [0, max - min], and a view sums ``n_orient`` such
+terms:
+
+- int16 needs the values in [-32768, 32767], ``max - min <= 32767`` so
+  that every top-hat fits, and ``n_orient * (max - min) < 2**31``; each
+  view's top-hats are summed in int32. Erosion pads with 32767 and
+  dilation with -32768 in place of +-inf. A line element holds its
+  origin, so every output reads at least one sample of the slice and a
+  sentinel never wins over it; a single filter whose element lacks the
+  origin (``gray_erode`` and kin) skips this rung;
+- float32 needs ``|v| <= 2**24`` and ``n_orient * (max - min) <=
+  2**24``: it holds every integer up to 2**24 exactly.
+
+Integer min, max, subtraction and sums are exact, so every value is the
+integer float64 computes. Each float sum starts at +0.0 and an integer
+converts to +0.0, so signed zeros never reach the output, and the
+cross-view sum is float64 as before: the result is bit-equal to a
+float64 evaluation, and the passes move a quarter (int16) or half
+(float32) of the bytes. The subtraction volumes of the pipeline are
+differences of unsigned short scans; the phantoms' span about -27..116
+and a 12-bit clinical subtraction fits as well, so their scale-1 sifting
+takes int16, and a wider 16-bit range takes float32. The decimated
+scales are not integer-valued and take float64.
 """
 
 from __future__ import annotations
@@ -179,10 +202,21 @@ class _Scratch:
     call's working dtype (see :func:`_work_dtype`) per role. The C
     allocator hands block-sized arrays back to the system when they are
     freed, so allocating them afresh for every filter page-faults their
-    memory back in, which costs more than the min/max passes over them."""
+    memory back in, which costs more than the min/max passes over them.
+
+    ``top`` and ``bottom`` pad the erosion and the dilation: +-inf in a
+    float dtype, the dtype's extremes in int16. ``sum_dtype`` holds a
+    view's sum of top-hats: int32 for int16, else the working dtype."""
 
     def __init__(self, dtype):
         self.dtype = np.dtype(dtype)
+        if self.dtype.kind == "i":
+            info = np.iinfo(self.dtype)
+            self.top, self.bottom = int(info.max), int(info.min)
+            self.sum_dtype = np.dtype(np.int32)
+        else:
+            self.top, self.bottom = np.inf, -np.inf
+            self.sum_dtype = self.dtype
         self._flat = {}
 
     def take(self, role, shape) -> np.ndarray:
@@ -195,7 +229,7 @@ class _Scratch:
         return flat[:n].reshape(shape)
 
 
-def _line_filter(f: np.ndarray, plan: _LinePlan, op, sentinel: float,
+def _line_filter(f: np.ndarray, plan: _LinePlan, op, sentinel,
                  scratch: _Scratch, role: str) -> np.ndarray:
     """Exact min/max over a point set of offsets, as periodic runs.
 
@@ -266,55 +300,69 @@ def _open_plan(se) -> tuple[_LinePlan, _LinePlan]:
 def _open(f: np.ndarray, plan: tuple[_LinePlan, _LinePlan], scratch: _Scratch) -> np.ndarray:
     """Opening into ``scratch``'s "opened" buffer."""
     erode, dilate = plan
-    eroded = _line_filter(f, erode, np.minimum, np.inf, scratch, "eroded")
-    return _line_filter(eroded, dilate, np.maximum, -np.inf, scratch, "opened")
+    eroded = _line_filter(f, erode, np.minimum, scratch.top, scratch, "eroded")
+    return _line_filter(eroded, dilate, np.maximum, scratch.bottom, scratch, "opened")
 
 
 # float32 holds every integer of at most this magnitude exactly
 _F32_EXACT = 2 ** 24
+_I16 = np.iinfo(np.int16)
 
 
-def _work_dtype(data: np.ndarray, n_orient: int = 1) -> np.dtype:
-    """float32 when every value of ``data`` is an integer, ``|v| <=
-    2**24`` and ``n_orient * (max - min) <= 2**24``, the bound on a
-    view's sum of top-hats; float64 otherwise, NaN and inf included.
-    Sifting and the line filters are exact in float32 under these
-    conditions (see the module docstring)."""
+def _work_dtype(data: np.ndarray, n_orient: int = 1, int16: bool = True) -> np.dtype:
+    """The first of int16, float32 and float64 in which the line filters
+    and a view's sum of ``n_orient`` top-hats are exact on ``data`` (see
+    the module docstring). Both narrow rungs need every value to be an
+    integer. int16 needs ``int16`` (no filter output is a sentinel), the
+    values and ``max - min`` within int16 and ``n_orient * (max - min) <
+    2**31``, the bound on the int32 sum; float32 needs ``|v| <= 2**24``
+    and ``n_orient * (max - min) <= 2**24``. NaN and inf take float64."""
     if data.size:
         lo, hi = float(data.min()), float(data.max())
         # a NaN fails every comparison
-        if -_F32_EXACT <= lo and hi <= _F32_EXACT and n_orient * (hi - lo) <= _F32_EXACT \
-                and np.array_equal(np.trunc(data), data):
-            return np.dtype(np.float32)
+        if -_F32_EXACT <= lo and hi <= _F32_EXACT and np.array_equal(np.trunc(data), data):
+            if int16 and _I16.min <= lo and hi <= _I16.max and hi - lo <= _I16.max \
+                    and n_orient * (hi - lo) < 2 ** 31:
+                return np.dtype(np.int16)
+            if n_orient * (hi - lo) <= _F32_EXACT:
+                return np.dtype(np.float32)
     return np.dtype(np.float64)
 
 
-def _on_slice(f: np.ndarray, filt, n_orient: int = 1) -> np.ndarray:
+def _on_slice(f: np.ndarray, filt, n_orient: int = 1, int16: bool = True) -> np.ndarray:
     """``filt(slice, scratch)`` on a 2D slice in its working dtype,
     returned as float64."""
     arr = np.asarray(f, dtype=np.float64)
     if arr.ndim != 2:
         raise SiftError(f"expected a 2D slice, got shape {arr.shape}")
-    scratch = _Scratch(_work_dtype(arr, n_orient))
+    scratch = _Scratch(_work_dtype(arr, n_orient, int16))
     return filt(arr.astype(scratch.dtype, copy=False), scratch).astype(np.float64, copy=False)
+
+
+def _holds_origin(se) -> bool:
+    """Whether every filter output by ``se`` (or its reflection) reads a
+    sample of the slice, which int16 filtering needs."""
+    return bool((np.asarray(se) == 0).all(axis=-1).any())
 
 
 def gray_erode(f: np.ndarray, se: np.ndarray) -> np.ndarray:
     """Flat erosion of a 2D slice by a point-set structuring element."""
     plan = _line_plan(se)
-    return _on_slice(f, lambda a, s: _line_filter(a, plan, np.minimum, np.inf, s, "out"))
+    return _on_slice(f, lambda a, s: _line_filter(a, plan, np.minimum, s.top, s, "out"),
+                     int16=_holds_origin(se))
 
 
 def gray_dilate(f: np.ndarray, se: np.ndarray) -> np.ndarray:
     """Flat dilation (max over the reflected offsets)."""
     plan = _line_plan(-np.asarray(se, dtype=np.int64))
-    return _on_slice(f, lambda a, s: _line_filter(a, plan, np.maximum, -np.inf, s, "out"))
+    return _on_slice(f, lambda a, s: _line_filter(a, plan, np.maximum, s.bottom, s, "out"),
+                     int16=_holds_origin(se))
 
 
 def gray_open(f: np.ndarray, se: np.ndarray) -> np.ndarray:
     """Opening: erosion then dilation with the same element."""
     plan = _open_plan(se)
-    return _on_slice(f, lambda a, s: _open(a, plan, s))
+    return _on_slice(f, lambda a, s: _open(a, plan, s), int16=_holds_origin(se))
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +405,7 @@ def ms2d(f: np.ndarray, ml1: float, ml2: float, n_orient: int = 10) -> np.ndarra
     the long-line top-hat. Accumulation is in ascending n.
     """
     plan = _sift_plan(ml1, ml2, n_orient)
-    return _on_slice(f, lambda a, s: _sift(a, plan, s, np.zeros(a.shape, s.dtype)), n_orient)
+    return _on_slice(f, lambda a, s: _sift(a, plan, s, np.zeros(a.shape, s.sum_dtype)), n_orient)
 
 
 @dataclass(frozen=True)
@@ -397,10 +445,12 @@ def lse_magnitudes(v_min: float, v_max: float, d: float, big_d: float, m_scales:
     return MagnitudePlan(axial=axial, sagittal=cross, coronal=cross, ml1_mm=ml1_mm, ml2_mm=ml2_mm)
 
 
-# bytes per block of slices: 32768 float64 or 65536 float32 voxels. On
-# a 160x160x80 volume, float64 blocks of 512 KB and float32 blocks of
-# 128 KB and 512 KB measured slower (and float64 blocks of 1 MB and
-# 4 MB before them)
+# bytes per block of slices: 32768 float64, 65536 float32 or 131072
+# int16 voxels. On a 160x160x80 volume, float64 blocks of 512 KB and
+# float32 blocks of 128 KB and 512 KB measured slower (and float64 blocks
+# of 1 MB and 4 MB before them); so did int16 blocks of 64, 128, 512 KB
+# and 1 MB (scale-1 ms3d of the seed-1 sift_fullres case, best of 5, one
+# thread on an Intel Xeon: 0.42, 0.31, 0.31 and 0.44 s against 0.29 s)
 _BLOCK_BYTES = 262144
 
 
@@ -408,12 +458,13 @@ def _sift_stack(vol: np.ndarray, plan, out: np.ndarray, scratch: _Scratch) -> No
     """Add the sifting response of every slice ``vol[:, :, k]`` to
     ``out``, an array or view of ``vol``'s shape.
 
-    The slices are copied once, block-major and in ``scratch``'s dtype:
-    each block of consecutive slices is a C-contiguous (nx, ny, slices)
-    stack, and a shorter block takes any remainder. A block's response
-    is written over the block, and every group of equal blocks is added
-    to ``out`` in one pass, so neither the copy nor the sum reads or
-    writes ``out`` block by block."""
+    The slices are copied once, block-major and in ``scratch``'s sum
+    dtype: each block of consecutive slices is a C-contiguous (nx, ny,
+    slices) stack, and a shorter block takes any remainder. Each block is
+    sifted from a working-dtype copy, its response written over it, and
+    every group of equal blocks is added to ``out`` in one pass, so
+    neither the copy nor the sum reads or writes ``out`` block by
+    block."""
     nx, ny, nz = vol.shape
     step = max(1, _BLOCK_BYTES // scratch.dtype.itemsize // max(1, nx * ny))
     full = nz - nz % step
@@ -422,26 +473,50 @@ def _sift_stack(vol: np.ndarray, plan, out: np.ndarray, scratch: _Scratch) -> No
             continue
         # splitting the slice axis is a view of any strided array
         blocks = np.moveaxis(vol[:, :, k0:k1].reshape(nx, ny, -1, size), 2, 0) \
-            .astype(scratch.dtype, order="C")
+            .astype(scratch.sum_dtype, order="C")
         for block in blocks:
-            acc = scratch.take("sum", block.shape)
-            acc[...] = 0.0
-            block[...] = _sift(block, plan, scratch, acc)
+            slices = scratch.take("slices", block.shape)
+            slices[...] = block
+            block[...] = 0
+            _sift(slices, plan, scratch, block)
         target = out[:, :, k0:k1].reshape(nx, ny, -1, size)
         target += np.moveaxis(blocks, 0, 2)
 
 
-def ms3d(volume: Volume3D, plan: MagnitudePlan, n_orient: int = 10) -> Volume3D:
+def _mask_span(hit: np.ndarray) -> slice:
+    """The range from the first to the last true entry; empty if none."""
+    ix = np.flatnonzero(hit)
+    return slice(ix[0], ix[-1] + 1) if ix.size else slice(0, 0)
+
+
+def ms3d(volume: Volume3D, plan: MagnitudePlan, n_orient: int = 10,
+         mask: BinaryMask | None = None) -> Volume3D:
     """3D sifting: per-slice 2D responses of the axial, sagittal and
     coronal stacks, added to zero in that order (in float64; each view
-    is sifted in the volume's working dtype, see :func:`_work_dtype`)."""
+    is sifted in the volume's working dtype, see :func:`_work_dtype`).
+
+    With a ``mask``, each view sifts only the range of its slices that
+    holds a mask voxel: a voxel outside that range gets no term from
+    that view. Every mask voxel lies in a sifted slice of all three
+    views, and a slice's response reads that slice alone, so the result
+    equals the unmasked one at every mask voxel. An empty mask sifts
+    nothing and gives zeros."""
     data = volume.data
+    if mask is None:
+        spans = [slice(None)] * 3
+    else:
+        if mask.dims != volume.dims:
+            raise VolumeError("mask grid does not match volume")
+        spans = [_mask_span(mask.data.any(axis=tuple(b for b in range(3) if b != a)))
+                 for a in range(3)]
     out = np.zeros(data.shape)
     scratch = _Scratch(_work_dtype(data, n_orient))
     for view, magnitudes in (((0, 1, 2), plan.axial), ((0, 2, 1), plan.sagittal),
                              ((2, 1, 0), plan.coronal)):
-        _sift_stack(np.transpose(data, view), _sift_plan(*magnitudes, n_orient),
-                    np.transpose(out, view), scratch)
+        # the view's slices stack along its last axis, volume axis view[2]
+        reached = (slice(None), slice(None), spans[view[2]])
+        _sift_stack(np.transpose(data, view)[reached], _sift_plan(*magnitudes, n_orient),
+                    np.transpose(out, view)[reached], scratch)
     return Volume3D(out, volume.spacing)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy import ndimage
@@ -122,20 +123,25 @@ def direct_ms3d(vol: np.ndarray, plan, n_orient: int, rasterize) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def otsu_exhaustive_index(hist) -> int:
-    """Classic single Otsu: maximise w0*w1*(mu0-mu1)^2 over the split bin."""
-    h = np.asarray(hist, dtype=np.float64)
-    p = h / h.sum()
-    best_t, best_v = 0, -1.0
-    for t in range(len(h) - 1):
-        w0 = p[: t + 1].sum()
-        w1 = 1.0 - w0
-        if w0 <= 0 or w1 <= 0:
-            v = 0.0
-        else:
-            mu0 = (np.arange(t + 1) * p[: t + 1]).sum() / w0
-            mu1 = (np.arange(t + 1, len(h)) * p[t + 1:]).sum() / w1
-            v = w0 * w1 * (mu0 - mu1) ** 2
-        if v > best_v:
+    """Single Otsu threshold by exhaustive scan, in exact rational
+    arithmetic on the integer counts: maximise ``s0**2/w0 + s1**2/w1``
+    (class mass w, first moment s, an empty class contributing 0) over
+    the split bin; the first maximiser wins. Exact arithmetic makes the
+    splits on a plateau of empty bins tie exactly, so the tie rule is
+    checked, not rounding."""
+    counts = [int(c) for c in hist]
+    if counts != list(hist):
+        raise ValueError("histogram counts must be integers")
+    n = len(counts)
+    best_t, best_v = 0, None
+    for t in range(n - 1):
+        v = Fraction(0)
+        for cls in (range(t + 1), range(t + 1, n)):
+            w = sum(counts[k] for k in cls)
+            s = sum(k * counts[k] for k in cls)
+            if w:
+                v += Fraction(s * s, w)
+        if best_v is None or v > best_v:
             best_t, best_v = t, v
     return best_t
 

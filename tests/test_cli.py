@@ -655,8 +655,10 @@ class TestReadsOnFirstUse:
             assert f"{path}: raw payload too short" in err and "Traceback" not in err, err
 
     # the two frames it sifts and the breast mask, and the working grids of
-    # generate_candidates (about seven); reading every volume of the case
-    # and writing through full-grid temporaries made it 13
+    # generate_candidates: 8.2 on seeds 1-3 with int16 sifting over the
+    # breast's slices, 9.1 in float32 over every slice; reading every
+    # volume of the case and writing through full-grid temporaries made
+    # it 13
     def test_sift_peak_in_grids(self, tmp_path):
         dims = (64, 64, 32)
         generate_suite(1, 3, tmp_path / "data", dims=dims, spacing=(0.7, 0.7, 1.3))
@@ -670,7 +672,7 @@ class TestReadsOnFirstUse:
             rise = tracemalloc.get_traced_memory()[1] - entry
         finally:
             tracemalloc.stop()
-        assert rise / (8 * np.prod(dims)) <= 10
+        assert rise / (8 * np.prod(dims)) <= 8.5
 
 
 class TestPhantomCommand:

@@ -412,7 +412,8 @@ class TestNormalize16:
 
 
 class TestSinglePrecision:
-    """Integer-valued input is sifted in float32, bit-equal to float64."""
+    """Integer-valued input is sifted in float32 (in int16 where its
+    values and range fit there), bit-equal to float64."""
 
     # a float32 block holds 65536 // (slice-plane voxels) slices, at least one
     @pytest.mark.parametrize("dims", [
@@ -469,7 +470,8 @@ class TestSinglePrecision:
 
     def test_inputs_outside_the_bounds_take_float64(self):
         base = np.arange(12.0).reshape(3, 4) - 6.0
-        assert _work_dtype(base, 10) == np.float32
+        assert _work_dtype(base, 10) == np.int16
+        assert _work_dtype(base * 3000, 10) == np.float32  # range 33000
         for bad in (0.5, -1e-9, np.nan, np.inf, -np.inf, 2.0 ** 24 + 2, -2.0 ** 24 - 2):
             f = base.copy()
             f[1, 2] = bad
@@ -479,11 +481,11 @@ class TestSinglePrecision:
         assert _work_dtype(edge, 2) == np.float64
         assert _work_dtype(np.empty((0, 3)), 1) == np.float64
 
-    def test_loaded_case_sifts_scale_1_in_float32(self, loaded_phantom_case, scratch_dtypes):
+    def test_loaded_case_sifts_scale_1_in_int16(self, loaded_phantom_case, scratch_dtypes):
         # unsigned short scans subtract to integers; the decimated
         # scales are not integer-valued
         generate_candidates(loaded_phantom_case)
-        assert scratch_dtypes == [np.float32, np.float64, np.float64]
+        assert scratch_dtypes == [np.int16, np.float64, np.float64]
 
     def test_loaded_case_equals_its_float64_shift(self, loaded_phantom_case, scratch_dtypes):
         # sifting is exactly invariant under adding 0.5, which keeps every
@@ -494,6 +496,175 @@ class TestSinglePrecision:
         plan = lse_magnitudes(DEFAULT_V_MIN, DEFAULT_V_MAX, case.spacing[0], case.spacing[2], 3)
         got = ms3d(sub, plan, 10)
         shifted = ms3d(Volume3D(sub.data + 0.5, sub.spacing), plan, 10)
-        assert scratch_dtypes == [np.float32, np.float64]
+        assert scratch_dtypes == [np.int16, np.float64]
         assert got.data.max() > 0
         assert got.data.tobytes() == shifted.data.tobytes()
+
+
+def _extremes_on_faces(rng, data, value):
+    """Set about half of every grid face's voxels of ``data`` to ``value``."""
+    for axis in range(data.ndim):
+        for end in (0, -1):
+            face = np.moveaxis(data, axis, 0)[end]
+            face[rng.random(face.shape) < 0.5] = value
+    return data
+
+
+class TestInt16:
+    """Integer-valued input whose values and range fit int16 is filtered
+    in int16 and summed in int32, bit-equal to float64."""
+
+    # the two rung edges: max - min = 32767 with the sentinels' values on
+    # the grid faces, where the padding meets them
+    @staticmethod
+    def edge_volumes(rng, dims):
+        low = _extremes_on_faces(rng, rng.integers(-32768, 0, size=dims).astype(np.float64),
+                                 -32768.0)
+        high = _extremes_on_faces(rng, rng.integers(0, 32768, size=dims).astype(np.float64),
+                                  32767.0)
+        low.flat[0], high.flat[0] = -1.0, 0.0
+        return low, high
+
+    def test_rung_edges(self):
+        assert _work_dtype(np.array([[-32768.0, -1.0]]), 10) == np.int16
+        assert _work_dtype(np.array([[0.0, 32767.0]]), 10) == np.int16
+        assert _work_dtype(np.array([[-32768.0, 0.0]]), 10) == np.float32  # range 32768
+        assert _work_dtype(np.array([[1.0, 32768.0]]), 10) == np.float32   # max past int16
+        assert _work_dtype(np.array([[-32769.0, -2.0]]), 10) == np.float32  # min past int16
+        assert _work_dtype(np.array([[-32768.0, -1.0]]), 10, int16=False) == np.float32
+
+    def test_large_orientation_counts(self):
+        # n_orient * (max - min) must stay below 2**31, the int32 sum's
+        # bound; float32's bound of 2**24 is then exceeded as well
+        full = np.array([[0.0, 32767.0]])
+        assert 65538 * 32767 < 2 ** 31 <= 65539 * 32767
+        assert _work_dtype(full, 65538) == np.int16
+        assert _work_dtype(full, 65539) == np.float64
+        unit = np.array([[5.0, 6.0]])
+        assert _work_dtype(unit, 2 ** 31 - 1) == np.int16
+        assert _work_dtype(unit, 2 ** 31) == np.float64
+
+    # an int16 block holds 131072 // (slice-plane voxels) slices, at least one
+    @pytest.mark.parametrize("dims", [
+        (64, 64, 70),   # every view's stack spans two blocks plus a remainder
+        (9, 7, 1),      # single-slice axial stack
+        (400, 360, 2),  # axial slice plane larger than one block
+    ], ids=["blocks_with_remainder", "single_slice", "plane_over_budget"])
+    def test_edge_volumes_match_direct_evaluation(self, dims, scratch_dtypes):
+        assert _BLOCK_BYTES // 2 == 131072  # the shapes above are chosen for this size
+        rng = np.random.default_rng(23)
+        plan = MagnitudePlan(
+            axial=(2.0, 6.0), sagittal=(2.0, 5.0), coronal=(3.0, 5.0),
+            ml1_mm=2.0, ml2_mm=6.0,
+        )
+        for data in self.edge_volumes(rng, dims):
+            assert np.ptp(data) == 32767
+            got = ms3d(Volume3D(data, (0.7, 0.7, 1.3)), plan, 4)
+            want = direct_ms3d(data, plan, 4, rasterize_lse)
+            assert got.data.tobytes() == want.tobytes()
+        assert scratch_dtypes == [np.int16, np.int16]
+
+    def test_edge_slices_match_direct_evaluation(self, scratch_dtypes):
+        rng = np.random.default_rng(24)
+        for n_orient in (1, 4, 10):
+            for f in self.edge_volumes(rng, (37, 29)):
+                got = ms2d(f, 2.0, 7.0, n_orient)
+                assert got.tobytes() == direct_ms2d(f, 2.0, 7.0, n_orient, rasterize_lse).tobytes()
+        assert scratch_dtypes == [np.int16] * 6
+
+    def test_range_one_past_the_edge_takes_float32(self, scratch_dtypes):
+        rng = np.random.default_rng(25)
+        low, _ = self.edge_volumes(rng, (23, 19))
+        low[5, 5] = 0.0  # max - min = 32768
+        got = ms2d(low, 2.0, 7.0, 4)
+        assert got.tobytes() == direct_ms2d(low, 2.0, 7.0, 4, rasterize_lse).tobytes()
+        assert scratch_dtypes == [np.float32]
+
+    def test_filters_without_the_origin_keep_the_float_ladder(self, scratch_dtypes):
+        # an element without the origin reads only padding at some
+        # outputs, which must be +-inf, not an int16 extreme
+        rng = np.random.default_rng(26)
+        f = rng.integers(-50, 50, size=(11, 13)).astype(np.float64)
+        line = rasterize_lse(5, 0.4)
+        off = np.array([[3, -2], [4, -2]])
+        assert np.array_equal(gray_erode(f, line), naive_erode(f, line))
+        assert np.array_equal(gray_dilate(f, line), naive_dilate(f, line))
+        eroded = gray_erode(f, off)
+        assert np.isinf(eroded).any()
+        assert np.array_equal(eroded, naive_erode(f, off))
+        assert np.array_equal(gray_dilate(f, off), naive_dilate(f, off))
+        assert scratch_dtypes == [np.int16, np.int16, np.float32, np.float32]
+
+
+class TestMaskedMs3d:
+    """ms3d with a mask sifts only the slices the mask reaches."""
+
+    plan = MagnitudePlan(axial=(2.0, 6.0), sagittal=(2.0, 5.0), coronal=(3.0, 5.0),
+                         ml1_mm=2.0, ml2_mm=6.0)
+
+    @staticmethod
+    def masks(dims):
+        rng = np.random.default_rng(31)
+        out = {}
+        one = np.zeros(dims, bool)
+        one[tuple(int(rng.integers(n)) for n in dims)] = True
+        out["single_voxel"] = one
+        for axis in range(3):
+            m = np.zeros(dims, bool)
+            k = int(rng.integers(dims[axis]))
+            np.moveaxis(m, axis, 0)[k] = rng.random(np.delete(dims, axis)) < 0.3
+            np.moveaxis(m, axis, 0)[k].flat[0] = True
+            out[f"slice_axis{axis}"] = m
+            for end in (0, -1):
+                m = np.zeros(dims, bool)
+                np.moveaxis(m, axis, 0)[end] = True
+                out[f"face_axis{axis}_{end}"] = m
+        blob = np.zeros(dims, bool)
+        blob[2:9, 3:12, 1:5] = rng.random((7, 9, 4)) < 0.6
+        out["seeded_blob"] = blob
+        out["full"] = np.ones(dims, bool)
+        return out
+
+    @pytest.mark.parametrize("integer", [True, False], ids=["int16", "float64"])
+    def test_equals_unmasked_sifting_at_every_mask_voxel(self, integer):
+        dims = (13, 16, 7)
+        rng = np.random.default_rng(32)
+        data = rng.integers(-40, 120, size=dims).astype(np.float64)
+        if not integer:
+            data += rng.random(dims)
+        vol = Volume3D(data, (0.7, 0.7, 1.3))
+        whole = ms3d(vol, self.plan, 4).data
+        for name, m in self.masks(dims).items():
+            got = ms3d(vol, self.plan, 4, mask=BinaryMask(m, vol.spacing)).data
+            assert got[m].tobytes() == whole[m].tobytes(), name
+            # a voxel outside every view's range of mask slices gets no term
+            spans = []
+            for a in range(3):
+                ix = np.flatnonzero(m.any(axis=tuple(b for b in range(3) if b != a)))
+                spans.append((np.arange(dims[a]) >= ix[0]) & (np.arange(dims[a]) <= ix[-1]))
+            hit = spans[0][:, None, None] | spans[1][None, :, None] | spans[2][None, None, :]
+            if name in ("single_voxel", "seeded_blob"):
+                assert not hit.all(), name
+            assert not got[~hit].any(), name
+            if name == "full":
+                assert got.tobytes() == whole.tobytes()
+
+    def test_empty_mask_sifts_nothing(self):
+        vol = Volume3D(np.random.default_rng(33).random((6, 5, 4)), (1.0, 1.0, 1.0))
+        got = ms3d(vol, self.plan, 4, mask=BinaryMask(np.zeros((6, 5, 4), bool), vol.spacing))
+        assert got.data.shape == (6, 5, 4) and not got.data.any()
+        assert got.spacing == vol.spacing
+
+    def test_mask_grid_must_match(self):
+        vol = Volume3D(np.zeros((6, 5, 4)), (1.0, 1.0, 1.0))
+        with pytest.raises(VolumeError):
+            ms3d(vol, self.plan, 4, mask=BinaryMask(np.ones((6, 5, 3), bool), vol.spacing))
+
+    def test_loaded_case_equals_unmasked_inside_the_breast(self, loaded_phantom_case):
+        case = loaded_phantom_case
+        sub = subtract(case.dce[1], case.dce[0])
+        plan = lse_magnitudes(DEFAULT_V_MIN, DEFAULT_V_MAX, case.spacing[0], case.spacing[2], 3)
+        breast = case.breast_mask
+        got = ms3d(sub, plan, 10, mask=breast)
+        assert normalize16(got, breast).data.tobytes() == \
+            normalize16(ms3d(sub, plan, 10), breast).data.tobytes()

@@ -13,6 +13,7 @@ from siftcad.volume import (
     fat_mask,
     intensity_histogram,
     multilevel_otsu,
+    otsu_multilevel_indices,
     subtract,
 )
 
@@ -95,6 +96,33 @@ class TestOtsu:
             hist, spec = intensity_histogram(data)
             expected = spec.upper_edge(otsu_exhaustive_index(hist))
             assert multilevel_otsu(vol(data), None, 1)[0] == pytest.approx(expected, abs=0)
+
+    def test_plateau_ties_to_its_first_bin(self):
+        # two modes with empty bins between them: every split on the
+        # plateau scores the same, and the first wins. The classic float
+        # criterion w0*w1*(mu0-mu1)**2 rounds differently along the
+        # plateau and picks bin 3 here
+        hist = np.array([36, 0, 0, 0, 0, 0, 0, 0, 37, 5, 6, 3], dtype=np.float64)
+        p = hist / hist.sum()
+        k = np.arange(hist.size)
+
+        def classic(t):
+            w0 = p[:t + 1].sum()
+            w1 = 1.0 - w0
+            return w0 * w1 * ((k[:t + 1] * p[:t + 1]).sum() / w0
+                              - (k[t + 1:] * p[t + 1:]).sum() / w1) ** 2
+
+        assert int(np.argmax([classic(t) for t in range(hist.size - 1)])) == 3
+        assert otsu_exhaustive_index(hist) == 0
+        assert otsu_multilevel_indices(hist, 1).tolist() == [0]
+        # bimodal samples on 256 bins, where the float criterion's pick
+        # was 56.60 and the package's 53.48
+        rng = np.random.default_rng(5)
+        data = np.concatenate([rng.normal(40.0, 4.0, 4000), rng.normal(150.0, 10.0, 2000)])
+        hist, spec = intensity_histogram(data)
+        want = spec.upper_edge(otsu_exhaustive_index(hist))
+        assert round(want, 2) == 53.48
+        assert multilevel_otsu(vol(data.reshape(20, 20, 15)), None, 1)[0] == want
 
     def test_constant_volume_rejected(self):
         with pytest.raises(VolumeError):
