@@ -214,13 +214,16 @@ def generate_candidates(
         seen: dict[bytes, RegionCandidate] = {}
         ordered: list[RegionCandidate] = []
         pieces = _sieve_components(f16.data, thresholds, lo, hi, voxvol)
+        # no step past the sieve reads the response: unless ``responses``
+        # keeps it, it is freed before the ladder decimates the next scale
+        del f16
         for t_idx, t_pieces in enumerate(pieces):
             for flat_idx in t_pieces:
                 key = flat_idx.tobytes()
                 if key in seen:
                     continue
                 cand = _make_candidate(
-                    flat_idx, m, t_idx, f16.dims, scaled.spacing,
+                    flat_idx, m, t_idx, mask_m.dims, scaled.spacing,
                     case.dims, case.spacing,
                 )
                 seen[key] = cand

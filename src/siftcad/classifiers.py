@@ -7,10 +7,12 @@ bagged forest with out-of-bag grid selection grades detected lesions
 as malignant or benign.
 
 Training functions operate on plain float matrices with labels in
-{-1, +1}; ``LabeledSample`` and ``samples_to_arrays`` bridge from
-schema-carrying feature vectors, and ``assign_training_labels`` maps
-candidates to labels against ground-truth masks. With a fixed seed all
-training is bit-reproducible.
+{-1, +1}, or on ``LabeledSample`` lists of extracted feature vectors,
+whose models are tagged with the feature schema; ``check_schema``
+refuses a model that does not take schema rows, and ``predict`` scores
+plain row matrices. ``assign_training_labels`` maps candidates to
+labels against ground-truth masks. With a fixed seed all training is
+bit-reproducible.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import FEATURE_SCHEMA, FeatureVector
+from .features import FEATURE_SCHEMA, FEATURE_SCHEMA_ID, FeatureVector
 from .nrrd_io import (array_of, check_fields, integer_from, is_finite, is_number, of_type,
                       one_of, or_null, read_document)
 from .volume import _regions, dsi_matrix
@@ -57,19 +59,6 @@ class LabeledSample:
             raise ValueError(f"label must be -1 or +1, got {self.label}")
         if not np.isfinite(self.features.values).all():
             raise ValueError("sample features must be finite")
-
-
-def samples_to_arrays(samples) -> tuple[np.ndarray, np.ndarray, list[str], str]:
-    """Stack LabeledSamples into (X, y, groups, schema_id)."""
-    if not samples:
-        raise ValueError("need at least one sample")
-    schema = samples[0].features.schema_id
-    if any(s.features.schema_id != schema for s in samples):
-        raise ValueError("samples mix feature schemas")
-    x = np.stack([s.features.values for s in samples])
-    y = np.array([s.label for s in samples], dtype=np.float64)
-    groups = [s.group for s in samples]
-    return x, y, groups, schema
 
 
 @dataclass(frozen=True)
@@ -367,10 +356,16 @@ def _grow_trees(x, y, rows, weights, rngs, m_try, max_splits) -> list:
 
 
 def _as_xy(samples_or_x, y):
-    """Accept either a LabeledSample list or an (X, y) pair."""
+    """(X, y, groups, schema_id) of a LabeledSample list, whose rows take
+    the feature schema, or of an (X, y) pair, which has neither groups
+    nor a schema."""
     if y is None:
-        x, yy, groups, schema = samples_to_arrays(samples_or_x)
-        return x, yy, groups, schema
+        samples = samples_or_x
+        if not samples:
+            raise ValueError("need at least one sample")
+        x = np.stack([s.features.values for s in samples])
+        yy = np.array([s.label for s in samples], dtype=np.float64)
+        return x, yy, [s.group for s in samples], FEATURE_SCHEMA_ID
     x = np.asarray(samples_or_x, dtype=np.float64)
     yy = np.asarray(y, dtype=np.float64)
     if x.ndim != 2 or yy.shape != (len(x),):
@@ -468,7 +463,7 @@ class RusBoostModel:
 
 def train_rusboost(samples_or_x, y=None, *, n_trees=DEFAULT_N_TREES,
                    learning_rate=DEFAULT_LEARNING_RATE, max_splits=None,
-                   seed=None, schema_id=None, _trace=None) -> RusBoostModel:
+                   seed=None, _trace=None) -> RusBoostModel:
     """AdaBoost with uniform random under-sampling of the majority class.
 
     Each round draws a 1:1 balanced subsample under the current weights,
@@ -477,8 +472,7 @@ def train_rusboost(samples_or_x, y=None, *, n_trees=DEFAULT_N_TREES,
     training stops early. The tree split budget defaults to the number
     of training samples.
     """
-    x, yy, _, inferred = _as_xy(samples_or_x, y)
-    schema_id = schema_id if schema_id is not None else inferred
+    x, yy, _, schema_id = _as_xy(samples_or_x, y)
     n = len(x)
     pos = np.flatnonzero(yy > 0)
     neg = np.flatnonzero(yy < 0)
@@ -631,7 +625,7 @@ def _oob_votes(x, y, m_try, seeds):
 
 
 def train_rf(samples_or_x, y=None, *, seed=None, n_tree_grid=None,
-             m_try_grid=None, schema_id=None) -> RandomForestModel:
+             m_try_grid=None) -> RandomForestModel:
     """Bootstrap forest with out-of-bag grid selection.
 
     For each features-per-split setting a maximal forest is grown once
@@ -641,8 +635,7 @@ def train_rf(samples_or_x, y=None, *, seed=None, n_tree_grid=None,
     features per split, and the final model is refit on all samples;
     its ``oob_grid`` lists every point scored.
     """
-    x, yy, _, inferred = _as_xy(samples_or_x, y)
-    schema_id = schema_id if schema_id is not None else inferred
+    x, yy, _, schema_id = _as_xy(samples_or_x, y)
     n, nf = x.shape
     if (yy > 0).sum() == 0 or (yy < 0).sum() == 0:
         raise ValueError("both classes must be present")
@@ -697,36 +690,31 @@ def _check_read_features(model, x: np.ndarray) -> None:
         raise ValueError(f"feature {name} is not finite, and the model splits on it")
 
 
-def _check_schema(model, vector: FeatureVector) -> None:
-    if model.schema_id is not None and vector.schema_id != model.schema_id:
-        raise ValueError(
-            f"schema mismatch: model {model.schema_id}, "
-            f"vector {vector.schema_id}")
+def check_schema(model, where: str) -> None:
+    """Refuse a model that does not take rows of :data:`FEATURE_SCHEMA`:
+    one tagged with another ``schema_id`` (an untagged model is taken as
+    is), or with a tree of another feature count. The ValueError names
+    ``where`` and the field."""
+    n = len(FEATURE_SCHEMA)
+    for tree in model.trees:
+        if tree.n_features != n:
+            raise ValueError(f"{where}: field 'n_features' is {tree.n_features}, "
+                             f"but the feature schema has {n} features")
+    if model.schema_id not in (None, FEATURE_SCHEMA_ID):
+        raise ValueError(f"{where}: field 'schema_id' is {model.schema_id!r}, "
+                         f"but the features are {FEATURE_SCHEMA_ID!r}")
 
 
-def predict(model, features):
-    """Positive-class probability for one vector or a batch.
+def predict(model, x):
+    """Positive-class probability of each row of the 2D matrix ``x``.
 
-    FeatureVector inputs are checked against the model's schema id;
-    plain arrays are taken as-is. Every input must be finite in the
-    features the model splits on (ValueError naming the first that is
-    not); other columns are never read. Scalars come back for single
-    vectors, a vector for batches.
+    Every row must be finite in the features the model splits on
+    (ValueError naming the first that is not); other columns are never
+    read. The schema is the caller's to check, see :func:`check_schema`.
     """
-    if isinstance(features, FeatureVector):
-        _check_schema(model, features)
-        arr = features.values
-    elif isinstance(features, (list, tuple)) and features and \
-            isinstance(features[0], FeatureVector):
-        for f in features:
-            _check_schema(model, f)
-        arr = np.stack([f.values for f in features])
-    else:
-        arr = np.asarray(features, dtype=np.float64)
-    x = arr[None, :] if arr.ndim == 1 else arr
+    x = np.asarray(x, dtype=np.float64)
     _check_read_features(model, x)
-    p = model.predict_proba(x)
-    return float(p[0]) if arr.ndim == 1 else p
+    return model.predict_proba(x)
 
 
 def group_folds(groups, k: int) -> np.ndarray:

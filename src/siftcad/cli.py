@@ -28,6 +28,7 @@ from .candidates import generate_candidates
 from .classifiers import (
     LabeledSample,
     assign_training_labels,
+    check_schema,
     load_model,
     save_model,
     train_rf,
@@ -45,7 +46,7 @@ from .evaluation import (
     write_report_json,
     write_roc_csv,
 )
-from .features import FEATURE_SCHEMA, FEATURE_SCHEMA_ID, FeatureExtractor
+from .features import FeatureExtractor
 # not called here: perfbench/bench.py cuts its reference-kernel clock at
 # ``cli.ms3d``, so the name stays importable from this module
 from .morphosift import ms3d  # noqa: F401
@@ -247,14 +248,7 @@ def _load_schema_model(path):
     """A model file whose trees take this feature schema, checked before
     any case is read."""
     model = load_model(path)
-    n = len(FEATURE_SCHEMA)
-    for tree in model.trees:
-        if tree.n_features != n:
-            raise ValueError(f"{path}: field 'n_features' is {tree.n_features}, "
-                             f"but the feature schema has {n} features")
-    if model.schema_id not in (None, FEATURE_SCHEMA_ID):
-        raise ValueError(f"{path}: field 'schema_id' is {model.schema_id!r}, "
-                         f"but the features are {FEATURE_SCHEMA_ID!r}")
+    check_schema(model, str(path))
     return model
 
 

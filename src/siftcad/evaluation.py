@@ -22,8 +22,8 @@ import numpy as np
 from scipy.sparse.csgraph import connected_components
 
 from .candidates import DEFAULT_V_MAX, DEFAULT_V_MIN, generate_candidates
-from .classifiers import DEFAULT_N_TREES, _check_schema, predict, split_features
-from .features import COST_TIERS, FEATURE_SCHEMA, FeatureExtractor, FeatureVector
+from .classifiers import DEFAULT_N_TREES, check_schema, predict, split_features
+from .features import COST_TIERS, FEATURE_SCHEMA, FeatureExtractor
 from .nrrd_io import save_mask
 from .volume import BinaryMask, VolumeError, _regions, dsi_matrix
 
@@ -127,6 +127,9 @@ def run_pipeline(case, lesion_model, malignancy_model=None,
                  config: RunConfig = RunConfig()) -> list[Detection]:
     """Candidates -> features -> lesion scoring -> fusion -> malignancy.
 
+    Both models are checked to take rows of the feature schema
+    (``check_schema``) before any candidate is generated, so a foreign
+    model is refused even when no candidate would reach it.
     Candidates are sieved by exactly ``config.v_min``/``config.v_max``.
     Those scoring at least ``theta_lesion`` are upscaled to the
     original grid and fused; survivors get a malignancy score when a
@@ -146,6 +149,9 @@ def run_pipeline(case, lesion_model, malignancy_model=None,
     malignancy stage extends the fused survivors' rows by the columns
     the lesion stage did not compute.
     """
+    check_schema(lesion_model, "lesion model")
+    if malignancy_model is not None:
+        check_schema(malignancy_model, "malignancy model")
     candidates = generate_candidates(
         case, m_scales=config.m_scales, n_orient=config.n_orient,
         t_count=config.t_count, v_min=config.v_min, v_max=config.v_max)
@@ -156,9 +162,6 @@ def run_pipeline(case, lesion_model, malignancy_model=None,
         rows[i, cols] = extractor.extract(candidates[i], cols).values[cols]
 
     need = split_features(lesion_model)
-    if candidates:
-        # the bound reads the rows before ``predict`` checks any vector
-        _check_schema(lesion_model, FeatureVector(rows[0]))
     tiers = [cols for cols in (need[np.isin(need, list(t))] for t in COST_TIERS)
              if cols.size]
     live = np.arange(len(candidates))
@@ -168,8 +171,7 @@ def run_pipeline(case, lesion_model, malignancy_model=None,
         # after the last tier the bound is the score itself: predict decides
         if k + 1 < len(tiers):
             live = live[lesion_model.upper_proba(rows[live]) >= config.theta_lesion]
-    scores = predict(lesion_model, [FeatureVector(rows[i]) for i in live]) \
-        if live.size else []
+    scores = predict(lesion_model, rows[live]) if live.size else []
     kept = [(i, float(score)) for i, score in zip(live, scores)
             if score >= config.theta_lesion]
     detections = [
@@ -186,7 +188,7 @@ def run_pipeline(case, lesion_model, malignancy_model=None,
         if missing.size:
             for i in survivors:
                 fill(i, missing)
-        malig = predict(malignancy_model, [FeatureVector(rows[i]) for i in survivors])
+        malig = predict(malignancy_model, rows[survivors])
         for det, m in zip(fused, malig):
             det.malignancy_score = float(m)
             det.malignant = det.malignancy_score >= config.theta_malig

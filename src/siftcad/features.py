@@ -180,10 +180,11 @@ def _field_reach_mm(groups: frozenset, scale_index: int) -> float:
 
 @dataclass(frozen=True, eq=False)
 class FeatureVector:
-    """Values aligned with :data:`FEATURE_SCHEMA`."""
+    """One candidate's values, aligned with :data:`FEATURE_SCHEMA`. It
+    carries no schema tag: the schema is checked on models, where they
+    meet the extractor (``classifiers.check_schema``)."""
 
     values: np.ndarray
-    schema_id: str = FEATURE_SCHEMA_ID
 
     def __post_init__(self):
         vals = np.ascontiguousarray(self.values, dtype=np.float64)

@@ -307,6 +307,21 @@ def _open(f: np.ndarray, plan: tuple[_LinePlan, _LinePlan], scratch: _Scratch) -
 # float32 holds every integer of at most this magnitude exactly
 _F32_EXACT = 2 ** 24
 _I16 = np.iinfo(np.int16)
+# the integrality test reads about this many values at a time
+_INTEGRAL_CHUNK = 2 ** 14
+
+
+def _integral(data: np.ndarray) -> bool:
+    """Whether every value of the non-empty ``data`` is an integer, tested
+    over contiguous axis-0 chunks of about ``_INTEGRAL_CHUNK`` values: no
+    full-grid temporary, and the first chunk holding a fraction ends the
+    test."""
+    step = max(1, _INTEGRAL_CHUNK // data[0].size)
+    for a in range(0, len(data), step):
+        chunk = data[a:a + step]
+        if not np.array_equal(np.trunc(chunk), chunk):
+            return False
+    return True
 
 
 def _work_dtype(data: np.ndarray, n_orient: int = 1, int16: bool = True) -> np.dtype:
@@ -320,7 +335,7 @@ def _work_dtype(data: np.ndarray, n_orient: int = 1, int16: bool = True) -> np.d
     if data.size:
         lo, hi = float(data.min()), float(data.max())
         # a NaN fails every comparison
-        if -_F32_EXACT <= lo and hi <= _F32_EXACT and np.array_equal(np.trunc(data), data):
+        if -_F32_EXACT <= lo and hi <= _F32_EXACT and _integral(data):
             if int16 and _I16.min <= lo and hi <= _I16.max and hi - lo <= _I16.max \
                     and n_orient * (hi - lo) < 2 ** 31:
                 return np.dtype(np.int16)

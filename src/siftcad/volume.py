@@ -306,38 +306,28 @@ def otsu_multilevel_indices(hist: np.ndarray, t_count: int) -> np.ndarray:
         raise VolumeError(f"{t_count} thresholds need more than {n_bins} bins")
     cw, cs = otsu_cumulative_tables(h)
     n_classes = t_count + 1
-
-    def row(i: int, c: int, g_next: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # candidate last-bins for class c starting at bin i
-        remaining = n_classes - c
-        ts = np.arange(i, n_bins - remaining)
-        return ts, class_variance_term(cw, cs, i, ts) + g_next[ts + 1]
-
-    # g[c][i]: best value of classes c..n_classes covering bins [i:]
-    g_next = np.full(n_bins + 1, -np.inf)
-    start = n_classes - 1
-    g_next[start:n_bins] = class_variance_term(
-        cw, cs, np.arange(start, n_bins), n_bins - 1
-    )
-    tables = {n_classes: g_next}
-    # term[i, t]: class [i..t], the same element-wise value ``row``
-    # computes; -inf where t < i, and tables[c + 1] is -inf past the last
-    # feasible end of class c, so a row's max sees only feasible t
+    # term[i, t]: class [i..t]; -inf where t < i
     bins = np.arange(n_bins)
     term = class_variance_term(cw, cs, bins[:, None], bins[None, :])
     term[bins[None, :] < bins[:, None]] = -np.inf
-    for c in range(n_classes - 1, 0, -1):
+    # tables[c][i]: best value of classes c..n_classes covering bins [i:];
+    # -inf past the last feasible start, so a row's max sees only feasible t
+    g_next = np.full(n_bins + 1, -np.inf)
+    start = n_classes - 1
+    g_next[start:n_bins] = term[start:, n_bins - 1]
+    tables = {n_classes: g_next}
+    # the forward pass reads tables[2..n_classes] only
+    for c in range(n_classes - 1, 1, -1):
         stop = n_bins - (n_classes - c)
         g = np.full(n_bins + 1, -np.inf)
         g[c - 1:stop] = (term[c - 1:stop] + tables[c + 1][1:]).max(axis=1)
         tables[c] = g
 
+    # class c starts at bin i and ends at the first t maximising its row
     indices = np.empty(t_count, dtype=np.int64)
     i = 0
     for c in range(1, n_classes):
-        ts, vals = row(i, c, tables[c + 1])
-        hit = np.flatnonzero(vals == tables[c][i])
-        indices[c - 1] = ts[hit[0]]
+        indices[c - 1] = np.argmax(term[i] + tables[c + 1][1:])
         i = int(indices[c - 1]) + 1
     return indices
 

@@ -467,8 +467,8 @@ def full_vector_pipeline(case, lesion_model, malignancy_model, config):
         case, m_scales=config.m_scales, n_orient=config.n_orient,
         t_count=config.t_count, v_min=config.v_min, v_max=config.v_max)
     extractor = FeatureExtractor(case)
-    vectors = [extractor.extract(cand) for cand in candidates]
-    scores = predict(lesion_model, vectors) if vectors else []
+    vectors = [extractor.extract(cand).values for cand in candidates]
+    scores = predict(lesion_model, np.stack(vectors)) if vectors else []
     kept = [(cand, vec, float(score))
             for cand, vec, score in zip(candidates, vectors, scores)
             if score >= config.theta_lesion]
@@ -481,7 +481,7 @@ def full_vector_pipeline(case, lesion_model, malignancy_model, config):
     vec_of = {id(d): vec for d, (_, vec, _) in zip(detections, kept)}
     fused = fuse_labels(detections)
     if malignancy_model is not None and fused:
-        malig = predict(malignancy_model, [vec_of[id(det)] for det in fused])
+        malig = predict(malignancy_model, np.stack([vec_of[id(det)] for det in fused]))
         for det, m in zip(fused, malig):
             det.malignancy_score = float(m)
             det.malignant = det.malignancy_score >= config.theta_malig

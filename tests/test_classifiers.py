@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from siftcad.classifiers import (
     RandomForestModel,
     RusBoostModel,
     assign_training_labels,
+    check_schema,
     group_folds,
     load_model,
     model_from_dict,
@@ -29,7 +31,7 @@ from siftcad.classifiers import (
     train_rusboost,
     train_tree,
 )
-from siftcad.features import FEATURE_SCHEMA, FeatureVector
+from siftcad.features import FEATURE_SCHEMA, FEATURE_SCHEMA_ID, FeatureVector
 from siftcad.volume import BinaryMask
 
 from helpers import candidate_from_mask
@@ -66,8 +68,8 @@ def test_tree_left_branch_is_strictly_less():
     tree = train_tree(x, y)
     thr = tree.threshold[0]
     # the threshold sample itself goes right
-    assert predict(tree, np.array([thr])) >= 0.5
-    assert predict(tree, np.array([thr - 1e-9])) < 0.5
+    assert predict(tree, np.array([[thr]]))[0] >= 0.5
+    assert predict(tree, np.array([[thr - 1e-9]]))[0] < 0.5
 
 
 def test_tree_xor_needs_three_splits():
@@ -351,7 +353,7 @@ def test_rusboost_memorizes_single_positive():
     x = np.vstack([np.zeros((40, 2)), np.full((3, 2), 5.0)])
     y = np.concatenate([-np.ones(40), np.ones(3)])
     model = train_rusboost(x, y, n_trees=10, seed=4)
-    assert predict(model, np.array([5.0, 5.0])) > 0.5
+    assert predict(model, np.array([[5.0, 5.0]]))[0] > 0.5
 
 
 def test_rusboost_scores_equal_per_tree_loop_bitwise():
@@ -576,36 +578,47 @@ def _fake_vector(seed):
     return FeatureVector(rng.normal(size=len(FEATURE_SCHEMA)))
 
 
+def _rows(samples):
+    return np.stack([s.features.values for s in samples])
+
+
 def test_labeled_samples_train_and_predict():
     samples = [LabeledSample(_fake_vector(i), 1 if i % 2 else -1, f"c{i % 4}")
                for i in range(16)]
     model = train_rusboost(samples, n_trees=5, seed=0)
-    p = predict(model, samples[0].features)
-    assert 0.0 <= p <= 1.0
-    batch = predict(model, [s.features for s in samples[:3]])
+    batch = predict(model, _rows(samples[:3]))
     assert batch.shape == (3,)
+    assert ((0.0 <= batch) & (batch <= 1.0)).all()
+    # predict scores a 2D row matrix, never a single row
+    with pytest.raises(ValueError, match="2D"):
+        predict(model, samples[0].features.values)
 
 
-def test_predict_rejects_schema_mismatch():
+def test_check_schema_refuses_foreign_models():
     samples = [LabeledSample(_fake_vector(i), 1 if i % 2 else -1, "c")
                for i in range(8)]
+    x, y = _rows(samples), [s.label for s in samples]
+    # a model fit on samples takes schema rows; one fit on a matrix is untagged
     model = train_rusboost(samples, n_trees=3, seed=0)
-    bad = FeatureVector(np.zeros(len(FEATURE_SCHEMA)), schema_id="other-schema")
-    with pytest.raises(ValueError):
-        predict(model, bad)
-    # a batch is checked vector by vector, not only by its first entry
-    with pytest.raises(ValueError):
-        predict(model, [samples[0].features, bad])
+    assert model.schema_id == FEATURE_SCHEMA_ID
+    assert train_rusboost(x, y, n_trees=3, seed=0).schema_id is None
+    check_schema(model, "m")
+    check_schema(replace(model, schema_id=None), "m")
+    with pytest.raises(ValueError, match="^m: field 'schema_id' is 'other-schema'"):
+        check_schema(replace(model, schema_id="other-schema"), "m")
+    narrow = train_rf(x[:, :5], y, seed=0, n_tree_grid=(3,), m_try_grid=(2,))
+    with pytest.raises(ValueError, match="^m: field 'n_features' is 5"):
+        check_schema(narrow, "m")
 
 
 def test_batch_scores_equal_one_at_a_time_scores():
     samples = [LabeledSample(_fake_vector(i), 1 if i % 3 else -1, f"c{i % 4}")
                for i in range(24)]
-    vectors = [s.features for s in samples]
+    x = _rows(samples)
     for model in (train_rusboost(samples, n_trees=8, seed=1),
                   train_rf(samples, seed=1, n_tree_grid=(15,), m_try_grid=(4,))):
-        batch = predict(model, vectors)
-        single = np.array([predict(model, v) for v in vectors])
+        batch = predict(model, x)
+        single = np.concatenate([predict(model, x[i:i + 1]) for i in range(len(x))])
         assert batch.tobytes() == single.tobytes()
 
 
@@ -624,28 +637,24 @@ def test_split_features_are_the_union_of_the_trees_splits():
 def test_predict_refuses_non_finite_read_features_only():
     samples = [LabeledSample(_fake_vector(i), 1 if i % 3 else -1, f"c{i % 4}")
                for i in range(24)]
-    vectors = [s.features for s in samples]
+    x = _rows(samples)
     for model in (train_rusboost(samples, n_trees=8, seed=1),
                   train_rf(samples, seed=1, n_tree_grid=(15,), m_try_grid=(4,))):
         read = split_features(model)
         unread = np.setdiff1d(np.arange(len(FEATURE_SCHEMA)), read)
         assert read.size and unread.size
-        want = predict(model, vectors)
-        holed = []
-        for v in vectors:
-            values = v.values.copy()
-            values[unread] = np.nan
-            holed.append(FeatureVector(values))
+        want = predict(model, x)
+        holed = x.copy()
+        holed[:, unread] = np.nan
         assert predict(model, holed).tobytes() == want.tobytes()
-        assert predict(model, holed[0]) == want[0]
+        assert predict(model, holed[:1]).tobytes() == want[:1].tobytes()
         for k, value in ((read[0], np.nan), (read[-1], np.inf)):
-            values = vectors[1].values.copy()
-            values[k] = value
-            bad = FeatureVector(values)
+            bad = x[:2].copy()
+            bad[1, k] = value
             with pytest.raises(ValueError, match=f"feature {FEATURE_SCHEMA[k]} "):
-                predict(model, [vectors[0], bad])
-            with pytest.raises(ValueError, match=FEATURE_SCHEMA[k]):
                 predict(model, bad)
+            with pytest.raises(ValueError, match=FEATURE_SCHEMA[k]):
+                predict(model, bad[1:])
 
 
 def _random_tree(rng, nf, depth=3):
@@ -727,7 +736,7 @@ def test_labeled_sample_validation():
 
 def test_model_json_roundtrip(tmp_path):
     x, y = _imbalanced_separable(n_neg=40, n_pos=8, seed=23)
-    rus = train_rusboost(x, y, n_trees=6, seed=2, schema_id="s1")
+    rus = replace(train_rusboost(x, y, n_trees=6, seed=2), schema_id="s1")
     path = tmp_path / "rus.json"
     save_model(path, rus)
     back = load_model(path)
@@ -736,8 +745,8 @@ def test_model_json_roundtrip(tmp_path):
     assert np.array_equal(back.predict_proba(x), rus.predict_proba(x))
 
     xf, yf = _two_gaussians(n=20, seed=29)
-    rf = train_rf(xf, yf, seed=7, n_tree_grid=(10,), m_try_grid=(2,),
-                  schema_id="s1")
+    rf = replace(train_rf(xf, yf, seed=7, n_tree_grid=(10,), m_try_grid=(2,)),
+                 schema_id="s1")
     path2 = tmp_path / "rf.json"
     save_model(path2, rf)
     back2 = load_model(path2)

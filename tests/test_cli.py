@@ -273,9 +273,9 @@ class TestBadModelFiles:
         rng = np.random.default_rng(0)
         x = rng.normal(size=(12, len(FEATURE_SCHEMA)))
         y = np.array([1.0, -1.0] * 6)
-        forest = train_rf(x, y, seed=0, n_tree_grid=(3,), m_try_grid=(2,),
-                          schema_id=lesion["schema_id"])
-        return {_LESION: lesion, _MALIGNANCY: model_to_dict(forest)}
+        forest = train_rf(x, y, seed=0, n_tree_grid=(3,), m_try_grid=(2,))
+        return {_LESION: lesion,
+                _MALIGNANCY: {**model_to_dict(forest), "schema_id": lesion["schema_id"]}}
 
     @pytest.mark.parametrize("name,edit,field", [
         (_LESION, lambda d: [d], "JSON object"),

@@ -1,6 +1,7 @@
 """Fusion, pipeline wiring, and metric fixtures."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -541,12 +542,47 @@ def test_pipeline_settles_candidates_before_their_costly_columns(stump_case, mon
 
 def test_pipeline_refuses_other_schema_even_when_all_are_settled(stump_case):
     # no score reaches 1.01, so the bound would settle every candidate on
-    # its voxel values and no vector would reach predict's schema check
+    # its voxel values and no row would reach predict
     case, stump = stump_case
     lesion = RusBoostModel((stump("t2_mean", 0.0, 1.0), stump("enh_peak", 0.0, 1.0)),
                            np.array([1.0, 1.0]), 0.1, schema_id="siftcad-features-0")
-    with pytest.raises(ValueError, match="schema mismatch"):
+    with pytest.raises(ValueError, match="^lesion model: field 'schema_id'"):
         run_pipeline(case, lesion, config=RunConfig(theta_lesion=1.01))
+
+
+def _no_candidates(monkeypatch):
+    seen = []
+    monkeypatch.setattr(evaluation, "generate_candidates",
+                        lambda case, **kw: seen.append(case) or [])
+    return seen
+
+
+def test_pipeline_refuses_a_foreign_lesion_model_with_no_candidates(stump_case, monkeypatch):
+    case, stump = stump_case
+    seen = _no_candidates(monkeypatch)
+    tree = stump("t2_mean", 0.0, 1.0)
+    foreign = RusBoostModel((tree,), np.array([1.0]), 0.1, schema_id="siftcad-features-0")
+    narrow = RusBoostModel((replace(tree, n_features=3),), np.array([1.0]), 0.1)
+    for model, field in ((foreign, "schema_id"), (narrow, "n_features")):
+        with pytest.raises(ValueError, match=f"^lesion model: field '{field}'"):
+            run_pipeline(case, model)
+    # the check runs before any candidate is generated
+    assert seen == []
+    assert run_pipeline(case, replace(foreign, schema_id=None)) == []
+    assert len(seen) == 1
+
+
+def test_pipeline_refuses_a_foreign_malignancy_model_when_nothing_is_fused(stump_case,
+                                                                          monkeypatch):
+    case, stump = stump_case
+    seen = _no_candidates(monkeypatch)
+    lesion = RusBoostModel((stump("t2_mean", 0.0, 1.0),), np.array([1.0]), 0.1)
+    malignancy = RandomForestModel((stump("enh_peak", 0.0, 1.0),), 1, 1,
+                                   schema_id="siftcad-features-0")
+    with pytest.raises(ValueError, match="^malignancy model: field 'schema_id'"):
+        run_pipeline(case, lesion, malignancy)
+    assert seen == []
+    assert run_pipeline(case, lesion, replace(malignancy, schema_id=None)) == []
 
 
 @pytest.mark.parametrize("config", [

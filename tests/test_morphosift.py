@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -480,6 +481,19 @@ class TestSinglePrecision:
         assert _work_dtype(edge, 1) == _work_dtype(-edge, 1) == np.float32
         assert _work_dtype(edge, 2) == np.float64
         assert _work_dtype(np.empty((0, 3)), 1) == np.float64
+
+    def test_integrality_test_holds_no_full_grid_temporary(self):
+        data = np.random.default_rng(2).integers(-27, 117, size=(64, 64, 32)).astype(np.float64)
+        tracemalloc.start()
+        try:
+            assert _work_dtype(data, 10) == np.int16
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < data.nbytes / 4
+        # a fraction in the grid's last voxel is still seen
+        data[-1, -1, -1] += 0.5
+        assert _work_dtype(data, 10) == np.float64
 
     def test_loaded_case_sifts_scale_1_in_int16(self, loaded_phantom_case, scratch_dtypes):
         # unsigned short scans subtract to integers; the decimated
