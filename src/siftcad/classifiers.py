@@ -4,7 +4,9 @@ Decision trees with weighted Gini splits are the shared base learner.
 A boosted ensemble with per-round random under-sampling separates
 lesion candidates from normal tissue under heavy class imbalance; a
 bagged forest with out-of-bag grid selection grades detected lesions
-as malignant or benign.
+as malignant or benign. One descent, which walks many trees in
+lockstep, scores rows for single trees, both ensembles, their vote
+bound on partly known rows and the out-of-bag grid.
 
 Training functions operate on plain float matrices with labels in
 {-1, +1}, or on ``LabeledSample`` lists of extracted feature vectors,
@@ -115,6 +117,8 @@ class DecisionTree:
     ``feature[i] < 0`` marks a leaf; internal nodes route samples with
     x[feature] < threshold to ``left``. ``value`` is the weighted
     positive-class fraction of the node's training samples.
+    ``predict_proba`` gives each row the value of the node its path ends
+    at: a leaf, or a split on a column the row holds NaN in.
     """
 
     feature: np.ndarray
@@ -124,33 +128,8 @@ class DecisionTree:
     value: np.ndarray
     n_features: int
 
-    @property
-    def n_splits(self) -> int:
-        return int((self.feature >= 0).sum())
-
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.n_features:
-            raise ValueError(
-                f"expected (n, {self.n_features}) inputs, got {x.shape}")
-        out = np.empty(len(x))
-        stack = [(0, np.arange(len(x)))]
-        while stack:
-            node, idx = stack.pop()
-            if idx.size == 0:
-                continue
-            f = self.feature[node]
-            if f < 0:
-                out[idx] = self.value[node]
-                continue
-            go = x[idx, f] < self.threshold[node]
-            stack.append((int(self.left[node]), idx[go]))
-            stack.append((int(self.right[node]), idx[~go]))
-        return out
-
-    def predict_class(self, x: np.ndarray) -> np.ndarray:
-        """Class votes in {-1, +1}; probability ties go positive."""
-        return np.where(self.predict_proba(x) >= 0.5, 1.0, -1.0)
+        return _leaf_values((self,), _feature_rows((self,), x))[0][0]
 
     def to_dict(self) -> dict:
         return {
@@ -356,16 +335,15 @@ def _grow_trees(x, y, rows, weights, rngs, m_try, max_splits) -> list:
 
 
 def _as_xy(samples_or_x, y):
-    """(X, y, groups, schema_id) of a LabeledSample list, whose rows take
-    the feature schema, or of an (X, y) pair, which has neither groups
-    nor a schema."""
+    """(X, y, schema_id) of a LabeledSample list, whose rows take the
+    feature schema, or of an (X, y) pair, which has no schema."""
     if y is None:
         samples = samples_or_x
         if not samples:
             raise ValueError("need at least one sample")
         x = np.stack([s.features.values for s in samples])
         yy = np.array([s.label for s in samples], dtype=np.float64)
-        return x, yy, [s.group for s in samples], FEATURE_SCHEMA_ID
+        return x, yy, FEATURE_SCHEMA_ID
     x = np.asarray(samples_or_x, dtype=np.float64)
     yy = np.asarray(y, dtype=np.float64)
     if x.ndim != 2 or yy.shape != (len(x),):
@@ -374,7 +352,7 @@ def _as_xy(samples_or_x, y):
         raise ValueError("labels must be -1 or +1")
     if not np.isfinite(x).all():
         raise ValueError("sample features must be finite")
-    return x, yy, None, None
+    return x, yy, None
 
 
 def train_tree(samples_or_x, y=None, *, sample_weight=None, max_splits=None,
@@ -386,7 +364,7 @@ def train_tree(samples_or_x, y=None, *, sample_weight=None, max_splits=None,
     split. ``m_try`` restricts each split to a uniform random feature
     subset of that size. Single-class input yields a single leaf.
     """
-    x, yy, _, _ = _as_xy(samples_or_x, y)
+    x, yy, _ = _as_xy(samples_or_x, y)
     n, nf = x.shape
     if sample_weight is None:
         w = np.full(n, 1.0 / n)
@@ -438,16 +416,13 @@ class RusBoostModel:
         return self._proba(x, upper=True)
 
     def _proba(self, x, upper: bool) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2:
-            raise ValueError("expected a 2D feature matrix")
         total = float(self.alphas.sum()) if len(self.trees) else 0.0
+        # a model of no positive weight scores 0.5 on rows of any width
+        x = _feature_rows(self.trees if total > 0 else (), x)
         if total <= 0:
             return np.full(len(x), 0.5)
-        nf = self.trees[0].n_features
-        if x.shape[1] != nf:
-            raise ValueError(f"expected (n, {nf}) inputs, got {x.shape}")
-        positive, determined = _positive_votes(self.trees, x)
+        value, determined = _leaf_values(self.trees, x)
+        positive = value >= 0.5
         if upper:
             positive = np.where(determined, positive, (self.alphas >= 0)[:, None])
         votes = np.where(positive, 1.0, -1.0)
@@ -462,25 +437,23 @@ class RusBoostModel:
 
 
 def train_rusboost(samples_or_x, y=None, *, n_trees=DEFAULT_N_TREES,
-                   learning_rate=DEFAULT_LEARNING_RATE, max_splits=None,
                    seed=None, _trace=None) -> RusBoostModel:
     """AdaBoost with uniform random under-sampling of the majority class.
 
     Each round draws a 1:1 balanced subsample under the current weights,
     fits a tree on it, and scores the weighted error on the full set;
     rounds with error >= 0.5 are redrawn up to a bounded count before
-    training stops early. The tree split budget defaults to the number
-    of training samples.
+    training stops early. Each tree may split as often as there are
+    training samples, and each round's weight is shrunk by
+    ``DEFAULT_LEARNING_RATE``.
     """
-    x, yy, _, schema_id = _as_xy(samples_or_x, y)
+    x, yy, schema_id = _as_xy(samples_or_x, y)
     n = len(x)
     pos = np.flatnonzero(yy > 0)
     neg = np.flatnonzero(yy < 0)
     if pos.size == 0 or neg.size == 0:
         raise ValueError("both classes must be present")
     minority, majority = (pos, neg) if pos.size <= neg.size else (neg, pos)
-    if max_splits is None:
-        max_splits = n
     rng = np.random.default_rng(seed)
     w = np.full(n, 1.0 / n)
     trees, alphas = [], []
@@ -492,8 +465,9 @@ def train_rusboost(samples_or_x, y=None, *, n_trees=DEFAULT_N_TREES,
                                       replace=False)]))
             wsub = w[sub]
             (tree,) = _grow_trees(x, yy, [sub], [wsub / wsub.sum()], [rng],
-                                  None, max_splits)
-            h = tree.predict_class(x)
+                                  None, n)
+            # probability ties vote positive
+            h = np.where(tree.predict_proba(x) >= 0.5, 1.0, -1.0)
             eps = float(w[h != yy].sum())
             if eps < 0.5:
                 accepted = (tree, h, eps)
@@ -501,7 +475,7 @@ def train_rusboost(samples_or_x, y=None, *, n_trees=DEFAULT_N_TREES,
         if accepted is None:
             break
         tree, h, eps = accepted
-        alpha = learning_rate * 0.5 * math.log(
+        alpha = DEFAULT_LEARNING_RATE * 0.5 * math.log(
             (1.0 - eps) / max(eps, _EPS_FLOOR))
         w = w * np.exp(-alpha * yy * h)
         w = w / w.sum()
@@ -510,7 +484,7 @@ def train_rusboost(samples_or_x, y=None, *, n_trees=DEFAULT_N_TREES,
         if _trace is not None:
             _trace.append({"subsample": sub, "epsilon": eps, "alpha": alpha})
     return RusBoostModel(tuple(trees), np.asarray(alphas, dtype=np.float64),
-                         learning_rate, schema_id)
+                         DEFAULT_LEARNING_RATE, schema_id)
 
 
 # ---------------------------------------------------------------------------
@@ -542,13 +516,8 @@ class RandomForestModel:
         return self._proba(x, upper=True)
 
     def _proba(self, x, upper: bool) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2:
-            raise ValueError("expected a 2D feature matrix")
-        nf = self.trees[0].n_features
-        if x.shape[1] != nf:
-            raise ValueError(f"expected (n, {nf}) inputs, got {x.shape}")
-        positive, determined = _positive_votes(self.trees, x)
+        value, determined = _leaf_values(self.trees, _feature_rows(self.trees, x))
+        positive = value >= 0.5
         if upper:
             positive |= ~determined
         # vote counts are small integers, exact in any order
@@ -578,16 +547,28 @@ def _bootstrap_forest(x, y, m_try, seeds):
     return trees, boots
 
 
-def _positive_votes(trees, x) -> tuple[np.ndarray, np.ndarray]:
-    """(positive, determined) masks, (trees, rows), descending all trees
-    together in blocks of at most ``_SPLIT_CELLS`` (tree, row) pairs.
+def _feature_rows(trees, x) -> np.ndarray:
+    """``x`` as a float64 matrix with one column per feature ``trees``
+    take (any count when there are no trees); ValueError otherwise."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2:
+        raise ValueError(f"expected a 2D feature matrix, got shape {x.shape}")
+    if len(trees) and x.shape[1] != trees[0].n_features:
+        raise ValueError(f"expected (n, {trees[0].n_features}) inputs, got {x.shape}")
+    return x
 
-    A path that reaches a split on a NaN column stops there: that
-    (tree, row) pair is undetermined and its ``positive`` entry means
-    nothing. Every other pair votes as ``tree.predict_proba(x) >= 0.5``.
+
+def _leaf_values(trees, x) -> tuple[np.ndarray, np.ndarray]:
+    """(value, determined), (trees, rows): the value of the node where
+    each row's path through each tree ends, all trees descended together
+    in blocks of at most ``_SPLIT_CELLS`` (tree, row) pairs.
+
+    A path ends at a leaf, or at a split on a column the row holds NaN
+    in: that (tree, row) pair is undetermined, and its value is the
+    split node's.
     """
     n = len(x)
-    positive = np.empty((len(trees), n), dtype=bool)
+    values = np.empty((len(trees), n))
     determined = np.empty((len(trees), n), dtype=bool)
     col = np.arange(n)
     step = max(1, _SPLIT_CELLS // max(1, n))
@@ -609,10 +590,9 @@ def _positive_votes(trees, x) -> tuple[np.ndarray, np.ndarray]:
             node = np.where(inner, np.where(v < threshold[node], left[node], right[node]),
                             node)
             inner = (feature[node] >= 0) & ~stuck
-        value = np.concatenate([t.value for t in block])
-        positive[a:a + len(block)] = value[node] >= 0.5
+        values[a:a + len(block)] = np.concatenate([t.value for t in block])[node]
         determined[a:a + len(block)] = ~stuck
-    return positive, determined
+    return values, determined
 
 
 def _oob_votes(x, y, m_try, seeds):
@@ -621,7 +601,7 @@ def _oob_votes(x, y, m_try, seeds):
     trees, boots = _bootstrap_forest(x, y, m_try, seeds)
     oob = np.ones(boots.shape, dtype=bool)
     oob[np.arange(len(boots))[:, None], boots] = False
-    return oob & _positive_votes(trees, x)[0], oob
+    return oob & (_leaf_values(trees, x)[0] >= 0.5), oob
 
 
 def train_rf(samples_or_x, y=None, *, seed=None, n_tree_grid=None,
@@ -635,7 +615,7 @@ def train_rf(samples_or_x, y=None, *, seed=None, n_tree_grid=None,
     features per split, and the final model is refit on all samples;
     its ``oob_grid`` lists every point scored.
     """
-    x, yy, _, schema_id = _as_xy(samples_or_x, y)
+    x, yy, schema_id = _as_xy(samples_or_x, y)
     n, nf = x.shape
     if (yy > 0).sum() == 0 or (yy < 0).sum() == 0:
         raise ValueError("both classes must be present")
@@ -669,10 +649,9 @@ def train_rf(samples_or_x, y=None, *, seed=None, n_tree_grid=None,
 # ---------------------------------------------------------------------------
 
 def split_features(model) -> np.ndarray:
-    """Sorted indices of the features some tree of ``model`` (or the tree
-    itself) splits on: the only columns its scores depend on."""
-    trees = (model,) if isinstance(model, DecisionTree) else model.trees
-    split = [t.feature[t.feature >= 0] for t in trees]
+    """Sorted indices of the features some tree of ``model`` splits on:
+    the only columns its scores depend on."""
+    split = [t.feature[t.feature >= 0] for t in model.trees]
     return np.unique(np.concatenate(split)) if split else np.zeros(0, dtype=np.int64)
 
 
@@ -681,8 +660,6 @@ def _check_read_features(model, x: np.ndarray) -> None:
     sample silently (NaN compares false), so it is refused; columns no
     tree reads may hold anything."""
     read = split_features(model)
-    if x.ndim != 2 or not read.size or read[-1] >= x.shape[1]:
-        return  # predict_proba rejects the shape
     bad = read[~np.isfinite(x[:, read]).all(axis=0)]
     if bad.size:
         k = int(bad[0])
@@ -712,7 +689,7 @@ def predict(model, x):
     (ValueError naming the first that is not); other columns are never
     read. The schema is the caller's to check, see :func:`check_schema`.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = _feature_rows(model.trees, x)
     _check_read_features(model, x)
     return model.predict_proba(x)
 
@@ -732,10 +709,10 @@ def group_folds(groups, k: int) -> np.ndarray:
     return np.array([fold_of[g] for g in groups], dtype=np.int64)
 
 
-def rusboost_cv_curve(samples_or_x, y=None, *, groups=None, n_trees_list,
-                      k=5, seed=None, **rus_kwargs) -> list[float]:
+def rusboost_cv_curve(x, y, groups, *, n_trees_list, k=5, seed=None) -> list[float]:
     """Grouped k-fold CV loss at several ensemble lengths, one training
-    per fold.
+    per fold, of the rows ``x`` with +-1 labels ``y`` and one group (case
+    id) per row in ``groups``.
 
     Trains each fold once at max(n_trees_list) and scores every prefix
     length, which is equivalent to retraining because boosting rounds
@@ -744,10 +721,7 @@ def rusboost_cv_curve(samples_or_x, y=None, *, groups=None, n_trees_list,
     pooled MSE between ``2p - 1`` and the +-1 labels, so a chance
     predictor (p = 0.5) scores exactly 1.0.
     """
-    x, yy, inferred_groups, _ = _as_xy(samples_or_x, y)
-    groups = groups if groups is not None else inferred_groups
-    if groups is None:
-        raise ValueError("groups are required (or pass LabeledSamples)")
+    x, yy, _ = _as_xy(x, y)
     n_trees_list = sorted(n_trees_list)
     folds = group_folds(groups, k)
     fold_seeds = np.random.SeedSequence(seed).spawn(k)
@@ -756,7 +730,7 @@ def rusboost_cv_curve(samples_or_x, y=None, *, groups=None, n_trees_list,
         test = folds == f
         model = train_rusboost(x[~test], yy[~test],
                                n_trees=n_trees_list[-1],
-                               seed=fold_seeds[f], **rus_kwargs)
+                               seed=fold_seeds[f])
         for i, nt in enumerate(n_trees_list):
             p = model.prefix(nt).predict_proba(x[test])
             sq[i, test] = ((2.0 * p - 1.0) - yy[test]) ** 2

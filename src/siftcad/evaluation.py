@@ -27,6 +27,9 @@ from .features import COST_TIERS, FEATURE_SCHEMA, FeatureExtractor
 from .nrrd_io import save_mask
 from .volume import BinaryMask, VolumeError, _regions, dsi_matrix
 
+# a detection hits a target lesion when their DSI is at least this
+MATCH_DSI = 0.2
+
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 
@@ -294,31 +297,30 @@ def _froc_from_matches(scores_per_case, match_per_case, total_targets, n_cases):
     return FrocCurve(thresholds, tpr, false_pos / n_cases)
 
 
-def _curve_metrics(per_case, total_targets: int, match_dsi: float) -> DetectionMetrics:
+def _curve_metrics(per_case, total_targets: int) -> DetectionMetrics:
     """Curves of scored detections against target lesions.
 
     ``per_case`` holds one ``(scores, masks, targets)`` triple per case.
     A target is hit at a threshold when a detection scoring at least
-    that overlaps it with DSI >= ``match_dsi``; a detection that hits
+    that overlaps it with DSI >= ``MATCH_DSI``; a detection that hits
     no target is a false positive, normalized per case. The ROC labels
     each detection by whether it hits a target.
     """
     scores_pc, match_pc = [], []
     for scores, masks, targets in per_case:
         scores_pc.append(np.asarray(scores, dtype=np.float64))
-        match_pc.append(_masks_dsi(masks, targets) >= match_dsi)
+        match_pc.append(_masks_dsi(masks, targets) >= MATCH_DSI)
     froc = _froc_from_matches(scores_pc, match_pc, total_targets, len(per_case))
     roc = roc_curve(np.concatenate(scores_pc),
                     np.concatenate([m.any(axis=1) for m in match_pc]))
     return DetectionMetrics(froc, roc, float(froc.tpr[0]), float(froc.fpp[0]))
 
 
-def detection_metrics(detections_per_case, truths_per_case,
-                      match_dsi: float = 0.2) -> DetectionMetrics:
+def detection_metrics(detections_per_case, truths_per_case) -> DetectionMetrics:
     """Lesion-detection FROC/ROC over per-case detection lists.
 
     A lesion counts as detected when some kept detection overlaps it
-    with DSI >= ``match_dsi``; detections overlapping no lesion are the
+    with DSI >= ``MATCH_DSI``; detections overlapping no lesion are the
     false positives, normalized per case. The ROC scores detections as
     lesion vs normal under the same match rule.
     """
@@ -331,12 +333,11 @@ def detection_metrics(detections_per_case, truths_per_case,
         raise ValueError("no ground-truth lesions in any case")
     per_case = [([d.lesion_score for d in dets], [d.mask for d in dets], lesions)
                 for dets, lesions in zip(detections_per_case, truths_per_case)]
-    return _curve_metrics(per_case, total_lesions, match_dsi)
+    return _curve_metrics(per_case, total_lesions)
 
 
 def malignancy_metrics(detections_per_case, truths_per_case,
-                       malignant_per_case, match_dsi: float = 0.2
-                       ) -> DetectionMetrics:
+                       malignant_per_case) -> DetectionMetrics:
     """Malignancy identification curves over scored detections.
 
     Sweeps the malignancy threshold: a true positive is a malignant
@@ -360,7 +361,7 @@ def malignancy_metrics(detections_per_case, truths_per_case,
                          [d.mask for d in scored],
                          [m for m, f in zip(lesions, flags) if f]))
     total_malignant = sum(int(sum(flags)) for flags in malignant_per_case)
-    return _curve_metrics(per_case, total_malignant, match_dsi)
+    return _curve_metrics(per_case, total_malignant)
 
 
 def arcg(candidates_per_case, truths_per_case) -> tuple[float, float]:

@@ -197,9 +197,6 @@ class FeatureVector:
     def __getitem__(self, name: str) -> float:
         return float(self.values[_INDEX[name]])
 
-    def as_dict(self) -> dict[str, float]:
-        return {n: float(v) for n, v in zip(FEATURE_SCHEMA, self.values)}
-
 
 # ---------------------------------------------------------------------------
 # shells

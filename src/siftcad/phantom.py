@@ -31,12 +31,17 @@ MAX_LESION_DIAMETER_MM = 63.0
 # tissue intensities (arbitrary units, stored as 16-bit on disk)
 T1_FAT, T1_GLAND, T1_BG = 220.0, 90.0, 4.0
 T2_FAT, T2_GLAND, T2_BG = 35.0, 60.0, 3.0
+T2_LESION, T2_RIM = 180.0, 320.0
 DCE_FAT, DCE_GLAND, DCE_BG = 120.0, 100.0, 5.0
 
 # fraction of the breast half-ellipsoid axes occupied by gland
 _GLAND_SCALE = 0.62
 # clutter enhancement rises slowly toward this time constant (s)
 _CLUTTER_TAU_S = 300.0
+# correlation length of the glandular clutter texture (mm)
+_CLUTTER_SCALE_MM = 7.0
+# grid step of the reference grid that measures composite lesions (mm)
+_VOLUME_GRID_MM = 0.25
 
 
 def kinetic_curve(name: str):
@@ -86,10 +91,7 @@ class PhantomSpec:
     lesions: tuple[LesionSpec, ...] = ()
     noise_sigma: float = 0.0
     clutter_amp: float = 0.25
-    clutter_scale_mm: float = 7.0
     times: tuple[float, ...] = (0.0, 90.0, 180.0, 270.0)
-    t2_lesion: float = 180.0
-    t2_rim: float = 320.0
     seed: int = 0
 
     def __post_init__(self):
@@ -158,12 +160,12 @@ def lesion_mask(lesion: LesionSpec, dims, spacing) -> BinaryMask:
     return BinaryMask(out, spacing)
 
 
-def analytic_lesion_volume_mm3(lesion: LesionSpec,
-                               resolution_mm: float = 0.25) -> float:
+def analytic_lesion_volume_mm3(lesion: LesionSpec) -> float:
     """Volume of the analytic shape; balls use the exact formula and
     composites a fine reference grid."""
     if lesion.shape == "ball":
         return math.pi / 6.0 * lesion.diameter_mm ** 3
+    resolution_mm = _VOLUME_GRID_MM
     comps = lesion_components(lesion)
     lo = np.min([c - s for c, s in comps], axis=0) - resolution_mm
     hi = np.max([c + s for c, s in comps], axis=0) + resolution_mm
@@ -255,10 +257,10 @@ def generate_case(spec: PhantomSpec):
     t2[gland] = T2_GLAND
     t2[fat] = T2_FAT
     for lesion, m in zip(spec.lesions, truths):
-        t2[m.data] = spec.t2_lesion
+        t2[m.data] = T2_LESION
         if lesion.rim:
             box, near = rim_shell(m.data, spacing, _RIM_MM)
-            t2[box][near & breast[box] & ~lesion_union[box]] = spec.t2_rim
+            t2[box][near & breast[box] & ~lesion_union[box]] = T2_RIM
 
     pre = np.full(dims, DCE_BG)
     pre[gland] = DCE_GLAND
@@ -266,7 +268,7 @@ def generate_case(spec: PhantomSpec):
     pre[lesion_union] = DCE_GLAND
 
     # smooth half-wave-rectified noise: patchy weak gland enhancement
-    sig = [spec.clutter_scale_mm / s for s in spacing]
+    sig = [_CLUTTER_SCALE_MM / s for s in spacing]
     texture = ndimage.gaussian_filter(rng.standard_normal(dims), sigma=sig)
     std = float(texture.std())
     if std > 0:

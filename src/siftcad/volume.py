@@ -239,8 +239,8 @@ class HistogramSpec:
         return self.lo + (bin_index + 1) * self.bin_width
 
 
-def intensity_histogram(values: np.ndarray, n_bins: int = N_HISTOGRAM_BINS):
-    """Uniform histogram over [min, max] of ``values``.
+def intensity_histogram(values: np.ndarray):
+    """Uniform ``N_HISTOGRAM_BINS``-bin histogram over [min, max] of ``values``.
 
     Returns ``(counts, HistogramSpec)``. Values equal to the max land in
     the last bin.
@@ -252,10 +252,10 @@ def intensity_histogram(values: np.ndarray, n_bins: int = N_HISTOGRAM_BINS):
     hi = float(vals.max())
     if hi <= lo:
         raise VolumeError("constant values have no histogram spread")
-    idx = np.floor((vals - lo) / (hi - lo) * n_bins).astype(np.int64)
-    np.clip(idx, 0, n_bins - 1, out=idx)
-    counts = np.bincount(idx, minlength=n_bins).astype(np.float64)
-    return counts, HistogramSpec(lo, hi, n_bins)
+    idx = np.floor((vals - lo) / (hi - lo) * N_HISTOGRAM_BINS).astype(np.int64)
+    np.clip(idx, 0, N_HISTOGRAM_BINS - 1, out=idx)
+    counts = np.bincount(idx, minlength=N_HISTOGRAM_BINS).astype(np.float64)
+    return counts, HistogramSpec(lo, hi, N_HISTOGRAM_BINS)
 
 
 def otsu_cumulative_tables(hist: np.ndarray):

@@ -103,10 +103,6 @@ class Subbands3:
     original_dims: tuple[int, int, int]
     spacing: tuple[float, float, float]
 
-    @property
-    def lll(self) -> np.ndarray:
-        return self.bands["LLL"]
-
 
 def dwt3_db2(volume: Volume3D) -> Subbands3:
     """One level of the separable 3D transform."""

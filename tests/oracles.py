@@ -375,24 +375,50 @@ def per_feature_best_split(x, w, wp, idx, feat_ids):
 
 
 # ---------------------------------------------------------------------------
-# best-first tree growth, one tree and one node at a time
+# tree descent, one row and one node at a time
 # ---------------------------------------------------------------------------
-# The grower the package used before it grew a forest's trees in lockstep:
-# one heap of open nodes keyed (-gain, creation counter), children created
-# left then right, and each splittable child's features drawn from the
-# tree's generator as the child is created.
+
+def tree_walk(tree, x) -> tuple[np.ndarray, np.ndarray]:
+    """(value, determined) per row of ``x``: the value of the node where
+    the row's path through ``tree`` ends, walked one node at a time. The
+    path ends at a leaf (determined) or at a split on a column the row
+    holds NaN in (undetermined)."""
+    feature, threshold = tree.feature.tolist(), tree.threshold.tolist()
+    left, right, value = tree.left.tolist(), tree.right.tolist(), tree.value.tolist()
+    values, determined = [], []
+    for row in np.asarray(x, dtype=np.float64).tolist():
+        node, known = 0, True
+        while feature[node] >= 0:
+            v = row[feature[node]]
+            if math.isnan(v):
+                known = False
+                break
+            node = left[node] if v < threshold[node] else right[node]
+        values.append(value[node])
+        determined.append(known)
+    return np.array(values, dtype=np.float64), np.array(determined, dtype=bool)
+
 
 def rusboost_scores_per_tree(model, x) -> np.ndarray:
-    """RUSBoost scores accumulated one tree at a time, in round order."""
+    """RUSBoost scores accumulated one tree at a time, in round order;
+    a tree votes +1 on rows whose leaf value is at least 0.5."""
     x = np.asarray(x, dtype=np.float64)
     total = float(model.alphas.sum()) if len(model.trees) else 0.0
     if total <= 0:
         return np.full(len(x), 0.5)
     margin = np.zeros(len(x))
     for tree, alpha in zip(model.trees, model.alphas):
-        margin += alpha * tree.predict_class(x)
+        margin += alpha * np.where(tree_walk(tree, x)[0] >= 0.5, 1.0, -1.0)
     return 1.0 / (1.0 + np.exp(-margin / total))
 
+
+# ---------------------------------------------------------------------------
+# best-first tree growth, one tree and one node at a time
+# ---------------------------------------------------------------------------
+# The grower the package used before it grew a forest's trees in lockstep:
+# one heap of open nodes keyed (-gain, creation counter), children created
+# left then right, and each splittable child's features drawn from the
+# tree's generator as the child is created.
 
 def grow_tree(x, y, w, max_splits, m_try, rng) -> dict:
     """``DecisionTree.to_dict()`` of the tree fit on every row of ``x``

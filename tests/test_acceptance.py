@@ -103,7 +103,7 @@ def test_criterion_03_wavelet_roundtrip_and_lll_gain():
         back = idwt3_db2(dwt3_db2(vol))
         assert np.abs(back.data - vol.data).max() <= 1e-9
     const = Volume3D(np.full((16, 16, 16), 3.7), (1.0, 1.0, 1.0))
-    lll = dwt3_db2(const).lll
+    lll = dwt3_db2(const).bands["LLL"]
     assert np.abs(lll - 2.0 * math.sqrt(2.0) * 3.7).max() <= 1e-9
 
 

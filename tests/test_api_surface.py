@@ -1,10 +1,12 @@
-"""Public API guard: every top-level public name in ``src/siftcad`` is
-used somewhere in the package other than its own definition.
+"""Public API guard: every top-level public name in ``src/siftcad``, and
+every public method and property of its public classes (``Class.name``),
+is used somewhere in the package other than its own definition.
 
 Names only tests call are dead weight unless a test uses them as a
 reference or an oracle for code the pipeline runs; those are listed
 here, each with the reason it stays, and some other test module must
-still use each of them.
+still use each of them. Members are matched by name alone: a read of
+``.name`` on any object counts as a use of every ``Class.name``.
 """
 
 import ast
@@ -43,42 +45,56 @@ def _names_used(tree) -> list[tuple[str, int]]:
     return out
 
 
+def _public_definitions(tree):
+    """(name, node) of each public top-level name of a module, and of each
+    public method and property of its public classes as ``Class.name``."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            names = []
+        yield from ((name, node) for name in names if not name.startswith("_"))
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and \
+                        not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item
+
+
 def _definitions_and_references():
     definitions: dict[str, list[tuple[str, int, int]]] = {}
     references: list[tuple[str, str, int]] = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                names = [node.name]
-            elif isinstance(node, ast.Assign):
-                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
-            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-                names = [node.target.id]
-            else:
-                names = []
-            for name in names:
-                if not name.startswith("_"):
-                    definitions.setdefault(name, []).append(
-                        (path.name, node.lineno, node.end_lineno))
+        for name, node in _public_definitions(tree):
+            definitions.setdefault(name, []).append(
+                (path.name, node.lineno, node.end_lineno))
         references += [(name, path.name, line) for name, line in _names_used(tree)]
     return definitions, references
 
 
+def _bare(name: str) -> str:
+    return name.rpartition(".")[2]
+
+
 def _unreferenced() -> set[str]:
     definitions, references = _definitions_and_references()
-    used = set()
+    sites: dict[str, list[tuple[str, int]]] = {}
     for name, module, line in references:
-        spans = definitions.get(name, ())
-        if not any(module == m and first <= line <= last for m, first, last in spans):
-            used.add(name)
-    return set(definitions) - used
+        sites.setdefault(name, []).append((module, line))
+    return {name for name, spans in definitions.items()
+            if all(any(module == m and first <= line <= last for m, first, last in spans)
+                   for module, line in sites.get(_bare(name), ()))}
 
 
 def test_every_public_name_is_used_in_the_package_or_listed():
     unreferenced = _unreferenced()
     assert unreferenced - set(TEST_ONLY) == set(), \
-        "public names nothing in src/siftcad uses: delete them or list why tests need them"
+        "public names and members nothing in src/siftcad uses: delete them or list why tests need them"
     assert set(TEST_ONLY) - unreferenced == set(), \
         "listed names that are gone or now used by the package: drop them from the list"
 
@@ -89,5 +105,5 @@ def test_every_listed_name_is_used_by_another_test_module():
         if path.name != Path(__file__).name:
             tree = ast.parse(path.read_text(), filename=str(path))
             used.update(name for name, _ in _names_used(tree))
-    assert set(TEST_ONLY) - used == set(), \
+    assert {name for name in TEST_ONLY if _bare(name) not in used} == set(), \
         "listed names no test uses any more: delete them from the package"

@@ -7,10 +7,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from siftcad import classifiers
 from siftcad.classifiers import (
     _best_splits,
     _grow_trees,
-    _positive_votes,
+    _leaf_values,
     CandidateLabel,
     DecisionTree,
     LabeledSample,
@@ -40,6 +41,7 @@ from oracles import (
     grow_tree,
     per_feature_best_split,
     rusboost_scores_per_tree,
+    tree_walk,
 )
 
 
@@ -49,6 +51,15 @@ def _separable_1d(n_neg=6, n_pos=6):
     return x[:, None], y
 
 
+def _n_splits(tree) -> int:
+    return int((tree.feature >= 0).sum())
+
+
+def _votes(tree, x) -> np.ndarray:
+    """Class votes in {-1, +1}; probability ties go positive."""
+    return np.where(tree.predict_proba(x) >= 0.5, 1.0, -1.0)
+
+
 # ---------------------------------------------------------------------------
 # decision tree
 # ---------------------------------------------------------------------------
@@ -56,8 +67,8 @@ def _separable_1d(n_neg=6, n_pos=6):
 def test_tree_separable_single_split():
     x, y = _separable_1d()
     tree = train_tree(x, y)
-    assert tree.n_splits == 1
-    assert np.array_equal(tree.predict_class(x), y)
+    assert _n_splits(tree) == 1
+    assert np.array_equal(_votes(tree, x), y)
     # midpoint of the gap between the closest opposite-class points
     assert tree.threshold[0] == 0.0
 
@@ -68,16 +79,16 @@ def test_tree_left_branch_is_strictly_less():
     tree = train_tree(x, y)
     thr = tree.threshold[0]
     # the threshold sample itself goes right
-    assert predict(tree, np.array([[thr]]))[0] >= 0.5
-    assert predict(tree, np.array([[thr - 1e-9]]))[0] < 0.5
+    assert tree.predict_proba(np.array([[thr]]))[0] >= 0.5
+    assert tree.predict_proba(np.array([[thr - 1e-9]]))[0] < 0.5
 
 
 def test_tree_xor_needs_three_splits():
     x = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0]])
     y = np.array([-1.0, -1.0, 1.0, 1.0])
     tree = train_tree(x, y)
-    assert np.array_equal(tree.predict_class(x), y)
-    assert tree.n_splits >= 3
+    assert np.array_equal(_votes(tree, x), y)
+    assert _n_splits(tree) >= 3
 
 
 def test_tree_deterministic_on_duplicate_run():
@@ -94,8 +105,8 @@ def test_tree_zero_weight_samples_are_invisible():
     y = np.array([1.0, -1.0, -1.0, 1.0, 1.0])
     w = np.array([0.0, 1.0, 1.0, 1.0, 1.0])
     tree = train_tree(x, y, sample_weight=w)
-    assert tree.n_splits == 1
-    got = tree.predict_class(x[1:])
+    assert _n_splits(tree) == 1
+    got = _votes(tree, x[1:])
     assert np.array_equal(got, y[1:])
 
 
@@ -110,7 +121,7 @@ def test_tree_tiebreak_prefers_lowest_feature():
 def test_tree_single_class_is_one_leaf():
     x = np.arange(5.0)[:, None]
     tree = train_tree(x, np.ones(5))
-    assert tree.n_splits == 0
+    assert _n_splits(tree) == 0
     assert np.all(tree.predict_proba(x) == 1.0)
 
 
@@ -119,7 +130,7 @@ def test_tree_split_budget_is_respected():
     x = rng.normal(size=(40, 3))
     y = np.where(rng.random(40) < 0.5, 1.0, -1.0)
     tree = train_tree(x, y, max_splits=2)
-    assert tree.n_splits <= 2
+    assert _n_splits(tree) <= 2
 
 
 def _split_key(split):
@@ -264,7 +275,7 @@ def test_lockstep_forest_equals_one_tree_at_a_time(n, nf, m_try, weighting, budg
                          np.random.default_rng(seeds[t]))
         assert json.dumps(tree.to_dict()) == json.dumps(want), t
     if single_class:
-        assert all(tree.n_splits == 0 for tree in trees)
+        assert all(_n_splits(tree) == 0 for tree in trees)
 
 
 def test_single_trees_under_a_binding_budget_equal_the_oracle():
@@ -279,25 +290,46 @@ def test_single_trees_under_a_binding_budget_equal_the_oracle():
             want = grow_tree(x, y, w / w.sum(), budget, m_try,
                              np.random.default_rng(trial))
             assert json.dumps(tree.to_dict()) == json.dumps(want)
-            assert tree.n_splits <= budget
+            assert _n_splits(tree) <= budget
 
 
-def test_positive_votes_equal_each_trees_prediction():
+@pytest.mark.parametrize("cells", [None, 64])
+def test_leaf_values_equal_a_per_row_walk(monkeypatch, cells):
     rng = np.random.default_rng(5)
     x, y, rows, weights = _lockstep_inputs(rng, 40, 6, 30, "uniform")
-    trees = _grow_trees(x, y, rows, weights,
-                        [np.random.default_rng(s) for s in range(30)], 2, 40)
+    grown = tuple(_grow_trees(x, y, rows, weights,
+                              [np.random.default_rng(s) for s in range(30)], 2, 40))
+    trees = grown + tuple(_random_tree(rng, 6) for _ in range(10))
+    if cells is not None:
+        # lockstep blocks of a single tree each
+        monkeypatch.setattr(classifiers, "_SPLIT_CELLS", cells)
     # probes on every threshold exercise the strict x < threshold rule
     probe = np.vstack([x, rng.normal(size=(20, 6))])
-    for tree in trees[:5]:
+    for tree in grown[:5] + trees[-5:]:
         for f, thr in zip(tree.feature, tree.threshold):
             if f >= 0:
                 probe = np.vstack([probe, probe[:1]])
                 probe[-1, f] = thr
-    want = np.stack([t.predict_proba(probe) >= 0.5 for t in trees])
-    positive, determined = _positive_votes(trees, probe)
-    assert np.array_equal(positive, want)
+    holed = np.where(rng.random(probe.shape) < 0.3, np.nan, probe)
+    # column 3 is constant, so no grown tree splits on it
+    unread = probe.copy()
+    unread[:, 3] = np.nan
+    for z in (probe, holed, unread):
+        walks = [tree_walk(t, z) for t in trees]
+        values, determined = _leaf_values(trees, z)
+        assert values.tobytes() == np.stack([v for v, _ in walks]).tobytes()
+        assert np.array_equal(determined, np.stack([d for _, d in walks]))
+        for tree, (v, d) in zip(trees, walks):
+            single_values, single_determined = _leaf_values((tree,), z)
+            assert single_values[0].tobytes() == v.tobytes()
+            assert np.array_equal(single_determined[0], d)
+            # a bare tree stops at a NaN split too
+            assert tree.predict_proba(z).tobytes() == v.tobytes()
+    assert _leaf_values(trees, probe)[1].all()
+    assert not _leaf_values(trees, holed)[1].all()
+    values, determined = _leaf_values(grown, unread)
     assert determined.all()
+    assert values.tobytes() == _leaf_values(grown, probe)[0].tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -629,8 +661,6 @@ def test_split_features_are_the_union_of_the_trees_splits():
                   train_rf(samples, seed=1, n_tree_grid=(15,), m_try_grid=(4,))):
         want = sorted({int(f) for t in model.trees for f in t.feature if f >= 0})
         assert split_features(model).tolist() == want
-        assert split_features(model.trees[0]).tolist() == \
-            sorted({int(f) for f in model.trees[0].feature if f >= 0})
     assert split_features(RusBoostModel((), np.zeros(0), 0.1)).size == 0
 
 

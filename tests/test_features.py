@@ -746,4 +746,3 @@ def test_feature_vector_validation():
         FeatureVector(np.zeros(3))
     vec = FeatureVector(np.arange(len(FEATURE_SCHEMA), dtype=np.float64))
     assert vec["esd_mm"] == FEATURE_SCHEMA.index("esd_mm")
-    assert list(vec.as_dict()) == list(FEATURE_SCHEMA)

@@ -46,7 +46,7 @@ def test_roundtrip_odd_dims():
 def test_constant_volume_lll_gain():
     v = Volume3D(np.full((16, 16, 16), 3.25), SP)
     sb = dwt3_db2(v)
-    assert np.max(np.abs(sb.lll - 3.25 * LLL_GAIN)) <= 1e-9
+    assert np.max(np.abs(sb.bands["LLL"] - 3.25 * LLL_GAIN)) <= 1e-9
     for key, band in sb.bands.items():
         if key != "LLL":
             assert np.max(np.abs(band)) <= 1e-9
