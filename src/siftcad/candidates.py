@@ -179,12 +179,16 @@ def generate_candidates(
 ) -> list[RegionCandidate]:
     """Deterministic candidate generation over all pyramid scales.
 
-    Per scale: decimate the first-subtraction volume and the breast mask
-    from the scale before (one LLL ladder each), sift, normalise
-    inside the scaled breast mask, threshold with the multilevel bank,
-    take 26-connected components per threshold and sieve them by the
-    scale's volume window. Candidates with identical voxel sets at the
-    same scale are merged, keeping the lowest threshold index.
+    Decimate the first-subtraction volume and the breast mask scale by
+    scale (one LLL ladder each, every level made before any is sifted);
+    then per scale: sift, normalise inside the scaled breast mask (in
+    the response's own buffer), threshold with the multilevel bank, take
+    26-connected components per threshold and sieve them by the scale's
+    volume window. Candidates with identical voxel sets at the same
+    scale are merged, keeping the lowest threshold index. Each level is
+    freed once sifted, and each response once sieved unless
+    ``responses`` keeps it, so scale 1's sifting holds the two frames,
+    the subtraction and levels 2 and up, but no response.
 
     If ``responses`` is given, it receives each sifted scale's
     normalised response keyed by scale index; a scale whose breast
@@ -192,16 +196,23 @@ def generate_candidates(
     """
     d, _, big_d = case.spacing
     plan = lse_magnitudes(v_min, v_max, d, big_d, m_scales)
-    sub = subtract(case.dce[1], case.dce[0])
+    # every level is decimated before any is sifted: levels 2 and 3 are
+    # 1/8 and 1/64 of a grid, and decimating them then holds only the
+    # frames, the subtraction and the mask, not a scale's response
+    levels = list(zip(scale_ladder(subtract(case.dce[1], case.dce[0]), m_scales),
+                      mask_ladder(case.breast_mask, m_scales)))
     out: list[RegionCandidate] = []
-    ladder = zip(scale_ladder(sub, m_scales), mask_ladder(case.breast_mask, m_scales))
-    for m, (scaled, mask_m) in enumerate(ladder, start=1):
+    for m in range(1, m_scales + 1):
+        scaled, mask_m = levels[m - 1]
+        levels[m - 1] = None  # the level is freed once it is sifted
         if mask_m.count == 0:
             continue
+        spacing, voxvol = scaled.spacing, scaled.voxel_volume_mm3
         # normalize16 reads the response inside the mask alone, so ms3d
-        # sifts only the mask's slices; the raw response is dropped as
-        # soon as its 16-bit map exists
+        # sifts only the mask's slices; it maps the fresh response onto
+        # 16 bit in its own buffer
         f16 = normalize16(ms3d(scaled, plan, n_orient, mask=mask_m), mask_m)
+        del scaled
         if responses is not None:
             responses[m] = f16
         try:
@@ -210,12 +221,11 @@ def generate_candidates(
             # a (near-)constant response carries no candidates at this scale
             continue
         lo, hi = volume_window(m, m_scales, v_min, v_max)
-        voxvol = scaled.voxel_volume_mm3
         seen: dict[bytes, RegionCandidate] = {}
         ordered: list[RegionCandidate] = []
         pieces = _sieve_components(f16.data, thresholds, lo, hi, voxvol)
         # no step past the sieve reads the response: unless ``responses``
-        # keeps it, it is freed before the ladder decimates the next scale
+        # keeps it, it is freed before the next scale is sifted
         del f16
         for t_idx, t_pieces in enumerate(pieces):
             for flat_idx in t_pieces:
@@ -223,7 +233,7 @@ def generate_candidates(
                 if key in seen:
                     continue
                 cand = _make_candidate(
-                    flat_idx, m, t_idx, mask_m.dims, scaled.spacing,
+                    flat_idx, m, t_idx, mask_m.dims, spacing,
                     case.dims, case.spacing,
                 )
                 seen[key] = cand

@@ -141,6 +141,10 @@ def cmd_sift(args) -> int:
         raise VolumeError(f"{args.manifest}: manifest has {what}")
     record = matches[0]
     case = load_case(record)
+    # the scale-1 response written below is normalised inside the breast
+    if case.breast_mask.count == 0:
+        raise VolumeError(
+            f"{record.base_dir / record.breast_mask}: normalisation mask is empty")
     responses: dict[int, Volume3D] = {}
     cands = generate_candidates(
         case, m_scales=config.m_scales, n_orient=config.n_orient,
@@ -166,10 +170,7 @@ def cmd_sift(args) -> int:
     (out / f"{record.case_id}_candidates.json").write_text(
         json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
-    # full-resolution sifted response for visual inspection; scale 1 is
-    # skipped only when the breast mask is empty
-    if 1 not in responses:
-        raise VolumeError("normalisation mask is empty")
+    # full-resolution sifted response for visual inspection
     save_volume(out / f"{record.case_id}_ms3d.nrrd", responses[1])
     print(f"{record.case_id}: {len(cands)} candidates")
     return EXIT_OK

@@ -538,16 +538,23 @@ def ms3d(volume: Volume3D, plan: MagnitudePlan, n_orient: int = 10,
 def normalize16(volume: Volume3D, mask: BinaryMask) -> Volume3D:
     """Affine map of the masked voxels onto [0, 65535] (min -> 0,
     max -> 65535); voxels outside the mask are set to 0. A constant
-    masked region maps to all zeros."""
+    masked region maps to all zeros.
+
+    The map is written over ``volume``'s own buffer, which the returned
+    volume shares: the caller hands over a response it no longer reads
+    (every caller passes a fresh :func:`ms3d` result)."""
     if mask.dims != volume.dims:
         raise VolumeError("mask grid does not match volume")
     sel = mask.data
     if not sel.any():
         raise VolumeError("normalisation mask is empty")
-    vals = volume.data[sel]
+    data = volume.data
+    vals = data[sel]
     lo = float(vals.min())
     hi = float(vals.max())
-    out = np.zeros_like(volume.data)
+    data.fill(0.0)
     if hi > lo:
-        out[sel] = (vals - lo) * (65535.0 / (hi - lo))
-    return Volume3D(out, volume.spacing)
+        vals -= lo
+        vals *= 65535.0 / (hi - lo)
+        data[sel] = vals
+    return volume

@@ -13,6 +13,7 @@ seed fixed the output is bit-reproducible.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -226,90 +227,124 @@ def rim_shell(region: np.ndarray, spacing, reach_mm: float):
     return box, near & outside
 
 
-def generate_case(spec: PhantomSpec):
-    """Materialise one case: (BreastCase, ground truths, malignancy labels).
-
-    Noiseless cases reproduce each lesion's programmed relative
-    enhancement exactly (the curve is applied multiplicatively to the
-    pre-contrast frame on lesion voxels only).
-    """
-    dims, spacing = spec.dims, spec.spacing
-    rng = np.random.default_rng(spec.seed)
-    breast, gland = _breast_masks(dims, spacing)
-    fat = breast & ~gland
-
+def _anatomy(spec: PhantomSpec):
+    """``(breast, gland, fat, truths)``: the case's boolean breast, gland
+    and fat masks and each lesion's ground-truth mask."""
+    breast, gland = _breast_masks(spec.dims, spec.spacing)
     truths = []
     for lesion in spec.lesions:
-        m = lesion_mask(lesion, dims, spacing)
+        m = lesion_mask(lesion, spec.dims, spec.spacing)
         if m.count == 0 or (m.data & ~breast).any():
             raise VolumeError(
                 f"lesion at {lesion.centre_mm} falls outside the breast")
         truths.append(m)
+    return breast, gland, breast & ~gland, truths
+
+
+# voxels of the noise drawn per block: noise needs no full grid, and
+# blocks of one C-order stream draw the same values as one whole grid
+_NOISE_BLOCK = 1 << 16
+
+
+def _volumes(spec: PhantomSpec, anatomy) -> Iterator[np.ndarray]:
+    """The case's T1, T2 and DCE frames, noised, in the rng's draw order.
+
+    Each volume is made when the caller asks for the next one and the
+    generator keeps no reference to it, so a caller that drops each
+    volume holds one at a time. Every frame is the pre-contrast frame
+    times ``1 + clutter * k(t)``, and lesion voxels take their kinetic
+    curve; the pre-contrast frame is piecewise constant, so each frame
+    is rebuilt from the masks, and the clutter is kept on the voxels it
+    reaches only.
+    """
+    dims, spacing = spec.dims, spec.spacing
+    breast, gland, fat, truths = anatomy
+    rng = np.random.default_rng(spec.seed)
     lesion_union = np.zeros(dims, dtype=bool)
     for m in truths:
         lesion_union |= m.data
 
-    t1 = np.full(dims, T1_BG)
-    t1[gland] = T1_GLAND
-    t1[fat] = T1_FAT
+    def tissue(background, gland_value, fat_value):
+        v = np.full(dims, background)
+        v[gland] = gland_value
+        v[fat] = fat_value
+        return v
 
-    t2 = np.full(dims, T2_BG)
-    t2[gland] = T2_GLAND
-    t2[fat] = T2_FAT
-    for lesion, m in zip(spec.lesions, truths):
-        t2[m.data] = T2_LESION
-        if lesion.rim:
-            box, near = rim_shell(m.data, spacing, _RIM_MM)
-            t2[box][near & breast[box] & ~lesion_union[box]] = T2_RIM
+    def noised(v):
+        # per voxel max(v + sigma * noise, 0), the noise drawn in C order
+        if spec.noise_sigma > 0:
+            flat = v.reshape(-1)
+            noise = np.empty(min(_NOISE_BLOCK, flat.size))
+            for start in range(0, flat.size, noise.size):
+                part = flat[start:start + noise.size]
+                block = noise[:part.size]
+                rng.standard_normal(out=block)
+                block *= spec.noise_sigma
+                part += block
+                np.maximum(part, 0.0, out=part)
+        return v
 
-    pre = np.full(dims, DCE_BG)
-    pre[gland] = DCE_GLAND
-    pre[fat] = DCE_FAT
-    pre[lesion_union] = DCE_GLAND
+    def pre_contrast():
+        v = tissue(DCE_BG, DCE_GLAND, DCE_FAT)
+        v[lesion_union] = DCE_GLAND
+        return v
 
-    # smooth half-wave-rectified noise: patchy weak gland enhancement
+    # smooth half-wave-rectified noise: patchy weak gland enhancement,
+    # drawn before any volume's noise
     sig = [_CLUTTER_SCALE_MM / s for s in spacing]
     texture = ndimage.gaussian_filter(rng.standard_normal(dims), sigma=sig)
     std = float(texture.std())
     if std > 0:
         texture /= std
-    clutter = spec.clutter_amp * np.clip(texture, 0.0, None)
+    enhancing = gland & ~lesion_union
+    clutter = spec.clutter_amp * np.clip(texture[enhancing], 0.0, None)
     del texture
-    clutter[~gland | lesion_union] = 0.0
 
-    # every array below is built and edited in place, so the case holds
-    # one full grid per output volume plus one working grid (the clutter,
-    # then the noise); each voxel goes through the same operations, in
-    # the same order, as pre * (1 + clutter * k) and max(v + sigma * noise, 0)
-    frames = [pre]
+    yield noised(tissue(T1_BG, T1_GLAND, T1_FAT))
+
+    t2 = tissue(T2_BG, T2_GLAND, T2_FAT)
+    for lesion, m in zip(spec.lesions, truths):
+        t2[m.data] = T2_LESION
+        if lesion.rim:
+            box, near = rim_shell(m.data, spacing, _RIM_MM)
+            t2[box][near & breast[box] & ~lesion_union[box]] = T2_RIM
+    yield noised(t2)
+    del t2
+
+    yield noised(pre_contrast())
     for t in spec.times[1:]:
-        frame = clutter * (1.0 - math.exp(-t / _CLUTTER_TAU_S))
-        frame += 1.0
-        frame *= pre
+        # each voxel goes through the same operations, in the same
+        # order, as (1 + clutter * k) * pre, where the clutter is 0 off
+        # ``enhancing``; a lesion voxel's pre is DCE_GLAND
+        frame = pre_contrast()
+        k = 1.0 - math.exp(-t / _CLUTTER_TAU_S)
+        frame[enhancing] = (clutter * k + 1.0) * frame[enhancing]
         for lesion, m in zip(spec.lesions, truths):
-            curve = kinetic_curve(lesion.kinetic)
-            frame[m.data] = pre[m.data] * (1.0 + curve(t))
-        frames.append(frame)
-    del clutter
+            frame[m.data] = DCE_GLAND * (1.0 + kinetic_curve(lesion.kinetic)(t))
+        yield noised(frame)
+        del frame
 
-    volumes = [t1, t2, *frames]
-    if spec.noise_sigma > 0:
-        noise = np.empty(dims)
-        for v in volumes:
-            rng.standard_normal(out=noise)
-            noise *= spec.noise_sigma
-            v += noise
-            np.maximum(v, 0.0, out=v)
-    t1v, t2v, *dce = (Volume3D(v, spacing) for v in volumes)
+
+def generate_case(spec: PhantomSpec):
+    """Materialise one case: (BreastCase, ground truths, malignancy labels).
+
+    The volumes are the stream :func:`generate_suite` writes, collected.
+    Noiseless cases reproduce each lesion's programmed relative
+    enhancement exactly (the curve is applied multiplicatively to the
+    pre-contrast frame on lesion voxels only).
+    """
+    anatomy = _anatomy(spec)
+    breast, _, fat, truths = anatomy
+    t1, t2, *dce = (Volume3D(v, spec.spacing) for v in _volumes(spec, anatomy))
     case = BreastCase(
         case_id=spec.case_id,
         side=spec.side,
-        t1=t1v,
-        t2=t2v,
-        dce=list(dce),
+        t1=t1,
+        t2=t2,
+        dce=dce,
         acquisition_times=list(spec.times),
-        breast_mask=BinaryMask(breast, spacing),
-        fat_mask=BinaryMask(fat, spacing),
+        breast_mask=BinaryMask(breast, spec.spacing),
+        fat_mask=BinaryMask(fat, spec.spacing),
         ground_truth=truths,
     )
     return case, truths, [l.malignant for l in spec.lesions]
@@ -406,20 +441,20 @@ def suite_specs(n_cases: int, seed: int = 0, *, dims=(112, 112, 56),
 
 
 def _write_case(spec: PhantomSpec, out_dir: Path, split: str) -> CaseRecord:
-    """Make one case and write its files; its arrays are freed on return,
-    before the next case is made."""
-    case, truths, malignant = generate_case(spec)
+    """Make one case and write its files, each volume as soon as it is
+    made: the case holds its masks and one volume at a time, all freed
+    on return, before the next case is made."""
+    anatomy = _anatomy(spec)
+    breast, _, fat, truths = anatomy
     case_dir = out_dir / spec.case_id
     case_dir.mkdir(exist_ok=True)
-    save_volume(case_dir / "t1.nrrd", case.t1)
-    save_volume(case_dir / "t2.nrrd", case.t2)
-    dce_paths = []
-    for j, frame in enumerate(case.dce):
-        p = f"{spec.case_id}/dce_{j}.nrrd"
-        save_volume(out_dir / p, frame)
-        dce_paths.append(p)
-    save_mask(case_dir / "breast.nrrd", case.breast_mask)
-    save_mask(case_dir / "fat.nrrd", case.fat_mask)
+    dce_paths = [f"{spec.case_id}/dce_{j}.nrrd" for j in range(len(spec.times))]
+    names = [f"{spec.case_id}/t1.nrrd", f"{spec.case_id}/t2.nrrd", *dce_paths]
+    for name, v in zip(names, _volumes(spec, anatomy)):
+        save_volume(out_dir / name, Volume3D(v, spec.spacing))
+        del v  # the next volume is made without this one
+    save_mask(case_dir / "breast.nrrd", BinaryMask(breast, spec.spacing))
+    save_mask(case_dir / "fat.nrrd", BinaryMask(fat, spec.spacing))
     gt_paths = []
     for j, m in enumerate(truths):
         p = f"{spec.case_id}/gt_{j}.nrrd"
@@ -428,12 +463,12 @@ def _write_case(spec: PhantomSpec, out_dir: Path, split: str) -> CaseRecord:
     return CaseRecord(
         case_id=spec.case_id,
         side=spec.side,
-        t1=f"{spec.case_id}/t1.nrrd",
-        t2=f"{spec.case_id}/t2.nrrd",
+        t1=names[0],
+        t2=names[1],
         dce=dce_paths,
         acquisition_times=list(spec.times),
         ground_truth=gt_paths,
-        malignant=malignant,
+        malignant=[l.malignant for l in spec.lesions],
         split=split,
         breast_mask=f"{spec.case_id}/breast.nrrd",
         fat_mask=f"{spec.case_id}/fat.nrrd",

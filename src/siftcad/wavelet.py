@@ -9,6 +9,11 @@ fixed and relied on elsewhere:
 * axes with odd length are padded by one replicated sample before
   filtering; the original lengths are recorded so reconstruction crops
   back exactly,
+* neither the padding nor the extension is copied: analysis reads the
+  input in place, mirroring the one sample per tap that lies past an
+  end, so decimating a level holds the input, its output and
+  temporaries of a bounded block (a mask is decimated from its
+  boolean array),
 * analysis runs along axes x, y, z; synthesis reverses the order,
 * a constant volume maps to an LLL of gain ``(sqrt 2)^3 = 2*sqrt(2)``.
 
@@ -33,32 +38,48 @@ REC_HI = np.array([REC_LO[3], -REC_LO[2], REC_LO[1], -REC_LO[0]])
 DEC_LO = REC_LO[::-1].copy()
 DEC_HI = REC_HI[::-1].copy()
 _L = 4                      # filter length
-_DOWN_PHASE = 1             # downsample offset into the extended signal
 _SYN_CROP = _L - 2          # samples dropped from the head of the synthesis
 
 LLL_GAIN = float(2.0 * np.sqrt(2.0))
 
 
-def _pad_even(x: np.ndarray, axis: int) -> np.ndarray:
-    if x.shape[axis] % 2 == 0:
-        return x
-    pad = [(0, 0)] * x.ndim
-    pad[axis] = (0, 1)
-    return np.pad(x, pad, mode="edge")
+# output samples per block of _analysis_axis: bounds its temporaries
+_BLOCK = 1 << 15
 
 
 def _analysis_axis(x: np.ndarray, axis: int, filt: np.ndarray) -> np.ndarray:
-    """Symmetric-extend, convolve, downsample along one (even) axis."""
+    """Extend, convolve and downsample along one axis, with no padded copy.
+
+    The axis is read as if an odd length were first padded by its last
+    sample to even length N, then extended symmetrically by half a
+    sample. Output sample k sums tap i times extended sample
+    ``2k - 2 + i``, taps in order from a zero start: tap i reads every
+    other sample from ``i % 2`` on, and only output 0 (taps 0, 1) and
+    output N/2 (taps 2, 3) reach past an end, where the extension reads
+    a mirrored sample (-2 -> 1, -1 -> 0, N -> N - 1, N + 1 -> N - 2).
+    The products are formed a block along another axis at a time.
+    Boolean input is read as 0.0 and 1.0."""
     n = x.shape[axis]
-    pad = [(0, 0)] * x.ndim
-    pad[axis] = (_L - 1, _L - 1)
-    xe = np.moveaxis(np.pad(x, pad, mode="symmetric"), axis, -1)
-    nsub = n // 2 + 1
-    out = np.zeros(xe.shape[:-1] + (nsub,), dtype=np.float64)
-    for i in range(_L):
-        start = _DOWN_PHASE + i
-        out += filt[_L - 1 - i] * xe[..., start:start + 2 * nsub - 1:2]
-    return np.moveaxis(out, -1, axis)
+    even = n + n % 2
+    shape = list(x.shape)
+    shape[axis] = even // 2 + 1
+    out = np.zeros(shape)
+    # the filtered axis first, on views: the output stays C-ordered
+    xv, ov = np.moveaxis(x, axis, 0), np.moveaxis(out, axis, 0)
+    edges = [min(e, n - 1) for e in (1, 0, even - 1, even - 2)]
+    rows = max(1, _BLOCK * xv.shape[1] // out.size)
+    for b in range(0, xv.shape[1], rows):
+        xb, ob = xv[:, b:b + rows], ov[:, b:b + rows]
+        for i in range(_L):
+            f = filt[_L - 1 - i]
+            run, edge = (ob[1:], ob[0]) if i < 2 else (ob[:-1], ob[-1])
+            src = xb[i % 2::2]
+            if len(src) < len(run):  # odd length: the padded sample
+                run[-1] += f * xb[n - 1]
+                run = run[:-1]
+            run += f * src
+            edge += f * xb[edges[i]]
+    return out
 
 
 def _synthesis_axis(lo, hi, n_out: int, axis: int) -> np.ndarray:
@@ -110,7 +131,6 @@ def dwt3_db2(volume: Volume3D) -> Subbands3:
     for axis in range(3):
         nxt = {}
         for key, arr in bands.items():
-            arr = _pad_even(arr, axis)
             nxt[key + "L"] = _analysis_axis(arr, axis, DEC_LO)
             nxt[key + "H"] = _analysis_axis(arr, axis, DEC_HI)
         bands = nxt
@@ -139,7 +159,7 @@ def idwt3_db2(subbands: Subbands3) -> Volume3D:
 
 def _lll_once(data: np.ndarray) -> np.ndarray:
     for axis in range(3):
-        data = _analysis_axis(_pad_even(data, axis), axis, DEC_LO)
+        data = _analysis_axis(data, axis, DEC_LO)
     return data
 
 
@@ -240,7 +260,7 @@ def mask_ladder(mask: BinaryMask, m_levels: int) -> Iterator[BinaryMask]:
     if m_levels < 1:
         raise VolumeError(f"scale index must be >= 1, got {m_levels}")
     yield mask
-    data = mask.data.astype(np.float64)
+    data = mask.data
     for m in range(2, m_levels + 1):
         data = _lll_once(data)
         spacing = tuple(s * 2 ** (m - 1) for s in mask.spacing)

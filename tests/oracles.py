@@ -175,6 +175,37 @@ def multilevel_otsu_exhaustive(hist, t_count: int) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
+# wavelet analysis
+# ---------------------------------------------------------------------------
+
+def analysis_axis_padded(x: np.ndarray, axis: int, filt: np.ndarray) -> np.ndarray:
+    """One analysis step along ``axis`` on explicit copies: an odd axis
+    padded by its last sample, then a symmetric extension by three
+    samples per side (``np.pad``), then the four taps summed from zero
+    on the extended signal, every other output from sample 1 on."""
+    if x.shape[axis] % 2:
+        pad = [(0, 0)] * x.ndim
+        pad[axis] = (0, 1)
+        x = np.pad(x, pad, mode="edge")
+    n, taps = x.shape[axis], len(filt)
+    pad = [(0, 0)] * x.ndim
+    pad[axis] = (taps - 1, taps - 1)
+    xe = np.moveaxis(np.pad(x, pad, mode="symmetric"), axis, -1)
+    nsub = n // 2 + 1
+    out = np.zeros(xe.shape[:-1] + (nsub,), dtype=np.float64)
+    for i in range(taps):
+        out += filt[taps - 1 - i] * xe[..., 1 + i:1 + i + 2 * nsub - 1:2]
+    return np.moveaxis(out, -1, axis)
+
+
+def lll_padded(data: np.ndarray, filt: np.ndarray) -> np.ndarray:
+    """The low-pass step along axes 0, 1 and 2 in turn."""
+    for axis in range(3):
+        data = analysis_axis_padded(data, axis, filt)
+    return data
+
+
+# ---------------------------------------------------------------------------
 # component sieve
 # ---------------------------------------------------------------------------
 

@@ -27,6 +27,7 @@ TEST_ONLY = {
     "rusboost_cv_curve": "CV loss per boosting round, checked by a criterion",
     "tpr_at_fpp": "reads a FROC operating point in the end-to-end criterion and the benchmark",
     "analytic_lesion_volume_mm3": "analytic reference for the phantom's voxel volumes",
+    "generate_case": "the phantom's volume stream collected in memory: its checks and the feature tests read cases without files",
     "dsi": "whole-mask DSI the acceptance criteria state their thresholds in",
 }
 

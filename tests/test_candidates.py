@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import ndimage
@@ -11,6 +13,8 @@ from siftcad.candidates import (
     generate_candidates,
     volume_window,
 )
+from siftcad.nrrd_io import load_case
+from siftcad.phantom import generate_suite
 from siftcad.volume import (
     BinaryMask,
     Volume3D,
@@ -277,6 +281,28 @@ def test_generation_walks_the_wavelet_ladder_once(monkeypatch):
     level2 = dims_ladder(case.dims, 2)[1]
     assert sorted(shapes) == sorted([case.dims, case.dims, level2, level2])
     assert {c.scale_index for c in cands} >= {1}
+
+
+# scale 1's ms3d sets the peak: the subtraction, levels 2 and 3 of both
+# ladders, and ms3d's output and scratch. 2.97 grids on seed 1 at
+# 128x128x64, where the fixed-size scratch blocks are small beside a
+# grid; decimating each level after the scale before it was sifted, with
+# that scale's response and a padded copy of its input held, made it 4.24
+def test_generation_peak_in_grids(tmp_path):
+    dims = (128, 128, 64)
+    (record,) = generate_suite(1, 1, tmp_path, dims=dims, spacing=(0.7, 0.7, 1.3))
+    case = load_case(record)
+    for payload in (case.dce[0], case.dce[1], case.breast_mask):
+        assert payload.data.size  # read before the trace starts
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        assert generate_candidates(case)
+        rise = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    assert rise / (8 * np.prod(dims)) <= 3.25
 
 
 def test_generation_is_deterministic():

@@ -3,9 +3,11 @@ import pytest
 
 from siftcad.volume import BinaryMask, Volume3D, VolumeError
 from siftcad.wavelet import (
+    DEC_HI,
     DEC_LO,
     LLL_GAIN,
     dims_ladder,
+    _analysis_axis,
     _lll_once,
     dwt3_db2,
     idwt3_db2,
@@ -16,7 +18,7 @@ from siftcad.wavelet import (
     upscale_mask,
 )
 
-from oracles import ball_mask, dice
+from oracles import analysis_axis_padded, ball_mask, dice, lll_padded
 
 SP = (1.0, 1.0, 1.0)
 
@@ -89,7 +91,8 @@ def test_scale_image_dims_spacing_gain():
 
 def test_ladders_equal_the_chain_from_full_resolution():
     # each ladder level is bit-equal to decimating the full-resolution
-    # input m - 1 times afresh, odd dims included
+    # input m - 1 times afresh, odd dims included; the mask ladder
+    # decimates the boolean array, the chain here its float64 copy
     rng = np.random.default_rng(31)
     v = Volume3D(rng.standard_normal((23, 18, 11)) * 50, (0.7, 0.7, 1.3))
     mask = BinaryMask(rng.random(v.dims) < 0.6, v.spacing)
@@ -103,6 +106,32 @@ def test_ladders_equal_the_chain_from_full_resolution():
         assert scaled.spacing == mask_m.spacing == spacing
         assert scaled.data.tobytes() == np.ascontiguousarray(data).tobytes()
         assert np.array_equal(mask_m.data, mdata / LLL_GAIN ** (m - 1) >= 0.5)
+
+
+def _padded_oracle_inputs():
+    # every axis length 1-9 (even, odd and shorter than the filter) on
+    # each axis, and one large grid; signed zeros on every seventh voxel
+    rng = np.random.default_rng(41)
+    shapes = [tuple(np.roll((n, 4, 5), axis)) for n in range(1, 10) for axis in range(3)]
+    shapes += [(2, 3, 1), (9, 9, 9), (96, 80, 41)]
+    for shape in shapes:
+        data = rng.standard_normal(shape) * 100.0
+        data.ravel()[::7] = -0.0
+        yield data
+        yield rng.random(shape) < 0.5
+
+
+def test_analysis_reads_the_input_bit_equal_to_padded_copies():
+    for data in _padded_oracle_inputs():
+        want = lll_padded(data.astype(np.float64), DEC_LO)
+        got = _lll_once(data)
+        assert got.dtype == np.float64 and got.flags.c_contiguous
+        assert got.tobytes() == np.ascontiguousarray(want).tobytes(), (data.shape, data.dtype)
+        if data.dtype == np.float64:
+            for axis in range(3):
+                for filt in (DEC_LO, DEC_HI):
+                    assert _analysis_axis(data, axis, filt).tobytes() == np.ascontiguousarray(
+                        analysis_axis_padded(data, axis, filt)).tobytes(), (data.shape, axis)
 
 
 def test_upscale_full_mask_is_full():
