@@ -20,14 +20,7 @@ import numpy as np
 from scipy import ndimage
 
 from .morphosift import lse_magnitudes, ms3d, normalize16
-from .volume import (
-    BinaryMask,
-    BreastCase,
-    Volume3D,
-    VolumeError,
-    multilevel_otsu,
-    subtract,
-)
+from .volume import BreastCase, Volume3D, VolumeError, multilevel_otsu, subtract
 from .wavelet import mask_ladder, scale_ladder, upscale_indices
 
 DEFAULT_MIN_DIAMETER_MM = 4.0
@@ -118,11 +111,6 @@ class RegionCandidate:
     @property
     def voxel_count(self) -> int:
         return int(self.flat_indices.size)
-
-    def original_mask(self) -> BinaryMask:
-        m = np.zeros(self.original_dims, dtype=bool)
-        m.ravel()[self.original_indices()] = True
-        return BinaryMask(m, self.original_spacing)
 
     def original_indices(self) -> np.ndarray:
         """Sorted flat indices on the original grid (cached): the

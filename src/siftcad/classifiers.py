@@ -30,7 +30,7 @@ import numpy as np
 from .features import FEATURE_SCHEMA, FEATURE_SCHEMA_ID, FeatureVector
 from .nrrd_io import (array_of, check_fields, integer_from, is_finite, is_number, of_type,
                       one_of, or_null, read_document)
-from .volume import _regions, dsi_matrix
+from .volume import dsi_matrix
 
 DEFAULT_N_TREES = 2000
 DEFAULT_LEARNING_RATE = 0.1
@@ -84,7 +84,7 @@ def assign_training_labels(candidates, ground_truth) -> list[CandidateLabel]:
     n_c = len(candidates)
     n_l = len(ground_truth)
     mat = dsi_matrix([c.original_indices() for c in candidates],
-                     _regions(ground_truth))
+                     [np.flatnonzero(m.data) for m in ground_truth])
     winner_of = [None] * n_c
     for j in range(n_l):
         if n_c == 0:

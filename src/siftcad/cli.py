@@ -190,7 +190,7 @@ def _case_training_samples(record, config: RunConfig):
             continue
         fv = extractor.extract(cand)
         lesion_samples.append(LabeledSample(fv, lab.label, record.case_id))
-        if lab.label == 1 and lab.lesion_index < len(record.malignant):
+        if lab.label == 1 and record.malignant:
             malignant = bool(record.malignant[lab.lesion_index])
             malig_samples.append(
                 LabeledSample(fv, 1 if malignant else -1, record.case_id))
@@ -346,31 +346,33 @@ def cmd_evaluate(args) -> int:
         if case_id not in records:
             raise VolumeError(f"{detections_path}: case {case_id!r} missing from manifest")
         record = records[case_id]
-        base = record.base_dir
-        truths = [load_mask(base / p) for p in record.ground_truth]
-        truths_per_case.append(truths)
-        malignant_per_case.append([bool(b) for b in record.malignant])
-        grid = truths[0].dims if truths else None
-        dets = []
-        for d in entry["detections"]:
-            path = detections_path.parent / d["mask"]
+        # each mask is kept as its indices only, and checked against the
+        # grid of the case's first
+        grid, regions = None, []
+        for path in [*(record.base_dir / p for p in record.ground_truth),
+                     *(detections_path.parent / d["mask"] for d in entry["detections"])]:
             mask = load_mask(path)
             grid = grid or mask.dims
             if mask.dims != grid:
                 raise VolumeError(f"{path}: mask grid {mask.dims} differs from "
                                   f"case {case_id!r} grid {grid}")
-            dets.append(Detection(
-                mask=mask,
+            regions.append((np.flatnonzero(mask.data), mask.spacing))
+        n_truths = len(record.ground_truth)
+        truths_per_case.append([indices for indices, _ in regions[:n_truths]])
+        malignant_per_case.append([bool(b) for b in record.malignant])
+        detections_per_case.append([
+            Detection(
+                indices=indices, dims=grid, spacing=spacing,
                 lesion_score=d["lesion_score"],
                 scale_index=d.get("scale_index", 1),
                 threshold_index=d.get("threshold_index", 0),
                 malignancy_score=d.get("malignancy_score"),
                 malignant=d.get("malignant"),
-            ))
-        detections_per_case.append(dets)
+            )
+            for (indices, spacing), d in zip(regions[n_truths:], entry["detections"])])
 
     detection = detection_metrics(detections_per_case, truths_per_case)
-    arcg_stats = arcg([[d.mask for d in dets] for dets in detections_per_case],
+    arcg_stats = arcg([[d.indices for d in dets] for dets in detections_per_case],
                       truths_per_case)
     malignancy = None
     if any(d.malignancy_score is not None

@@ -1,11 +1,12 @@
 """Label fusion, the end-to-end detection pipeline, and evaluation metrics.
 
-Detections carry original-resolution masks with lesion and malignancy
-scores. Overlapping detections are fused down to the highest-scoring
-region, lesion detection is scored with FROC/ROC curves under a
-DSI >= 0.2 match rule, candidate generation quality with ARCG, and
-malignancy identification with its own curves where benign-lesion hits
-count as false positives.
+Detections carry their region as sorted flat voxel indices on the
+original grid, with their lesion and malignancy scores; only a mask
+file holds it as a full grid. Overlapping detections are fused down to
+the highest-scoring region, lesion detection is scored with FROC/ROC
+curves under a DSI >= 0.2 match rule, candidate generation quality
+with ARCG, and malignancy identification with its own curves where
+benign-lesion hits count as false positives.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .candidates import DEFAULT_V_MAX, DEFAULT_V_MIN, generate_candidates
 from .classifiers import DEFAULT_N_TREES, check_schema, predict, split_features
 from .features import COST_TIERS, FEATURE_SCHEMA, FeatureExtractor
 from .nrrd_io import save_mask
-from .volume import BinaryMask, VolumeError, _regions, dsi_matrix
+from .volume import VolumeError, dsi_matrix, region_mask
 
 # a detection hits a target lesion when their DSI is at least this
 MATCH_DSI = 0.2
@@ -39,9 +40,12 @@ _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 @dataclass(eq=False)
 class Detection:
-    """A surviving region at original resolution with its scores."""
+    """A surviving region with its scores: sorted flat ``indices`` on the
+    original grid ``dims`` at ``spacing``."""
 
-    mask: BinaryMask
+    indices: np.ndarray
+    dims: tuple[int, int, int]
+    spacing: tuple[float, float, float]
     lesion_score: float
     scale_index: int = 1
     threshold_index: int = 0
@@ -49,8 +53,8 @@ class Detection:
     malignant: bool | None = None
 
     def __post_init__(self):
-        if self.mask.count == 0:
-            raise VolumeError("detections need a non-empty mask")
+        if self.indices.size == 0:
+            raise VolumeError("detections need a non-empty region")
         if not 0.0 <= self.lesion_score <= 1.0:
             raise VolumeError(
                 f"lesion score must be in [0,1], got {self.lesion_score}")
@@ -61,7 +65,7 @@ class Detection:
 
 
 def fuse_labels(detections) -> list[Detection]:
-    """Keep one detection per group of transitively overlapping masks.
+    """Keep one detection per group of transitively overlapping regions.
 
     Overlap means sharing at least one voxel. Within a group the
     highest lesion score wins; ties go to the larger region, then the
@@ -70,7 +74,7 @@ def fuse_labels(detections) -> list[Detection]:
     """
     if len(detections) <= 1:
         return list(detections)
-    regions = _regions([d.mask for d in detections])
+    regions = [d.indices for d in detections]
     _, group = connected_components(dsi_matrix(regions, regions) > 0,
                                     directed=False)
     members: dict[int, list[int]] = {}
@@ -178,7 +182,9 @@ def run_pipeline(case, lesion_model, malignancy_model=None,
     kept = [(i, float(score)) for i, score in zip(live, scores)
             if score >= config.theta_lesion]
     detections = [
-        Detection(mask=candidates[i].original_mask(), lesion_score=score,
+        Detection(indices=candidates[i].original_indices(),
+                  dims=candidates[i].original_dims,
+                  spacing=candidates[i].original_spacing, lesion_score=score,
                   scale_index=candidates[i].scale_index,
                   threshold_index=candidates[i].threshold_index)
         for i, score in kept
@@ -273,12 +279,6 @@ class DetectionMetrics:
     fpp: float
 
 
-def _masks_dsi(masks, targets) -> np.ndarray:
-    """DSI of every (mask, target) pair, all on one grid."""
-    regions = _regions([*masks, *targets])
-    return dsi_matrix(regions[:len(masks)], regions[len(masks):])
-
-
 def _froc_from_matches(scores_per_case, match_per_case, total_targets, n_cases):
     all_scores = np.concatenate(scores_per_case)
     if all_scores.size == 0:
@@ -300,16 +300,17 @@ def _froc_from_matches(scores_per_case, match_per_case, total_targets, n_cases):
 def _curve_metrics(per_case, total_targets: int) -> DetectionMetrics:
     """Curves of scored detections against target lesions.
 
-    ``per_case`` holds one ``(scores, masks, targets)`` triple per case.
+    ``per_case`` holds one ``(scores, regions, targets)`` triple per
+    case, regions and targets as sorted flat indices on the case's grid.
     A target is hit at a threshold when a detection scoring at least
     that overlaps it with DSI >= ``MATCH_DSI``; a detection that hits
     no target is a false positive, normalized per case. The ROC labels
     each detection by whether it hits a target.
     """
     scores_pc, match_pc = [], []
-    for scores, masks, targets in per_case:
+    for scores, regions, targets in per_case:
         scores_pc.append(np.asarray(scores, dtype=np.float64))
-        match_pc.append(_masks_dsi(masks, targets) >= MATCH_DSI)
+        match_pc.append(dsi_matrix(regions, targets) >= MATCH_DSI)
     froc = _froc_from_matches(scores_pc, match_pc, total_targets, len(per_case))
     roc = roc_curve(np.concatenate(scores_pc),
                     np.concatenate([m.any(axis=1) for m in match_pc]))
@@ -317,7 +318,8 @@ def _curve_metrics(per_case, total_targets: int) -> DetectionMetrics:
 
 
 def detection_metrics(detections_per_case, truths_per_case) -> DetectionMetrics:
-    """Lesion-detection FROC/ROC over per-case detection lists.
+    """Lesion-detection FROC/ROC over per-case detection lists, against
+    each case's lesions as sorted flat indices on its grid.
 
     A lesion counts as detected when some kept detection overlaps it
     with DSI >= ``MATCH_DSI``; detections overlapping no lesion are the
@@ -331,14 +333,15 @@ def detection_metrics(detections_per_case, truths_per_case) -> DetectionMetrics:
     total_lesions = sum(len(t) for t in truths_per_case)
     if total_lesions == 0:
         raise ValueError("no ground-truth lesions in any case")
-    per_case = [([d.lesion_score for d in dets], [d.mask for d in dets], lesions)
+    per_case = [([d.lesion_score for d in dets], [d.indices for d in dets], lesions)
                 for dets, lesions in zip(detections_per_case, truths_per_case)]
     return _curve_metrics(per_case, total_lesions)
 
 
 def malignancy_metrics(detections_per_case, truths_per_case,
                        malignant_per_case) -> DetectionMetrics:
-    """Malignancy identification curves over scored detections.
+    """Malignancy identification curves over scored detections, against
+    each case's lesions as sorted flat indices and their malignancy flags.
 
     Sweeps the malignancy threshold: a true positive is a malignant
     lesion matched by a flagged detection; every other flagged
@@ -358,7 +361,7 @@ def malignancy_metrics(detections_per_case, truths_per_case,
             raise ValueError("one malignancy flag per lesion required")
         scored = [d for d in dets if d.malignancy_score is not None]
         per_case.append(([d.malignancy_score for d in scored],
-                         [d.mask for d in scored],
+                         [d.indices for d in scored],
                          [m for m, f in zip(lesions, flags) if f]))
     total_malignant = sum(int(sum(flags)) for flags in malignant_per_case)
     return _curve_metrics(per_case, total_malignant)
@@ -367,12 +370,12 @@ def malignancy_metrics(detections_per_case, truths_per_case,
 def arcg(candidates_per_case, truths_per_case) -> tuple[float, float]:
     """Mean and population std of each lesion's best candidate DSI.
 
-    Candidates are masks (BinaryMask or boolean arrays) on their case's
-    grid. Lesions no candidate overlaps contribute 0.
+    Candidates and lesions are sorted flat indices on their case's grid.
+    Lesions no candidate overlaps contribute 0.
     """
     best = []
     for cands, lesions in zip(candidates_per_case, truths_per_case):
-        best.extend(np.max(_masks_dsi(cands, lesions), axis=0, initial=0.0))
+        best.extend(np.max(dsi_matrix(cands, lesions), axis=0, initial=0.0))
     if not best:
         return 0.0, 0.0
     arr = np.asarray(best)
@@ -437,12 +440,13 @@ def write_roc_csv(path, roc: RocCurve) -> None:
 
 
 def write_detection_masks(out_dir, case_id: str, detections) -> list[Path]:
-    """One NRRD mask per detection, named by case and rank."""
+    """One NRRD mask per detection, named by case and rank: the only
+    place a detection's region becomes a full grid."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = []
     for i, det in enumerate(detections):
         p = out_dir / f"{case_id}_detection_{i:03d}.nrrd"
-        save_mask(p, det.mask)
+        save_mask(p, region_mask(det.indices, det.dims, det.spacing))
         paths.append(p)
     return paths

@@ -405,6 +405,10 @@ def load_manifest(path) -> list[CaseRecord]:
         if n_times != n_frames:
             raise NrrdError(f"{where}: field 'acquisition_times' must hold one time per "
                             f"DCE frame, has {n_times} for {n_frames}")
+        n_flags, n_lesions = len(entry.get("malignant", [])), len(entry.get("ground_truth", []))
+        if n_flags and n_flags != n_lesions:
+            raise NrrdError(f"{where}: field 'malignant' must hold one flag per "
+                            f"'ground_truth' entry, has {n_flags} for {n_lesions}")
         records.append(CaseRecord(
             case_id=entry["case_id"],
             side=entry["side"],

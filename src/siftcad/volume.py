@@ -434,19 +434,18 @@ def dsi_matrix(a_regions, b_regions) -> np.ndarray:
     return out
 
 
-def _regions(masks) -> list[np.ndarray]:
-    """Sorted flat voxel indices of each mask (BinaryMask or boolean
-    array); the masks must share one grid."""
-    data = [m.data if isinstance(m, BinaryMask) else np.asarray(m, dtype=bool)
-            for m in masks]
-    for d in data[1:]:
-        if d.shape != data[0].shape:
-            raise VolumeError(f"mask grids differ: {data[0].shape} vs {d.shape}")
-    return [np.flatnonzero(d) for d in data]
+def region_mask(indices, dims, spacing) -> BinaryMask:
+    """The mask of a region given as flat indices on the grid ``dims``."""
+    data = np.zeros(dims, dtype=bool)
+    data.flat[indices] = True
+    return BinaryMask(data, spacing)
 
 
 def dsi(a, b) -> float:
     """:func:`dsi_matrix` of two masks (BinaryMask or boolean arrays on
     the same grid)."""
-    ra, rb = _regions([a, b])
-    return float(dsi_matrix([ra], [rb])[0, 0])
+    a, b = (m.data if isinstance(m, BinaryMask) else np.asarray(m, dtype=bool)
+            for m in (a, b))
+    if a.shape != b.shape:
+        raise VolumeError(f"mask grids differ: {a.shape} vs {b.shape}")
+    return float(dsi_matrix([np.flatnonzero(a)], [np.flatnonzero(b)])[0, 0])

@@ -149,10 +149,16 @@ def otsu_exhaustive_index(hist) -> int:
 def multilevel_otsu_exhaustive(hist, t_count: int) -> tuple[int, ...]:
     """Enumerate every threshold combination; first maximiser wins.
 
-    Maximises the sum of per-class s^2/w terms. Combinations are visited
-    in lexicographic order, so ties resolve to the smallest tuple.
+    Maximises the sum of per-class s^2/w terms. Combinations are ranked
+    in float64, then every one within a relative 1e-9 of the float
+    maximum is scored again in exact rational arithmetic on the integer
+    counts, as in :func:`otsu_exhaustive_index`, so exact ties resolve to
+    the lexicographically smallest tuple and rounding decides nothing.
     """
-    h = np.asarray(hist, dtype=np.float64)
+    counts = [int(c) for c in hist]
+    if counts != list(hist):
+        raise ValueError("histogram counts must be integers")
+    h = np.asarray(counts, dtype=np.float64)
     p = h / h.sum()
     n = len(h)
     cw = np.concatenate(([0.0], np.cumsum(p)))
@@ -163,15 +169,31 @@ def multilevel_otsu_exhaustive(hist, t_count: int) -> tuple[int, ...]:
         if w <= 0:
             return 0.0
         s = cs[j + 1] - cs[i]
-        return s * s / w
+        return float(s * s / w)
 
-    best, best_v = None, -1.0
-    for combo in itertools.combinations(range(n - 1), t_count):
+    # term of every class [i..j], each computed once
+    table = [[term(i, j) for j in range(n)] for i in range(n)]
+    combos = list(itertools.combinations(range(n - 1), t_count))
+    values = [sum(table[edges[c] + 1][edges[c + 1]] for c in range(t_count + 1))
+              for edges in ((-1, *combo, n - 1) for combo in combos)]
+    top = max(values)
+    near = [combo for combo, v in zip(combos, values) if v >= top - 1e-9 * abs(top)]
+    # exact prefix sums of mass and first moment
+    mass = [0, *itertools.accumulate(counts)]
+    moment = [0, *itertools.accumulate(k * c for k, c in enumerate(counts))]
+
+    def exact(combo):
         edges = (-1, *combo, n - 1)
-        v = sum(term(edges[c] + 1, edges[c + 1]) for c in range(t_count + 1))
-        if v > best_v:
-            best, best_v = combo, v
-    return tuple(best)
+        v = Fraction(0)
+        for c in range(t_count + 1):
+            w = mass[edges[c + 1] + 1] - mass[edges[c] + 1]
+            if w:
+                s = moment[edges[c + 1] + 1] - moment[edges[c] + 1]
+                v += Fraction(s * s, w)
+        return v
+
+    # max keeps the first of equal maxima: the lexicographically smallest
+    return max(near, key=exact)
 
 
 # ---------------------------------------------------------------------------
@@ -530,7 +552,8 @@ def full_vector_pipeline(case, lesion_model, malignancy_model, config):
             for cand, vec, score in zip(candidates, vectors, scores)
             if score >= config.theta_lesion]
     detections = [
-        Detection(mask=cand.original_mask(), lesion_score=score,
+        Detection(indices=cand.original_indices(), dims=cand.original_dims,
+                  spacing=cand.original_spacing, lesion_score=score,
                   scale_index=cand.scale_index,
                   threshold_index=cand.threshold_index)
         for cand, _, score in kept

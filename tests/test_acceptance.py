@@ -33,7 +33,7 @@ from siftcad.morphosift import (
     rasterize_lse,
 )
 from siftcad.nrrd_io import load_case, load_manifest
-from siftcad.volume import BinaryMask, Volume3D, dsi, otsu_multilevel_indices
+from siftcad.volume import BinaryMask, Volume3D, dsi, otsu_multilevel_indices, region_mask
 from siftcad.wavelet import dwt3_db2, idwt3_db2
 
 from oracles import (
@@ -141,7 +141,8 @@ def test_criterion_06_candidate_recall_on_phantoms(suite_dir):
     for record in records:
         case = load_case(record)
         cands = generate_candidates(case)
-        masks = [c.original_mask() for c in cands]
+        masks = [region_mask(c.original_indices(), c.original_dims, c.original_spacing)
+                 for c in cands]
         for lesion in case.ground_truth:
             best = max((dsi(m, lesion) for m in masks), default=0.0)
             per_lesion_best.append(best)
@@ -234,6 +235,12 @@ def test_criterion_10_metric_micro_fixtures():
         m[x0:x1, y, 4] = True
         return BinaryMask(m, sp)
 
+    def region(mask):
+        return np.flatnonzero(mask.data)
+
+    def det(mask, score):
+        return Detection(indices=region(mask), dims=dims, spacing=sp, lesion_score=score)
+
     # DSI: identical, disjoint, half-overlapping bars, empty conventions
     assert dsi(bar(0, 4), bar(0, 4)) == 1.0
     assert dsi(bar(0, 4), bar(8, 12)) == 0.0
@@ -243,11 +250,10 @@ def test_criterion_10_metric_micro_fixtures():
     assert dsi(empty, bar(0, 4)) == 0.0
 
     # TPR/FPP micro-fixture: 2 of 3 lesions hit, 2 FPs over 2 cases
-    dets_a = [Detection(mask=bar(2, 6, y=2), lesion_score=0.9),
-              Detection(mask=bar(2, 6, y=6), lesion_score=0.8),
-              Detection(mask=bar(10, 14, y=2), lesion_score=0.7)]
-    dets_b = [Detection(mask=bar(8, 12), lesion_score=0.6)]
-    truths = [[bar(0, 4, y=2), bar(0, 4, y=6)], [bar(0, 4)]]
+    dets_a = [det(bar(2, 6, y=2), 0.9), det(bar(2, 6, y=6), 0.8),
+              det(bar(10, 14, y=2), 0.7)]
+    dets_b = [det(bar(8, 12), 0.6)]
+    truths = [[region(bar(0, 4, y=2)), region(bar(0, 4, y=6))], [region(bar(0, 4))]]
     metrics = detection_metrics([dets_a, dets_b], truths)
     assert metrics.tpr == pytest.approx(2.0 / 3.0)
     assert metrics.fpp == 1.0
@@ -258,11 +264,8 @@ def test_criterion_10_metric_micro_fixtures():
     assert roc_curve([0.5] * 8, [1, 0, 1, 0, 1, 0, 1, 0]).auc == 0.5
 
     # fusion: overlapping chain keeps the highest score; disjoint survive
-    chain = [Detection(mask=bar(0, 6), lesion_score=0.7),
-             Detection(mask=bar(2, 8), lesion_score=0.9),
-             Detection(mask=bar(4, 10), lesion_score=0.8)]
+    chain = [det(bar(0, 6), 0.7), det(bar(2, 8), 0.9), det(bar(4, 10), 0.8)]
     fused = fuse_labels(chain)
     assert len(fused) == 1 and fused[0].lesion_score == 0.9
-    pair = [Detection(mask=bar(0, 4), lesion_score=0.7),
-            Detection(mask=bar(8, 12), lesion_score=0.3)]
+    pair = [det(bar(0, 4), 0.7), det(bar(8, 12), 0.3)]
     assert fuse_labels(pair) == pair

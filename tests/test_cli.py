@@ -219,15 +219,19 @@ class TestExitCodes:
         ("dce", "cases[0]: field 'dce' must be a list of file names"),
         ("acquisition_times", "cases[0]: field 'acquisition_times' must be a list of numbers"),
         ("malignant", "cases[0]: field 'malignant' must be a list of booleans"),
+        ("ground_truth", "cases[0]: field 'malignant' must hold one flag per "
+                         "'ground_truth' entry, has 1 for 2"),
     ], ids=["list_document", "case_not_object", "cases_not_list", "dce_number",
-            "times_strings", "malignant_string"])
+            "times_strings", "malignant_string", "lesion_without_flag"])
     def test_malformed_manifest_names_manifest_and_field(self, workspace, tmp_path,
                                                          capsys, doc, field):
         manifest = tmp_path / "manifest.json"
         if isinstance(doc, str):  # one field of the first real case spoiled
             good = json.loads((workspace / "data/manifest.json").read_text())
+            lesions = good["cases"][0]["ground_truth"]
             good["cases"][0][doc] = {"dce": 3, "acquisition_times": ["0", "90"],
-                                     "malignant": "yes"}[doc]
+                                     "malignant": "yes",
+                                     "ground_truth": lesions * 2}[doc]
             doc = good
         manifest.write_text(json.dumps(doc))
         for argv in (["sift", "--out", str(tmp_path / "s")],
@@ -699,6 +703,42 @@ class TestPhantomCommand:
         assert (a / rel).read_bytes() == (b / rel).read_bytes()
 
 
+def _evaluation_suite(root, n_cases, dims=(64, 64, 32)):
+    """A manifest of ``n_cases`` cases of two cube lesions each and a
+    detections document of one hit and one false positive per case, the
+    masks written with save_mask and no volume file: all that evaluate
+    reads. Returns the evaluate arguments."""
+    root.mkdir(parents=True)
+    spacing = (0.7, 0.7, 1.3)
+
+    def cube(name, corner):
+        m = np.zeros(dims, dtype=bool)
+        m[tuple(slice(c, c + 4) for c in corner)] = True
+        save_mask(root / name, BinaryMask(m, spacing))
+        return name
+
+    records, cases = [], []
+    for k in range(n_cases):
+        case_id = f"case_{k:03d}"
+        records.append(nrrd_io.CaseRecord(
+            case_id=case_id, side="left", t1="t1.nrrd", t2="t2.nrrd",
+            dce=["dce0.nrrd", "dce1.nrrd"], acquisition_times=[0.0, 90.0],
+            ground_truth=[cube(f"{case_id}_gt0.nrrd", (4, 4, 4)),
+                          cube(f"{case_id}_gt1.nrrd", (30, 30, 12))],
+            malignant=[True, False], split="test"))
+        cases.append({"case_id": case_id, "detections": [
+            {"mask": cube(f"{case_id}_det0.nrrd", (5, 5, 4)), "lesion_score": 0.9,
+             "malignancy_score": 0.8, "malignant": True},
+            {"mask": cube(f"{case_id}_det1.nrrd", (40, 8, 20)), "lesion_score": 0.6,
+             "malignancy_score": 0.3, "malignant": False}]})
+    save_manifest(root / "manifest.json", records)
+    (root / "detections.json").write_text(json.dumps(
+        {"format": cli.DETECTIONS_FORMAT, "version": cli.DETECTIONS_VERSION,
+         "split": "test", "cases": cases}))
+    return ["evaluate", "--manifest", str(root / "manifest.json"),
+            "--detections", str(root / "detections.json"), "--out", str(root / "eval")]
+
+
 class TestPipelineCommands:
     def test_sift_writes_candidates_and_debug_volume(self, workspace):
         out = workspace / "sift"
@@ -850,6 +890,34 @@ class TestPipelineCommands:
         err = capsys.readouterr().err
         assert str(det / name) in err and "(4, 4, 4)" in err
         assert "Traceback" not in err
+
+    def test_evaluate_names_a_truth_mask_on_another_grid(self, tmp_path, capsys):
+        argv = _evaluation_suite(tmp_path / "suite", 1)
+        second = tmp_path / "suite" / "case_000_gt1.nrrd"
+        save_mask(second, BinaryMask(np.ones((4, 4, 4), bool), (0.7, 0.7, 1.3)))
+        assert main(argv) == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert str(second) in err and "(4, 4, 4)" in err and "'case_000'" in err
+        assert "Traceback" not in err
+
+    # evaluate keeps each case's truths and detections as index arrays
+    # and holds at most two masks' grids at a time; holding every case's
+    # masks as grids added 4 grids a case here
+    def test_evaluate_peak_does_not_grow_with_the_cases(self, tmp_path):
+        dims = (64, 64, 32)
+        rise = {}
+        for n_cases in (2, 8):
+            argv = _evaluation_suite(tmp_path / f"suite{n_cases}", n_cases, dims)
+            tracemalloc.start()
+            try:
+                entry = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                assert main(argv) == EXIT_OK
+                rise[n_cases] = tracemalloc.get_traced_memory()[1] - entry
+            finally:
+                tracemalloc.stop()
+        # six more cases may add their index arrays, not half a mask grid
+        assert rise[8] - rise[2] <= np.prod(dims) // 2, rise
 
     def test_evaluate_identical_modulo_timestamp_line(self, workspace):
         outs = [workspace / "eval_a", workspace / "eval_b"]

@@ -40,11 +40,21 @@ SP = (1.0, 1.0, 1.0)
 def _bar(x0, x1, y=4, z=4):
     m = np.zeros(DIMS, dtype=bool)
     m[x0:x1, y, z] = True
-    return BinaryMask(m, SP)
+    return m
+
+
+def _region(x0, x1, y=4, z=4):
+    """The bar's sorted flat indices, as lesions are given to the metrics."""
+    return np.flatnonzero(_bar(x0, x1, y, z))
 
 
 def _det(mask, score, **kw):
-    return Detection(mask=mask, lesion_score=score, **kw)
+    return Detection(np.flatnonzero(mask), DIMS, SP, score, **kw)
+
+
+def _assert_disjoint(dets):
+    voxels = np.concatenate([np.zeros(0, np.int64), *(d.indices for d in dets)])
+    assert np.unique(voxels).size == voxels.size
 
 
 # ---------------------------------------------------------------------------
@@ -126,38 +136,35 @@ def test_fused_output_pairwise_disjoint():
         x0 = int(rng.integers(0, 12))
         dets.append(_det(_bar(x0, x0 + 4, y=int(rng.integers(3, 6))),
                          float(rng.random())))
-    out = fuse_labels(dets)
-    for i in range(len(out)):
-        for j in range(i + 1, len(out)):
-            assert not (out[i].mask.data & out[j].mask.data).any()
+    _assert_disjoint(fuse_labels(dets))
 
 
 def test_fuse_matches_brute_force_oracle():
     # few score and size values, so ties on every key occur
     rng = np.random.default_rng(5)
     for _ in range(60):
-        dets = []
+        masks, dets = [], []
         for _ in range(int(rng.integers(0, 10))):
             m = np.zeros(DIMS, dtype=bool)
             x0, y0 = rng.integers(0, 12, size=2)
             m[x0:x0 + int(rng.integers(1, 5)), y0:y0 + int(rng.integers(1, 3)),
               int(rng.integers(0, 2)):2] = True
-            dets.append(_det(BinaryMask(m, SP), float(rng.choice([0.3, 0.6, 0.9])),
+            masks.append(m)
+            dets.append(_det(m, float(rng.choice([0.3, 0.6, 0.9])),
                              scale_index=int(rng.integers(1, 4))))
         out = fuse_labels(dets)
-        keys = [(d.lesion_score, d.mask.count, -d.scale_index) for d in dets]
-        expected = fusion_survivors([d.mask.data for d in dets], keys)
+        keys = [(d.lesion_score, int(m.sum()), -d.scale_index)
+                for d, m in zip(dets, masks)]
+        expected = fusion_survivors(masks, keys)
         assert [dets.index(d) for d in out] == expected
-        for i in range(len(out)):
-            for j in range(i + 1, len(out)):
-                assert not (out[i].mask.data & out[j].mask.data).any()
+        _assert_disjoint(out)
 
 
 def test_detection_validation():
     with pytest.raises(VolumeError):
-        Detection(BinaryMask(np.zeros(DIMS, dtype=bool), SP), 0.5)
+        _det(np.zeros(DIMS, dtype=bool), 0.5)
     with pytest.raises(VolumeError):
-        Detection(_bar(0, 4), 1.5)
+        _det(_bar(0, 4), 1.5)
 
 
 # ---------------------------------------------------------------------------
@@ -198,13 +205,13 @@ def test_roc_degenerate_conventions():
 def _micro_fixture():
     # case A: lesions L1 (hit at DSI 0.5), L2 (hit at DSI 0.5), one FP
     # case B: lesion L3 missed, one FP
-    lesions_a = [_bar(0, 4, y=2), _bar(0, 4, y=6)]
+    lesions_a = [_region(0, 4, y=2), _region(0, 4, y=6)]
     dets_a = [
         _det(_bar(2, 6, y=2), 0.9),
         _det(_bar(2, 6, y=6), 0.8),
         _det(_bar(10, 14, y=2), 0.7),
     ]
-    lesions_b = [_bar(0, 4, y=4)]
+    lesions_b = [_region(0, 4, y=4)]
     dets_b = [_det(_bar(8, 12, y=4), 0.6)]
     return [dets_a, dets_b], [lesions_a, lesions_b]
 
@@ -217,15 +224,15 @@ def test_detection_micro_fixture_counts():
 
 
 def test_detection_perfect_detector():
-    lesion = BinaryMask(ball_mask(DIMS, SP, (8, 8, 4), 3.0), SP)
-    m = detection_metrics([[_det(lesion, 1.0)]], [[lesion]])
+    lesion = ball_mask(DIMS, SP, (8, 8, 4), 3.0)
+    m = detection_metrics([[_det(lesion, 1.0)]], [[np.flatnonzero(lesion)]])
     assert m.tpr == 1.0
     assert m.fpp == 0.0
     assert m.roc.auc == 1.0
 
 
 def test_detection_empty_detections():
-    lesion = _bar(0, 4)
+    lesion = _region(0, 4)
     m = detection_metrics([[]], [[lesion]])
     assert m.tpr == 0.0
     assert m.fpp == 0.0
@@ -294,19 +301,19 @@ def test_tpr_at_fpp_budget():
 # ---------------------------------------------------------------------------
 
 def test_arcg_perfect_candidates():
-    lesion = _bar(0, 4)
+    lesion = _region(0, 4)
     mean, std = arcg([[lesion]], [[lesion]])
     assert (mean, std) == (1.0, 0.0)
 
 
 def test_arcg_no_candidates():
-    assert arcg([[]], [[_bar(0, 4)]]) == (0.0, 0.0)
+    assert arcg([[]], [[_region(0, 4)]]) == (0.0, 0.0)
 
 
 def test_arcg_mixed_values():
     # lesion 1 best DSI 0.5, lesion 2 uncovered -> mean 0.25, std 0.25
-    lesions = [_bar(0, 4, y=2), _bar(0, 4, y=6)]
-    cands = [_bar(2, 6, y=2)]
+    lesions = [_region(0, 4, y=2), _region(0, 4, y=6)]
+    cands = [_region(2, 6, y=2)]
     mean, std = arcg([cands], [lesions])
     assert mean == pytest.approx(0.25)
     assert std == pytest.approx(0.25)
@@ -319,8 +326,8 @@ def test_arcg_mixed_values():
 def test_malignancy_micro_fixture():
     # one case: malignant lesion hit by a flagged detection, benign
     # lesion hit by another flagged detection -> TPR 1.0, FPP 1.0
-    malignant = _bar(0, 4, y=2)
-    benign = _bar(0, 4, y=6)
+    malignant = _region(0, 4, y=2)
+    benign = _region(0, 4, y=6)
     dets = [
         _det(_bar(1, 5, y=2), 0.9, malignancy_score=0.9, malignant=True),
         _det(_bar(1, 5, y=6), 0.8, malignancy_score=0.8, malignant=True),
@@ -331,7 +338,7 @@ def test_malignancy_micro_fixture():
 
 
 def test_malignancy_all_hits_malignant():
-    lesion = _bar(0, 4)
+    lesion = _region(0, 4)
     dets = [_det(_bar(0, 4), 0.9, malignancy_score=1.0, malignant=True)]
     m = malignancy_metrics([dets], [[lesion]], [[True]])
     assert m.tpr == 1.0
@@ -339,7 +346,7 @@ def test_malignancy_all_hits_malignant():
 
 
 def test_malignancy_unscored_detections_ignored():
-    lesion = _bar(0, 4)
+    lesion = _region(0, 4)
     dets = [_det(_bar(0, 4), 0.9)]  # no malignancy score
     m = malignancy_metrics([dets], [[lesion]], [[True]])
     assert m.tpr == 0.0
@@ -373,11 +380,9 @@ def test_pipeline_zero_threshold_returns_fused_set():
     out = run_pipeline(case, _ConstModel(0.5),
                        config=RunConfig(theta_lesion=0.0))
     assert len(out) >= 1
-    for i in range(len(out)):
-        for j in range(i + 1, len(out)):
-            assert not (out[i].mask.data & out[j].mask.data).any()
-    # every surviving mask lives on the original grid
-    assert all(d.mask.dims == case.dims for d in out)
+    _assert_disjoint(out)
+    # every surviving region lives on the original grid
+    assert all((d.dims, d.spacing) == (case.dims, case.spacing) for d in out)
 
 
 def test_pipeline_malignancy_stage_flags_survivors():
@@ -474,7 +479,8 @@ def test_pipeline_equals_full_vector_oracle(stump_case, group):
 def _assert_same_detections(got, want):
     assert len(got) == len(want) >= 1
     for a, b in zip(got, want):
-        assert np.array_equal(a.mask.data, b.mask.data)
+        assert np.array_equal(a.indices, b.indices)
+        assert (a.dims, a.spacing) == (b.dims, b.spacing)
         assert (a.lesion_score, a.malignancy_score, a.malignant, a.scale_index,
                 a.threshold_index) == (b.lesion_score, b.malignancy_score, b.malignant,
                                        b.scale_index, b.threshold_index)
@@ -606,7 +612,7 @@ def test_pipeline_deterministic():
     b = run_pipeline(case, _ConstModel(0.9), config=RunConfig(theta_lesion=0.5))
     assert len(a) == len(b)
     for da, db in zip(a, b):
-        assert np.array_equal(da.mask.data, db.mask.data)
+        assert np.array_equal(da.indices, db.indices)
         assert da.lesion_score == db.lesion_score
 
 
@@ -616,7 +622,7 @@ def test_pipeline_reaches_lesion_area_with_stub_models():
     case = make_mini_case(seed=3)
     out = run_pipeline(case, _ConstModel(0.9), config=RunConfig(theta_lesion=0.5))
     truth = case.ground_truth[0]
-    assert any((d.mask.data & truth.data).any() for d in out)
+    assert any(truth.data.ravel()[d.indices].any() for d in out)
 
 
 # ---------------------------------------------------------------------------
@@ -628,7 +634,7 @@ def test_report_files_roundtrip(tmp_path):
     dm = detection_metrics(dets, truths)
     mm = malignancy_metrics(
         [[_det(_bar(0, 4), 0.9, malignancy_score=0.9)], []],
-        [[_bar(0, 4)], [_bar(0, 4)]],
+        [[_region(0, 4)], [_region(0, 4)]],
         [[True], [False]])
     report = tmp_path / "report.json"
     write_report_json(report, dm, mm, arcg_stats=(0.5, 0.1),
@@ -657,4 +663,5 @@ def test_detection_masks_written_per_case(tmp_path):
     assert [p.name for p in paths] == [
         "caseX_detection_000.nrrd", "caseX_detection_001.nrrd"]
     back = load_mask(paths[0])
-    assert np.array_equal(back.data, dets[0].mask.data)
+    assert (back.dims, back.spacing) == (DIMS, SP)
+    assert np.array_equal(np.flatnonzero(back.data), dets[0].indices)
