@@ -173,10 +173,16 @@ def generate_candidates(
     the response's own buffer), threshold with the multilevel bank, take
     26-connected components per threshold and sieve them by the scale's
     volume window. Candidates with identical voxel sets at the same
-    scale are merged, keeping the lowest threshold index. Each level is
-    freed once sifted, and each response once sieved unless
-    ``responses`` keeps it, so scale 1's sifting holds the two frames,
-    the subtraction and levels 2 and up, but no response.
+    scale are merged, keeping the lowest threshold index.
+
+    A frame the case has not read yet is read as stored for the
+    subtraction alone and stays unread in the case, so the subtraction
+    of two such frames is an exact int16 (or int32) grid, and no float64
+    frame or subtraction is made (see :func:`~siftcad.volume.subtract`);
+    a frame already read is used as it is. Each level is freed once
+    sifted, and each response once sieved unless ``responses`` keeps it,
+    so scale 1's sifting holds the subtraction and levels 2 and up, but
+    no frame and no response.
 
     If ``responses`` is given, it receives each sifted scale's
     normalised response keyed by scale index; a scale whose breast
@@ -186,9 +192,10 @@ def generate_candidates(
     plan = lse_magnitudes(v_min, v_max, d, big_d, m_scales)
     # every level is decimated before any is sifted: levels 2 and 3 are
     # 1/8 and 1/64 of a grid, and decimating them then holds only the
-    # frames, the subtraction and the mask, not a scale's response
-    levels = list(zip(scale_ladder(subtract(case.dce[1], case.dce[0]), m_scales),
-                      mask_ladder(case.breast_mask, m_scales)))
+    # subtraction and the mask, not a scale's response
+    sub = subtract(case.dce.as_given(1), case.dce.as_given(0))
+    levels = list(zip(scale_ladder(sub, m_scales), mask_ladder(case.breast_mask, m_scales)))
+    del sub
     out: list[RegionCandidate] = []
     for m in range(1, m_scales + 1):
         scaled, mask_m = levels[m - 1]

@@ -337,6 +337,8 @@ def cmd_evaluate(args) -> int:
     detections_path = Path(args.detections)
     doc = _load_detections(detections_path)
     records = {r.case_id: r for r in load_manifest(args.manifest)}
+    scored = any(d.get("malignancy_score") is not None
+                 for entry in doc["cases"] for d in entry["detections"])
 
     detections_per_case = []
     truths_per_case = []
@@ -346,6 +348,11 @@ def cmd_evaluate(args) -> int:
         if case_id not in records:
             raise VolumeError(f"{detections_path}: case {case_id!r} missing from manifest")
         record = records[case_id]
+        if scored and len(record.malignant) != len(record.ground_truth):
+            raise VolumeError(
+                f"{args.manifest}: manifest case {case_id!r} has no 'malignant' flags "
+                f"for its {len(record.ground_truth)} 'ground_truth' entries; the "
+                f"detections carry malignancy scores, which need one flag per lesion")
         # each mask is kept as its indices only, and checked against the
         # grid of the case's first
         grid, regions = None, []
@@ -375,8 +382,7 @@ def cmd_evaluate(args) -> int:
     arcg_stats = arcg([[d.indices for d in dets] for dets in detections_per_case],
                       truths_per_case)
     malignancy = None
-    if any(d.malignancy_score is not None
-           for dets in detections_per_case for d in dets):
+    if scored:
         malignancy = malignancy_metrics(detections_per_case, truths_per_case,
                                         malignant_per_case)
 

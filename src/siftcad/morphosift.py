@@ -71,10 +71,12 @@ converts to +0.0, so signed zeros never reach the output, and the
 cross-view sum is float64 as before: the result is bit-equal to a
 float64 evaluation, and the passes move a quarter (int16) or half
 (float32) of the bytes. The subtraction volumes of the pipeline are
-differences of unsigned short scans; the phantoms' span about -27..116
-and a 12-bit clinical subtraction fits as well, so their scale-1 sifting
-takes int16, and a wider 16-bit range takes float32. The decimated
-scales are not integer-valued and take float64.
+differences of unsigned short scans, held as int16 or int32 grids (see
+:func:`siftcad.volume.subtract`), which are integral by type, so no
+value is tested; the phantoms' span about -27..116 and a 12-bit clinical
+subtraction fits as well, so their scale-1 sifting takes int16, and a
+wider 16-bit range takes float32. The decimated scales are not
+integer-valued and take float64.
 """
 
 from __future__ import annotations
@@ -312,10 +314,12 @@ _INTEGRAL_CHUNK = 2 ** 14
 
 
 def _integral(data: np.ndarray) -> bool:
-    """Whether every value of the non-empty ``data`` is an integer, tested
-    over contiguous axis-0 chunks of about ``_INTEGRAL_CHUNK`` values: no
-    full-grid temporary, and the first chunk holding a fraction ends the
-    test."""
+    """Whether every value of the non-empty ``data`` is an integer: true
+    of an integer type, else tested over contiguous axis-0 chunks of
+    about ``_INTEGRAL_CHUNK`` values: no full-grid temporary, and the
+    first chunk holding a fraction ends the test."""
+    if data.dtype.kind in "iu":
+        return True
     step = max(1, _INTEGRAL_CHUNK // data[0].size)
     for a in range(0, len(data), step):
         chunk = data[a:a + step]

@@ -12,8 +12,10 @@ Payloads are read on first use. :func:`load_case` checks the header,
 type and payload size of every file of a case, reading no payload, so a
 malformed or truncated file fails before any work on the case and the
 error names it. Each volume or mask is read when the case is first asked
-for it, and kept; a command reads only what it uses (``sift`` reads the
-first two DCE frames and the breast mask).
+for it, and kept; a command reads only what it uses. Candidate
+generation reads the first two DCE frames as stored, unsigned short, for
+their subtraction alone, and keeps neither, so ``sift`` reads those two
+frames as stored and the breast mask, and converts no volume to float.
 """
 
 from __future__ import annotations
@@ -426,12 +428,22 @@ def load_manifest(path) -> list[CaseRecord]:
     return records
 
 
+def _read_stored(path) -> tuple[np.ndarray, tuple[float, ...]]:
+    """The payload of a volume file as stored (unsigned short) in C order,
+    and its spacings."""
+    arr, spacings = _read_nrrd(path, "volume")
+    return np.ascontiguousarray(arr), spacings
+
+
 def _pending(path: Path, kind: str) -> Pending:
     """A volume or mask file whose header, type and size are checked now
-    and whose payload is read on first use."""
+    and whose payload is read on first use; a volume's values can also be
+    read as stored, and are then not kept."""
     header = _read_header(path, kind)
-    read = (lambda: load_volume(path)) if kind == "volume" else (lambda: load_mask(path))
-    return Pending(header.sizes, header.spacings, str(path), read)
+    if kind == "mask":
+        return Pending(header.sizes, header.spacings, str(path), lambda: load_mask(path))
+    return Pending(header.sizes, header.spacings, str(path), lambda: load_volume(path),
+                   stored=lambda: _read_stored(path))
 
 
 def load_case(record: CaseRecord) -> BreastCase:

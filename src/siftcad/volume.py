@@ -2,9 +2,11 @@
 
 Conventions used throughout the package:
 
-* a volume is a 3D ``float64`` array indexed ``[x, y, z]`` with voxel
-  spacing ``(d, d, D)`` in millimetres (axial in-plane spacing is equal
-  in x and y for case-level volumes),
+* a volume is a 3D array indexed ``[x, y, z]`` with voxel spacing
+  ``(d, d, D)`` in millimetres (axial in-plane spacing is equal in x and
+  y for case-level volumes). Its values are ``float64``, except for the
+  DCE subtraction :func:`subtract` makes of two frames as stored, which
+  is ``int16`` or ``int32``,
 * the physical coordinate of voxel ``i`` along an axis is
   ``i * spacing`` (voxel centres on a regular grid anchored at 0),
 * binary masks share the grid of the volume they refer to.
@@ -23,8 +25,15 @@ class VolumeError(ValueError):
     """Contract violation on a volume, mask or case."""
 
 
-def _as_float_volume(data: np.ndarray) -> np.ndarray:
-    arr = np.ascontiguousarray(data, dtype=np.float64)
+# the integer grids of a subtraction of stored frames (see subtract); a
+# volume of any other type is converted to float64
+_INTEGER_TYPES = (np.int16, np.int32)
+
+
+def _as_volume_data(data: np.ndarray) -> np.ndarray:
+    arr = np.asarray(data)
+    arr = np.ascontiguousarray(
+        arr, dtype=arr.dtype if arr.dtype.type in _INTEGER_TYPES else np.float64)
     if arr.ndim != 3:
         raise VolumeError(f"volume data must be 3D, got shape {arr.shape}")
     return arr
@@ -41,13 +50,14 @@ def _check_spacing(spacing) -> tuple[float, float, float]:
 
 @dataclass(frozen=True, eq=False)
 class Volume3D:
-    """Scalar volume with per-axis voxel spacing in mm."""
+    """Scalar volume with per-axis voxel spacing in mm: float64 values,
+    or the int16 or int32 ones of a subtraction of stored frames."""
 
     data: np.ndarray
     spacing: tuple[float, float, float]
 
     def __post_init__(self):
-        object.__setattr__(self, "data", _as_float_volume(self.data))
+        object.__setattr__(self, "data", _as_volume_data(self.data))
         object.__setattr__(self, "spacing", _check_spacing(self.spacing))
 
     @property
@@ -95,23 +105,41 @@ class BinaryMask:
 @dataclass(frozen=True, eq=False)
 class Pending:
     """A volume or mask of a case before its data is read: the grid its
-    header gives, the file it comes from and how to read it."""
+    header gives, the file it comes from and how to read it. A volume's
+    ``stored`` reads its values as the file stores them, in C order, and
+    their spacing, afresh on each call."""
 
     dims: tuple[int, int, int]
     spacing: tuple[float, float, float]
     source: str
     read: Callable[[], Volume3D | BinaryMask]
+    stored: Callable[[], tuple[np.ndarray, tuple[float, float, float]]] | None = None
+
+
+def _check_grid(item: Pending, dims, spacing) -> None:
+    """Refuse what a Pending read if it lies off the grid its header gave
+    when the case was made."""
+    if tuple(dims) != item.dims or spacing != item.spacing:
+        raise VolumeError(f"{item.source}: grid changed after the case was loaded")
 
 
 def _made(item):
-    """``item``, or the volume or mask a Pending reads, on the grid its
-    header gave when the case was made."""
+    """``item``, or the volume or mask a Pending reads."""
     if not isinstance(item, Pending):
         return item
     value = item.read()
-    if value.dims != item.dims or value.spacing != item.spacing:
-        raise VolumeError(f"{item.source}: grid changed after the case was loaded")
+    _check_grid(item, value.dims, value.spacing)
     return value
+
+
+def _values(item: Volume3D | Pending) -> np.ndarray:
+    """A volume's data, or a Pending volume's values as stored, read for
+    the caller alone and not kept."""
+    if not isinstance(item, Pending):
+        return item.data
+    values, spacing = item.stored()
+    _check_grid(item, values.shape, spacing)
+    return values
 
 
 class _OnFirstUse:
@@ -148,6 +176,10 @@ class _OnFirstUseList(Sequence):
             return [self[j] for j in range(len(self))[i]]
         self._items[i] = value = _made(self._items[i])
         return value
+
+    def as_given(self, i):
+        """Item ``i`` as it stands, read or not: a Pending is not read."""
+        return self._items[i]
 
 
 class BreastCase:
@@ -362,13 +394,36 @@ def multilevel_otsu(volume: Volume3D, mask: BinaryMask | None,
 # preprocessing operations
 # ---------------------------------------------------------------------------
 
-def subtract(a: Volume3D, b: Volume3D) -> Volume3D:
-    """Voxelwise ``a - b``; dims and spacing must match."""
+_I16 = np.iinfo(np.int16)
+
+
+def subtract(a: Volume3D | Pending, b: Volume3D | Pending) -> Volume3D:
+    """Voxelwise ``a - b``; dims and spacing must match.
+
+    Either side may be a :class:`Pending` volume, whose values are read
+    as stored for this subtraction alone and not kept. Two unsigned
+    short arrays subtract exactly in one integer pass, into int16 when
+    their ranges keep every difference within int16, else into int32
+    (narrowed to int16 if every difference fits after all). Any other
+    pair subtracts in float64.
+    """
     if a.dims != b.dims:
         raise VolumeError(f"dims mismatch {a.dims} vs {b.dims}")
     if not np.allclose(a.spacing, b.spacing):
         raise VolumeError(f"spacing mismatch {a.spacing} vs {b.spacing}")
-    return Volume3D(a.data - b.data, a.spacing)
+    x = _values(a)
+    y = _values(b)
+    if not x.dtype == y.dtype == np.uint16:
+        return Volume3D(x - y, a.spacing)
+    if _I16.min <= int(x.min()) - int(y.max()) and int(x.max()) - int(y.min()) <= _I16.max:
+        # each input casts to int16 modulo 2**16, and so does the
+        # difference, which fits int16 and so is exact
+        return Volume3D(np.subtract(x, y, dtype=np.int16, casting="unsafe"), a.spacing)
+    diff = np.subtract(x, y, dtype=np.int32)
+    del x, y
+    if _I16.min <= diff.min() and diff.max() <= _I16.max:
+        diff = diff.astype(np.int16)
+    return Volume3D(diff, a.spacing)
 
 
 def breast_mask(t1: Volume3D) -> BinaryMask:

@@ -13,10 +13,12 @@ from siftcad.candidates import (
     generate_candidates,
     volume_window,
 )
-from siftcad.nrrd_io import load_case
+from siftcad.nrrd_io import CaseRecord, load_case, save_mask, save_volume
 from siftcad.phantom import generate_suite
 from siftcad.volume import (
     BinaryMask,
+    BreastCase,
+    Pending,
     Volume3D,
     VolumeError,
     intensity_histogram,
@@ -308,6 +310,79 @@ def test_generation_peak_in_grids(tmp_path):
     finally:
         tracemalloc.stop()
     assert rise / (8 * np.prod(dims)) <= 3.25
+
+
+# frames the case has not read are read as stored for the subtraction
+# alone, which is int16: 2.42 grids on seeds 1-4, the breast mask's read
+# included (an eighth of a grid of it kept), against 5.10 when the case
+# read both frames as float64 and kept them and the subtraction was
+# float64 too
+def test_generation_from_unread_frames_peak_in_grids(tmp_path):
+    dims = (128, 128, 64)
+    (record,) = generate_suite(1, 1, tmp_path, dims=dims, spacing=(0.7, 0.7, 1.3))
+    case = load_case(record)
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        assert generate_candidates(case)
+        rise = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    assert rise / (8 * np.prod(dims)) <= 2.5
+    assert all(isinstance(case.dce.as_given(i), Pending) for i in (0, 1))
+
+
+def _integer_case_both_ways(root, step):
+    """A mini case whose volumes hold integers, written to NRRD files and
+    loaded, and the same case built in memory with float64 frames.
+    ``step`` is added to frame 1 in a corner outside the breast."""
+    mini = make_mini_case(noise=0.5, clutter=2.0, seed=3)
+    spacing = mini.spacing
+    frames = [np.clip(np.round(f.data), 0, 65535) for f in mini.dce]
+    frames[1][:4, :4, :] += step
+    volumes = {"t1": mini.t1.data, "t2": mini.t2.data,
+               **{f"dce{i}": f for i, f in enumerate(frames)}}
+    masks = {"breast": mini.breast_mask, "fat": mini.fat_mask, "gt0": mini.ground_truth[0]}
+    for name, data in volumes.items():
+        save_volume(root / f"{name}.nrrd", Volume3D(data, spacing))
+    for name, mask in masks.items():
+        save_mask(root / f"{name}.nrrd", mask)
+    record = CaseRecord(
+        case_id="mini", side="left", t1="t1.nrrd", t2="t2.nrrd",
+        dce=[f"dce{i}.nrrd" for i in range(len(frames))],
+        acquisition_times=list(mini.acquisition_times), ground_truth=["gt0.nrrd"],
+        breast_mask="breast.nrrd", fat_mask="fat.nrrd", base_dir=root)
+    in_memory = BreastCase(
+        "mini", "left", mini.t1, mini.t2, [Volume3D(f, spacing) for f in frames],
+        mini.acquisition_times, mini.breast_mask, mini.fat_mask, list(mini.ground_truth))
+    return load_case(record), in_memory
+
+
+def _keys(cands):
+    return [(c.scale_index, c.threshold_index, c.flat_indices.tobytes()) for c in cands]
+
+
+# two stored frames subtract in int16 when every difference fits, else in
+# int32; either way the candidates are those of float64 frames, and a
+# frame the case has already read is used as it is
+@pytest.mark.parametrize("step, dtype", [(0, np.int16), (40000, np.int32)],
+                         ids=["int16", "int32"])
+def test_stored_frames_give_the_candidates_of_float64_frames(tmp_path, monkeypatch,
+                                                              step, dtype):
+    on_disk, in_memory = _integer_case_both_ways(tmp_path, step)
+    subtractions = []
+    real = cmod.scale_ladder
+    monkeypatch.setattr(cmod, "scale_ladder",
+                        lambda volume, m: subtractions.append(volume.data.dtype)
+                        or real(volume, m))
+    want = _keys(generate_candidates(in_memory))
+    assert want
+    assert _keys(generate_candidates(on_disk)) == want
+    assert all(isinstance(on_disk.dce.as_given(i), Pending) for i in (0, 1))
+    on_disk.dce[0]
+    assert _keys(generate_candidates(on_disk)) == want
+    assert subtractions == [np.float64, dtype, np.float64]
 
 
 def test_generation_is_deterministic():

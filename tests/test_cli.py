@@ -618,19 +618,23 @@ class TestReadsOnFirstUse:
     """Each command reads a payload only when it uses the volume, and
     still rejects a bad file of a case before sifting that case."""
 
+    # the two frames are read as stored, for their subtraction alone, and
+    # no volume is loaded as float64
     def test_sift_reads_only_the_frames_and_the_mask_it_sifts(
             self, workspace, tmp_path, monkeypatch):
-        reads = []
-        for name in ("load_volume", "load_mask"):
+        reads = {"load_volume": [], "load_mask": [], "_read_stored": []}
+        for name, paths in reads.items():
             load = getattr(nrrd_io, name)
-            monkeypatch.setattr(nrrd_io, name,
-                                lambda path, load=load: reads.append(path) or load(path))
+            monkeypatch.setattr(nrrd_io, name, lambda path, load=load, paths=paths:
+                                paths.append(path) or load(path))
         manifest = workspace / "data/manifest.json"
         assert main(["sift", "--manifest", str(manifest),
                      "--out", str(tmp_path / "out")]) == EXIT_OK
         record = load_manifest(manifest)[0]
-        assert sorted(reads) == sorted(workspace / "data" / p for p in
-                                       (*record.dce[:2], record.breast_mask))
+        assert reads == {
+            "load_volume": [],
+            "load_mask": [workspace / "data" / record.breast_mask],
+            "_read_stored": [workspace / "data" / p for p in reversed(record.dce[:2])]}
 
     @pytest.mark.parametrize("field", ["t2", "dce", "ground_truth", "fat_mask"])
     def test_truncated_file_fails_before_sifting(self, workspace, tmp_path, capsys,
@@ -658,10 +662,11 @@ class TestReadsOnFirstUse:
             assert rc == EXIT_RUNTIME, argv[0]
             assert f"{path}: raw payload too short" in err and "Traceback" not in err, err
 
-    # the two frames it sifts and the breast mask, and the working grids of
-    # generate_candidates: 8.4 on seeds 1-3 with levels 2 and 3 decimated
-    # before scale 1 is sifted, 8.2 before that, 9.1 in float32 over
-    # every slice; reading every volume of the case and writing through
+    # the breast mask and the working grids of generate_candidates: 5.65
+    # on seeds 1-3 with the two frames read as stored for an int16
+    # subtraction and not kept; holding both frames and the subtraction
+    # in float64 made it 8.4 with levels 2 and 3 decimated before scale 1
+    # is sifted, 8.2 before that, 9.1 in float32 over every slice; reading every volume of the case and writing through
     # full-grid temporaries made it 13. At this size ms3d's fixed 256 KB
     # scratch blocks are a quarter of a grid, so the peak cannot show
     # the grid-sized savings: the guard on generate_candidates at
@@ -899,6 +904,25 @@ class TestPipelineCommands:
         err = capsys.readouterr().err
         assert str(second) in err and "(4, 4, 4)" in err and "'case_000'" in err
         assert "Traceback" not in err
+
+    def test_evaluate_names_a_case_without_malignancy_flags(self, tmp_path, capsys):
+        argv = _evaluation_suite(tmp_path / "suite", 2)
+        manifest = tmp_path / "suite" / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        doc["cases"][1]["malignant"] = []
+        manifest.write_text(json.dumps(doc))
+        assert main(argv) == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert f"{manifest}: manifest case 'case_001' has no 'malignant' flags" in err
+        assert "Traceback" not in err
+        # detections with no malignancy score need no flags
+        detections = tmp_path / "suite" / "detections.json"
+        doc = json.loads(detections.read_text())
+        for entry in doc["cases"]:
+            for d in entry["detections"]:
+                d["malignancy_score"] = d["malignant"] = None
+        detections.write_text(json.dumps(doc))
+        assert main(argv) == EXIT_OK
 
     # evaluate keeps each case's truths and detections as index arrays
     # and holds at most two masks' grids at a time; holding every case's

@@ -5,6 +5,7 @@ from siftcad.features import FeatureExtractor
 from siftcad.volume import (
     BinaryMask,
     BreastCase,
+    Pending,
     Volume3D,
     VolumeError,
     breast_mask,
@@ -29,6 +30,12 @@ class TestTypes:
         v = Volume3D(np.zeros((2, 3, 4), dtype=np.uint16), (0.7, 0.7, 1.3))
         assert v.data.dtype == np.float64
         assert v.dims == (2, 3, 4)
+
+    def test_volume_keeps_the_integer_grids_of_a_subtraction(self):
+        for dtype in (np.int16, np.int32):
+            v = Volume3D(np.arange(-4, 4, dtype=dtype).reshape(2, 2, 2), (1, 1, 1))
+            assert v.data.dtype == dtype and v.data.flags.c_contiguous
+        assert Volume3D(np.zeros((2, 2, 2), np.int64), (1, 1, 1)).data.dtype == np.float64
 
     def test_volume_rejects_non_3d(self):
         with pytest.raises(VolumeError):
@@ -72,6 +79,47 @@ class TestSubtract:
         c = Volume3D(np.zeros((2, 2, 2)), (2, 2, 2))
         with pytest.raises(VolumeError):
             subtract(a, c)
+
+
+    @staticmethod
+    def stored(values, spacing=(1.0, 1.0, 1.3)):
+        """A Pending volume whose stored values are ``values`` (unsigned
+        short), counting its reads."""
+        arr = np.asarray(values, dtype=np.uint16).reshape(1, 1, -1)
+        reads = []
+        pending = Pending(arr.shape, spacing, "frame.nrrd", read=None,
+                          stored=lambda: reads.append(1) or (arr.copy(), spacing))
+        return pending, reads
+
+    @pytest.mark.parametrize("a, b, dtype", [
+        ([5, 0, 32767, 0], [2, 7, 0, 32768], np.int16),      # differences at the bounds
+        ([40000, 0, 9], [0, 0, 9], np.int32),                # a 40000 step
+        ([0, 1, 2], [32769, 1, 2], np.int32),                # one past int16's minimum
+        ([65535, 40001, 0], [65534, 40000, 0], np.int16),    # wide frames, narrow differences
+    ], ids=["int16_bounds", "step_40000", "below_int16", "wide_frames"])
+    def test_stored_frames_subtract_exactly(self, a, b, dtype):
+        (pa, reads_a), (pb, reads_b) = self.stored(a), self.stored(b)
+        got = subtract(pa, pb)
+        assert got.data.dtype == dtype and got.spacing == pa.spacing
+        assert got.data.ravel().tolist() == [x - y for x, y in zip(a, b)]
+        # read for the subtraction alone: a second one reads them again
+        subtract(pa, pb)
+        assert len(reads_a) == len(reads_b) == 2
+
+    def test_a_volume_already_read_subtracts_in_float64(self):
+        pa, _ = self.stored([40000, 3, 0])
+        made = Volume3D(np.array([1.5, 1.0, 2.0]).reshape(1, 1, 3), pa.spacing)
+        got = subtract(pa, made)
+        assert got.data.dtype == np.float64
+        assert got.data.ravel().tolist() == [39998.5, 2.0, -2.0]
+        assert subtract(made, made).data.dtype == np.float64
+
+    def test_stored_grid_must_match_the_header(self):
+        pa, _ = self.stored([1, 2, 3])
+        moved = Pending(pa.dims, pa.spacing, "frame.nrrd", read=None,
+                        stored=lambda: (np.ones((1, 1, 3), np.uint16), (2.0, 2.0, 2.0)))
+        with pytest.raises(VolumeError, match="frame.nrrd: grid changed"):
+            subtract(pa, moved)
 
 
 class TestOtsu:
