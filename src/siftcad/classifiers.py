@@ -30,7 +30,6 @@ import numpy as np
 from .features import FEATURE_SCHEMA, FEATURE_SCHEMA_ID, FeatureVector
 from .nrrd_io import (array_of, check_fields, integer_from, is_finite, is_number, of_type,
                       one_of, or_null, read_document)
-from .volume import dsi_matrix
 
 DEFAULT_N_TREES = 2000
 DEFAULT_LEARNING_RATE = 0.1
@@ -80,11 +79,25 @@ def assign_training_labels(candidates, ground_truth) -> list[CandidateLabel]:
     to some lesion among all candidates and that DSI is at least 0.6;
     negative iff its DSI to every lesion is below 0.2; neutral
     otherwise. At most one candidate is positive per lesion.
+
+    Each DSI is ``2 |C and L| / (|C| + |L|)``, with the conventions of
+    :func:`~siftcad.volume.dsi_matrix`; the overlap is counted by reading
+    each lesion mask at the candidate's voxels.
     """
     n_c = len(candidates)
     n_l = len(ground_truth)
-    mat = dsi_matrix([c.original_indices() for c in candidates],
-                     [np.flatnonzero(m.data) for m in ground_truth])
+    truths = [m.data.ravel() for m in ground_truth]
+    inter = np.zeros((n_c, n_l), dtype=np.int64)
+    sizes = np.zeros(n_c, dtype=np.int64)
+    for i, c in enumerate(candidates):
+        idx = c.original_indices()
+        sizes[i] = idx.size
+        for j, truth in enumerate(truths):
+            inter[i, j] = np.count_nonzero(truth[idx])
+    total = sizes[:, None] + np.array([np.count_nonzero(t) for t in truths],
+                                      dtype=np.int64)[None, :]
+    mat = np.ones(total.shape)
+    np.divide(2.0 * inter, total, out=mat, where=total > 0)
     winner_of = [None] * n_c
     for j in range(n_l):
         if n_c == 0:

@@ -10,6 +10,13 @@ renormalised to unit DC gain so intensities stay comparable across
 scales. Kinetics always use the original grid through the upscaled
 candidate mask (largest voxel sample for the time curves).
 
+Values: the extractor holds T1, T2 and every DCE frame as the case
+stores them (unsigned short for a volume file) and converts to float64
+only the values a feature reads, before any arithmetic: a region's
+voxels, a crop, or the whole grid a level-2 decimation is made from. So
+every column equals the one float64 volumes give, bit for bit, and no
+float64 copy of a volume is held.
+
 Shells and cores: each candidate gets at most one smoothed
 signed-distance field per grid, reaching as far as the widest shell
 read there (an edema shell of width w needs w mm on the scale grid; the
@@ -235,6 +242,29 @@ _SURFACE_BIAS_PITCH = 1.0 / 3.0
 _SURFACE_SMOOTH_VOX = 0.8
 
 
+def _edt(mask: np.ndarray, spacing) -> np.ndarray:
+    """``ndimage.distance_transform_edt(mask, sampling=spacing)`` bit for
+    bit, from its feature transform one axis at a time: the same offsets
+    to the nearest background voxel (whole numbers, so their float64
+    difference is exact, as scipy's int32 one is), float64 scaling and
+    squaring, summed in axis order, and the square root, without scipy's
+    index grids and three-grid float64 stack."""
+    ft = ndimage.distance_transform_edt(mask, sampling=spacing, return_distances=False,
+                                        return_indices=True)
+    out = None
+    for axis, s in enumerate(spacing):
+        at = np.arange(mask.shape[axis]).reshape(
+            [-1 if a == axis else 1 for a in range(mask.ndim)])
+        d = np.subtract(ft[axis], at, dtype=np.float64)
+        d *= s
+        np.multiply(d, d, out=d)
+        if out is None:
+            out = d
+        else:
+            out += d
+    return np.sqrt(out, out=out)
+
+
 class _SurfaceField:
     """Smoothed signed distance (mm) from voxel centres to one region's
     surface, negative inside, on a crop (``slices`` of the grid) that
@@ -264,16 +294,18 @@ class _SurfaceField:
         tight = _box_slices(_index_box(flat_idx, dims), (1, 1, 1), dims)
         tight_in_crop = tuple(slice(t.start - c.start, t.stop - c.start)
                               for t, c in zip(tight, self.slices))
-        inside = np.zeros(crop.shape)
-        inside[tight_in_crop] = ndimage.distance_transform_edt(
-            crop[tight_in_crop], sampling=spacing)
-        outside = ndimage.distance_transform_edt(~crop, sampling=spacing)
         bias = _SURFACE_BIAS_PITCH * (sum(spacing) / 3.0)
-        sd = np.where(
-            crop,
-            -np.maximum(inside - bias, 0.0),
-            np.maximum(outside - bias, 0.0),
-        )
+        # max(outside - bias, 0) off the region; every region voxel lies in
+        # the tight box, where -max(inside - bias, 0) takes its place
+        sd = _edt(~crop, spacing)
+        sd -= bias
+        np.maximum(sd, 0.0, out=sd)
+        region = crop[tight_in_crop]
+        inside = _edt(region, spacing)
+        inside -= bias
+        np.maximum(inside, 0.0, out=inside)
+        sd[tight_in_crop][region] = np.negative(inside[region])
+        del inside
         self.distance = ndimage.gaussian_filter(sd, sigma=_SURFACE_SMOOTH_VOX)
 
     def shell(self, inner_mm: float, outer_mm: float) -> np.ndarray:
@@ -622,9 +654,9 @@ def _fit_enhancement(times: np.ndarray, series: np.ndarray,
     return float(popt[0]), float(popt[1]), float(popt[2]), rmse, fallback
 
 
-def _relative_series(samples: list[np.ndarray], reducer) -> tuple[np.ndarray, bool]:
-    """Per-frame relative change of ``reducer`` vs the first frame."""
-    raw = np.array([float(reducer(s)) for s in samples])
+def _relative_series(means: list[float]) -> tuple[np.ndarray, bool]:
+    """Per-frame relative change of a mean vs the first frame's."""
+    raw = np.array(means)
     base = raw[0]
     guarded = False
     if abs(base) <= _EPS_BASELINE:
@@ -635,10 +667,15 @@ def _relative_series(samples: list[np.ndarray], reducer) -> tuple[np.ndarray, bo
     return (raw - raw[0]) / base, guarded
 
 
-def kinetic_features(rc: RegionCandidate, case: BreastCase,
+def kinetic_features(rc: RegionCandidate, frames, times,
                      field: _SurfaceField | None = None,
                      need: frozenset = ALL_FEATURES) -> tuple[dict[str, float], dict[str, bool]]:
     """Kinetic feature group at original resolution.
+
+    ``frames`` are the values of every DCE frame on the original grid,
+    of any numeric type (as stored, or a volume's data), and ``times``
+    their acquisition times; the values the features read are converted
+    to float64 before any arithmetic.
 
     The curve summaries, the parametric fit and the core/rim features
     are returned when ``need`` holds one of their outputs (see
@@ -654,20 +691,26 @@ def kinetic_features(rc: RegionCandidate, case: BreastCase,
     and ``kinetic_guarded`` and ``core_empty`` (with the core/rim).
     """
     groups = _groups_for(need)
-    times = np.asarray(case.acquisition_times, dtype=np.float64)
+    times = np.asarray(times, dtype=np.float64)
     region_idx = rc.original_indices()
-    frames = [case.dce[i].data.ravel()[region_idx] for i in range(len(case.dce))]
+    means, variances = [], []
+    for frame in frames:
+        # one frame's region in float64 at a time
+        sample = np.asarray(frame.ravel()[region_idx], dtype=np.float64)
+        means.append(float(sample.mean()))
+        variances.append(float(sample.var()))
+    del sample
 
-    enh, guard_mean = _relative_series(frames, np.mean)
+    enh, guard_mean = _relative_series(means)
     peak, ttp, uptake, washout = _curve_summary(enh, times)
 
-    base_var = float(frames[0].var())
+    base_var = variances[0]
     guard_var = False
     if base_var <= _EPS_BASELINE:
-        var_series = np.zeros(len(frames))
-        guard_var = any(float(f.var()) > _EPS_BASELINE for f in frames[1:])
+        var_series = np.zeros(len(variances))
+        guard_var = any(v > _EPS_BASELINE for v in variances[1:])
     else:
-        var_series = np.array([(float(f.var()) - base_var) / base_var for f in frames])
+        var_series = np.array([(v - base_var) / base_var for v in variances])
 
     features = {}
     flags = {}
@@ -690,20 +733,21 @@ def kinetic_features(rc: RegionCandidate, case: BreastCase,
         if field is None:
             field = _SurfaceField(region_idx, rc.original_dims, rc.original_spacing,
                                   _MARGIN_OUTER_MM)
-        picks = (0, 1, len(case.dce) - 1)
+        picks = (0, 1, len(frames) - 1)
 
-        def frames_of(band):
+        def means_of(band):
             # an empty band falls back to the whole region
             if band.any():
-                return [case.dce[i].data[field.slices][band] for i in picks]
-            return [case.dce[i].data.ravel()[region_idx] for i in picks]
+                return [float(np.asarray(frames[i][field.slices][band], dtype=np.float64)
+                              .mean()) for i in picks]
+            return [means[i] for i in picks]
 
         core = field.core(2.0)
         core_empty = not core.any()
         shell = field.shell(1.0, _MARGIN_OUTER_MM)
         guard_shell = not shell.any()
-        core_enh, g1 = _relative_series(frames_of(core), np.mean)
-        shell_enh, g2 = _relative_series(frames_of(shell), np.mean)
+        core_enh, g1 = _relative_series(means_of(core))
+        shell_enh, g2 = _relative_series(means_of(shell))
         blooming = float((shell_enh[-1] - shell_enh[1]) - (core_enh[-1] - core_enh[1]))
         if abs(core_enh[-1]) <= _EPS_BASELINE:
             peripheral = 0.0
@@ -727,36 +771,43 @@ _FAT_MEAN_OF = {"t1": "t1", "t2": "t2", "dce0": "dce0", "dce1": "dce0", "dcesub"
 
 
 def _read(data: np.ndarray, where) -> np.ndarray:
-    """``data`` at flat indices, or at a tuple of slices."""
+    """``data`` at flat indices, or at a tuple of slices, in its own type."""
     return data[where] if isinstance(where, tuple) else data.ravel()[where]
 
 
 class FeatureExtractor:
-    """Extracts features for candidates of one case. Each (sequence,
-    scale) level of the decimation ladder above scale 1 is built on first
-    use and cached, while scale 1 is read from the case's own volumes;
-    the caches are plain dicts of arrays and the fat mask's
-    ladder a generator that refers to no extractor, so an extractor holds
-    no reference cycle and is freed as soon as its last user drops it."""
+    """Extracts features for candidates of one case.
+
+    The extractor reads T1, T2 and every DCE frame once, as stored
+    (:meth:`BreastCase.values`: unsigned short for a volume file), and
+    keeps those arrays; the case keeps none of them. Only the values a
+    feature reads are converted to float64, before any arithmetic: flat
+    indices, a crop, or the whole grid a level-2 decimation starts from.
+    Each (sequence, scale) level of the decimation ladder above scale 1
+    is built on first use and cached, while scale 1 is read from the
+    stored arrays; the caches are plain dicts of arrays and the fat
+    mask's ladder a generator that refers to no extractor, so an
+    extractor holds no reference cycle and is freed as soon as its last
+    user drops it."""
 
     def __init__(self, case: BreastCase):
         self.case = case
         fat = case.fat_mask.data
         if not fat.any():
             raise VolumeError("fat mask is empty")
+        t1, t2, self._frames = case.values()
+        self._arrays = {"t1": t1, "t2": t2, "dce0": self._frames[0], "dce1": self._frames[1]}
         self._fat_means = {
-            "t1": float(case.t1.data[fat].mean()),
-            "t2": float(case.t2.data[fat].mean()),
-            "dce0": float(case.dce[0].data[fat].mean()),
-        }
+            seq: float(np.asarray(self._arrays[seq][fat], dtype=np.float64).mean())
+            for seq in ("t1", "t2", "dce0")}
         for name, mean in self._fat_means.items():
             if mean <= 0:
                 raise VolumeError(f"non-positive fat mean on {name}")
         # (sequence, scale) -> LLL level m >= 2 of the fat-normalised
         # sequence, with the level's gain still in it; scale -> fat mask,
         # pulled from one lazy ladder whose length only caps a candidate's
-        # scale. Scale 1 is never cached: its reads come from the case's
-        # own volumes.
+        # scale. Scale 1 is never cached: its reads come from the stored
+        # arrays.
         self._levels: dict[tuple[str, int], np.ndarray] = {}
         self._fat: dict[int, np.ndarray] = {}
         self._fat_ladder = wavelet.mask_ladder(case.fat_mask, sys.maxsize)
@@ -764,15 +815,16 @@ class FeatureExtractor:
     def _normalised(self, seq: str, where) -> np.ndarray:
         """The fat-normalised scale-1 sequence ``seq`` read at ``where``
         (see :meth:`_scaled`; ``()`` reads the whole grid). Each voxel
-        goes through the same operations as in a whole-grid division."""
-        case = self.case
+        goes through the same operations as in a whole-grid division of
+        float64 volumes: the ufuncs convert their inputs to float64 a
+        buffer at a time, and exactly."""
+        mean = self._fat_means[_FAT_MEAN_OF[seq]]
         if seq == "dcesub":
-            data = _read(case.dce[1].data, where) - _read(case.dce[0].data, where)
-        else:
-            volume = {"t1": case.t1, "t2": case.t2,
-                      "dce0": case.dce[0], "dce1": case.dce[1]}[seq]
-            data = _read(volume.data, where)
-        return data / self._fat_means[_FAT_MEAN_OF[seq]]
+            data = np.subtract(_read(self._arrays["dce1"], where),
+                               _read(self._arrays["dce0"], where), dtype=np.float64)
+            data /= mean
+            return data
+        return np.divide(_read(self._arrays[seq], where), mean, dtype=np.float64)
 
     def _level(self, seq: str, m: int) -> np.ndarray:
         """Level m of the same ``_lll_once`` chain :func:`scale_ladder`
@@ -880,8 +932,8 @@ class FeatureExtractor:
             out.update(shape_features(rc, self._fat[m]))
 
         if groups & _KINETIC_GROUPS:
-            kin, kin_flags = kinetic_features(
-                rc, self.case, field if m == 1 else None, need)
+            kin, kin_flags = kinetic_features(rc, self._frames, self.case.acquisition_times,
+                                              field if m == 1 else None, need)
             out.update(kin)
             out.update({f"flag_{name}": 1.0 if fired else 0.0
                         for name, fired in kin_flags.items()})

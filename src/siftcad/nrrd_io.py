@@ -16,6 +16,9 @@ for it, and kept; a command reads only what it uses. Candidate
 generation reads the first two DCE frames as stored, unsigned short, for
 their subtraction alone, and keeps neither, so ``sift`` reads those two
 frames as stored and the breast mask, and converts no volume to float.
+Feature extraction reads T1, T2 and every frame as stored, once per
+case, and keeps them in the extractor, so ``train`` and ``detect`` load
+no volume as float64 either (unless a mask is derived from T1).
 """
 
 from __future__ import annotations

@@ -7,6 +7,13 @@ Conventions used throughout the package:
   y for case-level volumes). Its values are ``float64``, except for the
   DCE subtraction :func:`subtract` makes of two frames as stored, which
   is ``int16`` or ``int32``,
+* a case's volume files are read as stored, unsigned short, by the steps
+  that use them (:func:`subtract`, :meth:`BreastCase.values`), and are
+  converted to ``float64`` only where their values meet arithmetic; a
+  ``float64`` volume of a case is made only when a caller reads the
+  case's field (``case.t2``, ``case.dce[i]``), as
+  :func:`~siftcad.nrrd_io.load_case` reads T1 to derive a mask the
+  manifest does not name,
 * the physical coordinate of voxel ``i`` along an axis is
   ``i * spacing`` (voxel centres on a regular grid anchored at 0),
 * binary masks share the grid of the volume they refer to.
@@ -240,6 +247,13 @@ class BreastCase:
         self.ground_truth = _OnFirstUseList(ground_truth)
         self.dims: tuple[int, int, int] = t1.dims
         self.spacing: tuple[float, float, float] = t1.spacing
+
+    def values(self) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+        """The values of T1, T2 and every DCE frame: a volume's data, or
+        a Pending volume's values as stored (see :func:`_values`), read
+        now for the caller alone and not kept in the case."""
+        return (_values(self._t1), _values(self._t2),
+                [_values(self.dce.as_given(i)) for i in range(len(self.dce))])
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import numpy as np
 from scipy import ndimage
 
 from siftcad.candidates import RegionCandidate, _make_candidate
+from siftcad.nrrd_io import CaseRecord, load_case, save_mask, save_volume
 from siftcad.volume import BinaryMask, BreastCase, Volume3D
 
 from oracles import ball_mask
@@ -87,6 +88,36 @@ def make_mini_case(
         fat_mask=BinaryMask(breast & ~gland, spacing),
         ground_truth=[BinaryMask(lesion, spacing)],
     )
+
+
+def integer_case_both_ways(root, step: float = 0.0, **mini_kwargs):
+    """A mini case (:func:`make_mini_case` with noise 0.5, clutter 2.0,
+    seed 3 unless ``mini_kwargs`` say otherwise) whose volumes hold
+    integers in [0, 65535], written to NRRD files under ``root`` and
+    loaded with ``load_case``, and the same case built in memory from
+    float64 volumes. ``step`` is added to frame 1 in a corner outside the
+    breast."""
+    mini = make_mini_case(**{"noise": 0.5, "clutter": 2.0, "seed": 3, **mini_kwargs})
+    spacing = mini.spacing
+    t1, t2, *frames = (np.clip(np.round(v.data), 0, 65535)
+                       for v in (mini.t1, mini.t2, *mini.dce))
+    frames[1][:4, :4, :] += step
+    volumes = {"t1": t1, "t2": t2, **{f"dce{i}": f for i, f in enumerate(frames)}}
+    masks = {"breast": mini.breast_mask, "fat": mini.fat_mask, "gt0": mini.ground_truth[0]}
+    for name, data in volumes.items():
+        save_volume(root / f"{name}.nrrd", Volume3D(data, spacing))
+    for name, mask in masks.items():
+        save_mask(root / f"{name}.nrrd", mask)
+    record = CaseRecord(
+        case_id="mini", side="left", t1="t1.nrrd", t2="t2.nrrd",
+        dce=[f"dce{i}.nrrd" for i in range(len(frames))],
+        acquisition_times=list(mini.acquisition_times), ground_truth=["gt0.nrrd"],
+        breast_mask="breast.nrrd", fat_mask="fat.nrrd", base_dir=root)
+    in_memory = BreastCase(
+        "mini", "left", Volume3D(t1, spacing), Volume3D(t2, spacing),
+        [Volume3D(f, spacing) for f in frames], mini.acquisition_times,
+        mini.breast_mask, mini.fat_mask, list(mini.ground_truth))
+    return load_case(record), in_memory
 
 
 def candidate_from_mask(mask: BinaryMask, scale_index: int = 1,

@@ -346,7 +346,7 @@ def _padded_bbox(data: np.ndarray, pad) -> tuple:
     return tuple(out)
 
 
-def _per_shell_distance(crop: np.ndarray, spacing) -> np.ndarray:
+def per_shell_distance(crop: np.ndarray, spacing) -> np.ndarray:
     bias = _SURFACE_BIAS_PITCH * (sum(spacing) / 3.0)
     inside = ndimage.distance_transform_edt(crop, sampling=spacing)
     outside = ndimage.distance_transform_edt(~crop, sampling=spacing)
@@ -362,7 +362,7 @@ def per_shell_band(region: np.ndarray, spacing, inner_mm: float,
     pad = tuple(int(math.ceil(outer_mm / s)) + 4 for s in spacing)
     sl = _padded_bbox(region, pad)
     crop = region[sl]
-    sd = _per_shell_distance(crop, spacing)
+    sd = per_shell_distance(crop, spacing)
     band = np.zeros_like(crop)
     if inner_mm > 0:
         band |= crop & (sd >= -inner_mm)
@@ -378,10 +378,46 @@ def per_shell_core(region: np.ndarray, spacing, depth_mm: float) -> np.ndarray:
     a field cropped 4 voxels past the bounding box."""
     sl = _padded_bbox(region, (4, 4, 4))
     crop = region[sl]
-    sd = _per_shell_distance(crop, spacing)
+    sd = per_shell_distance(crop, spacing)
     full = np.zeros_like(region)
     full[sl] = crop & (sd < -depth_mm)
     return full
+
+
+# ---------------------------------------------------------------------------
+# training labels through the DSI matrix
+# ---------------------------------------------------------------------------
+# The labelling as first written: every candidate's and every lesion's
+# DSI from ``dsi_matrix``, one sparse incidence of all their indices.
+
+def training_labels_by_dsi_matrix(candidates, ground_truth) -> list[tuple]:
+    """``(label, lesion_index, best_dsi)`` of each candidate against the
+    lesion masks: positive for the best candidate of a lesion at DSI 0.6
+    or more, negative below 0.2 to every lesion, neutral otherwise."""
+    from siftcad.volume import dsi_matrix
+
+    n_c, n_l = len(candidates), len(ground_truth)
+    mat = dsi_matrix([c.original_indices() for c in candidates],
+                     [np.flatnonzero(m.data) for m in ground_truth])
+    winner_of = [None] * n_c
+    for j in range(n_l):
+        if n_c == 0:
+            break
+        i = int(np.argmax(mat[:, j]))
+        if mat[i, j] >= 0.6:
+            prev = winner_of[i]
+            if prev is None or mat[i, j] > mat[i, prev]:
+                winner_of[i] = j
+    out = []
+    for i in range(n_c):
+        best = float(mat[i].max()) if n_l else 0.0
+        if winner_of[i] is not None:
+            out.append((1, winner_of[i], best))
+        elif best < 0.2:
+            out.append((-1, None, best))
+        else:
+            out.append((0, None, best))
+    return out
 
 
 # ---------------------------------------------------------------------------

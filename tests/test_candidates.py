@@ -13,11 +13,10 @@ from siftcad.candidates import (
     generate_candidates,
     volume_window,
 )
-from siftcad.nrrd_io import CaseRecord, load_case, save_mask, save_volume
+from siftcad.nrrd_io import load_case
 from siftcad.phantom import generate_suite
 from siftcad.volume import (
     BinaryMask,
-    BreastCase,
     Pending,
     Volume3D,
     VolumeError,
@@ -28,7 +27,7 @@ from siftcad.volume import (
 )
 from siftcad.wavelet import dims_ladder, upscale_mask
 
-from helpers import candidate_from_mask, make_mini_case
+from helpers import candidate_from_mask, integer_case_both_ways, make_mini_case
 from oracles import dice, multilevel_otsu_exhaustive, sieve_components
 
 
@@ -333,32 +332,6 @@ def test_generation_from_unread_frames_peak_in_grids(tmp_path):
     assert all(isinstance(case.dce.as_given(i), Pending) for i in (0, 1))
 
 
-def _integer_case_both_ways(root, step):
-    """A mini case whose volumes hold integers, written to NRRD files and
-    loaded, and the same case built in memory with float64 frames.
-    ``step`` is added to frame 1 in a corner outside the breast."""
-    mini = make_mini_case(noise=0.5, clutter=2.0, seed=3)
-    spacing = mini.spacing
-    frames = [np.clip(np.round(f.data), 0, 65535) for f in mini.dce]
-    frames[1][:4, :4, :] += step
-    volumes = {"t1": mini.t1.data, "t2": mini.t2.data,
-               **{f"dce{i}": f for i, f in enumerate(frames)}}
-    masks = {"breast": mini.breast_mask, "fat": mini.fat_mask, "gt0": mini.ground_truth[0]}
-    for name, data in volumes.items():
-        save_volume(root / f"{name}.nrrd", Volume3D(data, spacing))
-    for name, mask in masks.items():
-        save_mask(root / f"{name}.nrrd", mask)
-    record = CaseRecord(
-        case_id="mini", side="left", t1="t1.nrrd", t2="t2.nrrd",
-        dce=[f"dce{i}.nrrd" for i in range(len(frames))],
-        acquisition_times=list(mini.acquisition_times), ground_truth=["gt0.nrrd"],
-        breast_mask="breast.nrrd", fat_mask="fat.nrrd", base_dir=root)
-    in_memory = BreastCase(
-        "mini", "left", mini.t1, mini.t2, [Volume3D(f, spacing) for f in frames],
-        mini.acquisition_times, mini.breast_mask, mini.fat_mask, list(mini.ground_truth))
-    return load_case(record), in_memory
-
-
 def _keys(cands):
     return [(c.scale_index, c.threshold_index, c.flat_indices.tobytes()) for c in cands]
 
@@ -370,7 +343,7 @@ def _keys(cands):
                          ids=["int16", "int32"])
 def test_stored_frames_give_the_candidates_of_float64_frames(tmp_path, monkeypatch,
                                                               step, dtype):
-    on_disk, in_memory = _integer_case_both_ways(tmp_path, step)
+    on_disk, in_memory = integer_case_both_ways(tmp_path, step)
     subtractions = []
     real = cmod.scale_ladder
     monkeypatch.setattr(cmod, "scale_ladder",

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -32,7 +33,10 @@ from siftcad.classifiers import (
     train_rusboost,
     train_tree,
 )
+from siftcad.candidates import generate_candidates
 from siftcad.features import FEATURE_SCHEMA, FEATURE_SCHEMA_ID, FeatureVector
+from siftcad.nrrd_io import load_case
+from siftcad.phantom import generate_suite
 from siftcad.volume import BinaryMask
 
 from helpers import candidate_from_mask
@@ -41,6 +45,7 @@ from oracles import (
     grow_tree,
     per_feature_best_split,
     rusboost_scores_per_tree,
+    training_labels_by_dsi_matrix,
     tree_walk,
 )
 
@@ -599,6 +604,79 @@ def test_assign_labels_no_lesions_everything_negative():
     blob = ball_mask(dims, (1, 1, 1), (6, 6, 6), 3.0)
     labels = assign_training_labels([_mask_candidate(blob)], [])
     assert labels == [CandidateLabel(-1, None, 0.0)]
+
+
+class _Region:
+    """A candidate as the labelling reads it: its original-grid indices,
+    which may be empty."""
+
+    def __init__(self, indices):
+        self.indices = np.asarray(indices, dtype=np.int64)
+
+    def original_indices(self):
+        return self.indices
+
+
+def _label_keys(labels):
+    return [(lab.label, lab.lesion_index, lab.best_dsi.hex()) for lab in labels]
+
+
+def _oracle_keys(candidates, truths):
+    return [(label, j, best.hex())
+            for label, j, best in training_labels_by_dsi_matrix(candidates, truths)]
+
+
+def test_assign_labels_at_exactly_the_thresholds():
+    truth = np.zeros((3, 4, 5), bool)
+    truth.flat[:5] = True
+    cands = [_Region([0, 1, 2, 10, 11]), _Region([4, 20, 21, 22, 23]), _Region([])]
+    truths = [BinaryMask(truth, (1.0, 1.0, 1.0)), BinaryMask(np.zeros_like(truth), (1, 1, 1))]
+    labels = assign_training_labels(cands, truths)
+    # 2 * 3 / 10 is 0.6 and 2 * 1 / 10 is 0.2; an empty candidate is
+    # identical to an empty lesion
+    assert [(lab.label, lab.lesion_index, lab.best_dsi) for lab in labels] == \
+        [(1, 0, 0.6), (0, None, 0.2), (1, 1, 1.0)]
+    assert _label_keys(labels) == _oracle_keys(cands, truths)
+
+
+def test_assign_labels_match_the_dsi_matrix_oracle():
+    rng = np.random.default_rng(41)
+    dims = (6, 6, 4)
+    seen = set()
+    for _ in range(80):
+        truths = [rng.random(dims) < rng.choice([0.0, 0.05, 0.2, 0.5])
+                  for _ in range(int(rng.integers(0, 4)))]
+        if len(truths) > 1:
+            truths[1] |= truths[0]  # overlapping lesions
+        cands = [_Region(np.flatnonzero(rng.random(dims) < p))
+                 for p in rng.choice([0.0, 0.05, 0.2, 0.6], size=int(rng.integers(0, 8)))]
+        cands += [_Region(np.flatnonzero(t)) for t in truths[:1]]
+        masks = [BinaryMask(t, (1.0, 1.0, 1.0)) for t in truths]
+        labels = assign_training_labels(cands, masks)
+        assert _label_keys(labels) == _oracle_keys(cands, masks)
+        seen.update(lab.label for lab in labels)
+    assert seen == {-1, 0, 1}
+
+
+# the labelling's rise over a file-backed 80x80x40 case (seed 5, the first
+# case of the benchmark's suite), its candidates upscaled as it runs:
+# 4.71 grids reading each lesion mask at every candidate's voxels; 9.9
+# through dsi_matrix's incidence of every candidate's indices
+def test_labelling_peak_in_grids(tmp_path):
+    dims = (80, 80, 40)
+    record = generate_suite(1, 5, tmp_path, dims=dims, diameter_range_mm=(6.0, 16.0))[0]
+    case = load_case(record)
+    cands = generate_candidates(case)
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        labels = assign_training_labels(cands, case.ground_truth)
+        rise = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    assert {lab.label for lab in labels} == {-1, 0, 1}
+    assert rise / (8 * np.prod(dims)) <= 5.0
 
 
 # ---------------------------------------------------------------------------

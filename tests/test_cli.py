@@ -41,7 +41,7 @@ from siftcad.nrrd_io import (
     save_volume,
 )
 from siftcad.phantom import generate_suite
-from siftcad.volume import BinaryMask, VolumeError, subtract
+from siftcad.volume import BinaryMask, Volume3D, VolumeError, subtract
 
 
 @pytest.fixture(scope="module")
@@ -635,6 +635,57 @@ class TestReadsOnFirstUse:
             "load_volume": [],
             "load_mask": [workspace / "data" / record.breast_mask],
             "_read_stored": [workspace / "data" / p for p in reversed(record.dce[:2])]}
+
+    # the subtraction reads frames 1 and 0 as stored and keeps neither;
+    # the extractor then reads T1, T2 and every frame as stored, once,
+    # and no volume is loaded as float64
+    @pytest.mark.parametrize("command", ["train", "detect"])
+    def test_train_and_detect_read_every_volume_as_stored(self, workspace, tmp_path,
+                                                           monkeypatch, command):
+        reads = {"load_volume": [], "_read_stored": []}
+        for name, paths in reads.items():
+            load = getattr(nrrd_io, name)
+            monkeypatch.setattr(nrrd_io, name, lambda path, load=load, paths=paths:
+                                paths.append(path) or load(path))
+        manifest = workspace / "data/manifest.json"
+        split = {"train": "train", "detect": "test"}[command]
+        argv = {"train": ["train", "--n-trees", "5"],
+                "detect": ["detect", "--split", split, "--models", str(workspace / "models")]}
+        assert main(argv[command] + ["--manifest", str(manifest),
+                                     "--out", str(tmp_path / "out")]) == EXIT_OK
+        data = workspace / "data"
+        expected = [data / p for r in load_manifest(manifest) if r.split == split
+                    for p in (r.dce[1], r.dce[0], r.t1, r.t2, *r.dce)]
+        assert expected
+        assert reads == {"load_volume": [], "_read_stored": expected}
+
+    # a volume read after load_case checked its header is checked again
+    @pytest.mark.parametrize("command", ["train", "detect"])
+    @pytest.mark.parametrize("field", ["t2", "dce"])
+    def test_volume_rewritten_on_another_grid_is_named(self, workspace, tmp_path, capsys,
+                                                       monkeypatch, command, field):
+        data = tmp_path / "data"
+        shutil.copytree(workspace / "data", data)
+        split = {"train": "train", "detect": "test"}[command]
+        record = next(r for r in load_manifest(data / "manifest.json") if r.split == split)
+        path = data / {"t2": record.t2, "dce": record.dce[-1]}[field]
+        real_load_case = cli.load_case
+
+        def load_then_rewrite(rec):
+            case = real_load_case(rec)
+            nx, ny, nz = case.dims
+            save_volume(path, Volume3D(np.ones((nx, ny, nz + 1)), case.spacing))
+            return case
+
+        monkeypatch.setattr(cli, "load_case", load_then_rewrite)
+        argv = {"train": ["train", "--n-trees", "5"],
+                "detect": ["detect", "--split", split, "--models", str(workspace / "models")]}
+        rc = main(argv[command] + ["--manifest", str(data / "manifest.json"),
+                                   "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == EXIT_RUNTIME
+        assert f"{path}: grid changed after the case was loaded" in err, err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("field", ["t2", "dce", "ground_truth", "fat_mask"])
     def test_truncated_file_fails_before_sifting(self, workspace, tmp_path, capsys,

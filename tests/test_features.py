@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import hashlib
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from scipy import ndimage
 
 from siftcad.candidates import generate_candidates
+from siftcad.classifiers import assign_training_labels
 from siftcad.features import (
     EDEMA_SHELLS,
     FEATURE_SCHEMA,
@@ -21,6 +23,7 @@ from siftcad.features import (
     _MarginRing,
     _shell_gradient_stats,
     _SurfaceField,
+    _edt,
     enhancement_model,
     haralick_features,
     kinetic_features,
@@ -28,17 +31,19 @@ from siftcad.features import (
     shape_features,
     skewness,
 )
-from siftcad.phantom import generate_case, suite_specs
+from siftcad.nrrd_io import load_case
+from siftcad.phantom import generate_case, generate_suite, suite_specs
 from siftcad.volume import BinaryMask, BreastCase, Volume3D, VolumeError
 from siftcad.wavelet import dims_ladder, mask_ladder
 
-from helpers import candidate_from_mask, make_mini_case
+from helpers import candidate_from_mask, integer_case_both_ways, make_mini_case
 from oracles import (
     ball_mask,
     dice,
     glcm_contrast_paircount,
     per_shell_band,
     per_shell_core,
+    per_shell_distance,
 )
 
 
@@ -162,6 +167,30 @@ def test_field_thresholds_equal_per_shell_fields(name):
     core = per_shell_core(region.data, spacing, 2.0)
     for field in (widest, rim, _field(region, 0.0)):
         assert np.array_equal(_on_grid(region, field, field.core(2.0)), core)
+
+
+@pytest.mark.parametrize("name", sorted(_SHELL_REGIONS))
+def test_field_equals_distances_taken_on_the_whole_crop(name):
+    # the field writes the inside distances into the outside ones in
+    # place, from a transform on the tight box alone; the values are
+    # those of both transforms taken on the whole crop, bit for bit
+    region = _SHELL_REGIONS[name]
+    for outer in (0.0, 2.0, 20.0):
+        field = _field(region, outer)
+        expected = per_shell_distance(field.crop, region.spacing)
+        assert field.distance.tobytes() == expected.tobytes(), outer
+
+
+def test_axis_by_axis_distances_equal_scipy_bit_for_bit():
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        dims = tuple(int(n) for n in rng.integers(1, 24, size=3))
+        mask = rng.random(dims) < rng.choice([0.02, 0.3, 0.9, 1.0])
+        spacing = tuple(float(s) for s in rng.choice(
+            [1.0 / 3.0, 0.7, 0.8, 1.3, 1.6, 2.6, 5.2], size=3))
+        got = _edt(mask, spacing)
+        assert got.tobytes() == ndimage.distance_transform_edt(
+            mask, sampling=spacing).tobytes(), (dims, spacing)
 
 
 def test_edema_flag_from_the_narrowest_shell_equals_any_shell_empty():
@@ -402,9 +431,15 @@ def _lesion_candidate(case: BreastCase):
     return candidate_from_mask(case.ground_truth[0])
 
 
+def _kinetics(case: BreastCase):
+    """The kinetic features of the case's first lesion."""
+    return kinetic_features(_lesion_candidate(case), [f.data for f in case.dce],
+                            case.acquisition_times)
+
+
 def test_washout_fixture_values():
     case = make_mini_case(enhancement=(1.0, 0.8, 0.6), times=(0.0, 90.0, 180.0, 270.0))
-    feats, flags = kinetic_features(_lesion_candidate(case), case)
+    feats, flags = _kinetics(case)
     assert feats["enh_peak"] == pytest.approx(1.0, rel=1e-9)
     assert feats["enh_time_to_peak_s"] == 90.0
     assert feats["enh_uptake_rate"] == pytest.approx(1.0 / 90.0, rel=1e-9)
@@ -414,7 +449,7 @@ def test_washout_fixture_values():
 
 def test_persistent_curve_has_zero_washout():
     case = make_mini_case(enhancement=(0.4, 0.7, 0.9), times=(0.0, 90.0, 180.0, 270.0))
-    feats, _ = kinetic_features(_lesion_candidate(case), case)
+    feats, _ = _kinetics(case)
     assert feats["enh_peak"] == pytest.approx(0.9, rel=1e-9)
     assert feats["enh_time_to_peak_s"] == 270.0
     assert feats["enh_washout_rate"] == 0.0
@@ -422,7 +457,7 @@ def test_persistent_curve_has_zero_washout():
 
 def test_flat_curve_gives_zero_kinetics():
     case = make_mini_case(enhancement=(0.0, 0.0, 0.0))
-    feats, _ = kinetic_features(_lesion_candidate(case), case)
+    feats, _ = _kinetics(case)
     for name in ("enh_peak", "enh_time_to_peak_s", "enh_uptake_rate",
                  "enh_washout_rate", "blooming"):
         assert feats[name] == 0.0
@@ -440,8 +475,8 @@ def test_enhancement_invariant_to_global_intensity_scale():
         breast_mask=case.breast_mask, fat_mask=case.fat_mask,
         ground_truth=case.ground_truth,
     )
-    a, _ = kinetic_features(_lesion_candidate(case), case)
-    b, _ = kinetic_features(_lesion_candidate(scaled), scaled)
+    a, _ = _kinetics(case)
+    b, _ = _kinetics(scaled)
     for name in ("enh_peak", "enh_washout_rate", "blooming", "peripheral_uptake"):
         assert a[name] == pytest.approx(b[name], rel=1e-9)
 
@@ -450,7 +485,7 @@ def test_parametric_fit_recovers_model_curve():
     times = (0.0, 60.0, 120.0, 180.0, 300.0)
     target = enhancement_model(np.array(times[1:]), 1.2, 0.03, 0.002)
     case = make_mini_case(enhancement=tuple(target), times=times)
-    feats, flags = kinetic_features(_lesion_candidate(case), case)
+    feats, flags = _kinetics(case)
     assert not flags["fit_fallback"]
     assert feats["fit_rmse"] <= 1e-6
     assert feats["fit_amplitude"] == pytest.approx(1.2, rel=0.02)
@@ -485,11 +520,11 @@ def test_blooming_sign_tracks_rim_growth():
         )
 
     blooming_case = build(rim_curve, core_curve)
-    feats, _ = kinetic_features(_lesion_candidate(blooming_case), blooming_case)
+    feats, _ = _kinetics(blooming_case)
     assert feats["blooming"] > 0.5
     assert feats["peripheral_uptake"] > 1.2
     reversed_case = build(core_curve, rim_curve)
-    feats_rev, _ = kinetic_features(_lesion_candidate(reversed_case), reversed_case)
+    feats_rev, _ = _kinetics(reversed_case)
     assert feats_rev["blooming"] < -0.5
 
 
@@ -592,6 +627,69 @@ def test_phantom_case_features_match_frozen_golden(golden_case_extraction):
     cands, _, digest = golden_case_extraction
     assert len(cands) == _GOLDEN_CASE_CANDIDATES
     assert digest == _GOLDEN_CASE_SHA256
+
+
+# the same phantom case written as NRRD and loaded with load_case, so that
+# every volume is read as stored; frozen from the extractor that read
+# each volume as float64 (numpy 2.4, scipy 1.17, x86-64). The volumes are
+# rounded on writing, so the candidates differ from the in-memory case's
+_GOLDEN_FILE_CASE_CANDIDATES = 25
+_GOLDEN_FILE_CASE_SHA256 = "8377d68f0b856cdf3bffe52d7fb84e0227db51785abd592be341035881336e89"
+
+
+def test_file_backed_case_features_match_frozen_golden(tmp_path):
+    record = generate_suite(1, 5, tmp_path, dims=(64, 64, 32),
+                            diameter_range_mm=(5.0, 12.0))[0]
+    case = load_case(record)
+    cands = generate_candidates(case)
+    digest = hashlib.sha256()
+    extractor = FeatureExtractor(case)
+    for rc in cands:
+        digest.update(extractor.extract(rc).values.tobytes())
+    assert len(cands) == _GOLDEN_FILE_CASE_CANDIDATES
+    assert digest.hexdigest() == _GOLDEN_FILE_CASE_SHA256
+
+
+def test_stored_volumes_give_the_features_of_float64_volumes(tmp_path):
+    # frame 1 lies 30% below frame 0 on the lesion, so a subtraction of
+    # the stored unsigned values would wrap there
+    on_disk, in_memory = integer_case_both_ways(tmp_path, enhancement=(-0.3, 0.8, 0.6))
+    cands = generate_candidates(on_disk)
+    assert [(c.scale_index, c.flat_indices.tobytes()) for c in cands] == \
+        [(c.scale_index, c.flat_indices.tobytes()) for c in generate_candidates(in_memory)]
+    pre, post = (in_memory.dce[i].data.ravel() for i in (0, 1))
+    assert any((post[rc.original_indices()] < pre[rc.original_indices()]).any()
+               for rc in cands)
+    stored, floats = FeatureExtractor(on_disk), FeatureExtractor(in_memory)
+    assert stored._frames[0].dtype == np.uint16
+    for rc in cands:
+        assert stored.extract(rc).values.tobytes() == floats.extract(rc).values.tobytes()
+
+
+# the extractor's rise over a file-backed 80x80x40 case (seed 5, the first
+# case of the benchmark's suite), extracting every labelled candidate:
+# 7.36 grids with the volumes held as stored, each frame's region
+# converted one at a time and the fields' distances built in place, axis
+# by axis; 15.1 when the case held every volume as float64
+def test_extraction_peak_in_grids(tmp_path):
+    dims = (80, 80, 40)
+    record = generate_suite(1, 5, tmp_path, dims=dims, diameter_range_mm=(6.0, 16.0))[0]
+    case = load_case(record)
+    cands = generate_candidates(case)
+    labels = assign_training_labels(cands, case.ground_truth)
+    labelled = [rc for rc, lab in zip(cands, labels) if lab.label != 0]
+    assert len(labelled) > 20
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        extractor = FeatureExtractor(case)
+        for rc in labelled:
+            extractor.extract(rc)
+        rise = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    assert rise / (8 * np.prod(dims)) <= 7.6
 
 
 def test_extractor_caches_no_full_grid_scale_1_copy(golden_case_extraction):

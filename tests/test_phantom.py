@@ -410,9 +410,13 @@ class TestGolden:
     # made and holds one at a time besides the clutter texture (3.44,
     # 7.77 when it wrote a whole generated case). The traced peak counts
     # every numpy buffer, so it does not depend on the allocator or on
-    # other processes
+    # other processes. ``make`` runs once untraced first, so that what it
+    # grows once for the whole process is not counted: the table of
+    # interned strings pathlib adds new path names to is 1.9 MB when it
+    # resizes, which happens in whichever call first crosses its size
     @staticmethod
     def _traced_peak_grids(make) -> float:
+        make()
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
