@@ -6,7 +6,11 @@ bank (:func:`siftcad.volume.multilevel_otsu`), and each threshold's 26-connected
 physical volume window of that scale. The sieve labels each threshold
 on the bounding box of its foreground and builds voxel lists only for
 the components inside the window; the large breast-wide components of
-the low thresholds are counted and dropped. Candidates are stored
+the low thresholds are counted and dropped. One threshold's labels are
+alive at a time, as int32 (intp for a box of 2**31 - 2 voxels or more),
+and are counted and read a bounded chunk of voxels at a time, so the
+labels are never cast to intp whole: the sieve holds about 5 bytes per
+box voxel, the foreground and its labels. Candidates are stored
 sparsely (sorted flat voxel indices on their scale grid) and can be
 brought back to the original grid through the wavelet ladder.
 """
@@ -43,6 +47,13 @@ DEFAULT_V_MAX = diameter_to_volume(DEFAULT_MAX_DIAMETER_MM)
 _CONNECTIVITY_26 = np.ones((3, 3, 3), dtype=bool)
 
 
+# flat labels are counted and looked up this many voxels at a time:
+# bincount and fancy indexing copy an int32 index array to intp, and a
+# chunk bounds that copy at 512 KiB where the whole box would copy twice
+# its labels
+_SIEVE_CHUNK = 1 << 16
+
+
 def _sieve_components(data: np.ndarray, thresholds, lo: float, hi: float,
                       voxvol: float) -> list[list[np.ndarray]]:
     """Per threshold th, the 26-connected components of ``data >= th``
@@ -63,29 +74,41 @@ def _sieve_components(data: np.ndarray, thresholds, lo: float, hi: float,
             out.append([])
             continue
         box = tuple(slice(ix[0], ix[-1] + 1) for ix in spans)
-        fg = data[box] >= th
-        # intp labels: bincount and the lookup below would cast int32 ones
-        labels = np.empty(fg.shape, dtype=np.intp)
-        n = ndimage.label(fg, structure=_CONNECTIVITY_26, output=labels)
-        flat = labels.ravel()
-        counts = np.bincount(flat, minlength=n + 1)
-        size = counts * voxvol
-        keep = (lo <= size) & (size <= hi)
-        keep[0] = False
-        kept = np.flatnonzero(keep)
-        if kept.size == 0:
-            out.append([])
-            continue
-        idx = np.flatnonzero(keep[flat])  # raster order within the box
-        lab = flat[idx]
-        idx = idx[np.argsort(lab, kind="stable")]
-        coords = np.unravel_index(idx, fg.shape)
-        idx = np.ravel_multi_index(tuple(c + b.start for c, b in zip(coords, box)),
-                                   data.shape)
-        pieces = np.split(idx, np.cumsum(counts[kept[:-1]]))
-        pieces.sort(key=lambda ix: ix[0])
-        out.append(pieces)
+        out.append(_sieve_box(data, box, th, lo, hi, voxvol))
     return out
+
+
+def _sieve_box(data: np.ndarray, box: tuple[slice, ...], th, lo: float, hi: float,
+               voxvol: float) -> list[np.ndarray]:
+    """One threshold of :func:`_sieve_components` on its bounding box.
+
+    Its own function so that the box's labels are freed before the next
+    threshold labels its box: one label grid is alive at a time.
+    """
+    # scipy labels into int32, or intp for a box of 2**31 - 2 voxels or
+    # more; the boolean foreground is freed once labelled
+    labels, n = ndimage.label(data[box] >= th, structure=_CONNECTIVITY_26)
+    flat = labels.ravel()
+    chunks = range(0, flat.size, _SIEVE_CHUNK)
+    counts = np.zeros(n + 1, dtype=np.intp)
+    for i in chunks:
+        counts += np.bincount(flat[i:i + _SIEVE_CHUNK], minlength=n + 1)
+    size = counts * voxvol
+    keep = (lo <= size) & (size <= hi)
+    keep[0] = False
+    kept = np.flatnonzero(keep)
+    if kept.size == 0:
+        return []
+    # raster order within the box
+    idx = np.concatenate([np.flatnonzero(keep[flat[i:i + _SIEVE_CHUNK]]) + i
+                          for i in chunks])
+    idx = idx[np.argsort(flat[idx], kind="stable")]
+    coords = np.unravel_index(idx, labels.shape)
+    idx = np.ravel_multi_index(tuple(c + b.start for c, b in zip(coords, box)),
+                               data.shape)
+    pieces = np.split(idx, np.cumsum(counts[kept[:-1]]))
+    pieces.sort(key=lambda ix: ix[0])
+    return pieces
 
 
 @dataclass(eq=False)

@@ -20,7 +20,6 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
-from scipy.sparse.csgraph import connected_components
 
 from .candidates import DEFAULT_V_MAX, DEFAULT_V_MIN, generate_candidates
 from .classifiers import DEFAULT_N_TREES, check_schema, predict, split_features
@@ -74,6 +73,9 @@ def fuse_labels(detections) -> list[Detection]:
     """
     if len(detections) <= 1:
         return list(detections)
+    # imported here: only detect fuses, and scipy.sparse.csgraph adds
+    # about 8 MB to a process that imports it
+    from scipy.sparse.csgraph import connected_components
     regions = [d.indices for d in detections]
     _, group = connected_components(dsi_matrix(regions, regions) > 0,
                                     directed=False)

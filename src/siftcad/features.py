@@ -49,8 +49,7 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage, optimize
-from scipy.spatial import ConvexHull, QhullError
+from scipy import ndimage
 
 from . import wavelet
 from .candidates import RegionCandidate
@@ -570,6 +569,9 @@ def shape_features(rc: RegionCandidate, fat_region: np.ndarray | None = None) ->
 
     solidity = 1.0
     if count >= 4:
+        # imported here: sift and evaluate never build a hull, and
+        # scipy.spatial adds about 8 MB to a process that imports it
+        from scipy.spatial import ConvexHull, QhullError
         pts = coords * np.asarray(rc.spacing)
         try:
             hull_vol = ConvexHull(pts).volume
@@ -632,6 +634,9 @@ def _fit_enhancement(times: np.ndarray, series: np.ndarray,
     fallback = False
     popt = None
     if times.size >= 3:
+        # imported here: only train and detect fit curves, and
+        # scipy.optimize adds about 20 MB and 0.3 s to a process's start
+        from scipy import optimize
         p0 = (peak if peak != 0.0 else 1.0, 0.02, 0.001)
         try:
             popt, _ = optimize.curve_fit(

@@ -31,14 +31,16 @@ The filters take the slice plane on the first two axes and treat
 trailing axes as a stack, so ``ms3d`` sifts C-contiguous blocks of
 consecutive slices (about 256 KB each, in any working dtype) in one
 pass and ``ms2d`` is the single-slice case of the same path; work arrays
-are reused from block to block. ``ms3d`` copies each view's slices once
-into block-major order, so that every block is a contiguous chunk of
-the copy, writes each block's response over it and adds the copy to
-the sum in one strided pass: gathering and scattering the blocks one at
-a time misses the cache on large grids. Every voxel sees the same
-min/max set, subtraction and sum sequence as a slice-by-slice
-evaluation (orientations in ascending order, views axial + sagittal +
-coronal, added to zero in float64), so the result is bit-equal to it.
+are reused from block to block. ``ms3d`` copies a view's slices into
+block-major order a group of blocks (up to 1 MB) at a time, so that
+every block is a contiguous chunk of the copy, writes each block's
+response over it and adds the group to the sum in one strided pass:
+gathering and scattering the blocks one at a time misses the cache on
+large grids, and copying the whole view at once holds a second grid.
+Every voxel sees the same min/max set, subtraction and sum sequence as
+a slice-by-slice evaluation (orientations in ascending order, views
+axial + sagittal + coronal, added to zero in float64), so the result is
+bit-equal to it.
 
 Mask: ``ms3d(volume, plan, n_orient, mask)`` sifts each view only over
 the range of its slices that holds a mask voxel. A view's response at a
@@ -471,28 +473,42 @@ def lse_magnitudes(v_min: float, v_max: float, d: float, big_d: float, m_scales:
 # and 1 MB (scale-1 ms3d of the seed-1 sift_fullres case, best of 5, one
 # thread on an Intel Xeon: 0.42, 0.31, 0.31 and 0.44 s against 0.29 s)
 _BLOCK_BYTES = 262144
+# bytes per group of blocks in the sum dtype, copied and added to the
+# output at once. Groups of 256 KB, 512 KB, 1 MB, 2 MB, 4 MB and the
+# whole view took 0.231, 0.228, 0.227, 0.225, 0.224 and 0.223 s and rose
+# 20.2, 20.2, 20.7, 21.7, 23.8 and 26.6 MB above entry (same case and
+# thread, median of 15 interleaved runs; 16.4 MB of each rise is the
+# float64 response)
+_GROUP_BYTES = 1 << 20
 
 
 def _sift_stack(vol: np.ndarray, plan, out: np.ndarray, scratch: _Scratch) -> None:
     """Add the sifting response of every slice ``vol[:, :, k]`` to
     ``out``, an array or view of ``vol``'s shape.
 
-    The slices are copied once, block-major and in ``scratch``'s sum
-    dtype: each block of consecutive slices is a C-contiguous (nx, ny,
-    slices) stack, and a shorter block takes any remainder. Each block is
-    sifted from a working-dtype copy, its response written over it, and
-    every group of equal blocks is added to ``out`` in one pass, so
-    neither the copy nor the sum reads or writes ``out`` block by
-    block."""
+    The slices are taken in groups of blocks of at most ``_GROUP_BYTES``
+    in ``scratch``'s sum dtype (at least one block), and a group is
+    copied once, block-major and in the sum dtype: each block of
+    consecutive slices is a C-contiguous (nx, ny, slices) stack, and a
+    shorter block takes any remainder, in a group of its own. Each block
+    is sifted from a working-dtype copy, its response written over it,
+    and the group is added to ``out`` in one pass, so neither the copy
+    nor the sum reads or writes ``out`` block by block."""
     nx, ny, nz = vol.shape
-    step = max(1, _BLOCK_BYTES // scratch.dtype.itemsize // max(1, nx * ny))
+    plane = max(1, nx * ny)
+    step = max(1, _BLOCK_BYTES // scratch.dtype.itemsize // plane)
+    group = step * max(1, _GROUP_BYTES // (scratch.sum_dtype.itemsize * step * plane))
     full = nz - nz % step
-    for k0, k1, size in ((0, full, step), (full, nz, nz - full)):
-        if k1 == k0:
-            continue
-        # splitting the slice axis is a view of any strided array
-        blocks = np.moveaxis(vol[:, :, k0:k1].reshape(nx, ny, -1, size), 2, 0) \
-            .astype(scratch.sum_dtype, order="C")
+    groups = [(k0, min(k0 + group, full), step) for k0 in range(0, full, group)]
+    if full < nz:
+        groups.append((full, nz, nz - full))
+    buf = np.empty(nx * ny * min(group, nz), scratch.sum_dtype)
+    for k0, k1, size in groups:
+        blocks = buf[:nx * ny * (k1 - k0)].reshape(-1, nx, ny, size)
+        # splitting the slice axis is a view of any strided array; the
+        # cast is astype's, exact since _work_dtype admitted the values
+        np.copyto(blocks, np.moveaxis(vol[:, :, k0:k1].reshape(nx, ny, -1, size), 2, 0),
+                  casting="unsafe")
         for block in blocks:
             slices = scratch.take("slices", block.shape)
             slices[...] = block

@@ -17,8 +17,9 @@ generation reads the first two DCE frames as stored, unsigned short, for
 their subtraction alone, and keeps neither, so ``sift`` reads those two
 frames as stored and the breast mask, and converts no volume to float.
 Feature extraction reads T1, T2 and every frame as stored, once per
-case, and keeps them in the extractor, so ``train`` and ``detect`` load
-no volume as float64 either (unless a mask is derived from T1).
+case, and keeps them in the extractor, so ``train`` and ``detect`` keep
+no volume as float64 either: a mask derived from T1 is made from a
+float64 read of it that the case does not keep.
 """
 
 from __future__ import annotations
@@ -455,7 +456,8 @@ def load_case(record: CaseRecord) -> BreastCase:
     Every file's header, type and size are checked here, so a malformed
     or truncated file fails now and is named; each payload is read when
     the case first uses it, and kept. Breast and fat masks the manifest
-    does not name are derived from T1 here.
+    does not name are derived from T1 here, from a read the case does not
+    keep: T1 stays unread in it.
     """
     base = record.base_dir
     t1 = _pending(base / record.t1, "volume")
@@ -466,9 +468,10 @@ def load_case(record: CaseRecord) -> BreastCase:
     fat = record.fat_mask and _pending(base / record.fat_mask, "mask")
     if not (breast and fat):
         # a derived mask needs the values of T1, and the fat mask the breast's
-        t1 = t1.read()
-        breast = breast.read() if breast else compute_breast_mask(t1)
-        fat = fat or compute_fat_mask(t1, breast)
+        values = t1.read()
+        breast = breast.read() if breast else compute_breast_mask(values)
+        fat = fat or compute_fat_mask(values, breast)
+        del values
     return BreastCase(
         case_id=record.case_id,
         side=record.side,

@@ -149,7 +149,7 @@ def _sieve_both(data, thresholds, lo=0.0, hi=np.inf, voxvol=1.0):
     return got
 
 
-def test_sieve_matches_whole_grid_oracle_on_random_volumes():
+def test_sieve_matches_whole_grid_oracle_on_random_volumes(monkeypatch):
     rng = np.random.default_rng(23)
     for _ in range(60):
         dims = tuple(int(n) for n in rng.integers(1, 14, 3))
@@ -161,8 +161,17 @@ def test_sieve_matches_whole_grid_oracle_on_random_volumes():
         voxvol = float(rng.choice([1.0, 0.7 * 0.7 * 1.3, 8.0]))
         sizes = rng.integers(0, data.size + 1, 2) * voxvol
         lo, hi = float(sizes.min()), float(sizes.max())
-        _sieve_both(data, thresholds, lo, hi, voxvol)
-        _sieve_both(data, thresholds)
+        # a bank whose low thresholds fill their box, the whole grid
+        filling = np.concatenate([[data.min() - 1.0, data.min()], thresholds])
+        # the labels are counted and read a chunk of voxels at a time:
+        # chunks of 7 voxels cut every box, the default chunk none of these
+        for chunk in (7, 1 << 16):
+            monkeypatch.setattr(cmod, "_SIEVE_CHUNK", chunk)
+            _sieve_both(data, thresholds, lo, hi, voxvol)
+            _sieve_both(data, thresholds)
+            got = _sieve_both(data, filling, lo, hi, voxvol)
+            _assert_same_pieces(got[:1], got[1:2])
+            assert [p.size for p in _sieve_both(data, filling)[0]] == [data.size]
 
 
 def test_sieve_edge_cases_match_whole_grid_oracle():
@@ -197,6 +206,27 @@ def test_sieve_edge_cases_match_whole_grid_oracle():
     got = _sieve_both(blobs, [0.5, 1.5], 8.0, 8.0)
     assert [len(p) for p in got] == [1, 1]
     assert _sieve_both(blobs, [0.5, 1.5], 9.0, 26.0) == [[], []]
+
+
+# one threshold's labels are alive at a time, int32, and counted and read
+# a chunk at a time, so the sieve rises by the boolean foreground and one
+# int32 label grid, 5 bytes per box voxel: 5.32 here, where the two
+# lowest thresholds fill the whole grid as their box; intp labels, two
+# grids alive at once and whole-grid index casts made it 17.7
+def test_sieve_peak_is_one_int32_label_grid():
+    rng = np.random.default_rng(37)
+    data = ndimage.uniform_filter(rng.random((128, 128, 64)), 5, mode="nearest")
+    thresholds = [data.min() - 1.0, data.min(), *np.quantile(data, [0.99, 0.999])]
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        pieces = _sieve_components(data, thresholds, 1.0, 64.0, 1.0)
+        rise = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    assert pieces[:2] == [[], []] and pieces[2] and pieces[3]
+    assert rise / data.size <= 5.5
 
 
 def test_sieve_window_bounds_are_inclusive_floats():
@@ -290,10 +320,11 @@ def test_generation_walks_the_wavelet_ladder_once(monkeypatch):
 
 
 # scale 1's ms3d sets the peak: the subtraction, levels 2 and 3 of both
-# ladders, and ms3d's output and scratch. 2.97 grids on seed 1 at
-# 128x128x64, where the fixed-size scratch blocks are small beside a
-# grid; decimating each level after the scale before it was sifted, with
-# that scale's response and a padded copy of its input held, made it 4.24
+# ladders, and ms3d's output and scratch. 2.72 grids on seeds 1-4 at
+# 128x128x64, where the fixed-size scratch blocks and groups are small
+# beside a grid; copying each view's whole stack to its sum dtype made it
+# 2.97, and decimating each level after the scale before it was sifted,
+# with that scale's response and a padded copy of its input held, 4.24
 def test_generation_peak_in_grids(tmp_path):
     dims = (128, 128, 64)
     (record,) = generate_suite(1, 1, tmp_path, dims=dims, spacing=(0.7, 0.7, 1.3))
@@ -308,14 +339,15 @@ def test_generation_peak_in_grids(tmp_path):
         rise = tracemalloc.get_traced_memory()[1] - entry
     finally:
         tracemalloc.stop()
-    assert rise / (8 * np.prod(dims)) <= 3.25
+    assert rise / (8 * np.prod(dims)) <= 2.8
 
 
 # frames the case has not read are read as stored for the subtraction
-# alone, which is int16: 2.42 grids on seeds 1-4, the breast mask's read
-# included (an eighth of a grid of it kept), against 5.10 when the case
-# read both frames as float64 and kept them and the subtraction was
-# float64 too
+# alone, which is int16: 2.13 grids on seeds 1-4, the breast mask's read
+# included (an eighth of a grid of it kept), set by scale 1's Otsu bank;
+# 2.42, set by ms3d's whole-view copies and the sieve's intp labels, and
+# 5.10 when the case read both frames as float64 and kept them and the
+# subtraction was float64 too
 def test_generation_from_unread_frames_peak_in_grids(tmp_path):
     dims = (128, 128, 64)
     (record,) = generate_suite(1, 1, tmp_path, dims=dims, spacing=(0.7, 0.7, 1.3))
@@ -328,7 +360,7 @@ def test_generation_from_unread_frames_peak_in_grids(tmp_path):
         rise = tracemalloc.get_traced_memory()[1] - entry
     finally:
         tracemalloc.stop()
-    assert rise / (8 * np.prod(dims)) <= 2.5
+    assert rise / (8 * np.prod(dims)) <= 2.2
     assert all(isinstance(case.dce.as_given(i), Pending) for i in (0, 1))
 
 

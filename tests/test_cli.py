@@ -2,7 +2,10 @@
 
 import hashlib
 import json
+import os
 import shutil
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
@@ -1035,6 +1038,48 @@ _GOLDEN_MASKS = {
 }
 _GOLDEN_CANDIDATES = {"phantom_000": 28, "phantom_001": 24, "phantom_002": 24,
                       "phantom_003": 27}
+
+
+# run in a fresh interpreter, since this one has imported every module:
+# phantom, sift and evaluate never fit a curve, build a hull or fuse, so
+# they import none of the three; train fits, so the guard is not vacuous
+_IMPORT_GUARD = """
+import json, sys
+from siftcad import cli
+
+HEAVY = ("scipy.optimize", "scipy.spatial", "scipy.sparse.csgraph")
+data, out = sys.argv[1] + "/data", sys.argv[1] + "/out"
+manifest = data + "/manifest.json"
+loaded = {}
+assert cli.main(["phantom", "--out", data, "--cases", "2", "--seed", "9"]) == 0
+assert cli.main(["sift", "--manifest", manifest, "--out", out + "/sift"]) == 0
+# the test split's truths are its detections
+cases = [{"case_id": c["case_id"], "detections": [
+            {"mask": m, "lesion_score": 0.9, "malignancy_score": 0.5}
+            for m in c["ground_truth"]]}
+         for c in json.load(open(manifest))["cases"] if c["split"] == "test"]
+json.dump({"format": cli.DETECTIONS_FORMAT, "version": cli.DETECTIONS_VERSION,
+           "cases": cases}, open(data + "/detections.json", "w"))
+assert cli.main(["evaluate", "--manifest", manifest, "--detections",
+                 data + "/detections.json", "--out", out + "/eval"]) == 0
+loaded["evaluate"] = [m for m in HEAVY if m in sys.modules]
+assert cli.main(["train", "--manifest", manifest, "--out", out + "/models",
+                 "--n-trees", "5"]) == 0
+loaded["train"] = [m for m in HEAVY if m in sys.modules]
+print(json.dumps(loaded))
+"""
+
+
+def test_phantom_sift_and_evaluate_import_no_fit_hull_or_graph_module(tmp_path):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    run = subprocess.run([sys.executable, "-c", _IMPORT_GUARD, str(tmp_path)],
+                         capture_output=True, text=True, timeout=600,
+                         env={**os.environ, "PYTHONPATH": path})
+    assert run.returncode == 0, run.stderr
+    loaded = json.loads(run.stdout.splitlines()[-1])
+    assert loaded["evaluate"] == []
+    assert "scipy.optimize" in loaded["train"]
 
 
 def test_end_to_end_outputs_match_frozen_golden(tmp_path, monkeypatch):

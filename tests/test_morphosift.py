@@ -359,6 +359,30 @@ class TestMs3d:
         assert np.array_equal(got.data, want)
         assert got.data.tobytes() == want.tobytes()
 
+    # a view's slices are copied and added a group of blocks at a time:
+    # with 1 KB blocks and 5000-byte groups every view spans several
+    # groups, and a shorter last group or a remainder block, in each
+    # working dtype
+    @pytest.mark.parametrize("values, work", [
+        (lambda rng, dims: rng.standard_normal(dims) * 20, np.float64),
+        (lambda rng, dims: rng.integers(-65535, 65536, dims).astype(float), np.float32),
+        (lambda rng, dims: rng.integers(-100, 200, dims).astype(np.int16), np.int16),
+    ], ids=["float64", "float32", "int16"])
+    def test_groups_of_blocks_match_direct_evaluation(self, monkeypatch, scratch_dtypes,
+                                                      values, work):
+        monkeypatch.setattr(morphosift, "_BLOCK_BYTES", 1024)
+        monkeypatch.setattr(morphosift, "_GROUP_BYTES", 5000)
+        rng = np.random.default_rng(12)
+        plan = MagnitudePlan(
+            axial=(2.0, 6.0), sagittal=(2.0, 5.0), coronal=(3.0, 5.0),
+            ml1_mm=2.0, ml2_mm=6.0,
+        )
+        data = values(rng, (8, 9, 37))
+        got = ms3d(Volume3D(data, (0.7, 0.7, 1.3)), plan, 4)
+        assert scratch_dtypes == [work]
+        want = direct_ms3d(data.astype(np.float64), plan, 4, rasterize_lse)
+        assert got.data.tobytes() == want.tobytes()
+
     def test_production_magnitudes_match_direct_evaluation(self):
         # the default lesion window at clinical spacing: 23-point long
         # lines (runs past 8 points, (3, 1) and (1, 3) steps) longer than

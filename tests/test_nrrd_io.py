@@ -319,12 +319,17 @@ def test_load_case_reads_each_payload_on_first_use_and_keeps_it(tmp_path, monkey
     assert reads[1:] == [tmp_path / record.breast_mask, tmp_path / record.t2]
     assert np.array_equal(case.dce[1].data, load_volume(tmp_path / record.dce[1]).data)
 
-    # a mask the manifest does not name is derived from T1 as the case is made
+    # a mask the manifest does not name is derived from T1 as the case is
+    # made, from a read the case does not keep: T1 stays unread, so its
+    # values come as stored and a first use reads it again
     reads.clear()
     case = load_case(replace(record, fat_mask=None))
     assert reads == [tmp_path / record.t1, tmp_path / record.breast_mask]
-    case.fat_mask, case.t1
-    assert len(reads) == 2
+    case.fat_mask
+    t1_values = case.values()[0]
+    assert len(reads) == 2 and t1_values.dtype == np.uint16
+    assert np.array_equal(case.t1.data, t1_values)
+    assert reads[2:] == [tmp_path / record.t1]
 
 
 def test_load_case_checks_every_file_before_reading_a_payload(tmp_path, monkeypatch):
