@@ -198,14 +198,13 @@ def generate_candidates(
     volume window. Candidates with identical voxel sets at the same
     scale are merged, keeping the lowest threshold index.
 
-    A frame the case has not read yet is read as stored for the
-    subtraction alone and stays unread in the case, so the subtraction
-    of two such frames is an exact int16 (or int32) grid, and no float64
-    frame or subtraction is made (see :func:`~siftcad.volume.subtract`);
-    a frame already read is used as it is. Each level is freed once
-    sifted, and each response once sieved unless ``responses`` keeps it,
-    so scale 1's sifting holds the subtraction and levels 2 and up, but
-    no frame and no response.
+    A frame the case holds as a file is read as stored for the
+    subtraction alone and not kept, so the subtraction of two such
+    frames is an exact int16 (or int32) grid, and no float64 frame or
+    subtraction is made (see :func:`~siftcad.volume.subtract`). Each
+    level is freed once sifted, and each response once sieved unless
+    ``responses`` keeps it, so scale 1's sifting holds the subtraction
+    and levels 2 and up, but no frame and no response.
 
     If ``responses`` is given, it receives each sifted scale's
     normalised response keyed by scale index; a scale whose breast
@@ -216,7 +215,7 @@ def generate_candidates(
     # every level is decimated before any is sifted: levels 2 and 3 are
     # 1/8 and 1/64 of a grid, and decimating them then holds only the
     # subtraction and the mask, not a scale's response
-    sub = subtract(case.dce.as_given(1), case.dce.as_given(0))
+    sub = subtract(case.dce[1], case.dce[0])
     levels = list(zip(scale_ladder(sub, m_scales), mask_ladder(case.breast_mask, m_scales)))
     del sub
     out: list[RegionCandidate] = []

@@ -2,24 +2,22 @@
 and field-table check of every JSON document the package reads.
 
 Volumes are stored as 16-bit unsigned raw little-endian, masks as 8-bit
-0/1; everything is converted to the internal float/bool representation
-on load. Attached headers (.nrrd) are written; both attached and
-detached (.nhdr + raw file) headers are read. Raw data is laid out with
-the first axis fastest, as usual for this format, and is written a slab
-of z planes at a time, so a write holds no converted copy of the grid.
+0/1. Attached headers (.nrrd) are written; both attached and detached
+(.nhdr + raw file) headers are read. Raw data is laid out with the first
+axis fastest, as usual for this format, and is written a slab of z
+planes at a time, so a write holds no converted copy of the grid.
 
-Payloads are read on first use. :func:`load_case` checks the header,
-type and payload size of every file of a case, reading no payload, so a
-malformed or truncated file fails before any work on the case and the
-error names it. Each volume or mask is read when the case is first asked
-for it, and kept; a command reads only what it uses. Candidate
-generation reads the first two DCE frames as stored, unsigned short, for
-their subtraction alone, and keeps neither, so ``sift`` reads those two
-frames as stored and the breast mask, and converts no volume to float.
-Feature extraction reads T1, T2 and every frame as stored, once per
-case, and keeps them in the extractor, so ``train`` and ``detect`` keep
-no volume as float64 either: a mask derived from T1 is made from a
-float64 read of it that the case does not keep.
+:func:`load_case` checks the header, type and payload size of every file
+of a case, reading no payload, so a malformed or truncated file fails
+before any work on the case and the error names it. A case's volume
+files are then read as stored, unsigned short, on every use, and never
+kept; its mask files are read once, on first use, and kept. A command
+reads only what it uses: ``sift`` reads the first two DCE frames, for
+their subtraction alone, and the breast mask; feature extraction reads
+T1, T2 and every frame once per case and keeps them in the extractor.
+No command converts a whole volume to float64, except that a mask the
+manifest does not name is derived from a float64 read of T1
+(:func:`load_volume`) that the case does not keep.
 """
 
 from __future__ import annotations
@@ -441,23 +439,20 @@ def _read_stored(path) -> tuple[np.ndarray, tuple[float, ...]]:
 
 def _pending(path: Path, kind: str) -> Pending:
     """A volume or mask file whose header, type and size are checked now
-    and whose payload is read on first use; a volume's values can also be
-    read as stored, and are then not kept."""
+    and whose payload is read when the case uses it: a volume's values
+    as stored on every use, a mask once."""
     header = _read_header(path, kind)
-    if kind == "mask":
-        return Pending(header.sizes, header.spacings, str(path), lambda: load_mask(path))
-    return Pending(header.sizes, header.spacings, str(path), lambda: load_volume(path),
-                   stored=lambda: _read_stored(path))
+    read = (lambda: load_mask(path)) if kind == "mask" else (lambda: _read_stored(path))
+    return Pending(header.sizes, header.spacings, str(path), read)
 
 
 def load_case(record: CaseRecord) -> BreastCase:
     """The case a record describes.
 
     Every file's header, type and size are checked here, so a malformed
-    or truncated file fails now and is named; each payload is read when
-    the case first uses it, and kept. Breast and fat masks the manifest
-    does not name are derived from T1 here, from a read the case does not
-    keep: T1 stays unread in it.
+    or truncated file fails now and is named. No payload is read here,
+    except that breast and fat masks the manifest does not name are
+    derived from a float64 read of T1 that the case does not keep.
     """
     base = record.base_dir
     t1 = _pending(base / record.t1, "volume")
@@ -468,7 +463,7 @@ def load_case(record: CaseRecord) -> BreastCase:
     fat = record.fat_mask and _pending(base / record.fat_mask, "mask")
     if not (breast and fat):
         # a derived mask needs the values of T1, and the fat mask the breast's
-        values = t1.read()
+        values = load_volume(base / record.t1)
         breast = breast.read() if breast else compute_breast_mask(values)
         fat = fat or compute_fat_mask(values, breast)
         del values

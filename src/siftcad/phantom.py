@@ -98,8 +98,10 @@ class PhantomSpec:
     def __post_init__(self):
         if len(self.times) < 2 or np.any(np.diff(self.times) <= 0):
             raise VolumeError("need at least 2 strictly increasing frame times")
-        if self.noise_sigma < 0 or self.clutter_amp < 0:
-            raise VolumeError("noise and clutter amplitudes must be non-negative")
+        for name in ("noise_sigma", "clutter_amp"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise VolumeError(f"{name} must be finite and non-negative, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -479,9 +481,9 @@ def _write_case(spec: PhantomSpec, out_dir: Path, split: str) -> CaseRecord:
 def generate_suite(n_cases: int, seed: int, out_dir, **suite_kwargs
                    ) -> list[CaseRecord]:
     """Write a phantom dataset (NRRD volumes + JSON manifest) to disk."""
+    specs = suite_specs(n_cases, seed, **suite_kwargs)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    specs = suite_specs(n_cases, seed, **suite_kwargs)
     records = [_write_case(spec, out_dir, "train" if i < n_cases // 2 else "test")
                for i, spec in enumerate(specs)]
     save_manifest(out_dir / "manifest.json", records)

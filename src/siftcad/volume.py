@@ -7,13 +7,10 @@ Conventions used throughout the package:
   y for case-level volumes). Its values are ``float64``, except for the
   DCE subtraction :func:`subtract` makes of two frames as stored, which
   is ``int16`` or ``int32``,
-* a case's volume files are read as stored, unsigned short, by the steps
-  that use them (:func:`subtract`, :meth:`BreastCase.values`), and are
-  converted to ``float64`` only where their values meet arithmetic; a
-  ``float64`` volume of a case is made only when a caller reads the
-  case's field (``case.t2``, ``case.dce[i]``), as
-  :func:`~siftcad.nrrd_io.load_case` reads T1 to derive a mask the
-  manifest does not name,
+* a case's volume files are read as stored, unsigned short, on every
+  use (:func:`subtract`, :meth:`BreastCase.values`), and never kept:
+  their values are converted to ``float64`` only where they meet
+  arithmetic; a case's mask files are read once, on first use, and kept,
 * the physical coordinate of voxel ``i`` along an axis is
   ``i * spacing`` (voxel centres on a regular grid anchored at 0),
 * binary masks share the grid of the volume they refer to.
@@ -111,16 +108,15 @@ class BinaryMask:
 
 @dataclass(frozen=True, eq=False)
 class Pending:
-    """A volume or mask of a case before its data is read: the grid its
-    header gives, the file it comes from and how to read it. A volume's
-    ``stored`` reads its values as the file stores them, in C order, and
-    their spacing, afresh on each call."""
+    """A volume or mask file of a case: the grid its header gives, the
+    file and how to read it. A volume's ``read`` returns its values as
+    the file stores them, in C order, and their spacing, afresh on each
+    call; a mask's returns the :class:`BinaryMask`."""
 
     dims: tuple[int, int, int]
     spacing: tuple[float, float, float]
     source: str
-    read: Callable[[], Volume3D | BinaryMask]
-    stored: Callable[[], tuple[np.ndarray, tuple[float, float, float]]] | None = None
+    read: Callable[[], tuple[np.ndarray, tuple[float, float, float]] | BinaryMask]
 
 
 def _check_grid(item: Pending, dims, spacing) -> None:
@@ -130,28 +126,28 @@ def _check_grid(item: Pending, dims, spacing) -> None:
         raise VolumeError(f"{item.source}: grid changed after the case was loaded")
 
 
-def _made(item):
-    """``item``, or the volume or mask a Pending reads."""
-    if not isinstance(item, Pending):
-        return item
-    value = item.read()
-    _check_grid(item, value.dims, value.spacing)
-    return value
-
-
 def _values(item: Volume3D | Pending) -> np.ndarray:
     """A volume's data, or a Pending volume's values as stored, read for
     the caller alone and not kept."""
     if not isinstance(item, Pending):
         return item.data
-    values, spacing = item.stored()
+    values, spacing = item.read()
     _check_grid(item, values.shape, spacing)
     return values
 
 
+def _mask(item: BinaryMask | Pending) -> BinaryMask:
+    """``item``, or the mask a Pending reads."""
+    if not isinstance(item, Pending):
+        return item
+    mask = item.read()
+    _check_grid(item, mask.dims, mask.spacing)
+    return mask
+
+
 class _OnFirstUse:
-    """A case field that may hold a Pending: its first read makes the
-    volume or mask and keeps it in the Pending's place."""
+    """A mask field of a case that may hold a Pending: its first read
+    makes the mask and keeps it in the Pending's place."""
 
     def __set_name__(self, owner, name):
         self.slot = f"_{name}"
@@ -159,7 +155,7 @@ class _OnFirstUse:
     def __get__(self, case, owner=None):
         if case is None:
             return self
-        value = _made(getattr(case, self.slot))
+        value = _mask(getattr(case, self.slot))
         setattr(case, self.slot, value)
         return value
 
@@ -168,9 +164,8 @@ class _OnFirstUse:
 
 
 class _OnFirstUseList(Sequence):
-    """The DCE frames or ground truths of a case, as :class:`_OnFirstUse`
-    keeps one volume: an item that is a Pending is read when first
-    indexed and kept."""
+    """The ground truths of a case, as :class:`_OnFirstUse` keeps one
+    mask: an item that is a Pending is read when first indexed and kept."""
 
     def __init__(self, items):
         self._items = list(items)
@@ -179,14 +174,8 @@ class _OnFirstUseList(Sequence):
         return len(self._items)
 
     def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(len(self))[i]]
-        self._items[i] = value = _made(self._items[i])
+        self._items[i] = value = _mask(self._items[i])
         return value
-
-    def as_given(self, i):
-        """Item ``i`` as it stands, read or not: a Pending is not read."""
-        return self._items[i]
 
 
 class BreastCase:
@@ -195,12 +184,12 @@ class BreastCase:
     ``dce[0]`` is the pre-contrast frame; ``acquisition_times`` are
     seconds from contrast injection, one per DCE frame, strictly
     increasing. Any volume or mask may be given as a :class:`Pending`;
-    the checks here read only its grid, and its data is read when the
-    case first uses it.
+    the checks here read only its grid. ``t1``, ``t2`` and ``dce`` hold
+    what they were given: a Pending volume is read as stored on every
+    use (:meth:`values`, :func:`subtract`) and never kept. A Pending mask
+    is read when the case first uses it, and kept.
     """
 
-    t1 = _OnFirstUse()
-    t2 = _OnFirstUse()
     breast_mask = _OnFirstUse()
     fat_mask = _OnFirstUse()
 
@@ -241,7 +230,7 @@ class BreastCase:
         self.case_id = case_id
         self.side = side
         self.t1, self.t2 = t1, t2
-        self.dce = _OnFirstUseList(dce)
+        self.dce = dce
         self.acquisition_times = acquisition_times
         self.breast_mask, self.fat_mask = breast_mask, fat_mask
         self.ground_truth = _OnFirstUseList(ground_truth)
@@ -252,8 +241,7 @@ class BreastCase:
         """The values of T1, T2 and every DCE frame: a volume's data, or
         a Pending volume's values as stored (see :func:`_values`), read
         now for the caller alone and not kept in the case."""
-        return (_values(self._t1), _values(self._t2),
-                [_values(self.dce.as_given(i)) for i in range(len(self.dce))])
+        return _values(self.t1), _values(self.t2), [_values(f) for f in self.dce]
 
 
 # ---------------------------------------------------------------------------
@@ -285,23 +273,31 @@ class HistogramSpec:
         return self.lo + (bin_index + 1) * self.bin_width
 
 
+# values are binned this many at a time, so that each float64 or int64
+# temporary of their bin indices is 256 KiB
+_HISTOGRAM_CHUNK = 1 << 15
+
+
 def intensity_histogram(values: np.ndarray):
     """Uniform ``N_HISTOGRAM_BINS``-bin histogram over [min, max] of ``values``.
 
     Returns ``(counts, HistogramSpec)``. Values equal to the max land in
-    the last bin.
+    the last bin. The bins are counted a bounded chunk of values at a
+    time, each converted to float64 on its own.
     """
-    vals = np.asarray(values, dtype=np.float64).ravel()
+    vals = np.asarray(values).ravel()
     if vals.size == 0:
         raise VolumeError("cannot histogram an empty value set")
     lo = float(vals.min())
     hi = float(vals.max())
     if hi <= lo:
         raise VolumeError("constant values have no histogram spread")
-    idx = np.floor((vals - lo) / (hi - lo) * N_HISTOGRAM_BINS).astype(np.int64)
-    np.clip(idx, 0, N_HISTOGRAM_BINS - 1, out=idx)
-    counts = np.bincount(idx, minlength=N_HISTOGRAM_BINS).astype(np.float64)
-    return counts, HistogramSpec(lo, hi, N_HISTOGRAM_BINS)
+    counts = np.zeros(N_HISTOGRAM_BINS, dtype=np.int64)
+    for i in range(0, vals.size, _HISTOGRAM_CHUNK):
+        chunk = vals[i:i + _HISTOGRAM_CHUNK].astype(np.float64)
+        idx = np.floor((chunk - lo) / (hi - lo) * N_HISTOGRAM_BINS).astype(np.int64)
+        counts += np.bincount(idx.clip(0, N_HISTOGRAM_BINS - 1), minlength=N_HISTOGRAM_BINS)
+    return counts.astype(np.float64), HistogramSpec(lo, hi, N_HISTOGRAM_BINS)
 
 
 def otsu_cumulative_tables(hist: np.ndarray):

@@ -133,3 +133,16 @@ def candidate_from_mask(mask: BinaryMask, scale_index: int = 1,
     return _make_candidate(flat, scale_index, threshold_index, mask.dims,
                            mask.spacing, tuple(original_dims),
                            tuple(original_spacing))
+
+
+class ConstModel:
+    """A model that scores every row ``p`` and splits on no feature."""
+
+    schema_id = None
+    trees = ()
+
+    def __init__(self, p):
+        self.p = p
+
+    def predict_proba(self, x):
+        return np.full(len(x), self.p)

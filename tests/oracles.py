@@ -122,6 +122,17 @@ def direct_ms3d(vol: np.ndarray, plan, n_orient: int, rasterize) -> np.ndarray:
 # thresholding
 # ---------------------------------------------------------------------------
 
+def whole_array_histogram(values, n_bins: int = 256):
+    """Counts (float64) and ``(lo, hi)`` of the uniform histogram over
+    [min, max], every value's bin index computed in one float64 pass over
+    the whole array; values equal to the max land in the last bin."""
+    vals = np.asarray(values, dtype=np.float64).ravel()
+    lo, hi = float(vals.min()), float(vals.max())
+    idx = np.floor((vals - lo) / (hi - lo) * n_bins).astype(np.int64)
+    np.clip(idx, 0, n_bins - 1, out=idx)
+    return np.bincount(idx, minlength=n_bins).astype(np.float64), (lo, hi)
+
+
 def otsu_exhaustive_index(hist) -> int:
     """Single Otsu threshold by exhaustive scan, in exact rational
     arithmetic on the integer counts: maximise ``s0**2/w0 + s1**2/w1``

@@ -761,6 +761,18 @@ class TestPhantomCommand:
         rel = case["dce"][1]
         assert (a / rel).read_bytes() == (b / rel).read_bytes()
 
+    # a noise level that is not a finite non-negative number is refused,
+    # named, before any file is written
+    @pytest.mark.parametrize("sigma", ["nan", "inf", "-inf"])
+    def test_non_finite_noise_sigma_is_refused(self, tmp_path, capsys, sigma):
+        out = tmp_path / "suite"
+        # the = form, as argparse reads a separate "-inf" as an option
+        assert main(["phantom", "--out", str(out), "--cases", "2",
+                     f"--noise-sigma={sigma}"]) == EXIT_RUNTIME
+        assert f"noise_sigma must be finite and non-negative, got {sigma}" \
+            in capsys.readouterr().err
+        assert not out.exists()
+
 
 def _evaluation_suite(root, n_cases, dims=(64, 64, 32)):
     """A manifest of ``n_cases`` cases of two cube lesions each and a

@@ -30,7 +30,7 @@ from siftcad.features import FEATURE_SCHEMA, FeatureExtractor
 from siftcad.nrrd_io import load_mask
 from siftcad.volume import BinaryMask, VolumeError, dsi
 
-from helpers import make_mini_case
+from helpers import ConstModel, make_mini_case
 from oracles import ball_mask, full_vector_pipeline, fusion_survivors
 
 DIMS = (16, 16, 8)
@@ -357,27 +357,16 @@ def test_malignancy_unscored_detections_ignored():
 # pipeline
 # ---------------------------------------------------------------------------
 
-class _ConstModel:
-    schema_id = None
-    trees = ()
-
-    def __init__(self, p):
-        self.p = p
-
-    def predict_proba(self, x):
-        return np.full(len(x), self.p)
-
-
 def test_pipeline_threshold_above_range_empty():
     case = make_mini_case(seed=3)
-    out = run_pipeline(case, _ConstModel(1.0),
+    out = run_pipeline(case, ConstModel(1.0),
                        config=RunConfig(theta_lesion=1.01))
     assert out == []
 
 
 def test_pipeline_zero_threshold_returns_fused_set():
     case = make_mini_case(seed=3)
-    out = run_pipeline(case, _ConstModel(0.5),
+    out = run_pipeline(case, ConstModel(0.5),
                        config=RunConfig(theta_lesion=0.0))
     assert len(out) >= 1
     _assert_disjoint(out)
@@ -387,17 +376,17 @@ def test_pipeline_zero_threshold_returns_fused_set():
 
 def test_pipeline_malignancy_stage_flags_survivors():
     case = make_mini_case(seed=3)
-    out = run_pipeline(case, _ConstModel(0.8), _ConstModel(0.7),
+    out = run_pipeline(case, ConstModel(0.8), ConstModel(0.7),
                        config=RunConfig(theta_lesion=0.5, theta_malig=0.6))
     assert len(out) >= 1
     assert all(d.malignancy_score == 0.7 for d in out)
     assert all(d.malignant is True for d in out)
-    low = run_pipeline(case, _ConstModel(0.8), _ConstModel(0.3),
+    low = run_pipeline(case, ConstModel(0.8), ConstModel(0.3),
                        config=RunConfig(theta_lesion=0.5, theta_malig=0.6))
     assert all(d.malignant is False for d in low)
 
 
-class _CountingModel(_ConstModel):
+class _CountingModel(ConstModel):
     def __init__(self, p):
         super().__init__(p)
         self.batch_sizes = []
@@ -599,7 +588,7 @@ def test_pipeline_sieves_with_the_configured_window_exactly(config, monkeypatch)
     seen = []
     monkeypatch.setattr(evaluation, "generate_candidates",
                         lambda case, **kw: seen.append(kw) or [])
-    assert run_pipeline(make_mini_case(seed=3), _ConstModel(0.9),
+    assert run_pipeline(make_mini_case(seed=3), ConstModel(0.9),
                         config=config) == []
     assert seen == [dict(m_scales=config.m_scales, n_orient=config.n_orient,
                          t_count=config.t_count, v_min=config.v_min,
@@ -608,8 +597,8 @@ def test_pipeline_sieves_with_the_configured_window_exactly(config, monkeypatch)
 
 def test_pipeline_deterministic():
     case = make_mini_case(seed=5, noise=0.3)
-    a = run_pipeline(case, _ConstModel(0.9), config=RunConfig(theta_lesion=0.5))
-    b = run_pipeline(case, _ConstModel(0.9), config=RunConfig(theta_lesion=0.5))
+    a = run_pipeline(case, ConstModel(0.9), config=RunConfig(theta_lesion=0.5))
+    b = run_pipeline(case, ConstModel(0.9), config=RunConfig(theta_lesion=0.5))
     assert len(a) == len(b)
     for da, db in zip(a, b):
         assert np.array_equal(da.indices, db.indices)
@@ -620,7 +609,7 @@ def test_pipeline_reaches_lesion_area_with_stub_models():
     # constant scores make fusion keep the largest region of each
     # overlap group, so only overlap (not a DSI level) is guaranteed
     case = make_mini_case(seed=3)
-    out = run_pipeline(case, _ConstModel(0.9), config=RunConfig(theta_lesion=0.5))
+    out = run_pipeline(case, ConstModel(0.9), config=RunConfig(theta_lesion=0.5))
     truth = case.ground_truth[0]
     assert any(truth.data.ravel()[d.indices].any() for d in out)
 

@@ -7,6 +7,9 @@ import numpy as np
 import pytest
 
 from siftcad import nrrd_io
+from siftcad.candidates import generate_candidates
+from siftcad.evaluation import RunConfig, run_pipeline
+from siftcad.features import FeatureExtractor
 from siftcad.nrrd_io import (
     CaseRecord,
     NrrdError,
@@ -19,7 +22,9 @@ from siftcad.nrrd_io import (
     save_volume,
 )
 from siftcad.phantom import generate_suite
-from siftcad.volume import BinaryMask, Volume3D, VolumeError
+from siftcad.volume import BinaryMask, Pending, Volume3D, VolumeError, subtract
+
+from helpers import ConstModel
 
 
 def random_u16_volume(rng, dims=(8, 8, 8), spacing=(0.7, 0.7, 1.3)):
@@ -290,46 +295,72 @@ def _case_on_disk(tmp_path):
 
 
 def _record_reads(monkeypatch):
-    """Paths whose payload is read, in order, through the loaders the
-    cases look up when they first use a volume or mask."""
+    """``(loader, path)`` of every payload read, in order, through the
+    loaders a case and ``load_case`` look up when they read a file."""
     reads = []
-    for name in ("load_volume", "load_mask"):
+    for name in ("load_volume", "load_mask", "_read_stored"):
         load = getattr(nrrd_io, name)
 
-        def recorded(path, load=load):
-            reads.append(Path(path))
+        def recorded(path, load=load, name=name):
+            reads.append((name, Path(path)))
             return load(path)
 
         monkeypatch.setattr(nrrd_io, name, recorded)
     return reads
 
 
-def test_load_case_reads_each_payload_on_first_use_and_keeps_it(tmp_path, monkeypatch):
+def test_load_case_reads_volumes_on_every_use_and_masks_once(tmp_path, monkeypatch):
     record = _case_on_disk(tmp_path)
+    volumes = [record.t1, record.t2, *record.dce]
+    want = [load_volume(tmp_path / p).data for p in volumes]
     reads = _record_reads(monkeypatch)
     case = load_case(record)
     assert reads == []
     assert case.dims == (40, 40, 20) and case.spacing == (0.8, 0.8, 1.3)
     assert len(case.dce) == 4 and len(case.ground_truth) == 1
-    assert reads == []
-    first = case.dce[1]
-    assert case.dce[1] is first
-    assert reads == [tmp_path / record.dce[1]]
-    case.breast_mask, case.t2, case.breast_mask
-    assert reads[1:] == [tmp_path / record.breast_mask, tmp_path / record.t2]
-    assert np.array_equal(case.dce[1].data, load_volume(tmp_path / record.dce[1]).data)
 
-    # a mask the manifest does not name is derived from T1 as the case is
-    # made, from a read the case does not keep: T1 stays unread, so its
-    # values come as stored and a first use reads it again
+    # a volume file is read as stored on every use, and never kept
+    for _ in range(2):
+        t1, t2, frames = case.values()
+        for got, values in zip([t1, t2, *frames], want):
+            assert got.dtype == np.uint16 and got.flags.c_contiguous
+            assert np.array_equal(got, values)
+    stored = [("_read_stored", tmp_path / p) for p in volumes]
+    assert reads == stored * 2
     reads.clear()
-    case = load_case(replace(record, fat_mask=None))
-    assert reads == [tmp_path / record.t1, tmp_path / record.breast_mask]
-    case.fat_mask
-    t1_values = case.values()[0]
-    assert len(reads) == 2 and t1_values.dtype == np.uint16
-    assert np.array_equal(case.t1.data, t1_values)
-    assert reads[2:] == [tmp_path / record.t1]
+    for _ in range(2):
+        assert np.array_equal(subtract(case.dce[1], case.dce[0]).data, want[3] - want[2])
+    assert reads == [("_read_stored", tmp_path / p) for p in record.dce[1::-1]] * 2
+    assert all(isinstance(v, Pending) for v in (case.t1, case.t2, *case.dce))
+
+    # a mask file is read once, on first use, and kept
+    reads.clear()
+    names = (record.breast_mask, record.fat_mask, record.ground_truth[0])
+    masks = (case.breast_mask, case.fat_mask, case.ground_truth[0])
+    assert masks == (case.breast_mask, case.fat_mask, case.ground_truth[0])
+    assert reads == [("load_mask", tmp_path / p) for p in names]
+    for mask, name in zip(masks, names):
+        assert np.array_equal(mask.data, load_mask(tmp_path / name).data)
+
+
+# candidates, features and the whole pipeline read the volumes as stored:
+# none loads one as float64 or leaves one read in the case; a mask the
+# manifest does not name costs one float64 read of T1, as the case is made
+def test_pipeline_loads_no_volume_as_float64(tmp_path, monkeypatch):
+    record = _case_on_disk(tmp_path)
+    reads = _record_reads(monkeypatch)
+    for missing in ({}, {"fat_mask": None}, {"breast_mask": None, "fat_mask": None}):
+        reads.clear()
+        case = load_case(replace(record, **missing))
+        derived = [("load_volume", tmp_path / record.t1)] if missing else []
+        assert [r for r in reads if r[0] != "load_mask"] == derived
+        candidates = generate_candidates(case)
+        assert candidates
+        FeatureExtractor(case).extract(candidates[0])
+        run_pipeline(case, ConstModel(0.5), ConstModel(0.5), RunConfig(theta_lesion=0.0))
+        assert [r for r in reads if r[0] == "load_volume"] == derived
+        assert ("_read_stored", tmp_path / record.t1) in reads
+        assert all(isinstance(v, Pending) for v in (case.t1, case.t2, *case.dce))
 
 
 def test_load_case_checks_every_file_before_reading_a_payload(tmp_path, monkeypatch):

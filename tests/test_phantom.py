@@ -249,6 +249,13 @@ class TestSpecValidation:
         with pytest.raises(VolumeError):
             PhantomSpec(noise_sigma=-1.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+    def test_clutter_must_be_finite_and_non_negative(self, tmp_path, value):
+        with pytest.raises(VolumeError, match=f"clutter_amp must be finite and "
+                                              f"non-negative, got {value!r}"):
+            generate_suite(1, 0, tmp_path / "suite", clutter_amp=value)
+        assert not (tmp_path / "suite").exists()
+
 
 class TestSuite:
     KW = dict(dims=(64, 64, 32), spacing=(1.0, 1.0, 1.3),

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from siftcad import volume as vmod
 from siftcad.features import FeatureExtractor
 from siftcad.volume import (
     BinaryMask,
@@ -18,7 +21,7 @@ from siftcad.volume import (
     subtract,
 )
 
-from oracles import dice, otsu_exhaustive_index
+from oracles import dice, otsu_exhaustive_index, whole_array_histogram
 
 
 def vol(data, spacing=(1.0, 1.0, 1.0)):
@@ -87,8 +90,8 @@ class TestSubtract:
         short), counting its reads."""
         arr = np.asarray(values, dtype=np.uint16).reshape(1, 1, -1)
         reads = []
-        pending = Pending(arr.shape, spacing, "frame.nrrd", read=None,
-                          stored=lambda: reads.append(1) or (arr.copy(), spacing))
+        pending = Pending(arr.shape, spacing, "frame.nrrd",
+                          read=lambda: reads.append(1) or (arr.copy(), spacing))
         return pending, reads
 
     @pytest.mark.parametrize("a, b, dtype", [
@@ -116,13 +119,50 @@ class TestSubtract:
 
     def test_stored_grid_must_match_the_header(self):
         pa, _ = self.stored([1, 2, 3])
-        moved = Pending(pa.dims, pa.spacing, "frame.nrrd", read=None,
-                        stored=lambda: (np.ones((1, 1, 3), np.uint16), (2.0, 2.0, 2.0)))
+        moved = Pending(pa.dims, pa.spacing, "frame.nrrd",
+                        read=lambda: (np.ones((1, 1, 3), np.uint16), (2.0, 2.0, 2.0)))
         with pytest.raises(VolumeError, match="frame.nrrd: grid changed"):
             subtract(pa, moved)
 
 
 class TestOtsu:
+    # the bins are counted a chunk of values at a time: the default chunk
+    # (a remainder past two whole chunks) and 7-value chunks give the
+    # counts and bounds of the whole-array formula, bit for bit
+    @pytest.mark.parametrize("chunk", [None, 7], ids=["default", "chunk7"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int16])
+    def test_histogram_in_chunks_equals_the_whole_array_formula(self, monkeypatch,
+                                                                chunk, dtype):
+        if chunk is not None:
+            monkeypatch.setattr(vmod, "_HISTOGRAM_CHUNK", chunk)
+        rng = np.random.default_rng(17)
+        sizes = (2, 3, 7, 8, 1000) if chunk else (1000, 2 * vmod._HISTOGRAM_CHUNK + 5)
+        for size in sizes:
+            values = np.clip(rng.gamma(2.0, 1000.0, size) - 2000.0, -2000.0, 30000.0)
+            values = values.astype(dtype)
+            values[-1] = values.max() + 1
+            values[rng.integers(1, size, 3)] = values.max()
+            counts, spec = intensity_histogram(values)
+            want, (lo, hi) = whole_array_histogram(values)
+            assert (spec.lo, spec.hi, spec.n_bins) == (lo, hi, 256)
+            assert counts.dtype == np.float64 and np.array_equal(counts, want)
+            assert counts[-1] >= np.count_nonzero(values == values.max()) >= 1
+            assert counts.sum() == size
+
+    # the bins are counted a chunk at a time: the temporaries are a few
+    # chunks (1 MiB here), not arrays the size of the input
+    def test_histogram_temporaries_are_bounded(self):
+        values = np.random.default_rng(3).normal(size=1 << 20)
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            intensity_histogram(values)
+            rise = tracemalloc.get_traced_memory()[1] - entry
+        finally:
+            tracemalloc.stop()
+        assert rise <= values.nbytes / 4
+
     def test_two_delta_masses(self):
         data = np.zeros((10, 10, 10))
         data.ravel()[:500] = 200.0
