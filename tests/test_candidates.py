@@ -13,10 +13,11 @@ from siftcad.candidates import (
     generate_candidates,
     volume_window,
 )
-from siftcad.nrrd_io import load_case
+from siftcad.nrrd_io import load_case, load_volume
 from siftcad.phantom import generate_suite
 from siftcad.volume import (
     BinaryMask,
+    BreastCase,
     Pending,
     Volume3D,
     VolumeError,
@@ -317,6 +318,35 @@ def test_generation_walks_the_wavelet_ladder_once(monkeypatch):
     level2 = dims_ladder(case.dims, 2)[1]
     assert sorted(shapes) == sorted([case.dims, case.dims, level2, level2])
     assert {c.scale_index for c in cands} >= {1}
+
+
+# frames given to the case as float64 volumes, held before the trace
+# starts: scale 1's ms3d sets the peak (the float64 subtraction, levels 2
+# and 3 of both ladders, and ms3d's output and scratch). 2.72 grids on
+# seeds 1-4 at 128x128x64, where the fixed-size scratch blocks and groups
+# are small beside a grid; copying each view's whole stack to its sum
+# dtype made it 2.97, and decimating each level after the scale before it
+# was sifted, with that scale's response and a padded copy of its input
+# held, 4.24
+def test_generation_peak_in_grids(tmp_path):
+    dims = (128, 128, 64)
+    (record,) = generate_suite(1, 1, tmp_path, dims=dims, spacing=(0.7, 0.7, 1.3))
+    loaded = load_case(record)
+    frames = [load_volume(record.base_dir / p) for p in record.dce]
+    case = BreastCase(loaded.case_id, loaded.side, loaded.t1, loaded.t2, frames,
+                      loaded.acquisition_times, loaded.breast_mask, loaded.fat_mask,
+                      loaded.ground_truth)
+    for payload in (case.dce[0], case.dce[1], case.breast_mask):
+        assert payload.data.size  # read before the trace starts
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        assert generate_candidates(case)
+        rise = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    assert rise / (8 * np.prod(dims)) <= 2.8
 
 
 # the frames are read as stored for the subtraction alone, which is
